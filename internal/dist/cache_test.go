@@ -3,11 +3,14 @@ package dist
 import (
 	"context"
 	"errors"
+	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"fdip/internal/core"
+	"fdip/internal/durable"
 	"fdip/internal/engine"
 )
 
@@ -276,5 +279,59 @@ func TestQuiesceDrainsAndResumes(t *testing.T) {
 	wantExec := (p.Points()+1)/2 - len(delivered)/2
 	if got := len(run2.executedStarts()); got != wantExec {
 		t.Errorf("resume executed %d ranges, want %d", got, wantExec)
+	}
+}
+
+// countSyncs routes durable.Sync through a counter for the rest of the test.
+func countSyncs(t *testing.T) *atomic.Int64 {
+	n := new(atomic.Int64)
+	flush := durable.Sync
+	durable.Sync = func(f *os.File) error {
+		n.Add(1)
+		return flush(f)
+	}
+	t.Cleanup(func() { durable.Sync = flush })
+	return n
+}
+
+// TestJournalSyncsOnlyExecutedRanges pins the journal's durability rule: a
+// range a worker ran is fsynced, a range served wholly from the cache is
+// written but not fsynced, and neither the header nor a cache hit inside an
+// executed range adds a flush.
+func TestJournalSyncsOnlyExecutedRanges(t *testing.T) {
+	syncs := countSyncs(t)
+	cache := newMapCache()
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		name   string
+		plan   *engine.Plan
+		dialer Dialer
+		chunk  int
+		ranges int
+		syncs  int64
+	}{
+		{"cold", testPlan(), Loopback{Workers: 2}, 2, 3, 3},
+		{"repeat", testPlan(), deadDialer{}, 2, 3, 0},
+		// Every range holds two hits and one miss: each ships, so each syncs.
+		{"overlap", overlapPlan(), Loopback{Workers: 2}, 3, 2, 2},
+	} {
+		journal := filepath.Join(dir, tc.name+".journal")
+		before := syncs.Load()
+		c := New(Options{Dialer: tc.dialer, Shards: 2, ChunkPoints: tc.chunk, Journal: journal, Cache: cache})
+		if _, err := c.Sweep(context.Background(), tc.plan); err != nil {
+			t.Fatalf("%s sweep: %v", tc.name, err)
+		}
+		if got := syncs.Load() - before; got != tc.syncs {
+			t.Errorf("%s sweep made %d fsyncs, want %d", tc.name, got, tc.syncs)
+		}
+		// Synced or not, every range is in the journal.
+		j, completed, err := OpenJournal(journal, c.fingerprint(tc.plan), tc.plan.Points(), tc.chunk)
+		if err != nil {
+			t.Fatalf("%s: reopen journal: %v", tc.name, err)
+		}
+		j.Close()
+		if len(completed) != tc.ranges {
+			t.Errorf("%s journal holds %d ranges, want %d", tc.name, len(completed), tc.ranges)
+		}
 	}
 }

@@ -108,9 +108,10 @@ func (c *Coordinator) fingerprint(p *engine.Plan) uint64 {
 
 // rangeResult is one range's merged fate, delivered shard -> coordinator.
 type rangeResult struct {
-	start int
-	outs  []engine.RunOutcome
-	err   error // terminal: the range exhausted its retries
+	start   int
+	outs    []engine.RunOutcome
+	shipped int   // jobs a worker executed; 0 = served wholly from the cache
+	err     error // terminal: the range exhausted its retries
 }
 
 // Stream executes every point of the plan across the coordinator's shards
@@ -277,9 +278,12 @@ func (c *Coordinator) Stream(ctx context.Context, p *engine.Plan) iter.Seq2[engi
 				yield(engine.RunOutcome{}, d.err)
 				return
 			}
-			// Journal before yielding: once the consumer has seen a range it
-			// must never replay differently, so durability precedes delivery.
-			if jr != nil {
+			// An executed range is journaled durably before it is yielded:
+			// once the consumer has seen it, it must never replay
+			// differently. A range no worker ran replays identically from
+			// the cache, so it is journaled after delivery, unsynced, off
+			// the consumer's path.
+			if jr != nil && d.shipped > 0 {
 				if err := jr.Commit(d.start, d.outs); err != nil {
 					drain()
 					yield(engine.RunOutcome{}, err)
@@ -289,6 +293,13 @@ func (c *Coordinator) Stream(ctx context.Context, p *engine.Plan) iter.Seq2[engi
 			for _, out := range d.outs {
 				if !yield(out, nil) {
 					drain()
+					return
+				}
+			}
+			if jr != nil && d.shipped == 0 {
+				if err := jr.note(d.start, d.outs); err != nil {
+					drain()
+					yield(engine.RunOutcome{}, err)
 					return
 				}
 			}
@@ -336,12 +347,12 @@ func (c *Coordinator) shardLoop(ctx context.Context, work <-chan Assignment, del
 		case <-ctx.Done():
 			return
 		}
-		outs, err := c.runRange(ctx, &sess, a)
+		outs, shipped, err := c.runRange(ctx, &sess, a)
 		if err != nil && ctx.Err() != nil {
 			return // the stream is unwinding; its own terminal error wins
 		}
 		select {
-		case deliveries <- rangeResult{start: a.Start, outs: outs, err: err}:
+		case deliveries <- rangeResult{start: a.Start, outs: outs, shipped: shipped, err: err}:
 		case <-ctx.Done():
 			return
 		}
@@ -376,11 +387,13 @@ func (c *Coordinator) primeCache(out engine.RunOutcome) {
 }
 
 // runRange obtains one range's outcomes: served from the shared result
-// cache where possible, executed on a worker otherwise. Without a cache it
-// is exactly execRange.
-func (c *Coordinator) runRange(ctx context.Context, sess *Session, a Assignment) ([]engine.RunOutcome, error) {
+// cache where possible, executed on a worker otherwise. It also reports how
+// many jobs it shipped to a worker (Cached cannot tell: a worker's own memo
+// hits set it too). Without a cache it is exactly execRange.
+func (c *Coordinator) runRange(ctx context.Context, sess *Session, a Assignment) ([]engine.RunOutcome, int, error) {
 	if c.opts.Cache == nil {
-		return c.execRange(ctx, sess, a)
+		outs, err := c.execRange(ctx, sess, a)
+		return outs, len(a.Jobs), err
 	}
 	// Split the range on the cache: hits fill their slots directly
 	// (re-tagged to this sweep's index and display name), misses ship as a
@@ -417,7 +430,7 @@ func (c *Coordinator) runRange(ctx context.Context, sess *Session, a Assignment)
 		sub := Assignment{Start: a.Start, Jobs: missJobs, Indices: missIdx, Instrs: a.Instrs}
 		fresh, err := c.execRange(ctx, sess, sub)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		slotByGlobal := make(map[int]int, len(missIdx))
 		for j, gi := range missIdx {
@@ -431,7 +444,7 @@ func (c *Coordinator) runRange(ctx context.Context, sess *Session, a Assignment)
 			}
 		}
 	}
-	return outs, nil
+	return outs, len(missJobs), nil
 }
 
 // execRange executes one assignment on a worker, re-dialing and re-running

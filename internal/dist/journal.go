@@ -7,6 +7,7 @@ import (
 	"os"
 	"sync"
 
+	"fdip/internal/durable"
 	"fdip/internal/engine"
 )
 
@@ -18,6 +19,14 @@ import (
 // ranges — resume replays completed ranges verbatim and re-executes
 // everything else, which is exactly the at-least-once-per-range /
 // exactly-once-per-delivered-outcome semantics the merge contract needs.
+//
+// Durability: only a range that a worker executed is fsynced (Commit), and
+// before the consumer sees it — losing it would lose work. The header and a
+// range served entirely from the shared result cache are written unsynced
+// (the range after the consumer has seen it): both are re-derivable (a lost
+// header restarts the journal, a lost cache-served range is served from the
+// cache again on resume), and both ride on the file's next fsync. A process
+// crash loses nothing written; only a power loss can drop unsynced records.
 //
 // Crash tolerance: a coordinator killed mid-append leaves a torn final line;
 // OpenJournal truncates the tail back to the last record that decodes and
@@ -61,14 +70,15 @@ func OpenJournal(path string, fingerprint uint64, points, chunk int) (*Journal, 
 	switch err := dec.Decode(&hdr); {
 	case err == io.EOF:
 		// Fresh journal: stamp the header and start appending.
-		if err := j.append(journalRecord{Type: "header", Fingerprint: fingerprint, Points: points, Chunk: chunk}); err != nil {
+		if err := j.append(journalRecord{Type: "header", Fingerprint: fingerprint, Points: points, Chunk: chunk}, false); err != nil {
 			f.Close()
 			return nil, nil, err
 		}
 		return j, completed, nil
 	case err != nil:
-		// The header itself is torn (crash before the first Sync ever
-		// completed): nothing is recoverable, start over.
+		// The header itself is torn (it is written unsynced, so a power
+		// loss before the first range commit can tear it): no range can
+		// follow an unrecoverable header, start over.
 		if err := f.Truncate(0); err != nil {
 			f.Close()
 			return nil, nil, fmt.Errorf("dist: journal: reset torn header: %w", err)
@@ -77,7 +87,7 @@ func OpenJournal(path string, fingerprint uint64, points, chunk int) (*Journal, 
 			f.Close()
 			return nil, nil, err
 		}
-		if err := j.append(journalRecord{Type: "header", Fingerprint: fingerprint, Points: points, Chunk: chunk}); err != nil {
+		if err := j.append(journalRecord{Type: "header", Fingerprint: fingerprint, Points: points, Chunk: chunk}, false); err != nil {
 			f.Close()
 			return nil, nil, err
 		}
@@ -130,28 +140,38 @@ func OpenJournal(path string, fingerprint uint64, points, chunk int) (*Journal, 
 }
 
 // Commit durably records one completed range. The fsync is what upgrades
-// "yielded to the consumer" into "survives a kill -9": a range is only
-// journaled (and only skipped on resume) once its bytes are on disk.
+// "yielded to the consumer" into "survives a power loss": an executed range
+// is only journaled (and only skipped on resume) once its bytes are on disk.
 func (j *Journal) Commit(start int, outs []engine.RunOutcome) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if err := j.enc.Encode(journalRecord{Type: "range", Start: start, Count: len(outs), Outcomes: outs}); err != nil {
-		return fmt.Errorf("dist: journal: append range [%d,%d): %w", start, start+len(outs), err)
-	}
-	return j.f.Sync()
+	return j.append(journalRecord{Type: "range", Start: start, Count: len(outs), Outcomes: outs}, true)
 }
 
-// append writes one record without syncing (header writes).
-func (j *Journal) append(rec journalRecord) error {
+// note records one completed range without syncing. It is for ranges that no
+// worker executed: every outcome came from the shared result cache, so a lost
+// record costs a cache lookup on resume, not work.
+func (j *Journal) note(start int, outs []engine.RunOutcome) error {
+	return j.append(journalRecord{Type: "range", Start: start, Count: len(outs), Outcomes: outs}, false)
+}
+
+// append writes one record, fsyncing it if sync is set.
+func (j *Journal) append(rec journalRecord, sync bool) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if err := j.enc.Encode(rec); err != nil {
-		return fmt.Errorf("dist: journal: %w", err)
+		return fmt.Errorf("dist: journal: append %s record: %w", rec.Type, err)
 	}
-	return j.f.Sync()
+	if !sync {
+		return nil
+	}
+	if err := durable.Sync(j.f); err != nil {
+		return fmt.Errorf("dist: journal: sync: %w", err)
+	}
+	return nil
 }
 
-// Close closes the journal file.
+// Close closes the journal file. It does not fsync: unsynced records are
+// already in the operating system's cache, which a process crash does not
+// lose.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()

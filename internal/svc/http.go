@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"time"
 )
 
@@ -15,6 +16,7 @@ import (
 //	GET    /v1/workers                                     live pool snapshot
 //	POST   /v1/jobs                SubmitRequest           -> 202 JobStatus
 //	                                                          429 queue full
+//	                                                          413 body > 1 MiB
 //	GET    /v1/jobs                                        all JobStatus
 //	GET    /v1/jobs/{id}                                   one JobStatus
 //	GET    /v1/jobs/{id}/stream?from=N                     NDJSON StreamFrames
@@ -22,6 +24,29 @@ import (
 // Workers themselves serve the dist run endpoint; the service only tracks
 // their addresses. Streams flush per frame and honour from=N so a client that
 // saw n frames reconnects with from=n and misses nothing.
+
+// Request body bounds. A submission carries full core.Configs (about 1 KB
+// each), so 1 MiB holds hundreds of columns; a worker body is an id and a URL.
+const (
+	maxSubmitBytes = 1 << 20
+	maxWorkerBytes = 4 << 10
+)
+
+// decodeBody decodes r's JSON body into v, reading at most limit bytes. An
+// oversized body is answered 413, any other decode failure 400 with msg.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any, msg string) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		http.Error(w, fmt.Sprintf("svc: request body exceeds %d bytes", limit), http.StatusRequestEntityTooLarge)
+	case err != nil:
+		http.Error(w, msg, http.StatusBadRequest)
+	default:
+		return true
+	}
+	return false
+}
 
 // registerRequest is the worker announcement body.
 type registerRequest struct {
@@ -37,9 +62,13 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 
 	mux.HandleFunc("POST /v1/workers/register", func(w http.ResponseWriter, r *http.Request) {
+		const msg = "svc: register body must carry id and url"
 		var req registerRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.ID == "" || req.URL == "" {
-			http.Error(w, "svc: register body must carry id and url", http.StatusBadRequest)
+		if !decodeBody(w, r, maxWorkerBytes, &req, msg) {
+			return
+		}
+		if req.ID == "" || req.URL == "" {
+			http.Error(w, msg, http.StatusBadRequest)
 			return
 		}
 		s.reg.Register(req.ID, req.URL, time.Duration(req.TTLSeconds)*time.Second)
@@ -47,9 +76,13 @@ func (s *Server) Handler() http.Handler {
 	})
 
 	mux.HandleFunc("POST /v1/workers/deregister", func(w http.ResponseWriter, r *http.Request) {
+		const msg = "svc: deregister body must carry id"
 		var req registerRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.ID == "" {
-			http.Error(w, "svc: deregister body must carry id", http.StatusBadRequest)
+		if !decodeBody(w, r, maxWorkerBytes, &req, msg) {
+			return
+		}
+		if req.ID == "" {
+			http.Error(w, msg, http.StatusBadRequest)
 			return
 		}
 		s.reg.Deregister(req.ID)
@@ -62,8 +95,7 @@ func (s *Server) Handler() http.Handler {
 
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		var req SubmitRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, "svc: body must be a SubmitRequest", http.StatusBadRequest)
+		if !decodeBody(w, r, maxSubmitBytes, &req, "svc: body must be a SubmitRequest") {
 			return
 		}
 		st, err := s.Submit(req)
@@ -98,7 +130,8 @@ func (s *Server) Handler() http.Handler {
 		}
 		from := 0
 		if q := r.URL.Query().Get("from"); q != "" {
-			if _, err := fmt.Sscanf(q, "%d", &from); err != nil || from < 0 {
+			var err error
+			if from, err = strconv.Atoi(q); err != nil || from < 0 {
 				http.Error(w, "svc: from must be a non-negative frame index", http.StatusBadRequest)
 				return
 			}

@@ -7,12 +7,15 @@ import (
 	"io"
 	"os"
 	"sync"
+
+	"fdip/internal/durable"
 )
 
 // queueRecord is one NDJSON line of the queue journal: a submission (with its
 // full request, so restart can rebuild the plan) or a terminal transition.
 // Sweeps with a submit record and no terminal record are unfinished — they
-// re-queue on restart, resuming from their own dist journals.
+// re-queue on restart, resuming from their own dist journals. Done records
+// are in completion order, which restart replays finished sweeps in.
 type queueRecord struct {
 	Op    string         `json:"op"` // "submit" | "done" | "failed"
 	ID    string         `json:"id"`
@@ -21,9 +24,13 @@ type queueRecord struct {
 }
 
 // queueJournal is the service's durable submission log: append-only NDJSON,
-// fsynced per record (a submission is acknowledged only after it is on disk),
 // torn tails from a crash mid-append truncated away at open — the same
-// discipline as the dist checkpoint journal.
+// discipline as the dist checkpoint journal. Submit and failed records are
+// fsynced (a submission is acknowledged only after it is on disk; a failure
+// is not retried on restart). A done record is written unsynced and rides on
+// the next submission's fsync or on Close: losing it re-queues a finished
+// sweep, which resumes behind its complete dist journal without executing
+// anything.
 type queueJournal struct {
 	mu sync.Mutex
 	f  *os.File
@@ -69,7 +76,7 @@ func openQueueJournal(path string) (*queueJournal, []queueRecord, error) {
 	return &queueJournal{f: f}, records, nil
 }
 
-// Append durably writes one record: encode, write, fsync.
+// Append writes one record, fsyncing it unless it is a done record.
 func (q *queueJournal) Append(rec queueRecord) error {
 	b, err := json.Marshal(rec)
 	if err != nil {
@@ -81,14 +88,25 @@ func (q *queueJournal) Append(rec queueRecord) error {
 	if _, err := q.f.Write(b); err != nil {
 		return fmt.Errorf("svc: append queue journal: %w", err)
 	}
-	if err := q.f.Sync(); err != nil {
+	if rec.Op == "done" {
+		return nil
+	}
+	if err := durable.Sync(q.f); err != nil {
 		return fmt.Errorf("svc: sync queue journal: %w", err)
 	}
 	return nil
 }
 
+// Close flushes any unsynced done records and closes the journal.
 func (q *queueJournal) Close() error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.f.Close()
+	err := durable.Sync(q.f)
+	if cerr := q.f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("svc: close queue journal: %w", err)
+	}
+	return nil
 }

@@ -8,7 +8,9 @@
 //   - Persistence: submissions land in a queue journal (StateDir/queue.journal)
 //     before they are acknowledged, and every sweep runs under its own dist
 //     checkpoint journal — a service restart re-queues unfinished sweeps and
-//     resumes them from their last committed range.
+//     resumes them from their last committed range. Only records whose loss
+//     would lose work or an acknowledgement are fsynced; the rest are
+//     re-derived on restart (see ARCHITECTURE.md, "Durability").
 //   - Shared results: one fingerprint-keyed cache (engine.JobKey) spans all
 //     sweeps, so a submission overlapping any earlier one — including ones
 //     completed before a restart, re-warmed from their journals — ships only
@@ -228,13 +230,18 @@ func New(opts Options) (*Server, error) {
 // tests).
 func (s *Server) Registry() *dist.Registry { return s.reg }
 
-// restore replays the queue journal into server state. Finished sweeps get
-// their stream buffers and the shared cache re-warmed by replaying their dist
-// journals (a pure disk read: every range is committed, so the replay
-// coordinator never dials). Unfinished sweeps — queued or mid-run at the
-// crash — go back to queued; their journals resume when the scheduler
-// reaches them.
+// restore replays the queue journal into server state, then replays the
+// dist journals of every sweep that did not fail, which re-warms the shared
+// cache. Finished sweeps go first, in completion order (the order of their
+// done records), so each one's cache sources are primed before it replays: a
+// cache-served range whose unsynced record a power loss dropped is served
+// from the cache again, never dialed. A finished sweep that replays whole
+// gets its stream buffer back; one that cannot goes back to queued and
+// resumes behind its journal. Unfinished sweeps — queued or mid-run at the
+// crash — replay last, only to prime the cache (the scheduler may reach a
+// sweep that read from one of them first), and stay queued.
 func (s *Server) restore(records []queueRecord) error {
+	var finished []*sweep
 	for _, rec := range records {
 		switch rec.Op {
 		case "submit":
@@ -250,8 +257,11 @@ func (s *Server) restore(records []queueRecord) error {
 			s.jobs[rec.ID] = sw
 			s.order = append(s.order, sw)
 		case "done":
-			if sw, ok := s.jobs[rec.ID]; ok {
+			// A sweep re-queued by an earlier restart is done twice; its
+			// first completion is the one later sweeps read from.
+			if sw, ok := s.jobs[rec.ID]; ok && sw.state != StateDone {
 				sw.state = StateDone
+				finished = append(finished, sw)
 			}
 		case "failed":
 			if sw, ok := s.jobs[rec.ID]; ok {
@@ -260,26 +270,37 @@ func (s *Server) restore(records []queueRecord) error {
 			}
 		}
 	}
+	replay := finished
 	for _, sw := range s.order {
-		if sw.state != StateDone {
+		if sw.state == StateQueued {
+			replay = append(replay, sw)
+		}
+	}
+	for _, sw := range replay {
+		if sw.state == StateFailed {
 			continue
 		}
-		if err := s.replayFinished(sw); err != nil {
-			// A finished sweep whose journal was lost stays done but loses
-			// its replayable stream; new overlapping work simply re-executes.
-			sw.buf = nil
+		buf, cached, err := s.replay(sw)
+		switch {
+		case sw.state != StateDone:
+		case err != nil:
+			sw.state = StateQueued
+		default:
+			sw.buf, sw.cached = buf, cached
 		}
 	}
 	return nil
 }
 
-// replayFinished rebuilds one finished sweep's stream buffer from its dist
-// journal, priming the shared cache as a side effect (the coordinator pushes
-// every journal-replayed outcome through its cache hook).
-func (s *Server) replayFinished(sw *sweep) error {
+// replay rebuilds one sweep's stream from its dist journal without executing
+// anything, priming the shared cache as a side effect (the coordinator pushes
+// every journal-replayed outcome through its cache hook, and serves ranges
+// the journal lacks from the cache where it can). It reports the outcomes,
+// how many were cache-served, and an error if any range needed a worker.
+func (s *Server) replay(sw *sweep) ([]engine.RunOutcome, int, error) {
 	journal := s.journalPath(sw.id)
 	if _, err := os.Stat(journal); err != nil {
-		return err
+		return nil, 0, err
 	}
 	c := dist.New(dist.Options{
 		Dialer:      noDialer{},
@@ -291,22 +312,25 @@ func (s *Server) replayFinished(sw *sweep) error {
 		Cache:       s.cache,
 	})
 	var buf []engine.RunOutcome
+	cached := 0
 	for out, err := range c.Stream(context.Background(), sw.plan) {
 		if err != nil {
-			return err
+			return nil, 0, err
 		}
 		buf = append(buf, out)
+		if out.Cached {
+			cached++
+		}
 	}
-	sw.buf = buf
-	sw.cached = 0 // replayed outcomes were executed originally, not cache-served
-	return nil
+	return buf, cached, nil
 }
 
-// noDialer proves a replay never executes: any dial is a bug.
+// noDialer keeps a replay from executing: a range that neither the journal
+// nor the cache can serve fails the replay instead of reaching a worker.
 type noDialer struct{}
 
 func (noDialer) Dial(ctx context.Context) (dist.Session, error) {
-	return nil, fmt.Errorf("svc: replay tried to dial a worker")
+	return nil, fmt.Errorf("svc: replay needs a worker")
 }
 
 func (s *Server) journalPath(id string) string {
@@ -451,17 +475,17 @@ func (s *Server) runSweep(sw *sweep) {
 		s.mu.Unlock()
 	}
 
+	// The terminal state is published before it is journaled, so no stream
+	// waits on the queue journal: a done record is not even synced, and a
+	// failed record's fsync runs outside s.mu.
+	var rec *queueRecord
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	defer s.cond.Broadcast()
 	switch {
 	case terminal == nil:
 		sw.state = StateDone
 		s.fin++
 		sw.completedSeq = s.fin
-		// A failed journal append here must not fail the sweep: the dist
-		// journal already proves completion; restart replays it to done.
-		_ = s.queue.Append(queueRecord{Op: "done", ID: sw.id})
+		rec = &queueRecord{Op: "done", ID: sw.id}
 	case errors.Is(terminal, dist.ErrQuiesced) || quiesced(s.quiesce):
 		// Graceful drain (or a dial aborted by shutdown): back to queued,
 		// progress parked in the journal. No queue record — the journal's
@@ -472,7 +496,15 @@ func (s *Server) runSweep(sw *sweep) {
 	default:
 		sw.state = StateFailed
 		sw.errMsg = terminal.Error()
-		_ = s.queue.Append(queueRecord{Op: "failed", ID: sw.id, Error: terminal.Error()})
+		rec = &queueRecord{Op: "failed", ID: sw.id, Error: sw.errMsg}
+	}
+	s.cond.Broadcast()
+	s.mu.Unlock()
+	if rec != nil {
+		// A failed append must not change the outcome: a lost done record
+		// re-queues the sweep on restart, and it resumes behind its complete
+		// dist journal without executing anything.
+		_ = s.queue.Append(*rec)
 	}
 }
 
