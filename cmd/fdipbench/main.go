@@ -13,7 +13,6 @@
 //	fdipbench -workers 16           # widen the simulation pool
 //	fdipbench -json                 # machine-readable tables
 //	fdipbench -cpuprofile cpu.out   # profile the kernel hot path
-//	fdipbench -trend .              # render the committed perf trajectory
 package main
 
 import (
@@ -50,35 +49,8 @@ func run() int {
 		timeout    = flag.Duration("timeout", 0, "abort the suite after this duration (0 = none)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file at exit")
-		benchjson  = flag.String("benchjson", "", "write a machine-readable perf snapshot (cycles/s, per-experiment wall time, pool recycling, allocs/run) to this file")
-		trend      = flag.String("trend", "", "render the committed BENCH_*.json perf trajectory under this directory and exit (no simulations)")
 	)
 	flag.Parse()
-
-	if *trend != "" {
-		snaps, err := loadTrend(*trend)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fdipbench: -trend: %v\n", err)
-			return 2
-		}
-		for _, t := range renderTrend(snaps) {
-			switch {
-			case *jsonOut:
-				if err := t.JSON(os.Stdout); err != nil {
-					fmt.Fprintf(os.Stderr, "fdipbench: %v\n", err)
-					return 1
-				}
-			case *csv:
-				fmt.Printf("# %s\n", t.Title)
-				t.CSV(os.Stdout)
-				fmt.Println()
-			default:
-				t.Render(os.Stdout)
-				fmt.Println()
-			}
-		}
-		return 0
-	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -156,10 +128,8 @@ func run() int {
 		suite = keep
 	}
 
-	var memBefore runtime.MemStats
-	runtime.ReadMemStats(&memBefore)
 	start := time.Now()
-	tables, durs, err := experiments.RunExperimentsTimed(ctx, r, suite)
+	tables, err := experiments.RunExperiments(ctx, r, suite)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "fdipbench: %v\n", err)
 		return 1
@@ -188,44 +158,5 @@ func run() int {
 	// work tracks across runs — plus the machine pool's recycling rate.
 	fmt.Fprintf(os.Stderr, "fdipbench: kernel %.2fM cycles/s aggregate (%d simulated cycles in %.2fs sim time; machines built %d, reused %d)\n",
 		st.CyclesPerSec()/1e6, st.SimulatedCycles, st.SimSeconds, st.MachinesBuilt, st.MachinesReused)
-
-	if *benchjson != "" {
-		if err := writeBenchSnapshot(*benchjson, r, suite, durs, time.Since(start), *instrs, memBefore); err != nil {
-			fmt.Fprintf(os.Stderr, "fdipbench: -benchjson: %v\n", err)
-			return 1
-		}
-	}
 	return 0
-}
-
-// writeBenchSnapshot records the run as one point of the committed perf
-// trajectory (BENCH_PR<n>.json): aggregate kernel speed, per-experiment wall
-// times, the machine pool's recycling rate, and heap allocations per fresh
-// simulation.
-func writeBenchSnapshot(path string, r *experiments.Runner, suite []experiments.Experiment,
-	durs []time.Duration, wall time.Duration, instrs uint64, memBefore runtime.MemStats) error {
-	var memAfter runtime.MemStats
-	runtime.ReadMemStats(&memAfter)
-	snap := engine.BenchSnapshot{
-		Timestamp:   time.Now().UTC().Format(time.RFC3339),
-		GoVersion:   runtime.Version(),
-		Workers:     r.Engine().Workers(),
-		Instrs:      instrs,
-		WallSeconds: wall.Seconds(),
-		Engine:      r.Engine().Stats(),
-	}
-	snap.Derive(memAfter.Mallocs-memBefore.Mallocs, memAfter.TotalAlloc-memBefore.TotalAlloc)
-	for i, ex := range suite {
-		snap.Experiments = append(snap.Experiments,
-			engine.ExperimentTime{ID: ex.ID, WallSeconds: durs[i].Seconds()})
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := engine.WriteBenchJSON(f, &snap); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -1,15 +1,10 @@
 // fdipd is the distributed-sweep daemon. Modes:
 //
-//	fdipd [-workers N]                 stdio worker (default): reads assign
-//	                                   frames on stdin, streams outcome frames
-//	                                   on stdout. This is what a coordinator's
-//	                                   Exec dialer spawns.
-//	fdipd -listen :8080 [-workers N]   HTTP worker: serves the same protocol
-//	                                   at POST /v1/run for remote coordinators.
-//	                                   With -register URL it also announces
-//	                                   itself to a sweep service and heartbeats
-//	                                   until shutdown (self-registration — no
-//	                                   -connect lists).
+//	fdipd -listen :8080 [-workers N]   HTTP worker: serves the dist wire
+//	                                   protocol at POST /v1/run. With
+//	                                   -register URL it also announces itself
+//	                                   to a sweep service and heartbeats until
+//	                                   shutdown (self-registration).
 //	fdipd -serve :9090 -state DIR      sweep service: persistent job queue,
 //	                                   shared result cache, streaming clients,
 //	                                   self-registering workers. SIGINT/SIGTERM
@@ -20,25 +15,23 @@
 //	fdipd -submit URL [flags]          client: submit the built-in demo plan to
 //	                                   a service, stream its results (resuming
 //	                                   through transport drops), and print the
-//	                                   same sorted NDJSON rows as -coordinate —
-//	                                   byte-identical to the -shards 0
-//	                                   reference.
+//	                                   same sorted NDJSON rows as -coordinate.
 //	fdipd -watch URL -job ID [-from N] client: follow one sweep's raw stream
 //	                                   frames from cursor N.
-//	fdipd -coordinate [flags]          one-shot coordinator: shards the demo
-//	                                   plan across workers and prints one
-//	                                   NDJSON row per point (sorted by index,
-//	                                   deterministic fields only) on stdout,
-//	                                   with a mergeable-reducer summary on
-//	                                   stderr.
+//	fdipd -coordinate [flags]          single-process reference: runs the demo
+//	                                   plan on the in-process engine and prints
+//	                                   one NDJSON row per point (sorted by
+//	                                   index, deterministic fields only) on
+//	                                   stdout, with a mergeable-reducer summary
+//	                                   on stderr. Every -submit of the same
+//	                                   plan must byte-diff clean against it.
 //
-// Coordinator flags: -shards N (0 = run single-process in this binary — the
-// reference the sharded output must diff clean against), -chunk (points per
-// assignment), -connect url[,url...] (use running HTTP workers instead of
-// spawning local processes), -worker-bin (worker binary to spawn; default:
-// this binary), -journal path (checkpoint/resume), -instrs (per-point
-// budget, baked into the demo plan's configs), -topk (extremes retained in
-// the summary).
+// With no mode flag fdipd prints its usage and exits 2.
+//
+// Plan flags: -instrs (per-point budget, baked into the demo plan's configs),
+// -chunk (points per assignment), -topk (extremes retained in the
+// -coordinate summary). -shards sets the service's concurrent worker
+// sessions per sweep.
 //
 // Service quickstart (one service, two self-registered workers, one client):
 //
@@ -46,7 +39,7 @@
 //	fdipd -listen :0 -register http://localhost:9090 &
 //	fdipd -listen :0 -register http://localhost:9090 &
 //	fdipd -submit http://localhost:9090 > service.ndjson
-//	fdipd -coordinate -shards 0 > single.ndjson
+//	fdipd -coordinate > single.ndjson
 //	diff service.ndjson single.ndjson        # must be empty: bit-identical
 package main
 
@@ -56,15 +49,12 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"iter"
 	"log"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
 	"sort"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -79,7 +69,7 @@ func main() {
 	log.SetPrefix("fdipd: ")
 	var (
 		workers    = flag.Int("workers", 0, "concurrent simulations per worker engine (0 = GOMAXPROCS)")
-		listen     = flag.String("listen", "", "serve the HTTP worker protocol on this address instead of stdio")
+		listen     = flag.String("listen", "", "serve the HTTP worker protocol on this address")
 		register   = flag.String("register", "", "worker: sweep-service URL to self-register with (heartbeats until shutdown)")
 		advertise  = flag.String("advertise", "", "worker: URL the service should dial back (default http://127.0.0.1:<listen port>)")
 		workerID   = flag.String("worker-id", "", "worker: stable registration id (default host-pid)")
@@ -93,14 +83,11 @@ func main() {
 		from       = flag.Int("from", 0, "watch: resume cursor (frames already seen)")
 		label      = flag.String("label", "", "submit: sweep label")
 		priority   = flag.Int("priority", 0, "submit: queue priority (higher runs first)")
-		coordinate = flag.Bool("coordinate", false, "run as one-shot coordinator over the built-in demo plan")
-		shards     = flag.Int("shards", 2, "coordinator/service: concurrent worker sessions (0 = single-process reference, no workers)")
-		chunk      = flag.Int("chunk", 2, "coordinator/service: plan points per assignment")
-		connect    = flag.String("connect", "", "coordinator: comma-separated HTTP worker URLs (default: spawn local worker processes)")
-		workerBin  = flag.String("worker-bin", "", "coordinator: worker binary to spawn (default: this binary)")
-		journal    = flag.String("journal", "", "coordinator: checkpoint journal path (resume by re-running with the same flags)")
+		coordinate = flag.Bool("coordinate", false, "run the built-in demo plan single-process: the reference every service sweep diffs against")
+		shards     = flag.Int("shards", 2, "service: concurrent worker sessions per sweep")
+		chunk      = flag.Int("chunk", 2, "service/submit: plan points per assignment")
 		instrs     = flag.Uint64("instrs", 50_000, "committed-instruction budget per demo-plan point")
-		topk       = flag.Int("topk", 3, "coordinator: extremes retained per side in the IPC summary")
+		topk       = flag.Int("topk", 3, "coordinate: extremes retained per side in the IPC summary")
 	)
 	flag.Parse()
 
@@ -116,12 +103,12 @@ func main() {
 	case *watch != "":
 		err = runWatch(ctx, *watch, *job, *from)
 	case *coordinate:
-		err = runCoordinator(ctx, *shards, *chunk, *connect, *workerBin, *journal, *instrs, *workers, *topk)
+		err = runCoordinator(ctx, *instrs, *workers, *topk)
 	case *listen != "":
 		err = runWorker(ctx, *listen, *register, *advertise, *workerID, *ttl, *workers)
 	default:
-		wk := dist.NewWorker(*workers)
-		err = wk.ServeStdio(ctx, os.Stdin, os.Stdout)
+		flag.Usage()
+		os.Exit(2)
 	}
 	if err != nil {
 		log.Fatal(err)
@@ -218,9 +205,8 @@ func runWorker(ctx context.Context, listen, register, advertise, id string, ttl 
 	return nil
 }
 
-// demoRequest is demoPlan as a service submission: identical workloads,
-// configs, and budgets, so service-streamed rows byte-diff clean against the
-// -coordinate -shards 0 reference.
+// demoRequest is the built-in smoke sweep as a service submission: two
+// workloads by three prefetch schemes.
 func demoRequest(label string, priority int, instrs uint64, chunk int) svc.SubmitRequest {
 	mk := func(kind core.PrefetcherKind) core.Config {
 		c := core.DefaultConfig()
@@ -301,29 +287,24 @@ func runWatch(ctx context.Context, base, id string, from int) error {
 	})
 }
 
-// demoPlan is the built-in smoke sweep: two workloads by three prefetch
-// schemes. The budget is baked into every config (rather than applied by the
-// coordinator) so the -shards 0 reference and any sharded run execute
-// literally identical jobs.
+// demoPlan is demoRequest as an in-process plan, built the way the service
+// builds a submission's. The budget is baked into every config (rather than
+// applied by a coordinator), so the -coordinate reference and every service
+// sweep execute literally identical jobs.
 func demoPlan(instrs uint64) *engine.Plan {
-	mk := func(kind core.PrefetcherKind) core.Config {
-		c := core.DefaultConfig()
-		c.MaxInstrs = instrs
-		c.Prefetch.Kind = kind
-		return c
+	req := demoRequest("", 0, instrs, 0)
+	pts := make([]engine.NamedConfig, len(req.Configs))
+	for i, c := range req.Configs {
+		pts[i] = engine.Named(c.Name, c.Config)
 	}
-	return engine.NewPlan(mk(core.PrefetchNone)).
-		OverNames("gcc", "deltablue").
-		Axes(engine.Configs(
-			engine.Named("base", mk(core.PrefetchNone)),
-			engine.Named("nextline", mk(core.PrefetchNextLine)),
-			engine.Named("fdp", mk(core.PrefetchFDP)),
-		))
+	return engine.NewPlan(core.DefaultConfig()).
+		OverNames(req.Workloads...).
+		Axes(engine.Configs(pts...))
 }
 
 // row is one output line: only fields that are deterministic functions of
 // the plan point (no wall times, no cache flags), so two runs of the same
-// plan — sharded or not, resumed or not, service-streamed or not — diff
+// plan — single-process or service-streamed, resumed or cache-served — diff
 // byte-identically.
 type row struct {
 	Index  int         `json:"index"`
@@ -332,45 +313,13 @@ type row struct {
 	Error  string      `json:"error,omitempty"`
 }
 
-func runCoordinator(ctx context.Context, shards, chunk int, connect, workerBin, journal string, instrs uint64, workers, topk int) error {
+// runCoordinator runs the demo plan through the in-process engine (no wire,
+// no workers) and prints its rows and summary: the single-process reference.
+func runCoordinator(ctx context.Context, instrs uint64, workers, topk int) error {
 	p := demoPlan(instrs)
-
-	var stream iter.Seq2[engine.RunOutcome, error]
-	if shards == 0 {
-		// Single-process reference: the same plan through the in-process
-		// engine, no wire, no workers.
-		stream = engine.New(engine.WithWorkers(workers)).Stream(ctx, p)
-	} else {
-		var dialer dist.Dialer
-		if connect != "" {
-			var ds []dist.Dialer
-			for _, u := range strings.Split(connect, ",") {
-				ds = append(ds, dist.HTTP{URL: strings.TrimSpace(u)})
-			}
-			dialer = dist.RoundRobin(ds...)
-		} else {
-			bin := workerBin
-			if bin == "" {
-				self, err := os.Executable()
-				if err != nil {
-					return fmt.Errorf("resolve own binary for -worker-bin: %w", err)
-				}
-				bin = self
-			}
-			dialer = dist.Exec{Path: bin, Args: []string{"-workers", strconv.Itoa(workers)}}
-		}
-		coord := dist.New(dist.Options{
-			Dialer:      dialer,
-			Shards:      shards,
-			ChunkPoints: chunk,
-			Journal:     journal,
-		})
-		stream = coord.Stream(ctx, p)
-	}
-
 	summary := dist.NewSummary("IPC", topk, dist.IPC)
 	rows := make([]row, 0, p.Points())
-	for out, err := range stream {
+	for out, err := range engine.New(engine.WithWorkers(workers)).Stream(ctx, p) {
 		if err != nil {
 			return err
 		}

@@ -52,14 +52,17 @@
 //	fdip.WriteOutcomesJSON(os.Stdout, outs) // machine-readable export
 //
 // Sweeps also run distributed: a DistCoordinator shards a Plan's enumeration
-// across worker processes (spawned binaries or remote HTTP workers, see
-// cmd/fdipd) over an NDJSON wire protocol, with checkpoint/resume journalling
-// and retry-with-reassignment for dead workers, and merges the shard streams
-// back into the exact single-process stream contract — outcomes are
-// bit-identical whatever the shard count or failure history:
+// across fdipd -listen worker processes over an NDJSON-over-HTTP wire
+// protocol, with checkpoint/resume journalling and retry-with-reassignment
+// for dead workers, and merges the shard streams back into the exact
+// single-process stream contract — outcomes are bit-identical whatever the
+// shard count or failure history:
 //
+//	workers := fdip.NewDistRegistry(0)
+//	workers.Register("a", "http://host-a:7070", time.Hour)
+//	workers.Register("b", "http://host-b:7070", time.Hour)
 //	coord := fdip.NewDistCoordinator(fdip.DistOptions{
-//		Dialer:  fdip.DistExec{Path: "/usr/local/bin/fdipd"},
+//		Dialer:  workers,
 //		Shards:  8,
 //		Journal: "sweep.journal", // kill it, rerun it, nothing re-executes
 //	})
@@ -239,10 +242,8 @@ type (
 	// DistWorker is the execution side of a shard (what fdipd wraps).
 	DistWorker = dist.Worker
 	// DistLoopback dials in-process workers (tests, single-machine use);
-	// DistExec spawns stdio worker processes; DistHTTP talks to a running
-	// fdipd -listen worker.
+	// DistHTTP talks to a running fdipd -listen worker.
 	DistLoopback = dist.Loopback
-	DistExec     = dist.Exec
 	DistHTTP     = dist.HTTP
 	// DistMetric projects an outcome to the scalar a DistSummary reduces.
 	DistMetric = dist.Metric
@@ -327,10 +328,6 @@ func NewDistCoordinator(opts DistOptions) *DistCoordinator { return dist.New(opt
 // simulations (0 = GOMAXPROCS).
 func NewDistWorker(workers int) *DistWorker { return dist.NewWorker(workers) }
 
-// DistRoundRobin fans session dials across several dialers in rotation (one
-// HTTP dialer per worker host).
-func DistRoundRobin(dialers ...DistDialer) DistDialer { return dist.RoundRobin(dialers...) }
-
 // NewDistSummary builds a mergeable summary over metric, retaining k
 // extremes each way; DistIPC is the canonical metric.
 func NewDistSummary(name string, k int, metric DistMetric) *DistSummary {
@@ -373,24 +370,6 @@ func Workloads() []Workload { return workloads.All() }
 
 // WorkloadByName finds a benchmark by name ("gcc", "vortex", ...).
 func WorkloadByName(name string) (Workload, bool) { return workloads.ByName(name) }
-
-// Run simulates cfg over the image with branch outcomes drawn from seed,
-// returning the final measurements.
-//
-// Deprecated: use Engine.Run (or Engine.RunImage for a pre-generated image),
-// which adds cancellation, memoisation, and parallel batching.
-func Run(cfg Config, im *Image, seed int64) (Result, error) {
-	return NewEngine(WithWorkers(1)).RunImage(context.Background(), cfg, im, seed)
-}
-
-// RunWorkload simulates cfg over a named workload.
-//
-// Deprecated: use Engine.Run with a Job naming the workload.
-func RunWorkload(cfg Config, w Workload) (Result, error) {
-	params := w.Params
-	return NewEngine(WithWorkers(1)).Run(context.Background(),
-		Job{Name: w.Name, Config: cfg, Params: &params, Seed: w.Seed})
-}
 
 // Simulator exposes cycle-level control for callers that want to observe the
 // machine mid-run (examples, visualisation, tests).

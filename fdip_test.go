@@ -25,7 +25,7 @@ func TestRunFacade(t *testing.T) {
 	im := smallImage(t)
 	cfg := DefaultConfig()
 	cfg.MaxInstrs = 50_000
-	res, err := Run(cfg, im, 3)
+	res, err := NewEngine().RunImage(context.Background(), cfg, im, 3)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -45,9 +45,9 @@ func TestRunWorkloadFacade(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxInstrs = 50_000
 	cfg.Prefetch.Kind = PrefetchFDP
-	res, err := RunWorkload(cfg, w)
+	res, err := NewEngine().Run(context.Background(), Job{Workload: w.Name, Config: cfg})
 	if err != nil {
-		t.Fatalf("RunWorkload: %v", err)
+		t.Fatalf("Engine.Run: %v", err)
 	}
 	if !strings.HasPrefix(res.Prefetcher, "fdp") {
 		t.Errorf("prefetcher = %q", res.Prefetcher)
@@ -96,7 +96,7 @@ func TestSimulatorMatchesRun(t *testing.T) {
 	im := smallImage(t)
 	cfg := DefaultConfig()
 	cfg.MaxInstrs = 40_000
-	direct, err := Run(cfg, im, 9)
+	direct, err := NewEngine().RunImage(context.Background(), cfg, im, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestTraceRoundTripFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	live, err := Run(cfg, im, 4)
+	live, err := NewEngine().RunImage(context.Background(), cfg, im, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestConfigErrorsSurface(t *testing.T) {
 	im := smallImage(t)
 	cfg := DefaultConfig()
 	cfg.Prefetch.Kind = "hexray"
-	if _, err := Run(cfg, im, 1); err == nil {
+	if _, err := NewEngine().RunImage(context.Background(), cfg, im, 1); err == nil {
 		t.Error("bad prefetcher accepted")
 	}
 	if _, err := NewSimulator(cfg, im, 1); err == nil {
@@ -217,23 +217,26 @@ func TestEngineHonorsCancellation(t *testing.T) {
 	}
 }
 
-func TestDeprecatedWrappersMatchEngine(t *testing.T) {
+// TestRunImageMatchesRun: a pre-generated image run through RunImage and the
+// same program named by its params in a Job are one simulation (separate
+// engines, so no memo hit can stand in for the second run).
+func TestRunImageMatchesRun(t *testing.T) {
 	im := smallImage(t)
 	cfg := DefaultConfig()
 	cfg.MaxInstrs = 30_000
-	old, err := Run(cfg, im, 3)
+	viaImage, err := NewEngine().RunImage(context.Background(), cfg, im, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := DefaultProgramParams()
 	p.NumFuncs = 80
 	p.Seed = 21 // same params as smallImage
-	viaEngine, err := NewEngine().Run(context.Background(), Job{Params: &p, Seed: 3, Config: cfg})
+	viaJob, err := NewEngine().Run(context.Background(), Job{Params: &p, Seed: 3, Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if old != viaEngine {
-		t.Error("deprecated Run and Engine.Run diverge for the same machine and seed")
+	if viaImage != viaJob {
+		t.Error("Engine.RunImage and Engine.Run diverge for the same machine and seed")
 	}
 }
 

@@ -111,7 +111,7 @@ func TestCacheFullyServesRepeatSweep(t *testing.T) {
 	ref := reference(t, p)
 	cache := newMapCache()
 
-	first := &countingDialer{inner: Loopback{Workers: 2, Wire: true}}
+	first := &countingDialer{inner: Loopback{Workers: 2}}
 	c1 := New(Options{Dialer: first, Shards: 2, ChunkPoints: 2, Cache: cache})
 	outs, err := c1.Sweep(context.Background(), p)
 	if err != nil {
@@ -145,20 +145,20 @@ func TestCacheFullyServesRepeatSweep(t *testing.T) {
 
 // TestCacheServesOverlapSparsely: a second plan overlapping the first on 4 of
 // 6 points must ship exactly the 2 new points — as sparse assignments mixing
-// hits and misses inside one range, over the JSON wire form (Wire proves the
-// Indices table round-trips) — and still match its own single-process
-// reference bit-identically.
+// hits and misses inside one range, over the JSON wire form (the loopback
+// proves the Indices table round-trips) — and still match its own
+// single-process reference bit-identically.
 func TestCacheServesOverlapSparsely(t *testing.T) {
 	pA, pB := testPlan(), overlapPlan()
 	refB := reference(t, pB)
 	cache := newMapCache()
 
-	warm := New(Options{Dialer: Loopback{Workers: 2, Wire: true}, Shards: 2, ChunkPoints: 2, Cache: cache})
+	warm := New(Options{Dialer: Loopback{Workers: 2}, Shards: 2, ChunkPoints: 2, Cache: cache})
 	if _, err := warm.Sweep(context.Background(), pA); err != nil {
 		t.Fatalf("warm sweep: %v", err)
 	}
 
-	second := &countingDialer{inner: Loopback{Workers: 2, Wire: true}}
+	second := &countingDialer{inner: Loopback{Workers: 2}}
 	// ChunkPoints=3 makes each range straddle hits and misses: enumeration is
 	// config-fastest, so range [0,3) = gcc{base,golden,fdp30k} and range
 	// [3,6) = deltablue{base,golden,fdp30k} — 2 hits + 1 miss apiece.
@@ -194,7 +194,7 @@ func TestJournalReplayPrimesCache(t *testing.T) {
 	journal := filepath.Join(t.TempDir(), "sweep.journal")
 
 	// Run 1: journaled, no cache.
-	c1 := New(Options{Dialer: Loopback{Workers: 2, Wire: true}, Shards: 1, ChunkPoints: 2, Journal: journal})
+	c1 := New(Options{Dialer: Loopback{Workers: 2}, Shards: 1, ChunkPoints: 2, Journal: journal})
 	if _, err := c1.Sweep(context.Background(), p); err != nil {
 		t.Fatalf("journaled sweep: %v", err)
 	}
@@ -231,7 +231,7 @@ func TestQuiesceDrainsAndResumes(t *testing.T) {
 	journal := filepath.Join(t.TempDir(), "sweep.journal")
 	quiesce := make(chan struct{})
 
-	run1 := newChaosDialer(Loopback{Workers: 2, Wire: true}, 0)
+	run1 := newChaosDialer(Loopback{Workers: 2}, 0)
 	c1 := New(Options{Dialer: run1, Shards: 1, ChunkPoints: 2, Journal: journal, Quiesce: quiesce})
 	var terminal error
 	delivered := make(map[int]bool)
@@ -256,7 +256,7 @@ func TestQuiesceDrainsAndResumes(t *testing.T) {
 	}
 
 	// Resume: a fresh coordinator executes exactly the never-dispatched ranges.
-	run2 := newChaosDialer(Loopback{Workers: 2, Wire: true}, 0)
+	run2 := newChaosDialer(Loopback{Workers: 2}, 0)
 	c2 := New(Options{Dialer: run2, Shards: 1, ChunkPoints: 2, Journal: journal})
 	outs := make([]engine.RunOutcome, p.Points())
 	seen := make([]bool, p.Points())

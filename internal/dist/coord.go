@@ -120,8 +120,7 @@ type rangeResult struct {
 // every outcome index-tagged; per-job failures ride inside outcomes; a
 // stream-level failure (context death, a range out of retries, a journal
 // write error) yields once as a terminal (zero, error) pair. Breaking out of
-// the loop cancels outstanding assignments (and kills Exec workers) before
-// the iterator returns.
+// the loop cancels outstanding assignments before the iterator returns.
 //
 // With a journal configured, ranges completed by a previous run replay from
 // disk first (no re-execution), then the remainder executes; a consumer that
@@ -248,9 +247,9 @@ func (c *Coordinator) Stream(ctx context.Context, p *engine.Plan) iter.Seq2[engi
 			wg.Wait()
 			close(deliveries)
 		}()
-		// drain cancels outstanding work and reaps every shard goroutine (and
-		// any Exec worker process) before the iterator returns — the same
-		// no-leak guarantee engine.Stream gives on early break.
+		// drain cancels outstanding work and reaps every shard goroutine
+		// before the iterator returns — the same no-leak guarantee
+		// engine.Stream gives on early break.
 		drain := func() {
 			cancel()
 			for range deliveries {

@@ -102,7 +102,7 @@ func TestShardedMergeMatchesSingleProcess(t *testing.T) {
 	ref := reference(t, p)
 	for _, shards := range []int{1, 2, 8} {
 		c := New(Options{
-			Dialer:      Loopback{Workers: 2, Wire: true},
+			Dialer:      Loopback{Workers: 2},
 			Shards:      shards,
 			ChunkPoints: 2,
 		})
@@ -189,7 +189,7 @@ func (cs *chaosSession) Close() error { return cs.s.Close() }
 func TestShardedMergeSurvivesWorkerKills(t *testing.T) {
 	p := testPlan()
 	ref := reference(t, p)
-	chaos := newChaosDialer(Loopback{Workers: 2, Wire: true}, 1)
+	chaos := newChaosDialer(Loopback{Workers: 2}, 1)
 	c := New(Options{Dialer: chaos, Shards: 2, ChunkPoints: 2})
 	outs, err := c.Sweep(context.Background(), p)
 	if err != nil {
@@ -224,7 +224,7 @@ func TestKillAndResumeReproducesGolden(t *testing.T) {
 
 	// Run 1: worker kills on every range's first attempt, coordinator
 	// "crashes" (breaks) after consuming 4 outcomes = 2 committed ranges.
-	run1 := newChaosDialer(Loopback{Workers: 2, Wire: true}, 1)
+	run1 := newChaosDialer(Loopback{Workers: 2}, 1)
 	consumed := 0
 	for out, err := range New(opts(run1)).Stream(context.Background(), p) {
 		if err != nil || out.Err != nil {
@@ -237,7 +237,7 @@ func TestKillAndResumeReproducesGolden(t *testing.T) {
 	}
 
 	// Run 2: a fresh coordinator over the same journal completes the sweep.
-	run2 := newChaosDialer(Loopback{Workers: 2, Wire: true}, 0)
+	run2 := newChaosDialer(Loopback{Workers: 2}, 0)
 	outs := make([]engine.RunOutcome, p.Points())
 	seen := make([]bool, p.Points())
 	for out, err := range New(opts(run2)).Stream(context.Background(), p) {

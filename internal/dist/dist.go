@@ -19,7 +19,6 @@ package dist
 import (
 	"context"
 	"encoding/json"
-	"sync"
 
 	"fdip/internal/engine"
 )
@@ -86,72 +85,44 @@ type Dialer interface {
 // Loopback is the in-process Dialer: every Dial builds a fresh Worker with
 // its own engine, memo cache, and machine pools, so shards are genuinely
 // isolated (no cross-shard memoisation) and tests exercise the real merge
-// semantics without spawning processes.
+// semantics without spawning processes. Every assignment and outcome
+// round-trips through its JSON wire form, so in-process runs exercise the
+// same (lossless) encoding as cross-process ones.
 type Loopback struct {
 	// Workers bounds each dialed worker's simulation concurrency
 	// (0 = GOMAXPROCS).
 	Workers int
-	// Wire round-trips every assignment and outcome through its JSON wire
-	// form, proving in-process runs exercise the same (lossless) encoding
-	// as cross-process ones.
-	Wire bool
 }
 
 // Dial builds a fresh in-process worker session.
 func (l Loopback) Dial(ctx context.Context) (Session, error) {
-	return &loopbackSession{wk: NewWorker(l.Workers), wire: l.Wire}, nil
+	return &loopbackSession{wk: NewWorker(l.Workers)}, nil
 }
 
 type loopbackSession struct {
-	wk   *Worker
-	wire bool
+	wk *Worker
 }
 
 func (s *loopbackSession) Run(ctx context.Context, a Assignment, emit func(engine.RunOutcome) error) error {
-	if s.wire {
-		b, err := json.Marshal(a)
+	b, err := json.Marshal(a)
+	if err != nil {
+		return err
+	}
+	a = Assignment{}
+	if err := json.Unmarshal(b, &a); err != nil {
+		return err
+	}
+	return s.wk.Run(ctx, a, func(out engine.RunOutcome) error {
+		b, err := json.Marshal(out)
 		if err != nil {
 			return err
 		}
-		a = Assignment{}
-		if err := json.Unmarshal(b, &a); err != nil {
+		var back engine.RunOutcome
+		if err := json.Unmarshal(b, &back); err != nil {
 			return err
 		}
-		inner := emit
-		emit = func(out engine.RunOutcome) error {
-			b, err := json.Marshal(out)
-			if err != nil {
-				return err
-			}
-			var back engine.RunOutcome
-			if err := json.Unmarshal(b, &back); err != nil {
-				return err
-			}
-			return inner(back)
-		}
-	}
-	return s.wk.Run(ctx, a, emit)
+		return emit(back)
+	})
 }
 
 func (s *loopbackSession) Close() error { return nil }
-
-// RoundRobin fans Dial calls across several dialers in rotation — the
-// multi-machine composition (one HTTP dialer per worker host, one shard slot
-// apiece or more).
-func RoundRobin(dialers ...Dialer) Dialer {
-	return &roundRobin{ds: dialers}
-}
-
-type roundRobin struct {
-	mu sync.Mutex
-	i  int
-	ds []Dialer
-}
-
-func (r *roundRobin) Dial(ctx context.Context) (Session, error) {
-	r.mu.Lock()
-	d := r.ds[r.i%len(r.ds)]
-	r.i++
-	r.mu.Unlock()
-	return d.Dial(ctx)
-}

@@ -17,16 +17,12 @@ import (
 // the range's NDJSON outcome frames. Sessions are connection-light (the
 // http.Client pools connections), so a "dead session" here just means the
 // last request failed and the coordinator should retry — against the same
-// worker if it recovered, or a different dialer under RoundRobin.
+// worker if it recovered, or another one under a Registry.
 type HTTP struct {
 	// URL is the worker's base URL ("http://host:8080"); a URL with no path
 	// (or "/") is normalised to the /v1/run endpoint, an explicit path is
 	// used as-is.
 	URL string
-	// Client overrides the HTTP client (nil = http.DefaultClient). Streams
-	// are long-lived: a client with a response timeout will kill healthy
-	// ranges.
-	Client *http.Client
 }
 
 // Dial validates and normalises the URL; no connection is made until Run.
@@ -38,16 +34,13 @@ func (h HTTP) Dial(ctx context.Context) (Session, error) {
 	if u.Path == "" || u.Path == "/" {
 		u.Path = "/v1/run"
 	}
-	client := h.Client
-	if client == nil {
-		client = http.DefaultClient
-	}
-	return &httpSession{url: u.String(), client: client}, nil
+	return &httpSession{url: u.String()}, nil
 }
 
+// httpSession posts through http.DefaultClient, which sets no response
+// timeout: streams are long-lived, and a timeout would kill healthy ranges.
 type httpSession struct {
-	url    string
-	client *http.Client
+	url string
 }
 
 func (s *httpSession) Run(ctx context.Context, a Assignment, emit func(engine.RunOutcome) error) error {
@@ -60,7 +53,7 @@ func (s *httpSession) Run(ctx context.Context, a Assignment, emit func(engine.Ru
 		return err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := s.client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return fmt.Errorf("dist: post assignment: %w", err)
 	}

@@ -12,8 +12,8 @@ import (
 )
 
 // Registry is the dynamic session pool: a Dialer over a self-registering,
-// heartbeat-expiring set of HTTP workers. Where a static Dialer is handed a
-// -connect list up front, a Registry discovers capacity at run time — workers
+// heartbeat-expiring set of HTTP workers. Where an HTTP dialer is pinned to
+// one worker up front, a Registry discovers capacity at run time — workers
 // announce themselves (and keep re-announcing within their TTL), Dial blocks
 // until at least one live worker exists and then rotates across them, and a
 // session failure drops its worker immediately so the coordinator's

@@ -111,7 +111,7 @@ func TestRegistryDialBlocksUntilRegister(t *testing.T) {
 
 // TestRegistrySweepWithSelfRegisteredWorkers is the dynamic-pool analogue of
 // the static sharded-merge proof: two workers register themselves (instead of
-// arriving via a -connect list) and the sweep must reassemble bit-identically.
+// being listed up front) and the sweep must reassemble bit-identically.
 func TestRegistrySweepWithSelfRegisteredWorkers(t *testing.T) {
 	p := testPlan()
 	ref := reference(t, p)

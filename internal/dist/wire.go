@@ -7,9 +7,9 @@ import (
 	"fdip/internal/engine"
 )
 
-// The wire protocol is newline-delimited JSON frames, identical over stdio
-// (Exec) and HTTP (one POST per assignment, NDJSON response). A conversation
-// is:
+// The wire protocol is newline-delimited JSON frames over HTTP (one POST
+// per assignment, NDJSON response); the in-process Loopback round-trips the
+// same JSON forms. A conversation is:
 //
 //	coordinator -> worker:  {"type":"assign","assign":{...}}
 //	worker -> coordinator:  {"type":"outcome","outcome":{...}}   (per job, completion order)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 
@@ -13,10 +12,10 @@ import (
 
 // Worker is the execution side of a shard: it runs assignments on pooled
 // engines (one per instruction budget, sharing a single image cache) and is
-// what cmd/fdipd wraps in a stdio or HTTP transport. A Worker is stateless
-// across assignments in the contract's sense — all durable progress lives in
-// the coordinator's journal — so killing one mid-range loses nothing but the
-// range's partial work.
+// what cmd/fdipd serves over HTTP. A Worker is stateless across assignments
+// in the contract's sense — all durable progress lives in the coordinator's
+// journal — so killing one mid-range loses nothing but the range's partial
+// work.
 type Worker struct {
 	workers int
 	images  *engine.ImageCache
@@ -73,39 +72,6 @@ func (w *Worker) Run(ctx context.Context, a Assignment, emit func(engine.RunOutc
 		}
 	}
 	return ctx.Err()
-}
-
-// ServeStdio runs the stdio transport: assign frames in on r, outcome frames
-// out on wr, one conversation per assignment, until EOF (a clean shutdown —
-// the coordinator closed our stdin) or a transport error. This is cmd/fdipd's
-// default mode, designed to sit on the other end of an Exec dialer.
-func (w *Worker) ServeStdio(ctx context.Context, r io.Reader, wr io.Writer) error {
-	dec := json.NewDecoder(r)
-	enc := json.NewEncoder(wr)
-	for {
-		var f frame
-		if err := dec.Decode(&f); err != nil {
-			if err == io.EOF {
-				return nil
-			}
-			return fmt.Errorf("dist: worker: read assignment: %w", err)
-		}
-		if f.Type != "assign" || f.Assign == nil {
-			return fmt.Errorf("dist: worker: expected an assign frame, got %q", f.Type)
-		}
-		runErr := w.Run(ctx, *f.Assign, func(out engine.RunOutcome) error {
-			return enc.Encode(frame{Type: "outcome", Outcome: &out})
-		})
-		var term frame
-		if runErr != nil {
-			term = frame{Type: "error", Error: runErr.Error()}
-		} else {
-			term = frame{Type: "done"}
-		}
-		if err := enc.Encode(term); err != nil {
-			return fmt.Errorf("dist: worker: write terminator: %w", err)
-		}
-	}
 }
 
 // Handler returns the HTTP transport: POST one assign frame, receive the

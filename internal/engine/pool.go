@@ -20,7 +20,7 @@ import (
 // ordinary pointer, immune to sync.Pool's per-GC eviction: streamed plans
 // deal same-config points round-robin, spacing reuses far enough apart that
 // a GC between them used to evict the pooled machine and force a rebuild
-// (machines_built 66 -> 103 in BENCH_PR5). One GC-proof slot per
+// (machines_built 66 -> 103 on the full suite). One GC-proof slot per
 // configuration bounds that loss to the overflow tier, which stays
 // sync.Pool-backed so surplus idle machines of concurrent sweeps are still
 // dropped under memory pressure rather than pinned forever.

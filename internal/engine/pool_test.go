@@ -97,10 +97,10 @@ func TestSweepPooledBitIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestStreamRecyclingSurvivesGC pins the fix for the PR 5 recycling
-// regression: streamed round-robin plans space same-config points apart, and
+// TestStreamRecyclingSurvivesGC pins the fix for a recycling regression:
+// streamed round-robin plans space same-config points apart, and
 // sync.Pool's per-GC eviction meant each arrival could rebuild the machine
-// (machines_built 66 -> 103 in BENCH_PR5). The bounded eviction-resistant
+// (machines_built 66 -> 103 on the full suite). The bounded eviction-resistant
 // slot must keep exactly one idle machine per configuration alive through
 // arbitrary GC pressure, so a reuse-heavy round-robin stream builds exactly
 // one machine per distinct configuration even with forced GCs between every

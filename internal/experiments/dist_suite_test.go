@@ -45,7 +45,7 @@ func TestDistributedSuiteMatchesGolden(t *testing.T) {
 	for _, shards := range []int{1, 2, 8} {
 		opts := goldenOpts()
 		opts.Streamer = dist.New(dist.Options{
-			Dialer:      dist.Loopback{Workers: 2, Wire: true},
+			Dialer:      dist.Loopback{Workers: 2},
 			Shards:      shards,
 			ChunkPoints: 2,
 			Instrs:      opts.Instrs, // plans don't bake the budget; the coordinator must apply it
@@ -70,7 +70,7 @@ func TestDistributedSuiteSurvivesWorkerKills(t *testing.T) {
 		t.Fatalf("missing pinned tables: %v", err)
 	}
 	opts := goldenOpts()
-	kd := &killingDialer{inner: dist.Loopback{Workers: 2, Wire: true}}
+	kd := &killingDialer{inner: dist.Loopback{Workers: 2}}
 	opts.Streamer = dist.New(dist.Options{
 		Dialer:      kd,
 		Shards:      2,

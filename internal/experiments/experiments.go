@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"iter"
 	"sync"
-	"time"
 
 	"fdip/internal/core"
 	"fdip/internal/engine"
@@ -483,26 +482,14 @@ func Suite() []Experiment {
 // returns their tables in the given order. Per-experiment failures are
 // joined into the returned error; tables are nil on failure.
 func RunExperiments(ctx context.Context, r *Runner, exps []Experiment) ([]*stats.Table, error) {
-	tables, _, err := RunExperimentsTimed(ctx, r, exps)
-	return tables, err
-}
-
-// RunExperimentsTimed is RunExperiments with per-experiment wall times: the
-// i-th duration is experiment i's own start-to-finish span (experiments run
-// concurrently, so spans overlap and do not sum to the suite's wall time).
-// The durations feed the -benchjson perf snapshot.
-func RunExperimentsTimed(ctx context.Context, r *Runner, exps []Experiment) ([]*stats.Table, []time.Duration, error) {
 	tables := make([]*stats.Table, len(exps))
-	durs := make([]time.Duration, len(exps))
 	errs := make([]error, len(exps))
 	var wg sync.WaitGroup
 	for i, ex := range exps {
 		wg.Add(1)
 		go func(i int, ex Experiment) {
 			defer wg.Done()
-			start := time.Now()
 			t, err := ex.Run(ctx, r)
-			durs[i] = time.Since(start)
 			if err != nil {
 				errs[i] = fmt.Errorf("%s: %w", ex.ID, err)
 				return
@@ -512,9 +499,9 @@ func RunExperimentsTimed(ctx context.Context, r *Runner, exps []Experiment) ([]*
 	}
 	wg.Wait()
 	if err := errors.Join(errs...); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return tables, durs, nil
+	return tables, nil
 }
 
 // All runs the reconstructed evaluation (E1..E11) in parallel.

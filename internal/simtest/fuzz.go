@@ -202,13 +202,13 @@ func Fuzz(tb testing.TB, seed int64) {
 	// Oracle 4: a distributed sweep merges back to the single-process
 	// outcomes, shard count notwithstanding. Loopback dials give every
 	// shard its own engine and memo cache (no cross-shard coalescing to
-	// hide behind), Wire round-trips each assignment and outcome through
-	// the JSON wire form, and ChunkPoints 1 splits the three-job plan into
-	// three ranges so shards=4 genuinely interleaves completion order.
+	// hide behind) and round-trip each assignment and outcome through the
+	// JSON wire form, and ChunkPoints 1 splits the three-job plan into three
+	// ranges so shards=4 genuinely interleaves completion order.
 	plan := engine.FromJobs(jobs...)
 	for _, shards := range []int{1, 4} {
 		co := dist.New(dist.Options{
-			Dialer:      dist.Loopback{Workers: 2, Wire: true},
+			Dialer:      dist.Loopback{Workers: 2},
 			Shards:      shards,
 			ChunkPoints: 1,
 		})
