@@ -83,10 +83,6 @@ type Backend struct {
 	robDone   []int64
 	head      int
 	count     int
-	// issuedPrefix is a conservative count of entries from head that are
-	// all issued; the scheduler scan starts past them. Invariant: every
-	// entry in [head, head+issuedPrefix) has issued set.
-	issuedPrefix int
 
 	regReady [isa.NumRegs]int64
 	// The decode pipe is a FIFO ring of delivery segments: each Deliver
@@ -112,14 +108,12 @@ type Backend struct {
 	// ROB ring scan steps over one by one simply have no bits — and each
 	// entry's operands live in the packed high half of its robEnt word, so
 	// a readiness check is two regReady loads and a compare, no arena
-	// access. wakeBound is a
-	// conservative lower bound on the earliest cycle any window entry could
-	// issue: exact after every scan that issues nothing (the scan computes
-	// it for free, subsuming the scan path's quiet memo), reset to now by a
-	// scan that issues (regReady changed under it — the same invalidation
-	// discipline as the memo), and folded down by each fill that enters the
-	// window. Both issue and NextEvent answer "can anything issue?" by one
-	// compare. The bound can run slack-low — a squash may remove its
+	// access. wakeBound is a conservative lower bound on the earliest cycle
+	// any window entry could issue: exact after every walk that issues
+	// nothing (the walk computes it for free), reset to now by a walk whose
+	// issues may have made an entry ready sooner (see issue), and folded
+	// down by each fill that enters the window. Both issue and NextEvent
+	// answer "can anything issue?" by one compare. The bound can run slack-low — a squash may remove its
 	// holder, raising the true minimum — which costs at most one extra
 	// no-op scan, never a missed wakeup; see ARCHITECTURE.md "Backend:
 	// dependency-driven issue wakeup" for the identity argument.
@@ -138,40 +132,19 @@ type Backend struct {
 	// window is operand-blocked.
 	wakeBound int64
 
-	// useScan routes scheduling through the retained linear-scan reference
-	// implementation (issueScan/windowReadyAtScan) instead of the wakeup
-	// structures. Test-only: the shadow-model property test drives a scan
-	// backend and a wakeup backend through identical operation sequences
-	// and requires identical observable state.
-	useScan bool
-
-	// quietUntil memoises the linear-scan reference's no-issue horizon:
-	// while quietValid and now < quietUntil, no entry in the issue window
-	// can have ready operands, so both issueScan and windowReadyAtScan
-	// skip the window scan. Scan mode only; the wakeup scheduler's
-	// wakeBound subsumes it.
-	quietUntil int64
-	quietValid bool
-
-	// OnCommit, when set, observes every committed (correct-path) uop —
-	// the core uses it for predictor/FTB training and statistics.
+	// OnCommitRange, when set, observes the committed (correct-path)
+	// instructions — the core uses it for predictor/FTB training and
+	// statistics. It is called at most once per cycle with the arena range
+	// of the instructions committed that cycle (first slot, count; walk
+	// with Arena().At/Next — commits release the oldest live slots, so the
+	// range is contiguous in allocation order): one indirect call per
+	// cycle, not one per instruction, on the commit hot path.
 	//
-	// No-retention contract: the pointer aliases arena storage whose slot
-	// is recycled after the callback returns. Callbacks must read what
-	// they need during the call and must not retain the pointer or rely
-	// on the pointed-to contents afterwards (enforced by
-	// core.TestOnCommitPointerNotRetained).
-	OnCommit func(u *pipe.Uop)
-
-	// OnCommitRange is the batched form of OnCommit: called at most once
-	// per cycle with the arena range of the instructions committed that
-	// cycle (first slot, count; walk with Arena().At/Next — commits
-	// release the oldest live slots, so the range is contiguous in
-	// allocation order). One indirect call per cycle replaces one per
-	// instruction on the commit hot path. The same no-retention contract
-	// applies to every slot in the range, and the callback runs before the
-	// slots are released. When both hooks are set, OnCommit fires per
-	// instruction first, then OnCommitRange once.
+	// No-retention contract: the callback runs before the slots are
+	// released, and every slot in the range is recycled after it returns.
+	// Callbacks must read what they need during the call and must not
+	// retain a uop pointer or rely on the pointed-to contents afterwards
+	// (enforced by core.TestOnCommitPointerNotRetained).
 	OnCommitRange func(first uint32, n int)
 
 	// Committed counts architecturally retired instructions; Issued all
@@ -210,9 +183,9 @@ func New(cfg Config) *Backend {
 }
 
 // schedReset restores the wakeup scheduler's pristine empty state, retaining
-// every backing array. Per-slot link and cache entries are rewritten by
-// schedInsert before a slot becomes live, so only the list heads, the window,
-// and the cached minimum need clearing.
+// every backing array: an empty unissued bitmap and no wake bound. The
+// per-slot operand words live in robEnt, which fill rewrites before a slot
+// becomes live, so they need no clearing.
 func (b *Backend) schedReset() {
 	for i := range b.unbits {
 		b.unbits[i] = 0
@@ -235,13 +208,12 @@ func (b *Backend) Arena() *pipe.Arena { return b.ar }
 // ROB and arena slots are unobservable — fill rewrites a ROB slot completely
 // before count makes it live, and the fetch delivery loop assigns every
 // arena field). The
-// OnCommit hook persists; owners that rebind it per run may do so after
-// Reset.
+// OnCommitRange hook persists; owners that rebind it per run may do so
+// after Reset.
 func (b *Backend) Reset() {
 	b.ar.Reset()
 	b.head = 0
 	b.count = 0
-	b.issuedPrefix = 0
 	b.regReady = [isa.NumRegs]int64{}
 	b.dpSegHd = 0
 	b.dpSegCnt = 0
@@ -251,8 +223,6 @@ func (b *Backend) Reset() {
 	b.missDone = 0
 	b.missIdx = 0
 	b.schedReset()
-	b.quietUntil = 0
-	b.quietValid = false
 	b.Committed, b.Issued, b.Squashed = 0, 0, 0
 	b.ROBFullCycles = 0
 	b.MispredictsResolved = [5]uint64{}
@@ -352,70 +322,18 @@ func (b *Backend) NextEvent(now int64) int64 {
 	return next
 }
 
-// readyAt returns the cycle the instruction's operands turn ready, never
-// earlier than now. Register 0 and NoReg are always ready. The quiet memo
-// is only sound while the scheduler scan (windowReadyAt) and issue agree
-// on this computation, so both call here.
-func (b *Backend) readyAt(ins *isa.Instr, now int64) int64 {
-	t := now
-	if s := ins.Src1; s != isa.NoReg && s != 0 && b.regReady[s] > t {
-		t = b.regReady[s]
-	}
-	if s := ins.Src2; s != isa.NoReg && s != 0 && b.regReady[s] > t {
-		t = b.regReady[s]
-	}
-	return t
-}
-
 // windowReadyAt returns the earliest cycle any unissued entry in the
 // scheduler window could have ready operands: now when one is ready this
-// cycle, math.MaxInt64 when the window holds none. The wakeup scheduler
-// answers from wakeBound — an O(1) read. The bound is conservative, so this
-// may report an earlier cycle than the scan reference would (the extra cycle
-// steps through a no-op Tick whose scan then tightens the bound); it never
-// reports a later one, which is what NextEvent's contract requires.
+// cycle, math.MaxInt64 when the window holds none. It answers from
+// wakeBound — an O(1) read. The bound is conservative, so this may report
+// an earlier cycle than the true window minimum (the extra cycle steps
+// through a no-op Tick whose walk then tightens the bound); it never reports
+// a later one, which is what NextEvent's contract requires.
 func (b *Backend) windowReadyAt(now int64) int64 {
-	if b.useScan {
-		return b.windowReadyAtScan(now)
-	}
 	if b.wakeBound <= now {
 		return now
 	}
 	return b.wakeBound
-}
-
-// windowReadyAtScan is the retained linear-scan reference for windowReadyAt:
-// it rescans the window (through the quiet memo) re-deriving each entry's
-// operand readiness from regReady. Scan mode only.
-func (b *Backend) windowReadyAtScan(now int64) int64 {
-	if b.quietValid && now < b.quietUntil {
-		return b.quietUntil
-	}
-	next := int64(math.MaxInt64)
-	examined := 0
-	pos := b.idx(b.head + b.issuedPrefix)
-	for i := b.issuedPrefix; i < b.count && examined < b.cfg.IssueWindow; i++ {
-		slot := pos
-		pos = b.idx(pos + 1)
-		if b.robIssued[slot] {
-			continue
-		}
-		examined++
-		t := b.readyAt(&b.ar.At(uint32(b.robEnt[slot])).Instr, now)
-		if t <= now {
-			return now // ready: do not memoise, issue mutates this cycle
-		}
-		if t < next {
-			next = t
-		}
-	}
-	// Nothing issues before next: all examined operand-ready times are
-	// clock-independent values strictly past now, so the horizon stays
-	// exact until regReady or the window membership changes — the
-	// invalidation points documented on quietUntil.
-	b.quietUntil = next
-	b.quietValid = true
-	return next
 }
 
 // fill moves decoded instructions into the ROB, consuming whole delivery
@@ -440,11 +358,7 @@ func (b *Backend) fill(now int64) {
 			// robDone is read only behind robIssued, so the stale value
 			// needs no clearing; issue rewrites it.
 			b.count++
-			if b.useScan {
-				b.quietValid = false // a new window entry may be ready sooner
-			} else {
-				b.schedInsert(int32(slot), u.Sched, now)
-			}
+			b.schedInsert(int32(slot), u.Sched, now)
 			s.first = b.ar.Next(ai)
 			s.n--
 			b.dpCount--
@@ -481,7 +395,7 @@ func (b *Backend) resolve(now int64) *pipe.Uop {
 
 // commit retires completed instructions in order, releasing each one's
 // arena slot — the oldest live slot, since the arena allocates in fetch
-// order — once the OnCommit observer has returned.
+// order — once the OnCommitRange observer has returned.
 func (b *Backend) commit(now int64) {
 	freed := 0
 	var firstAI uint32
@@ -499,21 +413,13 @@ func (b *Backend) commit(now int64) {
 			// reaching here means the redirect protocol was violated.
 			panic(fmt.Sprintf("backend: wrong-path uop seq %d at commit head", u.Seq))
 		}
-		if b.OnCommit != nil {
-			b.OnCommit(u)
-		}
 		// The slot is dead but its arena entry is released in one batched
 		// FreeOldest below — commits free the oldest live slots in order,
-		// so deferring the release changes nothing an observer can see
-		// (OnCommit's no-retention contract already forbids reading the
-		// slot after the callback returns).
+		// so deferring the release changes nothing an observer can see.
 		freed++
 		b.Committed++
 		b.head = b.idx(b.head + 1)
 		b.count--
-		if b.issuedPrefix > 0 {
-			b.issuedPrefix--
-		}
 	}
 	if freed > 0 {
 		if b.OnCommitRange != nil {
@@ -531,15 +437,12 @@ func (b *Backend) commit(now int64) {
 // each entry's readiness from the packed meta word and the scoreboard.
 // Computing readiness at the visit, against the live regReady, is what makes
 // an issue earlier in the same walk visible to its dependents later in it —
-// the same same-cycle visibility the scan reference has. The window boundary
-// is the examined counter, which counts every visited entry including ones
-// issued this walk — exactly the scan reference's examined semantics, so
-// within-cycle issues do not admit replacement entries early.
+// the same same-cycle visibility a head-to-tail ROB scan has. The window
+// boundary is the examined counter, which counts every visited entry
+// including ones issued this walk — exactly that scan's semantics, so
+// within-cycle issues do not admit replacement entries early. The scan
+// itself is kept as the test-only reference in shadow_test.go.
 func (b *Backend) issue(now int64) {
-	if b.useScan {
-		b.issueScan(now)
-		return
-	}
 	if b.wakeBound > now {
 		return // no window entry has ready operands this cycle
 	}
@@ -624,16 +527,13 @@ scan:
 		// downgrade flag catches; every other scoreboard write only raises
 		// ready times, leaving quiet conservative. Until a fill or squash
 		// changes the window, no entry can issue before quiet, and busy
-		// steady-state cycles skip the walk entirely. This is strictly
-		// stronger than the scan reference's quiet memo, which an issuing
-		// cycle always invalidates.
+		// steady-state cycles skip the walk entirely.
 		b.wakeBound = quiet
 		return
 	}
 	// The walk stopped at the width or window cap (or a WAW downgrade made
 	// quiet untrustworthy), so a window entry may be ready as soon as next
-	// cycle: fall back to "rescan next active cycle", the same invalidation
-	// the scan reference's memo performs after issuing.
+	// cycle: fall back to "rescan next active cycle".
 	b.wakeBound = now
 }
 
@@ -668,62 +568,6 @@ func (b *Backend) schedRemove(s int32) {
 	b.unCount--
 }
 
-// issueScan is the retained linear-scan reference for issue. The scan starts
-// past the issued prefix — entries the original head-to-tail walk would skip
-// one by one — and examines up to IssueWindow unissued entries, re-deriving
-// each one's operand readiness from regReady; a valid quiet memo proves the
-// whole window operand-blocked and skips the scan outright. Scan mode only:
-// the wakeup scheduler must replay these exact selection semantics, enforced
-// by the shadow-model property test.
-func (b *Backend) issueScan(now int64) {
-	for b.issuedPrefix < b.count && b.robIssued[b.idx(b.head+b.issuedPrefix)] {
-		b.issuedPrefix++
-	}
-	if b.quietValid && now < b.quietUntil {
-		return
-	}
-	issued := 0
-	examined := 0
-	quiet := int64(math.MaxInt64)
-	pos := b.idx(b.head + b.issuedPrefix)
-	for i := b.issuedPrefix; i < b.count && issued < b.cfg.IssueWidth && examined < b.cfg.IssueWindow; i++ {
-		slot := pos
-		pos = b.idx(pos + 1)
-		if b.robIssued[slot] {
-			continue
-		}
-		examined++
-		ai := uint32(b.robEnt[slot])
-		u := b.ar.At(ai)
-		if t := b.readyAt(&u.Instr, now); t > now {
-			if t < quiet {
-				quiet = t
-			}
-			continue
-		}
-		b.robIssued[slot] = true
-		done := now + int64(u.Instr.Kind.Latency())
-		b.robDone[slot] = done
-		if d := u.Instr.Dst; d != isa.NoReg && d != 0 {
-			b.regReady[d] = done
-		}
-		if u.Mispredicted && b.missPresent && ai == b.missIdx {
-			b.missIssued = true
-			b.missDone = done
-		}
-		b.Issued++
-		issued++
-	}
-	if issued == 0 {
-		// The window is operand-blocked until quiet; remember it so the
-		// coming cycles (and NextEvent) skip the scan.
-		b.quietUntil = quiet
-		b.quietValid = true
-	} else {
-		b.quietValid = false // regReady changed under the memo
-	}
-}
-
 // SquashAfter removes every instruction younger than seq — ROB tail entries
 // and the whole decode pipe (anything decoded after a resolving branch is
 // younger by construction) — and rolls their arena slots back. The squashed
@@ -731,23 +575,19 @@ func (b *Backend) issueScan(now int64) {
 // younger than seq sits in the ROB tail or the decode pipe, both counted
 // here.
 func (b *Backend) SquashAfter(seq uint64) {
-	b.quietValid = false // window membership changes (scan mode)
 	squashed := 0
 	for b.count > 0 {
 		tail := b.idx(b.head + b.count - 1)
 		if b.ar.At(uint32(b.robEnt[tail])).Seq <= seq {
 			break
 		}
-		if !b.useScan && !b.robIssued[tail] {
+		if !b.robIssued[tail] {
 			// An unissued squashed entry leaves the unissued bitmap so
 			// later scans never visit the dead slot.
 			b.schedRemove(int32(tail))
 		}
 		b.count--
 		squashed++
-	}
-	if b.issuedPrefix > b.count {
-		b.issuedPrefix = b.count
 	}
 	squashed += b.dpCount
 	b.Squashed += uint64(squashed)

@@ -47,18 +47,31 @@ func run(b *Backend, start, n int64) (redirects []pipe.Uop) {
 	return redirects
 }
 
+// recordCommits binds b's OnCommitRange hook to append each committed
+// uop's sequence number, walking the arena range during the callback as the
+// no-retention contract requires.
+func recordCommits(b *Backend) *[]uint64 {
+	var seqs []uint64
+	b.OnCommitRange = func(first uint32, n int) {
+		ar := b.Arena()
+		for ai, i := first, 0; i < n; ai, i = ar.Next(ai), i+1 {
+			seqs = append(seqs, ar.At(ai).Seq)
+		}
+	}
+	return &seqs
+}
+
 func TestCommitInOrder(t *testing.T) {
 	b := smallBackend()
-	var committed []uint64
-	b.OnCommit = func(u *pipe.Uop) { committed = append(committed, u.Seq) }
+	committed := recordCommits(b)
 	deliver(b, []pipe.Uop{mkUop(0, isa.ALU), mkUop(1, isa.ALU), mkUop(2, isa.Mul), mkUop(3, isa.ALU)}, 0)
 	run(b, 1, 20)
-	if b.Committed != 4 {
-		t.Fatalf("Committed = %d", b.Committed)
+	if b.Committed != 4 || len(*committed) != 4 {
+		t.Fatalf("Committed = %d, observed %d commits", b.Committed, len(*committed))
 	}
-	for i, s := range committed {
+	for i, s := range *committed {
 		if s != uint64(i) {
-			t.Fatalf("commit order broken: %v", committed)
+			t.Fatalf("commit order broken: %v", *committed)
 		}
 	}
 	if !b.Drained() {

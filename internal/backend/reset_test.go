@@ -13,8 +13,7 @@ import (
 // and records every observable outcome plus the final counters.
 func beTrace(b *Backend, seed int64) []uint64 {
 	rng := rand.New(rand.NewSource(seed))
-	var committed []uint64
-	b.OnCommit = func(u *pipe.Uop) { committed = append(committed, u.Seq) }
+	committed := recordCommits(b)
 	kinds := []isa.Kind{isa.ALU, isa.Mul, isa.Load, isa.CondBranch}
 	var out []uint64
 	seq := uint64(0)
@@ -45,7 +44,7 @@ func beTrace(b *Backend, seed int64) []uint64 {
 			out = append(out, uint64(e))
 		}
 	}
-	out = append(out, committed...)
+	out = append(out, *committed...)
 	out = append(out, b.Committed, b.Issued, b.Squashed, b.ROBFullCycles)
 	for _, m := range b.MispredictsResolved {
 		out = append(out, m)

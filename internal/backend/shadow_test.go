@@ -1,6 +1,7 @@
 package backend
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -8,14 +9,97 @@ import (
 	"fdip/internal/pipe"
 )
 
-// The wakeup scheduler's contract is bit-identity with the retained linear
-// scan: same issue selections in the same order, same counters, same
+// The wakeup scheduler's contract is bit-identity with a linear scan of the
+// ROB: same issue selections in the same order, same counters, same
 // redirects, same architectural end state — the bitmap and the wake bound
 // are allowed to change only *when* issue looks, never *what* it picks. The
-// shadow-model test here drives two backends — one per scheduler — through
-// identical randomized delivery/tick/squash/reset sequences over randomized
-// configurations and compares every observable (and the issue-relevant
-// internals, which this package can see) after every cycle.
+// shadow-model test here drives the production backend and scanBackend, the
+// scan reference, through identical randomized delivery/tick/squash/reset
+// sequences over randomized configurations and compares every observable
+// (and the issue-relevant internals, which this package can see) after
+// every cycle.
+
+// scanBackend is the definition-level reference scheduler: it shares the
+// production fill, resolve, commit and squash stages and replaces only
+// issue selection and the window's wakeup time with a plain scan — no
+// memo, no skipped prefix, operands and latency decoded from the uop's
+// Instr rather than the packed scheduler word.
+type scanBackend struct{ *Backend }
+
+// Tick mirrors Backend.Tick with issueScan in place of issue.
+func (s scanBackend) Tick(now int64) *pipe.Uop {
+	s.fill(now)
+	redirect := s.resolve(now)
+	s.commit(now)
+	s.issueScan(now)
+	return redirect
+}
+
+// readyAt returns the cycle the instruction's operands turn ready, never
+// earlier than now. Register 0 and NoReg are always ready.
+func (s scanBackend) readyAt(ins *isa.Instr, now int64) int64 {
+	t := now
+	if r := ins.Src1; r != isa.NoReg && r != 0 && s.regReady[r] > t {
+		t = s.regReady[r]
+	}
+	if r := ins.Src2; r != isa.NoReg && r != 0 && s.regReady[r] > t {
+		t = s.regReady[r]
+	}
+	return t
+}
+
+// issueScan walks the ROB from head in age order, visits up to IssueWindow
+// unissued entries, and issues each whose operands are ready at the visit,
+// stopping after IssueWidth issues. It clears each issued entry's unissued
+// bit so the shared squash path sees a consistent bitmap.
+func (s scanBackend) issueScan(now int64) {
+	issued, examined := 0, 0
+	for i := 0; i < s.count && issued < s.cfg.IssueWidth && examined < s.cfg.IssueWindow; i++ {
+		slot := s.idx(s.head + i)
+		if s.robIssued[slot] {
+			continue
+		}
+		examined++
+		ai := uint32(s.robEnt[slot])
+		u := s.ar.At(ai)
+		if s.readyAt(&u.Instr, now) > now {
+			continue
+		}
+		s.schedRemove(int32(slot))
+		s.robIssued[slot] = true
+		done := now + int64(u.Instr.Kind.Latency())
+		s.robDone[slot] = done
+		if d := u.Instr.Dst; d != isa.NoReg && d != 0 {
+			s.regReady[d] = done
+		}
+		if s.missPresent && ai == s.missIdx {
+			s.missIssued = true
+			s.missDone = done
+		}
+		s.Issued++
+		issued++
+	}
+}
+
+// NextEvent stores the scan's exact window minimum — the earliest operand
+// ready time over the first IssueWindow unissued entries — in wakeBound,
+// then answers through the production NextEvent.
+func (s scanBackend) NextEvent(now int64) int64 {
+	next := int64(math.MaxInt64)
+	examined := 0
+	for i := 0; i < s.count && examined < s.cfg.IssueWindow; i++ {
+		slot := s.idx(s.head + i)
+		if s.robIssued[slot] {
+			continue
+		}
+		examined++
+		if t := s.readyAt(&s.ar.At(uint32(s.robEnt[slot])).Instr, now); t < next {
+			next = t
+		}
+	}
+	s.wakeBound = next
+	return s.Backend.NextEvent(now)
+}
 
 // shadowGen produces the shared uop sequence. It models the front end's
 // protocol obligations: sequence numbers rise monotonically, at most one
@@ -87,10 +171,10 @@ func deliverBoth(w, s *Backend, uops []pipe.Uop, now int64) {
 // requireSameState compares everything the scan and wakeup backends must
 // agree on: public counters and occupancy, plus the per-slot ROB state and
 // the scoreboard (same package, so the internals are comparable directly).
-func requireSameState(t *testing.T, w, s *Backend, trial int, now int64) {
+func requireSameState(t *testing.T, w, s *Backend, seed, now int64) {
 	t.Helper()
 	fail := func(what string) {
-		t.Fatalf("trial %d cycle %d: backends disagree on %s", trial, now, what)
+		t.Fatalf("seed %d cycle %d: backends disagree on %s", seed, now, what)
 	}
 	if w.Issued != s.Issued || w.Committed != s.Committed || w.Squashed != s.Squashed {
 		fail("counters")
@@ -101,8 +185,6 @@ func requireSameState(t *testing.T, w, s *Backend, trial int, now int64) {
 	if w.ROBOccupancy() != s.ROBOccupancy() || w.Accept() != s.Accept() || w.Drained() != s.Drained() {
 		fail("occupancy")
 	}
-	// issuedPrefix is a scan-mode accelerator (the unissued bitmap subsumes
-	// it), so only the head position is part of the identity contract.
 	if w.head != s.head {
 		fail("ROB geometry")
 	}
@@ -127,79 +209,95 @@ func requireSameState(t *testing.T, w, s *Backend, trial int, now int64) {
 // conservative — but only downward, and never when the scan says the backend
 // is active this cycle.
 func TestShadowModelWakeupMatchesScan(t *testing.T) {
+	for seed := int64(0); seed < 40; seed++ {
+		shadowTrial(t, seed)
+	}
+}
+
+// FuzzShadowScheduler explores the shadow-model property beyond the fixed
+// seeds; the seed corpus replays the property test's trials.
+func FuzzShadowScheduler(f *testing.F) {
+	for seed := int64(0); seed < 40; seed++ {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) { shadowTrial(t, seed) })
+}
+
+// shadowTrial runs one randomized lockstep trial of the wakeup backend
+// against scanBackend, with the configuration and operation sequence drawn
+// from seed.
+func shadowTrial(t *testing.T, seed int64) {
+	t.Helper()
 	pick := func(rng *rand.Rand, vs ...int) int { return vs[rng.Intn(len(vs))] }
-	for trial := 0; trial < 40; trial++ {
-		rng := rand.New(rand.NewSource(int64(trial)))
-		cfg := Config{
-			ROBSize:       pick(rng, 4, 8, 16, 32),
-			IssueWidth:    pick(rng, 1, 2, 4),
-			CommitWidth:   pick(rng, 1, 2, 4),
-			IssueWindow:   pick(rng, 2, 4, 8, 16),
-			DecodeLatency: rng.Intn(4),
-			PipeCap:       pick(rng, 4, 8, 16),
-		}
-		w := New(cfg)
-		s := New(cfg)
-		s.useScan = true
-		gen := &shadowGen{rng: rng}
+	rng := rand.New(rand.NewSource(seed))
+	cfg := Config{
+		ROBSize:       pick(rng, 4, 8, 16, 32),
+		IssueWidth:    pick(rng, 1, 2, 4),
+		CommitWidth:   pick(rng, 1, 2, 4),
+		IssueWindow:   pick(rng, 2, 4, 8, 16),
+		DecodeLatency: rng.Intn(4),
+		PipeCap:       pick(rng, 4, 8, 16),
+	}
+	w := New(cfg)
+	s := scanBackend{New(cfg)}
+	gen := &shadowGen{rng: rng}
 
-		now := int64(0)
-		for step := 0; step < 400; step++ {
-			if rng.Intn(60) == 0 {
-				w.Reset()
-				s.Reset()
-				gen.diverged = false
-			}
-			if accept := w.Accept(); accept > 0 && rng.Intn(4) != 0 {
-				n := 1 + rng.Intn(min(accept, 4))
-				uops := make([]pipe.Uop, n)
-				for i := range uops {
-					uops[i] = gen.next()
-				}
-				deliverBoth(w, s, uops, now)
-			}
-			rw := w.Tick(now)
-			rs := s.Tick(now)
-			if (rw == nil) != (rs == nil) {
-				t.Fatalf("trial %d cycle %d: redirect disagreement (wakeup %v, scan %v)", trial, now, rw, rs)
-			}
-			if rw != nil {
-				if rw.Seq != rs.Seq || rw.ActualNextPC != rs.ActualNextPC || rw.MissKind != rs.MissKind {
-					t.Fatalf("trial %d cycle %d: redirects differ: wakeup %+v scan %+v", trial, now, *rw, *rs)
-				}
-				gen.diverged = false
-			}
-			requireSameState(t, w, s, trial, now)
-
-			ew, es := w.NextEvent(now+1), s.NextEvent(now+1)
-			if ew > es {
-				t.Fatalf("trial %d cycle %d: wakeup NextEvent %d later than scan %d", trial, now, ew, es)
-			}
-			if es == now+1 && ew != es {
-				t.Fatalf("trial %d cycle %d: scan is active next cycle but wakeup sleeps until %d", trial, now, ew)
-			}
-			// Occasionally skip idle stretches the way the core's scheduler
-			// does, using the (earlier, conservative) wakeup bound — Tick
-			// must be a no-op on the skipped cycles for both models, so the
-			// lockstep comparison survives the jump.
-			if d := ew - (now + 1); d > 0 && d < 1000 && rng.Intn(2) == 0 {
-				now = ew - 1
-			}
-			now++
+	now := int64(0)
+	for step := 0; step < 400; step++ {
+		if rng.Intn(60) == 0 {
+			w.Reset()
+			s.Reset()
+			gen.diverged = false
 		}
-
-		// Drain: no new deliveries, run both dry and compare the end state.
-		for spin := 0; !w.Drained() || !s.Drained(); spin++ {
-			if spin > 10000 {
-				t.Fatalf("trial %d: backends failed to drain", trial)
+		if accept := w.Accept(); accept > 0 && rng.Intn(4) != 0 {
+			n := 1 + rng.Intn(min(accept, 4))
+			uops := make([]pipe.Uop, n)
+			for i := range uops {
+				uops[i] = gen.next()
 			}
-			rw, rs := w.Tick(now), s.Tick(now)
-			if (rw == nil) != (rs == nil) {
-				t.Fatalf("trial %d drain cycle %d: redirect disagreement", trial, now)
-			}
-			requireSameState(t, w, s, trial, now)
-			now++
+			deliverBoth(w, s.Backend, uops, now)
 		}
+		rw := w.Tick(now)
+		rs := s.Tick(now)
+		if (rw == nil) != (rs == nil) {
+			t.Fatalf("seed %d cycle %d: redirect disagreement (wakeup %v, scan %v)", seed, now, rw, rs)
+		}
+		if rw != nil {
+			if rw.Seq != rs.Seq || rw.ActualNextPC != rs.ActualNextPC || rw.MissKind != rs.MissKind {
+				t.Fatalf("seed %d cycle %d: redirects differ: wakeup %+v scan %+v", seed, now, *rw, *rs)
+			}
+			gen.diverged = false
+		}
+		requireSameState(t, w, s.Backend, seed, now)
+
+		ew, es := w.NextEvent(now+1), s.NextEvent(now+1)
+		if ew > es {
+			t.Fatalf("seed %d cycle %d: wakeup NextEvent %d later than scan %d", seed, now, ew, es)
+		}
+		if es == now+1 && ew != es {
+			t.Fatalf("seed %d cycle %d: scan is active next cycle but wakeup sleeps until %d", seed, now, ew)
+		}
+		// Occasionally skip idle stretches the way the core's scheduler
+		// does, using the (earlier, conservative) wakeup bound — Tick
+		// must be a no-op on the skipped cycles for both models, so the
+		// lockstep comparison survives the jump.
+		if d := ew - (now + 1); d > 0 && d < 1000 && rng.Intn(2) == 0 {
+			now = ew - 1
+		}
+		now++
+	}
+
+	// Drain: no new deliveries, run both dry and compare the end state.
+	for spin := 0; !w.Drained() || !s.Drained(); spin++ {
+		if spin > 10000 {
+			t.Fatalf("seed %d: backends failed to drain", seed)
+		}
+		rw, rs := w.Tick(now), s.Tick(now)
+		if (rw == nil) != (rs == nil) {
+			t.Fatalf("seed %d drain cycle %d: redirect disagreement", seed, now)
+		}
+		requireSameState(t, w, s.Backend, seed, now)
+		now++
 	}
 }
 

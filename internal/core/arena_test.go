@@ -43,8 +43,8 @@ func TestArenaSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestOnCommitPointerNotRetained pins the OnCommit no-retention contract the
-// arena depends on: the *pipe.Uop handed to the callback aliases arena
+// TestOnCommitPointerNotRetained pins the OnCommitRange no-retention contract
+// the arena depends on: each *pipe.Uop the callback walks aliases arena
 // storage that is recycled after the callback returns, so no caller may rely
 // on the pointed-to contents afterwards. The test retains each committed
 // uop's pointer and scribbles over it at the start of the next commit's

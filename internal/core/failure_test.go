@@ -176,12 +176,13 @@ type truncatedStream struct {
 	count uint64
 }
 
-func (s *truncatedStream) Next() (oracle.Record, bool) {
+func (s *truncatedStream) NextInto(rec *oracle.Record) bool {
 	if s.count >= s.limit {
-		return oracle.Record{}, false
+		*rec = oracle.Record{}
+		return false
 	}
 	s.count++
-	return s.inner.Next()
+	return s.inner.NextInto(rec)
 }
 
 func TestKeepPIQOnSquashRuns(t *testing.T) {

@@ -46,7 +46,7 @@ type Processor struct {
 	ftqOcc *stats.Histogram
 	robOcc *stats.Histogram
 
-	// commit-side counters gathered via the backend's OnCommit hook
+	// commit-side counters gathered via the backend's OnCommitRange hook
 	condBranches, ctisCommitted uint64
 	committedByKind             [isa.NumKinds]uint64
 

@@ -41,8 +41,6 @@ type FetchEngine struct {
 	seq       uint64
 	cur       oracle.Record
 	exhausted bool
-	// nextInto is the stream's copy-free advance, when it offers one.
-	nextInto func(*oracle.Record) bool
 	// sched caches each static instruction's packed scheduler word
 	// (isa.Instr.SchedPack), indexed by word index. The pack is a pure
 	// function of the static instruction, so deriving it per delivered uop
@@ -87,9 +85,6 @@ func newFetchEngine(im *program.Image, stream oracle.Stream, q *ftq.Queue, ar *p
 		im: im, stream: stream, q: q, ar: ar, l1i: l1i, pfb: pfb, hier: hier,
 		width: width, notify: notify, perfect: perfect,
 	}
-	if is, ok := stream.(interface{ NextInto(*oracle.Record) bool }); ok {
-		f.nextInto = is.NextInto
-	}
 	f.rebuildSched()
 	f.advance()
 	return f
@@ -110,15 +105,9 @@ func (f *FetchEngine) rebuildSched() {
 	}
 }
 
-// advance pulls the next oracle record into f.cur, using the stream's
-// copy-free path when it has one.
+// advance pulls the next oracle record into f.cur in place.
 func (f *FetchEngine) advance() {
-	if f.nextInto != nil {
-		f.exhausted = !f.nextInto(&f.cur)
-		return
-	}
-	rec, ok := f.stream.Next()
-	f.cur, f.exhausted = rec, !ok
+	f.exhausted = !f.stream.NextInto(&f.cur)
 }
 
 // Exhausted reports whether the oracle stream ended (trace replay only).
@@ -133,10 +122,6 @@ func (f *FetchEngine) Exhausted() bool { return f.exhausted }
 func (f *FetchEngine) Reset(im *program.Image, stream oracle.Stream) {
 	f.im = im
 	f.stream = stream
-	f.nextInto = nil
-	if is, ok := stream.(interface{ NextInto(*oracle.Record) bool }); ok {
-		f.nextInto = is.NextInto
-	}
 	f.stalled = false
 	f.stallUntil = 0
 	f.diverged = false

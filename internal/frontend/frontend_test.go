@@ -262,13 +262,13 @@ func (r *fetchRig) tick(now int64, accept int) int {
 
 // step advances BPU + completions + fetch one cycle, collecting uops.
 func (r *fetchRig) step(now int64) []uopLite {
-	for _, tr := range r.hier.CompletedBy(now) {
+	r.hier.DrainCompleted(now, func(tr *memsys.Transfer) {
 		if tr.Prefetch && !tr.DemandMerged {
 			r.pfb.Insert(tr.Line)
 		} else {
 			r.l1i.Fill(tr.Line, tr.Prefetch)
 		}
-	}
+	})
 	first, n := r.fe.Tick(now, 16)
 	r.bpu.bpu.Tick(now)
 	return r.drain(first, n)

@@ -290,20 +290,6 @@ func (h *Hierarchy) DrainCompleted(now int64, deliver func(*Transfer)) {
 	}
 }
 
-// CompletedBy removes and returns all transfers finished at or before now,
-// in completion order. Unlike DrainCompleted, the returned records are not
-// recycled, so callers may keep them; prefer DrainCompleted on hot paths.
-func (h *Hierarchy) CompletedBy(now int64) []*Transfer {
-	var done []*Transfer
-	for {
-		t := h.popCompleted(now)
-		if t == nil {
-			return done
-		}
-		done = append(done, t)
-	}
-}
-
 // Reset restores the pristine just-constructed state: the L2 cold, the bus
 // free at cycle 0, no transfer in flight, and every counter zeroed. The
 // completion heap's records are recycled into the transfer free list and the

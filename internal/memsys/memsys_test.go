@@ -33,7 +33,7 @@ func TestColdMissLatency(t *testing.T) {
 func TestL2HitLatency(t *testing.T) {
 	h := hier()
 	t1 := h.Request(0x1000, false, 0)
-	h.CompletedBy(t1.Done)
+	h.DrainCompleted(t1.Done, func(*Transfer) {})
 	tr := h.Request(0x1000, false, 1000)
 	if tr.Done != 1000+10+4 {
 		t.Errorf("L2-hit Done = %d, want 1014", tr.Done)
@@ -93,20 +93,28 @@ func TestDemandMergesIntoPrefetch(t *testing.T) {
 	}
 }
 
-func TestCompletedByOrderAndRemoval(t *testing.T) {
+func TestDrainCompletedOrderAndRemoval(t *testing.T) {
 	h := hier()
 	// Warm 0x2000 into L2 so it completes fast later.
 	w := h.Request(0x2000, false, 0)
-	h.CompletedBy(w.Done)
+	h.DrainCompleted(w.Done, func(*Transfer) {})
 
 	slow := h.Request(0x1000, false, 200) // cold: done 264
 	fast := h.Request(0x2000, false, 200) // L2 hit, bus queued: start 204 → done 218
-	if fast.Done >= slow.Done {
-		t.Fatalf("expected out-of-order completion: fast=%d slow=%d", fast.Done, slow.Done)
+	slowDone, fastDone := slow.Done, fast.Done
+	if fastDone >= slowDone {
+		t.Fatalf("expected out-of-order completion: fast=%d slow=%d", fastDone, slowDone)
 	}
-	done := h.CompletedBy(fast.Done)
-	if len(done) != 1 || done[0] != fast {
-		t.Fatalf("CompletedBy returned %d transfers", len(done))
+	// Records are recycled once the callback returns, so pointer identity
+	// is checked inside it.
+	n := 0
+	h.DrainCompleted(fastDone, func(tr *Transfer) {
+		if n++; tr != fast {
+			t.Errorf("DrainCompleted delivered line %#x before the fast transfer", tr.Line)
+		}
+	})
+	if n != 1 {
+		t.Fatalf("DrainCompleted delivered %d transfers", n)
 	}
 	if h.Inflight(0x2000) {
 		t.Error("completed transfer still inflight")
@@ -114,9 +122,14 @@ func TestCompletedByOrderAndRemoval(t *testing.T) {
 	if !h.Inflight(0x1000) {
 		t.Error("pending transfer dropped")
 	}
-	done = h.CompletedBy(slow.Done)
-	if len(done) != 1 || done[0] != slow {
-		t.Fatalf("second CompletedBy returned %d", len(done))
+	n = 0
+	h.DrainCompleted(slowDone, func(tr *Transfer) {
+		if n++; tr != slow {
+			t.Errorf("second DrainCompleted delivered line %#x, not the slow transfer", tr.Line)
+		}
+	})
+	if n != 1 {
+		t.Fatalf("second DrainCompleted delivered %d", n)
 	}
 	if h.PendingCount() != 0 {
 		t.Errorf("PendingCount = %d", h.PendingCount())
@@ -135,7 +148,7 @@ func TestLineAlignment(t *testing.T) {
 func TestPrefetchFillsL2(t *testing.T) {
 	h := hier()
 	p := h.Request(0x1000, true, 0)
-	h.CompletedBy(p.Done)
+	h.DrainCompleted(p.Done, func(*Transfer) {})
 	d := h.Request(0x1000, false, 500)
 	if !d.FromL2 {
 		t.Error("prefetch did not install line in L2")

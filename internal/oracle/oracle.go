@@ -32,9 +32,10 @@ type Record struct {
 // Stream produces correct-path records. Implementations include the live
 // Walker and the trace reader in internal/trace.
 type Stream interface {
-	// Next returns the next record. ok is false when the stream is
-	// exhausted (live walkers never exhaust).
-	Next() (Record, bool)
+	// NextInto fills rec with the next record in place — the fetch
+	// engine's per-instruction hot path copies nothing. It returns false
+	// when the stream is exhausted (live walkers never exhaust).
+	NextInto(rec *Record) bool
 }
 
 // maxStack bounds the walker's call stack; generation guarantees an acyclic
@@ -100,9 +101,8 @@ func (w *Walker) Next() (Record, bool) {
 	return rec, true
 }
 
-// NextInto executes one instruction, filling rec in place — the copy-free
-// form of Next the fetch engine uses on its per-instruction hot path. It
-// always returns true (live walkers never exhaust).
+// NextInto executes one instruction, filling rec in place (the Stream
+// method). It always returns true (live walkers never exhaust).
 func (w *Walker) NextInto(rec *Record) bool {
 	ins, ok := w.im.InstrAt(w.pc)
 	if !ok {

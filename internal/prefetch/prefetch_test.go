@@ -23,11 +23,11 @@ func testEnv() Env {
 
 // drain completes all outstanding transfers, filling the PFB with prefetches.
 func drain(env Env, now int64) {
-	for _, tr := range env.Hier.CompletedBy(now + 1000) {
+	env.Hier.DrainCompleted(now+1000, func(tr *memsys.Transfer) {
 		if tr.Prefetch && !tr.DemandMerged {
 			env.PFB.Insert(tr.Line)
 		}
-	}
+	})
 }
 
 func TestNonePrefetcherIsInert(t *testing.T) {

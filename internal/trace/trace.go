@@ -177,24 +177,34 @@ func (tr *Reader) Params() program.Params { return tr.params }
 // Seed returns the walker seed stored in the trace header.
 func (tr *Reader) Seed() int64 { return tr.seed }
 
-// Next replays one instruction. ok is false once the recorded CTI events are
-// exhausted and the replay reaches the next CTI needing one.
-func (tr *Reader) Next() (oracle.Record, bool) {
-	if tr.done {
-		return oracle.Record{}, false
-	}
-	ins, okIns := tr.im.InstrAt(tr.pc)
-	if !okIns {
+// NextInto replays one instruction, filling rec in place. It returns false,
+// leaving rec zeroed, once the recorded CTI events are exhausted and the
+// replay reaches the next CTI needing one.
+func (tr *Reader) NextInto(rec *oracle.Record) bool {
+	if !tr.replay(rec) {
 		tr.done = true
-		return oracle.Record{}, false
+		*rec = oracle.Record{}
+		return false
 	}
-	rec := oracle.Record{PC: tr.pc, Instr: ins, NextPC: isa.NextPC(tr.pc)}
+	return true
+}
+
+// replay decodes one instruction into rec, reporting false when the trace
+// cannot supply it.
+func (tr *Reader) replay(rec *oracle.Record) bool {
+	if tr.done {
+		return false
+	}
+	ins, ok := tr.im.InstrAt(tr.pc)
+	if !ok {
+		return false
+	}
+	*rec = oracle.Record{PC: tr.pc, Instr: ins, NextPC: isa.NextPC(tr.pc)}
 	switch ins.Kind {
 	case isa.CondBranch:
 		ctrl, err := tr.r.ReadByte()
 		if err != nil {
-			tr.done = true
-			return oracle.Record{}, false
+			return false
 		}
 		rec.Taken = ctrl&flagTaken != 0
 		if rec.Taken {
@@ -209,18 +219,12 @@ func (tr *Reader) Next() (oracle.Record, bool) {
 		tr.stack = append(tr.stack, isa.NextPC(tr.pc))
 	case isa.IndirectCall, isa.IndirectJump:
 		ctrl, err := tr.r.ReadByte()
-		if err != nil {
-			tr.done = true
-			return oracle.Record{}, false
-		}
-		if ctrl&flagTarget == 0 {
-			tr.done = true
-			return oracle.Record{}, false
+		if err != nil || ctrl&flagTarget == 0 {
+			return false
 		}
 		off, err := binary.ReadUvarint(tr.r)
 		if err != nil {
-			tr.done = true
-			return oracle.Record{}, false
+			return false
 		}
 		rec.Taken = true
 		rec.NextPC = tr.im.Base + off
@@ -237,7 +241,7 @@ func (tr *Reader) Next() (oracle.Record, bool) {
 		}
 	}
 	tr.pc = rec.NextPC
-	return rec, true
+	return true
 }
 
 // ErrTruncated reports a trace ending mid-record.

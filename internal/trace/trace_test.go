@@ -46,9 +46,9 @@ func TestRoundTrip(t *testing.T) {
 	if tr.Params().Seed != params.Seed || tr.Params().NumFuncs != params.NumFuncs {
 		t.Errorf("Params round-trip mismatch: %+v", tr.Params())
 	}
+	var got oracle.Record
 	for i, want := range recs {
-		got, ok := tr.Next()
-		if !ok {
+		if !tr.NextInto(&got) {
 			t.Fatalf("replay exhausted at %d/%d", i, n)
 		}
 		if got != want {
@@ -77,9 +77,10 @@ func TestReplayEndsAtEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var rec oracle.Record
 	n := 0
 	for {
-		if _, ok := tr.Next(); !ok {
+		if !tr.NextInto(&rec) {
 			break
 		}
 		n++
@@ -94,8 +95,8 @@ func TestReplayEndsAtEvents(t *testing.T) {
 		t.Errorf("replayed only %d of 5000 instructions", n)
 	}
 	// Exhausted stream keeps returning !ok.
-	if _, ok := tr.Next(); ok {
-		t.Error("exhausted reader returned a record")
+	if tr.NextInto(&rec) || rec != (oracle.Record{}) {
+		t.Errorf("exhausted reader returned a record: %+v", rec)
 	}
 }
 
@@ -162,9 +163,10 @@ func TestTruncatedBodyStopsCleanly(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewReader on truncated body: %v", err)
 	}
+	var rec oracle.Record
 	n := 0
 	for {
-		if _, ok := tr.Next(); !ok {
+		if !tr.NextInto(&rec) {
 			break
 		}
 		n++
