@@ -73,13 +73,14 @@
 // top-k/bottom-k) fold each shard locally and merge to exactly the
 // single-pass summary.
 //
-// Above the coordinator sits the sweep service (SweepServer; fdipd -serve):
-// a long-running daemon with a persistent priority job queue, a shared
-// fingerprint-keyed result cache (JobKey) that serves overlapping
-// submissions without re-execution, NDJSON streaming endpoints with
-// cursor-based reconnect, and worker self-registration with heartbeats
-// (DistRegistry) — all preserving the same bit-identity contract through
-// worker kills, client disconnects, and service restarts.
+// Coordinators that share a DistCache (the engine's own JobKey-keyed result
+// cache) serve each other's completed points without re-execution. Above the
+// coordinator sits the sweep service (SweepServer; fdipd -serve): a
+// long-running daemon with a persistent priority job queue, one such cache
+// shared by every submission, NDJSON streaming endpoints with cursor-based
+// reconnect, and worker self-registration with heartbeats (DistRegistry) —
+// all preserving the same bit-identity contract through worker kills, client
+// disconnects, and service restarts.
 //
 // Progress streams as typed events (WithProgress), runs honour context
 // cancellation and deadlines, and failures return as errors. See
@@ -258,9 +259,10 @@ type (
 	DistRegistry = dist.Registry
 	// DistWorkerInfo describes one registered worker.
 	DistWorkerInfo = dist.WorkerInfo
-	// DistCache is the coordinator's cross-sweep result-cache hook, keyed
-	// on JobKey.
-	DistCache = dist.Cache
+	// DistCache is the cross-sweep result cache (DistOptions.Cache): a
+	// keep-first JobKey -> Result store, ready to use as new(DistCache),
+	// that sweeps sharing it use to serve each other's completed points.
+	DistCache = engine.ResultCache
 	// JobKey is a job's exported simulation identity — equal keys are
 	// bit-identical results (the memo/cache/fingerprint key).
 	JobKey = engine.JobKey

@@ -14,37 +14,6 @@ import (
 	"fdip/internal/engine"
 )
 
-// mapCache is the reference Cache: a mutexed map with hit/put accounting.
-type mapCache struct {
-	mu   sync.Mutex
-	m    map[engine.JobKey]engine.RunOutcome
-	hits int
-	puts int
-}
-
-func newMapCache() *mapCache {
-	return &mapCache{m: make(map[engine.JobKey]engine.RunOutcome)}
-}
-
-func (c *mapCache) Get(key engine.JobKey) (engine.RunOutcome, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out, ok := c.m[key]
-	if ok {
-		c.hits++
-	}
-	return out, ok
-}
-
-func (c *mapCache) Put(key engine.JobKey, out engine.RunOutcome) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.m[key]; !ok {
-		c.puts++
-	}
-	c.m[key] = out
-}
-
 // countingDialer tallies how many jobs actually ship to workers — the
 // simulation-count accounting that proves cache hits never re-execute.
 type countingDialer struct {
@@ -109,7 +78,7 @@ func overlapPlan() *engine.Plan {
 func TestCacheFullyServesRepeatSweep(t *testing.T) {
 	p := testPlan()
 	ref := reference(t, p)
-	cache := newMapCache()
+	cache := new(engine.ResultCache)
 
 	first := &countingDialer{inner: Loopback{Workers: 2}}
 	c1 := New(Options{Dialer: first, Shards: 2, ChunkPoints: 2, Cache: cache})
@@ -121,8 +90,8 @@ func TestCacheFullyServesRepeatSweep(t *testing.T) {
 	if jobs, _ := first.shipped(); jobs != p.Points() {
 		t.Fatalf("first sweep shipped %d jobs, want all %d", jobs, p.Points())
 	}
-	if cache.puts != p.Points() {
-		t.Fatalf("first sweep cached %d results, want %d", cache.puts, p.Points())
+	if cache.Len() != p.Points() {
+		t.Fatalf("first sweep cached %d results, want %d", cache.Len(), p.Points())
 	}
 
 	// Second run: zero live workers. Every range is fully cached, so the
@@ -151,7 +120,7 @@ func TestCacheFullyServesRepeatSweep(t *testing.T) {
 func TestCacheServesOverlapSparsely(t *testing.T) {
 	pA, pB := testPlan(), overlapPlan()
 	refB := reference(t, pB)
-	cache := newMapCache()
+	cache := new(engine.ResultCache)
 
 	warm := New(Options{Dialer: Loopback{Workers: 2}, Shards: 2, ChunkPoints: 2, Cache: cache})
 	if _, err := warm.Sweep(context.Background(), pA); err != nil {
@@ -201,15 +170,15 @@ func TestJournalReplayPrimesCache(t *testing.T) {
 
 	// Run 2: same journal, cold cache, dead dialer. Replay must both deliver
 	// the outcomes and prime the cache.
-	cache := newMapCache()
+	cache := new(engine.ResultCache)
 	c2 := New(Options{Dialer: deadDialer{}, Shards: 1, ChunkPoints: 2, Journal: journal, Cache: cache})
 	outs, err := c2.Sweep(context.Background(), p)
 	if err != nil {
 		t.Fatalf("replay sweep: %v", err)
 	}
 	requireIdentical(t, "replay", ref, outs)
-	if cache.puts != p.Points() {
-		t.Errorf("replay primed %d cache entries, want %d", cache.puts, p.Points())
+	if cache.Len() != p.Points() {
+		t.Errorf("replay primed %d cache entries, want %d", cache.Len(), p.Points())
 	}
 
 	// Run 3: the primed cache alone (no journal) serves the whole plan.
@@ -300,7 +269,7 @@ func countSyncs(t *testing.T) *atomic.Int64 {
 // executed range adds a flush.
 func TestJournalSyncsOnlyExecutedRanges(t *testing.T) {
 	syncs := countSyncs(t)
-	cache := newMapCache()
+	cache := new(engine.ResultCache)
 	dir := t.TempDir()
 	for _, tc := range []struct {
 		name   string

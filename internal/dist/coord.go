@@ -32,15 +32,14 @@ type Options struct {
 	// MaxRetries bounds how many times a range is re-dialed and re-run
 	// after its session fails (0 = default 2; negative = never retry).
 	MaxRetries int
-	// Cache, when non-nil, is a cross-sweep result cache keyed on the
-	// engine's exported memo identity (engine.JobKey). Before a range is
+	// Cache, when non-nil, is a cross-sweep result cache (shared across
+	// sweeps and, behind a service, across clients). Before a range is
 	// shipped, each of its jobs is looked up; hits are served without worker
-	// execution (re-tagged to this sweep's index and name, Cached=true) and
+	// execution (tagged with this sweep's index and name, Cached=true) and
 	// only the misses travel, as a sparse assignment. Fresh successful
-	// outcomes — and journal-replayed ones — are written back, so sweeps
-	// sharing the cache share completed points. The cache must be safe for
-	// concurrent use.
-	Cache Cache
+	// results — and journal-replayed ones — are written back, so sweeps
+	// sharing the cache share completed points.
+	Cache *engine.ResultCache
 	// Quiesce, when non-nil, is the graceful-drain signal: once it is
 	// closed, the coordinator stops dispatching new ranges, lets in-flight
 	// ranges complete (journaled and yielded as usual), and then ends the
@@ -48,15 +47,6 @@ type Options struct {
 	// journal this is a clean checkpointed shutdown: re-running the sweep
 	// resumes exactly after the drained ranges.
 	Quiesce <-chan struct{}
-}
-
-// Cache is the coordinator's result-cache hook: a fingerprint-keyed store
-// shared across sweeps (and, behind a service, across clients). Get returns
-// a previously Put outcome for the exact simulation identity; implementations
-// must be safe for concurrent use. Only successful outcomes are ever Put.
-type Cache interface {
-	Get(key engine.JobKey) (engine.RunOutcome, bool)
-	Put(key engine.JobKey, out engine.RunOutcome)
 }
 
 // ErrQuiesced is wrapped by the terminal stream error after a graceful drain
@@ -381,7 +371,7 @@ func (c *Coordinator) primeCache(out engine.RunOutcome) {
 		return
 	}
 	if _, key, err := engine.ResolveJob(out.Job, c.opts.Instrs); err == nil {
-		c.opts.Cache.Put(key, out)
+		c.opts.Cache.Put(key, out.Result)
 	}
 }
 
@@ -395,7 +385,7 @@ func (c *Coordinator) runRange(ctx context.Context, sess *Session, a Assignment)
 		return outs, len(a.Jobs), err
 	}
 	// Split the range on the cache: hits fill their slots directly
-	// (re-tagged to this sweep's index and display name), misses ship as a
+	// (tagged with this sweep's index and display name), misses ship as a
 	// sparse assignment carrying their global indices. A fully cached range
 	// never dials a worker at all, which is what lets a second, overlapping
 	// sweep complete even with zero live workers.
@@ -409,13 +399,8 @@ func (c *Coordinator) runRange(ctx context.Context, sess *Session, a Assignment)
 		rj, key, err := engine.ResolveJob(job, a.Instrs)
 		if err == nil {
 			keys[i], keyed[i] = key, true
-			if hit, ok := c.opts.Cache.Get(key); ok {
-				hit.Job = rj
-				hit.Index = gi
-				hit.Cached = true
-				hit.Elapsed = 0
-				hit.CyclesPerSec = 0
-				outs[i] = hit
+			if res, ok := c.opts.Cache.Get(key); ok {
+				outs[i] = engine.RunOutcome{Job: rj, Index: gi, Result: res, Cached: true}
 				continue
 			}
 		}
@@ -439,7 +424,7 @@ func (c *Coordinator) runRange(ctx context.Context, sess *Session, a Assignment)
 			slot := slotByGlobal[out.Index]
 			outs[slot] = out
 			if keyed[slot] && out.Err == nil {
-				c.opts.Cache.Put(keys[slot], out)
+				c.opts.Cache.Put(keys[slot], out.Result)
 			}
 		}
 	}

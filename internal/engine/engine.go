@@ -3,18 +3,20 @@
 // simulation jobs.
 //
 // An Engine owns a bounded worker pool (a semaphore over actual
-// simulations), a singleflight image cache (each distinct program.Params
-// generates once, even under concurrent demand), and a singleflight result
-// cache keyed on (program params, validated config, oracle seed). Identical
-// jobs therefore simulate exactly once regardless of how many goroutines —
-// or how many entries of one Sweep — request them, and every simulation is
-// deterministic in its key, so results are bit-identical whether the pool
-// runs one worker or many.
+// simulations) and three memos, all one singleflight keep-first cache type
+// (memo.go): program images (each distinct program.Params generates once,
+// even under concurrent demand), machine pools (one per validated
+// configuration), and results, keyed on JobKey (program params, validated
+// config, oracle seed). Identical jobs therefore simulate exactly once
+// regardless of how many goroutines — or how many entries of one Sweep —
+// request them, and every simulation is deterministic in its key, so results
+// are bit-identical whether the pool runs one worker or many. The result
+// memo's type, ResultCache, is also the cross-sweep cache the dist
+// coordinator and the sweep service share.
 package engine
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -115,39 +117,15 @@ type Engine struct {
 
 	sem chan struct{}
 
-	mu      sync.Mutex
-	results map[resultKey]*resultCall
-	stats   Stats
+	// results is the singleflight result memo; pools recycles processors
+	// per validated configuration (the machine pool; see pool.go).
+	results ResultCache
+	pools   memo[core.Config, *machinePool]
 
-	// pools recycles processors per validated configuration (the machine
-	// pool; see pool.go). The comparable Config value is the configuration
-	// fingerprint, so lookup is a single O(1) map access, hoisted to once
-	// per job.
-	poolMu sync.Mutex
-	pools  map[core.Config]*machinePool
+	mu    sync.Mutex
+	stats Stats
 
 	emitMu sync.Mutex
-}
-
-// resultKey identifies a memoisable simulation: the generated program, the
-// validated machine configuration, and the oracle seed fully determine the
-// Result.
-type resultKey struct {
-	params program.Params
-	cfg    core.Config
-	seed   int64
-}
-
-// resultCall is a singleflight slot: the leader simulates and closes done;
-// followers wait on done (or their own context).
-type resultCall struct {
-	done chan struct{}
-	res  core.Result
-	// simDur is wall time spent inside the simulation proper (after the
-	// worker slot and image were acquired) — the denominator of
-	// RunOutcome.CyclesPerSec.
-	simDur time.Duration
-	err    error
 }
 
 // Option configures an Engine.
@@ -184,11 +162,7 @@ func WithImageCache(c *ImageCache) Option {
 // New builds an engine. Defaults: GOMAXPROCS workers, per-job instruction
 // budgets, no progress sink, a private image cache.
 func New(opts ...Option) *Engine {
-	e := &Engine{
-		images:  NewImageCache(),
-		results: make(map[resultKey]*resultCall),
-		pools:   make(map[core.Config]*machinePool),
-	}
+	e := &Engine{images: NewImageCache()}
 	for _, opt := range opts {
 		opt(e)
 	}
@@ -259,7 +233,7 @@ func (e *Engine) Sweep(ctx context.Context, jobs []Job) ([]RunOutcome, error) {
 // slot and honours ctx but is not memoised (an arbitrary image has no cache
 // key). Machines still come from the per-configuration pool.
 func (e *Engine) RunImage(ctx context.Context, cfg core.Config, im *program.Image, seed int64) (core.Result, error) {
-	cfg = e.normalise(cfg)
+	cfg = withBudget(cfg, e.instrs)
 	if err := cfg.Validate(); err != nil {
 		return core.Result{}, err
 	}
@@ -276,15 +250,6 @@ func (e *Engine) RunImage(ctx context.Context, cfg core.Config, im *program.Imag
 	res, err := p.RunContext(ctx)
 	mp.put(p)
 	return res, err
-}
-
-// normalise applies the engine-wide instruction budget.
-func (e *Engine) normalise(cfg core.Config) core.Config {
-	if e.instrs != 0 {
-		cfg.MaxInstrs = e.instrs
-		cfg.MaxCycles = 0 // re-derive from MaxInstrs
-	}
-	return cfg
 }
 
 // resolve fills in a job's program params, seed, and display name.
@@ -331,82 +296,44 @@ func (e *Engine) runJob(ctx context.Context, job Job) RunOutcome {
 		return out
 	}
 
-	job, params, err := resolve(job)
+	job, key, err := ResolveJob(job, e.instrs)
 	if err != nil {
 		return fail(err)
 	}
-	cfg := e.normalise(job.Config)
-	if err := cfg.Validate(); err != nil {
+	// Resolve the machine pool once per job, next to the memo key: the
+	// validated config is the configuration fingerprint, and hoisting the
+	// lookup here keeps the checkout inside simulate a single sync.Pool Get.
+	mp := e.machinePoolFor(key.cfg)
+
+	var simDur time.Duration
+	res, shared, err := e.results.do(ctx, key, func() (core.Result, error) {
+		res, d, err := e.simulate(ctx, job, key, mp)
+		if err == nil {
+			simDur = d
+			e.mu.Lock()
+			e.stats.Simulations++
+			e.stats.SimulatedCycles += res.Cycles
+			e.stats.SimSeconds += d.Seconds()
+			e.mu.Unlock()
+		}
+		return res, err
+	})
+	if err != nil {
 		return fail(err)
 	}
-	key := resultKey{params: params, cfg: cfg, seed: job.Seed}
-	// Resolve the machine pool once per job, next to the memo key: cfg is
-	// the configuration fingerprint, and hoisting the lookup here keeps the
-	// checkout inside simulate a single sync.Pool Get — O(1) per job with no
-	// re-fingerprinting.
-	mp := e.machinePoolFor(cfg)
-
-	for {
+	out := RunOutcome{Job: job, Result: res, Cached: shared, Elapsed: time.Since(start)}
+	if shared {
 		e.mu.Lock()
-		call, follower := e.results[key]
-		if !follower {
-			call = &resultCall{done: make(chan struct{})}
-			e.results[key] = call
-		}
+		e.stats.CacheHits++
 		e.mu.Unlock()
-
-		if follower {
-			select {
-			case <-call.done:
-			case <-ctx.Done():
-				return fail(ctx.Err())
-			}
-			if call.err == nil {
-				e.mu.Lock()
-				e.stats.CacheHits++
-				e.mu.Unlock()
-				out := RunOutcome{Job: job, Result: call.res, Cached: true, Elapsed: time.Since(start)}
-				e.emit(Event{Kind: EventJobCached, Job: job, Result: &out.Result, Elapsed: out.Elapsed})
-				return out
-			}
-			// The leader failed on its own cancelled/expired context;
-			// this caller's context is still live, so retry (the
-			// failed entry has been removed, making us the new
-			// leader unless someone else got there first).
-			if isCtxErr(call.err) && ctx.Err() == nil {
-				continue
-			}
-			return fail(call.err)
-		}
-
-		call.res, call.simDur, call.err = e.simulate(ctx, job, params, mp)
-		e.mu.Lock()
-		if call.err != nil {
-			// Do not cache failures (a cancellation must not poison
-			// the key for future runs with a live context).
-			delete(e.results, key)
-		} else {
-			e.stats.Simulations++
-			e.stats.SimulatedCycles += call.res.Cycles
-			e.stats.SimSeconds += call.simDur.Seconds()
-		}
-		e.mu.Unlock()
-		close(call.done)
-
-		if call.err != nil {
-			return fail(call.err)
-		}
-		out := RunOutcome{Job: job, Result: call.res, Elapsed: time.Since(start)}
-		if s := call.simDur.Seconds(); s > 0 {
-			out.CyclesPerSec = float64(out.Result.Cycles) / s
-		}
-		e.emit(Event{Kind: EventJobDone, Job: job, Result: &out.Result, Elapsed: out.Elapsed})
+		e.emit(Event{Kind: EventJobCached, Job: job, Result: &out.Result, Elapsed: out.Elapsed})
 		return out
 	}
-}
-
-func isCtxErr(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+	if s := simDur.Seconds(); s > 0 {
+		out.CyclesPerSec = float64(res.Cycles) / s
+	}
+	e.emit(Event{Kind: EventJobDone, Job: job, Result: &out.Result, Elapsed: out.Elapsed})
+	return out
 }
 
 // simulate checks a machine out of the job's pool (resetting a recycled one,
@@ -416,12 +343,12 @@ func isCtxErr(err error) bool {
 // duration covers only the simulation proper (machine checkout and run),
 // excluding the wait for a worker slot and image generation, so
 // CyclesPerSec reflects kernel speed even when a sweep queues jobs.
-func (e *Engine) simulate(ctx context.Context, job Job, params program.Params, mp *machinePool) (core.Result, time.Duration, error) {
+func (e *Engine) simulate(ctx context.Context, job Job, key JobKey, mp *machinePool) (core.Result, time.Duration, error) {
 	if err := e.acquire(ctx); err != nil {
 		return core.Result{}, 0, err
 	}
 	defer e.release()
-	im, err := e.images.Get(ctx, params)
+	im, err := e.images.Get(ctx, key.params)
 	if err != nil {
 		return core.Result{}, 0, err
 	}
@@ -462,52 +389,20 @@ func (e *Engine) emit(ev Event) {
 // ImageCache memoises program generation: each distinct params vector
 // generates exactly once, even under concurrent demand (followers of an
 // in-flight generation wait rather than duplicating the work). Safe for
-// concurrent use and shareable between engines via WithImageCache.
+// concurrent use and shareable between engines via WithImageCache; the zero
+// value is ready to use.
 type ImageCache struct {
-	mu      sync.Mutex
-	entries map[program.Params]*imageCall
-}
-
-type imageCall struct {
-	done chan struct{}
-	im   *program.Image
-	err  error
+	memo[program.Params, *program.Image]
 }
 
 // NewImageCache builds an empty cache.
-func NewImageCache() *ImageCache {
-	return &ImageCache{entries: make(map[program.Params]*imageCall)}
-}
+func NewImageCache() *ImageCache { return new(ImageCache) }
 
 // Get returns the image for params, generating it on first use.
 func (c *ImageCache) Get(ctx context.Context, params program.Params) (*program.Image, error) {
-	c.mu.Lock()
-	if call, ok := c.entries[params]; ok {
-		c.mu.Unlock()
-		select {
-		case <-call.done:
-			return call.im, call.err
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	call := &imageCall{done: make(chan struct{})}
-	c.entries[params] = call
-	c.mu.Unlock()
-
-	call.im, call.err = program.Generate(params)
-	if call.err != nil {
-		c.mu.Lock()
-		delete(c.entries, params)
-		c.mu.Unlock()
-	}
-	close(call.done)
-	return call.im, call.err
+	im, _, err := c.do(ctx, params, func() (*program.Image, error) { return program.Generate(params) })
+	return im, err
 }
 
 // Len reports how many images the cache holds or is generating.
-func (c *ImageCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
+func (c *ImageCache) Len() int { return c.len() }

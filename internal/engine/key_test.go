@@ -113,3 +113,57 @@ func TestJobKeyMatchesEngineMemo(t *testing.T) {
 		t.Fatalf("engine memo disagrees with JobKey: %d simulations, %d hits (want 2, 1)", st.Simulations, st.CacheHits)
 	}
 }
+
+// TestResultCacheGetPut pins the shared cache's contract: unknown keys miss,
+// the first result stored for a key is kept, Len counts distinct keys, a
+// relabelled job resolves to the same entry, and a key still in flight is a
+// miss rather than a wait.
+func TestResultCacheGetPut(t *testing.T) {
+	var c ResultCache
+	cfg := core.DefaultConfig()
+	other := cfg
+	other.FTQEntries = 4
+	gcc := keyFor(t, Job{Name: "sweepA/gcc", Workload: "gcc", Config: cfg}, 0)
+	relabelled := keyFor(t, Job{Name: "sweepB/base", Workload: "gcc", Config: cfg}, 0)
+	small := keyFor(t, Job{Name: "sweepA/gcc", Workload: "gcc", Config: other}, 0)
+
+	if _, ok := c.Get(gcc); ok {
+		t.Fatalf("empty cache hit")
+	}
+	c.Put(gcc, core.Result{Cycles: 100})
+	c.Put(gcc, core.Result{Cycles: 200})
+	if res, ok := c.Get(gcc); !ok || res.Cycles != 100 {
+		t.Fatalf("Get after two Puts = %d, %v; want the first (100), true", res.Cycles, ok)
+	}
+	if res, ok := c.Get(relabelled); !ok || res.Cycles != 100 {
+		t.Fatalf("relabelled job missed its entry: %d, %v", res.Cycles, ok)
+	}
+	if _, ok := c.Get(small); ok {
+		t.Fatalf("different config hit another key's entry")
+	}
+	c.Put(small, core.Result{Cycles: 300})
+	if n := c.Len(); n != 2 {
+		t.Fatalf("Len = %d, want 2 distinct keys", n)
+	}
+
+	var flight ResultCache
+	started, release := make(chan struct{}), make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		flight.do(context.Background(), gcc, func() (core.Result, error) {
+			close(started)
+			<-release
+			return core.Result{Cycles: 1}, nil
+		})
+	}()
+	<-started
+	if _, ok := flight.Get(gcc); ok {
+		t.Fatalf("in-flight key served as a hit")
+	}
+	close(release)
+	<-done
+	if res, ok := flight.Get(gcc); !ok || res.Cycles != 1 {
+		t.Fatalf("settled key = %d, %v; want 1, true", res.Cycles, ok)
+	}
+}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"sync"
 
 	"fdip/internal/core"
@@ -77,14 +78,11 @@ func (mp *machinePool) put(p *core.Processor) {
 // creating it on first use. Callers hoist this lookup to once per job (it is
 // the config-fingerprint resolution step) and hold the returned handle, so
 // the per-checkout path is a single sync.Pool Get with no map access.
+// Creating a pool neither fails nor blocks, so no caller context is needed.
 func (e *Engine) machinePoolFor(cfg core.Config) *machinePool {
-	e.poolMu.Lock()
-	defer e.poolMu.Unlock()
-	mp, ok := e.pools[cfg]
-	if !ok {
-		mp = &machinePool{cfg: cfg}
-		e.pools[cfg] = mp
-	}
+	mp, _, _ := e.pools.do(context.Background(), cfg, func() (*machinePool, error) {
+		return &machinePool{cfg: cfg}, nil
+	})
 	return mp
 }
 

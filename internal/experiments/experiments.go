@@ -57,11 +57,6 @@ type Options struct {
 	Streamer Streamer
 }
 
-// DefaultOptions runs the full suite at 1M instructions per point.
-func DefaultOptions() Options {
-	return Options{Instrs: 1_000_000}
-}
-
 func (o *Options) setDefaults() {
 	if o.Instrs == 0 {
 		o.Instrs = 1_000_000

@@ -130,9 +130,3 @@ func Extensions() []Experiment {
 func ExtendedSuite() []Experiment {
 	return append(append(Suite(), Extensions()...), Revisited()...)
 }
-
-// AllWithExtensions runs the reconstructed suite plus the extensions in
-// parallel.
-func AllWithExtensions(ctx context.Context, r *Runner) ([]*stats.Table, error) {
-	return RunExperiments(ctx, r, ExtendedSuite())
-}

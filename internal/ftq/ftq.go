@@ -149,9 +149,6 @@ func (q *Queue) Empty() bool { return q.count == 0 }
 // Full reports whether the queue is full.
 func (q *Queue) Full() bool { return q.count == len(q.entries) }
 
-// LineSize returns the cache line size used to decompose blocks.
-func (q *Queue) LineSize() int { return q.lineSize }
-
 // Push appends a block, computing its line decomposition. It returns false
 // (and counts a stall) when the queue is full. The slot's previous line
 // buffer is reused, so steady-state pushes do not allocate. Hot callers that

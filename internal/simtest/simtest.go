@@ -14,11 +14,12 @@
 package simtest
 
 import (
+	"context"
 	"reflect"
-	"sync"
 	"testing"
 
 	"fdip/internal/core"
+	"fdip/internal/engine"
 	"fdip/internal/oracle"
 	"fdip/internal/prefetch"
 	"fdip/internal/program"
@@ -39,10 +40,8 @@ type Triple struct {
 	Seed int64
 }
 
-var (
-	imageMu sync.Mutex
-	images  = map[program.Params]*program.Image{}
-)
+// images memoises generated workload images across the test binary.
+var images engine.ImageCache
 
 // Image returns the generated image for a workload, memoised across the test
 // binary so the grid does not regenerate programs per triple.
@@ -52,16 +51,10 @@ func Image(tb testing.TB, workload string) *program.Image {
 	if !ok {
 		tb.Fatalf("simtest: unknown workload %q", workload)
 	}
-	imageMu.Lock()
-	defer imageMu.Unlock()
-	if im, ok := images[w.Params]; ok {
-		return im
-	}
-	im, err := program.Generate(w.Params)
+	im, err := images.Get(context.Background(), w.Params)
 	if err != nil {
 		tb.Fatalf("simtest: generate %q: %v", workload, err)
 	}
-	images[w.Params] = im
 	return im
 }
 

@@ -41,9 +41,6 @@ func (c *Collector[T]) NumCols() int { return len(c.cols) }
 // RowLabel returns row r's label.
 func (c *Collector[T]) RowLabel(r int) string { return c.rows[r] }
 
-// ColLabel returns column col's label.
-func (c *Collector[T]) ColLabel(col int) string { return c.cols[col] }
-
 // Put records the value at (row, col). Refilling a cell overwrites it.
 func (c *Collector[T]) Put(row, col int, v T) {
 	if row < 0 || row >= len(c.rows) || col < 0 || col >= len(c.cols) {

@@ -153,9 +153,6 @@ func (h *Histogram) Bucket(i int) uint64 {
 // Overflow returns the count of samples past the last bucket.
 func (h *Histogram) Overflow() uint64 { return h.over }
 
-// NumBuckets returns the configured bucket count.
-func (h *Histogram) NumBuckets() int { return len(h.buckets) }
-
 // Quantile returns an upper bound of the q-quantile (0 <= q <= 1) using
 // bucket upper edges; overflow samples report the observed max.
 func (h *Histogram) Quantile(q float64) int64 {

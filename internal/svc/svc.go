@@ -11,8 +11,8 @@
 //     resumes them from their last committed range. Only records whose loss
 //     would lose work or an acknowledgement are fsynced; the rest are
 //     re-derived on restart (see ARCHITECTURE.md, "Durability").
-//   - Shared results: one fingerprint-keyed cache (engine.JobKey) spans all
-//     sweeps, so a submission overlapping any earlier one — including ones
+//   - Shared results: one engine.ResultCache, keyed on the engine's memo
+//     identity (engine.JobKey), spans all sweeps, so a submission overlapping any earlier one — including ones
 //     completed before a restart, re-warmed from their journals — ships only
 //     its genuinely new points to workers.
 //   - Bit-identity: streamed outcomes are exactly the single-process
@@ -167,7 +167,7 @@ func (sw *sweep) status() JobStatus {
 type Server struct {
 	opts  Options
 	reg   *dist.Registry
-	cache *resultCache
+	cache *engine.ResultCache
 	queue *queueJournal
 
 	mu    sync.Mutex
@@ -207,7 +207,7 @@ func New(opts Options) (*Server, error) {
 	s := &Server{
 		opts:      opts,
 		reg:       dist.NewRegistry(opts.WorkerTTL),
-		cache:     newResultCache(),
+		cache:     new(engine.ResultCache),
 		jobs:      make(map[string]*sweep),
 		quiesce:   make(chan struct{}),
 		schedDone: make(chan struct{}),
@@ -294,7 +294,7 @@ func (s *Server) restore(records []queueRecord) error {
 
 // replay rebuilds one sweep's stream from its dist journal without executing
 // anything, priming the shared cache as a side effect (the coordinator pushes
-// every journal-replayed outcome through its cache hook, and serves ranges
+// every journal-replayed outcome through its Options.Cache, and serves ranges
 // the journal lacks from the cache where it can). It reports the outcomes,
 // how many were cache-served, and an error if any range needed a worker.
 func (s *Server) replay(sw *sweep) ([]engine.RunOutcome, int, error) {
