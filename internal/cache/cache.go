@@ -72,14 +72,21 @@ type Cache struct {
 	lineShift uint
 	setMask   uint64
 	clock     uint64
-	rng       *rand.Rand
+	// rng drives the Random policy; nil under every other policy, which
+	// never draws.
+	rng *rand.Rand
 
 	portCycle int64
 	portsUsed int
 
-	// arena carves storage for lazily allocated sets in chunks, keeping
-	// the allocation count low and touched sets adjacent in memory.
-	arena []line
+	// chunks carve storage for lazily allocated sets, keeping the
+	// allocation count low and touched sets adjacent in memory. arena is
+	// the uncarved rest of chunks[used-1]. Reset rewinds used rather than
+	// dropping the chunks, so a recycled cache refills without allocating;
+	// the chunks never hold more sets than the cache has.
+	chunks [][]line
+	used   int
+	arena  []line
 
 	// Accesses/Hits/Misses count demand accesses; Probes/ProbeHits count
 	// non-allocating tag checks; Fills/Evictions count line movement;
@@ -123,14 +130,17 @@ func New(cfg Config) *Cache {
 	// the up-front allocation avoids zeroing megabytes per machine and the
 	// cold-page scatter on every fill. A nil set reads as all-invalid,
 	// which is exactly a cold set's behaviour, so results are unchanged.
-	return &Cache{
+	c := &Cache{
 		cfg:       cfg,
 		sets:      sets,
 		lineShift: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
 		setMask:   uint64(numSets - 1),
-		rng:       rand.New(rand.NewSource(cfg.Seed + 1)),
 		portCycle: -1,
 	}
+	if cfg.Repl == Random {
+		c.rng = rand.New(rand.NewSource(cfg.Seed + 1))
+	}
+	return c
 }
 
 // Config returns the cache configuration.
@@ -229,7 +239,7 @@ func (c *Cache) Fill(addr uint64, prefetched bool) (evicted uint64, didEvict boo
 	set := c.sets[si]
 	if set == nil {
 		if len(c.arena) < c.cfg.Ways {
-			c.arena = make([]line, c.cfg.Ways*256)
+			c.nextChunk()
 		}
 		set = c.arena[:c.cfg.Ways:c.cfg.Ways]
 		c.arena = c.arena[c.cfg.Ways:]
@@ -273,6 +283,22 @@ func (c *Cache) Fill(addr uint64, prefetched bool) (evicted uint64, didEvict boo
 	return evicted, didEvict
 }
 
+// nextChunk points arena at the next set chunk: a chunk an earlier
+// generation carved, cleared (its sets belonged to that generation), or a
+// new zeroed one once those run out.
+func (c *Cache) nextChunk() {
+	if c.used < len(c.chunks) {
+		c.arena = c.chunks[c.used]
+		clear(c.arena)
+	} else {
+		// 256 sets a chunk, or every set when there are fewer: set counts
+		// are powers of two, so the chunks never outgrow the capacity.
+		c.arena = make([]line, c.cfg.Ways*min(256, len(c.sets)))
+		c.chunks = append(c.chunks, c.arena)
+	}
+	c.used++
+}
+
 // Invalidate removes the line containing addr, reporting whether it was
 // present.
 func (c *Cache) Invalidate(addr uint64) bool {
@@ -300,9 +326,10 @@ func (c *Cache) InvalidateAll() {
 // replacement clock and port state rewound, counters zeroed, and the Random
 // policy's RNG reseeded to its initial stream. Flat-backed caches keep their
 // backing array and zero it; lazily backed caches (the megabyte-class L2)
-// instead drop their set slices and arena chunks, exactly reproducing a
-// fresh machine's cold, unallocated tag array — resetting by dropping, not
-// zeroing, so a reset costs O(touched sets), never O(capacity).
+// instead unlink their set slices and rewind the chunk cursor, exactly
+// reproducing a fresh machine's cold tag array. Chunks are cleared as Fill
+// reuses them, so a reset never zeroes the whole capacity, and a recycled
+// cache refills without allocating.
 func (c *Cache) Reset() {
 	if len(c.sets)*c.cfg.Ways <= lazySetThreshold {
 		for _, set := range c.sets {
@@ -311,9 +338,12 @@ func (c *Cache) Reset() {
 	} else {
 		clear(c.sets)
 		c.arena = nil
+		c.used = 0
 	}
 	c.clock = 0
-	c.rng.Seed(c.cfg.Seed + 1)
+	if c.rng != nil {
+		c.rng.Seed(c.cfg.Seed + 1)
+	}
 	c.portCycle = -1
 	c.portsUsed = 0
 	c.Accesses, c.Hits, c.Misses = 0, 0, 0

@@ -5,9 +5,10 @@ import (
 	"testing"
 )
 
-// cacheTrace drives a deterministic pseudo-random op mix over the cache and
-// records every observable outcome plus the final counters.
-func cacheTrace(c *Cache, seed int64, ops int) []uint64 {
+// cacheTrace drives a deterministic pseudo-random op mix over the cache,
+// with addresses spanning the given number of 32-byte lines, and records
+// every observable outcome plus the final counters.
+func cacheTrace(c *Cache, seed int64, ops, lines int) []uint64 {
 	rng := rand.New(rand.NewSource(seed))
 	var out []uint64
 	record := func(b bool) {
@@ -18,7 +19,7 @@ func cacheTrace(c *Cache, seed int64, ops int) []uint64 {
 		}
 	}
 	for i := 0; i < ops; i++ {
-		addr := uint64(rng.Intn(1<<14)) * 32
+		addr := uint64(rng.Intn(lines)) * 32
 		now := int64(i / 3)
 		switch rng.Intn(6) {
 		case 0:
@@ -51,11 +52,18 @@ func TestCacheResetEqualsFresh(t *testing.T) {
 	cases := []struct {
 		name string
 		cfg  Config
+		// ops and lines size the trace (default 4000 ops over 1<<14
+		// lines). The lazy Random case needs full sets before its policy
+		// draws at all: 1<<17 lines give each of its 4096 sets 32
+		// candidates, and 400k ops fill them.
+		ops, lines int
 	}{
-		{"small-lru", Config{SizeBytes: 2048, Ways: 2, LineBytes: 32, Repl: LRU, TagPorts: 2}},
-		{"small-fifo", Config{SizeBytes: 2048, Ways: 2, LineBytes: 32, Repl: FIFO, TagPorts: 2}},
-		{"small-random", Config{SizeBytes: 2048, Ways: 2, LineBytes: 32, Repl: Random, TagPorts: 2, Seed: 11}},
-		{"large-lazy-arena", Config{SizeBytes: 1 << 20, Ways: 8, LineBytes: 32, Repl: LRU, TagPorts: 4}},
+		{name: "small-lru", cfg: Config{SizeBytes: 2048, Ways: 2, LineBytes: 32, Repl: LRU, TagPorts: 2}},
+		{name: "small-fifo", cfg: Config{SizeBytes: 2048, Ways: 2, LineBytes: 32, Repl: FIFO, TagPorts: 2}},
+		{name: "small-random", cfg: Config{SizeBytes: 2048, Ways: 2, LineBytes: 32, Repl: Random, TagPorts: 2, Seed: 11}},
+		{name: "large-lazy-arena", cfg: Config{SizeBytes: 1 << 20, Ways: 8, LineBytes: 32, Repl: LRU, TagPorts: 4}},
+		{name: "large-lazy-random", cfg: Config{SizeBytes: 1 << 20, Ways: 8, LineBytes: 32, Repl: Random, TagPorts: 4, Seed: 5},
+			ops: 400_000, lines: 1 << 17},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -65,20 +73,83 @@ func TestCacheResetEqualsFresh(t *testing.T) {
 					t.Fatalf("geometry has %d lines; want > %d (lazy)", n, lazySetThreshold)
 				}
 			}
-			dirty := New(tc.cfg)
-			cacheTrace(dirty, 1, 4000) // dirty with one trace...
-			dirty.Reset()
-			got := cacheTrace(dirty, 2, 4000) // ...then observe another
-			want := cacheTrace(New(tc.cfg), 2, 4000)
-			if len(got) != len(want) {
-				t.Fatalf("trace lengths differ: %d vs %d", len(got), len(want))
+			ops, lines := 4000, 1<<14
+			if tc.ops > 0 {
+				ops, lines = tc.ops, tc.lines
 			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("reset cache diverged from fresh at trace step %d: %d != %d", i, got[i], want[i])
-				}
+			dirty := New(tc.cfg)
+			cacheTrace(dirty, 1, ops, lines) // dirty with one trace...
+			dirty.Reset()
+			got := cacheTrace(dirty, 2, ops, lines) // ...then observe another
+			fresh := New(tc.cfg)
+			want := cacheTrace(fresh, 2, ops, lines)
+			requireSameTrace(t, got, want)
+			if tc.cfg.Repl == Random && fresh.Evictions == 0 {
+				t.Fatalf("trace evicted nothing; the Random policy never drew")
 			}
 		})
+	}
+}
+
+// requireSameTrace fails t unless two cacheTrace outcomes are identical.
+func requireSameTrace(t *testing.T, got, want []uint64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("trace lengths differ: %d vs %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("reset cache diverged from fresh at trace step %d: %d != %d", i, got[i], want[i])
+		}
+	}
+}
+
+// TestLazyCacheResetRecyclesChunks drives a lazily chunked cache through
+// generations whose traces touch more sets each time, so a later
+// generation first reuses (and must clear) the chunks an earlier one
+// carved, then extends the arena past them — and a final, narrower
+// generation reuses only a prefix. Every generation must match a fresh
+// cache, and the retained chunks never exceed the cache's capacity.
+func TestLazyCacheResetRecyclesChunks(t *testing.T) {
+	cfg := Config{SizeBytes: 1 << 20, Ways: 8, LineBytes: 32, Repl: LRU, TagPorts: 4}
+	c := New(cfg)
+	maxLines := c.NumSets() * cfg.Ways
+	for gen, lines := range []int{1 << 9, 1 << 12, 1 << 15, 1 << 10} {
+		seed := int64(gen + 1)
+		c.Reset()
+		got := cacheTrace(c, seed, 8000, lines)
+		want := cacheTrace(New(cfg), seed, 8000, lines)
+		requireSameTrace(t, got, want)
+		retained := 0
+		for _, ch := range c.chunks {
+			retained += len(ch)
+		}
+		if retained > maxLines {
+			t.Fatalf("generation %d: chunks retain %d lines; want <= %d (the cache's capacity)", gen, retained, maxLines)
+		}
+	}
+	if len(c.chunks) < 2 {
+		t.Fatalf("only %d chunks carved; the test no longer extends the arena", len(c.chunks))
+	}
+}
+
+// TestLazyCacheResetZeroAlloc requires a warmed lazily chunked cache to
+// reset and refill without allocating: the pooled machine's L2 does this
+// once per point.
+func TestLazyCacheResetZeroAlloc(t *testing.T) {
+	c := New(Config{SizeBytes: 1 << 20, Ways: 8, LineBytes: 32, Repl: LRU, TagPorts: 4})
+	fill := func() {
+		for i := uint64(0); i < 1<<14; i++ {
+			c.Fill(i*32*7, false)
+		}
+	}
+	fill()
+	allocs := testing.AllocsPerRun(10, func() {
+		c.Reset()
+		fill()
+	})
+	if allocs != 0 {
+		t.Errorf("Reset plus refill of a warmed lazy cache allocates %.1f objects per run; want 0", allocs)
 	}
 }
 

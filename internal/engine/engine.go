@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"fdip/internal/core"
-	"fdip/internal/oracle"
 	"fdip/internal/program"
 	"fdip/internal/workloads"
 )
@@ -118,7 +117,8 @@ type Engine struct {
 	sem chan struct{}
 
 	// results is the singleflight result memo; pools recycles processors
-	// per validated configuration (the machine pool; see pool.go).
+	// and their oracle walkers per validated configuration (the machine
+	// pool; see pool.go).
 	results ResultCache
 	pools   memo[core.Config, *machinePool]
 
@@ -242,13 +242,13 @@ func (e *Engine) RunImage(ctx context.Context, cfg core.Config, im *program.Imag
 		return core.Result{}, err
 	}
 	defer e.release()
-	p, fresh, err := mp.get(im, oracle.NewWalker(im, seed))
+	m, fresh, err := mp.get(im, seed)
 	if err != nil {
 		return core.Result{}, err
 	}
 	e.noteMachine(fresh)
-	res, err := p.RunContext(ctx)
-	mp.put(p)
+	res, err := m.proc.RunContext(ctx)
+	mp.put(m)
 	return res, err
 }
 
@@ -354,13 +354,13 @@ func (e *Engine) simulate(ctx context.Context, job Job, key JobKey, mp *machineP
 	}
 	e.emit(Event{Kind: EventJobStarted, Job: job})
 	start := time.Now()
-	p, fresh, err := mp.get(im, oracle.NewWalker(im, job.Seed))
+	m, fresh, err := mp.get(im, job.Seed)
 	if err != nil {
 		return core.Result{}, 0, err
 	}
 	e.noteMachine(fresh)
-	res, err := p.RunContext(ctx)
-	mp.put(p)
+	res, err := m.proc.RunContext(ctx)
+	mp.put(m)
 	return res, time.Since(start), err
 }
 

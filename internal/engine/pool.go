@@ -9,13 +9,15 @@ import (
 	"fdip/internal/program"
 )
 
-// machinePool recycles core.Processors for one exact validated
-// configuration. Construction is the expensive part of a simulation point
-// (caches, predictor tables, the FTQ and ROB — megabytes of backing arrays
-// per machine), and the layer-wide Reset contract makes a recycled machine
-// observationally identical to a fresh one, so sweeps check machines out,
-// reset them onto the next job's image and oracle stream, and return them
-// instead of constructing per job.
+// machinePool recycles core.Processors, each paired with the oracle walker
+// that drives it, for one exact validated configuration. Construction is the
+// expensive part of a simulation point (caches, predictor tables, the FTQ
+// and ROB — megabytes of backing arrays per machine), and the layer-wide
+// Reset contract makes a recycled machine observationally identical to a
+// fresh one, so sweeps check machines out, reset them and their walkers onto
+// the next job's image and seed, and return them instead of constructing per
+// job. The walker rides along because a fresh one costs per point what its
+// image costs: a state table and an RNG.
 //
 // The pool is two-tier. The resident slot holds exactly one idle machine by
 // ordinary pointer, immune to sync.Pool's per-GC eviction: streamed plans
@@ -34,44 +36,56 @@ type machinePool struct {
 
 	// resident is the bounded eviction-resistant slot (nil when empty).
 	mu       sync.Mutex
-	resident *core.Processor
+	resident *machine
 
 	// pool is the overflow tier for concurrent checkouts beyond the slot.
 	pool sync.Pool
 }
 
-// get checks out a machine for (im, stream), resetting a recycled one or
-// constructing on first use. fresh reports which path was taken (for the
-// engine's machine counters and the steady-state zero-allocation gate).
-func (mp *machinePool) get(im *program.Image, stream oracle.Stream) (p *core.Processor, fresh bool, err error) {
+// machine is one pooled processor and the walker that feeds it.
+type machine struct {
+	proc   *core.Processor
+	walker *oracle.Walker
+}
+
+// get checks out a machine walking im from seed, resetting a recycled one
+// (processor and walker both) or constructing on first use. fresh reports
+// which path was taken (for the engine's machine counters and the
+// steady-state zero-allocation gate).
+func (mp *machinePool) get(im *program.Image, seed int64) (m *machine, fresh bool, err error) {
 	mp.mu.Lock()
-	p, mp.resident = mp.resident, nil
+	m, mp.resident = mp.resident, nil
 	mp.mu.Unlock()
-	if p == nil {
+	if m == nil {
 		if v := mp.pool.Get(); v != nil {
-			p = v.(*core.Processor)
+			m = v.(*machine)
 		}
 	}
-	if p != nil {
-		p.Reset(im, stream)
-		return p, false, nil
+	if m != nil {
+		m.walker.Reset(im, seed)
+		m.proc.Reset(im, m.walker)
+		return m, false, nil
 	}
-	p, err = core.New(mp.cfg, im, stream)
-	return p, true, err
+	w := oracle.NewWalker(im, seed)
+	p, err := core.New(mp.cfg, im, w)
+	if err != nil {
+		return nil, true, err
+	}
+	return &machine{proc: p, walker: w}, true, nil
 }
 
 // put returns a machine to the pool, preferring the eviction-resistant slot.
 // The machine may be in any state — including a run abandoned mid-flight by
 // cancellation — because get resets it before the next checkout.
-func (mp *machinePool) put(p *core.Processor) {
+func (mp *machinePool) put(m *machine) {
 	mp.mu.Lock()
 	if mp.resident == nil {
-		mp.resident = p
+		mp.resident = m
 		mp.mu.Unlock()
 		return
 	}
 	mp.mu.Unlock()
-	mp.pool.Put(p)
+	mp.pool.Put(m)
 }
 
 // machinePoolFor returns the machine pool for the validated configuration,

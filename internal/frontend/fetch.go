@@ -41,13 +41,6 @@ type FetchEngine struct {
 	seq       uint64
 	cur       oracle.Record
 	exhausted bool
-	// sched caches each static instruction's packed scheduler word
-	// (isa.Instr.SchedPack), indexed by word index. The pack is a pure
-	// function of the static instruction, so deriving it per delivered uop
-	// paid the operand remap and latency lookup once per dynamic instance;
-	// the table turns that into one load. Rebuilt on Reset (the image may
-	// change under a pooled machine).
-	sched []uint32
 
 	// DemandAccesses counts L1-I demand lookups; L1Hits and PFBHits their
 	// outcomes; FullMisses lookups that went to the L2 (LateMerges of
@@ -85,24 +78,8 @@ func newFetchEngine(im *program.Image, stream oracle.Stream, q *ftq.Queue, ar *p
 		im: im, stream: stream, q: q, ar: ar, l1i: l1i, pfb: pfb, hier: hier,
 		width: width, notify: notify, perfect: perfect,
 	}
-	f.rebuildSched()
 	f.advance()
 	return f
-}
-
-// rebuildSched refreshes the packed-scheduler-word cache for the current
-// image, reusing the backing array when capacity allows (Reset on a pooled
-// machine must not allocate in steady state).
-func (f *FetchEngine) rebuildSched() {
-	code := f.im.Code
-	if cap(f.sched) < len(code) {
-		f.sched = make([]uint32, len(code))
-	} else {
-		f.sched = f.sched[:len(code)]
-	}
-	for i := range code {
-		f.sched[i] = code[i].SchedPack()
-	}
 }
 
 // advance pulls the next oracle record into f.cur in place.
@@ -131,7 +108,6 @@ func (f *FetchEngine) Reset(im *program.Image, stream oracle.Stream) {
 	f.DemandAccesses, f.L1Hits, f.PFBHits, f.FullMisses, f.LateMerges = 0, 0, 0, 0, 0
 	f.Delivered, f.WrongPath, f.OutOfImage = 0, 0, 0
 	f.StallCycles, f.IdleNoFTQ, f.BackendFull = 0, 0, 0
-	f.rebuildSched()
 	f.advance()
 }
 
@@ -234,6 +210,7 @@ func (f *FetchEngine) Tick(now int64, accept int) (first uint32, n int) {
 	// locals: b is one live register across the loop's calls where the
 	// locals were five, and the spill/reload traffic around the oracle
 	// advance measurably outweighed the re-loads they saved.
+	sched := f.im.SchedWords()
 	blockLen := b.FetchedInstrs
 	termLen := b.NumInstrs // the terminator is the block's last instruction
 	takenTerm := b.EndsInCTI && b.PredTaken
@@ -268,9 +245,11 @@ func (f *FetchEngine) Tick(now int64, accept int) (first uint32, n int) {
 			// cold cases (wrong path, image end, replay end) share one
 			// out-of-line call below.
 			u.Instr = rec.Instr
-			// Correct-path PCs are always in-image, so the static sched
-			// cache covers them.
-			u.Sched = f.sched[isa.WordIndex(pc, f.im.Base)]
+			// Correct-path PCs are always in-image, so the image's
+			// packed-scheduler-word table covers them: the pack is a pure
+			// function of the static instruction, derived once per image
+			// rather than once per dynamic instance.
+			u.Sched = sched[isa.WordIndex(pc, f.im.Base)]
 			u.OnCorrectPath = true
 			u.ActualTaken = rec.Taken
 			u.ActualNextPC = rec.NextPC

@@ -51,43 +51,61 @@ type Walker struct {
 	pc  uint64
 
 	stack []uint64
-	// The per-branch dynamic state below is dense, indexed by word index —
-	// one entry per static instruction. Maps keyed by word index measured
-	// as a hash probe per executed branch on the walker's hot path; the
-	// image is small enough that flat arrays are cheaper in time and not
-	// meaningfully worse in space.
-	//
-	// loopLeft tracks remaining taken-iterations per ModelLoop branch;
-	// -1 means the branch is outside its loop (no trip count drawn).
-	loopLeft []int32
-	// lastTarget remembers each indirect CTI's previous dynamic target for
-	// sticky (bursty) dispatch; hasLast distinguishes "never executed"
-	// (target addresses may legitimately be any value).
-	lastTarget []uint64
-	hasLast    []bool
-	// patPos tracks each ModelPattern branch's position in its pattern.
-	patPos []uint8
+	// state holds one record per stateful branch (loop and pattern
+	// conditionals, indirect jumps and calls), indexed through the image's
+	// dense ordinal table slots. Only a few percent of instructions carry
+	// state, so a reset costs O(stateful branches), not O(image).
+	state []branchState
+	slots []uint32
 
 	// Executed counts records produced.
 	Executed uint64
 }
 
+// branchState is one stateful branch's dynamic state. Its zero value is a
+// branch never executed, so a reset is a clear.
+type branchState struct {
+	// lastTarget is an indirect CTI's previous dynamic target, for sticky
+	// (bursty) dispatch; hasLast distinguishes "never executed" (targets
+	// may legitimately be any value).
+	lastTarget uint64
+	// loopLeft is a ModelLoop branch's remaining taken iterations plus one;
+	// zero means the branch is outside its loop (no trip count drawn).
+	loopLeft int32
+	hasLast  bool
+	// patPos is a ModelPattern branch's position in its pattern.
+	patPos uint8
+}
+
 // NewWalker creates a walker over im, seeded deterministically.
 func NewWalker(im *program.Image, seed int64) *Walker {
-	w := &Walker{
-		im:         im,
-		rng:        rand.New(rand.NewSource(seed)),
-		pc:         im.Entry,
-		stack:      make([]uint64, 0, 64),
-		loopLeft:   make([]int32, len(im.Code)),
-		lastTarget: make([]uint64, len(im.Code)),
-		hasLast:    make([]bool, len(im.Code)),
-		patPos:     make([]uint8, len(im.Code)),
-	}
-	for i := range w.loopLeft {
-		w.loopLeft[i] = -1
-	}
+	w := &Walker{stack: make([]uint64, 0, 64)}
+	w.Reset(im, seed)
 	return w
+}
+
+// Reset makes w observationally NewWalker(im, seed) — entry point, empty
+// stack, every branch's state cleared and the RNG reseeded in place — while
+// keeping its storage, so a pooled walker recycles without allocating once
+// its state table has grown to the image's stateful-branch count.
+func (w *Walker) Reset(im *program.Image, seed int64) {
+	w.im = im
+	if w.rng == nil {
+		w.rng = rand.New(rand.NewSource(seed))
+	} else {
+		w.rng.Seed(seed)
+	}
+	w.pc = im.Entry
+	w.stack = w.stack[:0]
+	var n int
+	w.slots, n = im.WalkerSlots()
+	if cap(w.state) < n {
+		w.state = make([]branchState, n)
+	} else {
+		w.state = w.state[:n]
+		clear(w.state)
+	}
+	w.Executed = 0
 }
 
 // PC returns the address of the next instruction the walker will execute.
@@ -166,28 +184,30 @@ func (w *Walker) condOutcome(pc uint64, ins isa.Instr) bool {
 	b := &w.im.Behav[idx]
 	switch b.Model {
 	case program.ModelLoop:
-		left := w.loopLeft[idx]
+		st := &w.state[w.slots[idx]]
+		left := st.loopLeft - 1
 		if left < 0 {
 			// Entering the loop: draw a fresh trip count. Zero trips
 			// means the back-edge falls through immediately.
 			left = int32(w.drawTrip(b.MeanTrip))
 		}
 		if left > 0 {
-			w.loopLeft[idx] = left - 1
+			st.loopLeft = left // left-1 iterations remain, stored plus one
 			return true
 		}
-		w.loopLeft[idx] = -1
+		st.loopLeft = 0
 		return false
 	case program.ModelBiased:
 		return w.rng.Float64() < b.TakenProb
 	case program.ModelPattern:
-		pos := w.patPos[idx]
+		st := &w.state[w.slots[idx]]
+		pos := st.patPos
 		taken := b.Pattern>>pos&1 == 1
 		pos++
 		if pos >= b.PatternLen {
 			pos = 0
 		}
-		w.patPos[idx] = pos
+		st.patPos = pos
 		return taken
 	default:
 		// Defensive: treat unknown conditionals as weakly not taken.
@@ -217,12 +237,13 @@ func (w *Walker) indirectTarget(pc uint64) uint64 {
 	if len(b.Targets) == 0 {
 		panic(fmt.Sprintf("oracle: indirect CTI at %#x has no targets", pc))
 	}
-	if w.hasLast[idx] && b.Sticky > 0 && w.rng.Float64() < b.Sticky {
-		return w.lastTarget[idx]
+	st := &w.state[w.slots[idx]]
+	if st.hasLast && b.Sticky > 0 && w.rng.Float64() < b.Sticky {
+		return st.lastTarget
 	}
 	t := w.drawTarget(b)
-	w.lastTarget[idx] = t
-	w.hasLast[idx] = true
+	st.lastTarget = t
+	st.hasLast = true
 	return t
 }
 
@@ -243,18 +264,4 @@ func (w *Walker) drawTarget(b *program.Behavior) uint64 {
 		}
 	}
 	return b.Targets[len(b.Targets)-1]
-}
-
-// Reset rewinds the walker to the entry point with fresh dynamic state but
-// the same RNG stream position (use a new Walker for full determinism).
-func (w *Walker) Reset() {
-	w.pc = w.im.Entry
-	w.stack = w.stack[:0]
-	for i := range w.loopLeft {
-		w.loopLeft[i] = -1
-	}
-	clear(w.lastTarget)
-	clear(w.hasLast)
-	clear(w.patPos)
-	w.Executed = 0
 }

@@ -231,7 +231,7 @@ func TestWalkerReset(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		w.Next()
 	}
-	w.Reset()
+	w.Reset(im, 5)
 	if w.PC() != im.Entry {
 		t.Errorf("after Reset, PC = %#x, want entry %#x", w.PC(), im.Entry)
 	}
@@ -240,6 +240,82 @@ func TestWalkerReset(t *testing.T) {
 	}
 	if _, ok := w.Next(); !ok {
 		t.Error("walker dead after Reset")
+	}
+}
+
+// TestWalkerResetMatchesNew holds Reset to its definition: a walker dirtied
+// on one image and then Reset(im2, s) produces exactly the records of
+// NewWalker(im2, s) — across switches to a larger image (the state table
+// grows), to a smaller one (it shrinks within its capacity, and stale
+// records beyond the new count must not leak back on a later grow) and
+// within one image (state cleared in place, RNG reseeded, not continued).
+func TestWalkerResetMatchesNew(t *testing.T) {
+	small, large := testImage(t, 3, 20), testImage(t, 4, 120)
+	_, ns := small.WalkerSlots()
+	_, nl := large.WalkerSlots()
+	if ns >= nl {
+		t.Fatalf("stateful branches: small %d, large %d; want small < large", ns, nl)
+	}
+	cases := []struct {
+		name     string
+		from, to *program.Image
+	}{
+		{"small-to-large", small, large},
+		{"large-to-small", large, small},
+		{"same-image", large, large},
+	}
+	const n = 50_000
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			w := NewWalker(tc.from, 11)
+			for i := 0; i < n; i++ {
+				w.Next()
+			}
+			// Two generations: the second starts from a walker whose table
+			// was last resized by the first.
+			for gen, seed := range []int64{21, 22} {
+				w.Reset(tc.to, seed)
+				ref := NewWalker(tc.to, seed)
+				for i := 0; i < n; i++ {
+					got, _ := w.Next()
+					want, _ := ref.Next()
+					if got != want {
+						t.Fatalf("generation %d record %d: reset walker %+v, fresh walker %+v", gen, i, got, want)
+					}
+				}
+				if w.Executed != ref.Executed {
+					t.Fatalf("generation %d: Executed %d, want %d", gen, w.Executed, ref.Executed)
+				}
+				// Dirty the walker on the other image before the next
+				// generation's Reset.
+				w.Reset(tc.from, seed+100)
+				for i := 0; i < n; i++ {
+					w.Next()
+				}
+			}
+		})
+	}
+}
+
+// TestWalkerResetZeroAlloc requires a warmed walker to recycle without
+// allocating: the machine pool resets one per point.
+func TestWalkerResetZeroAlloc(t *testing.T) {
+	small, large := testImage(t, 3, 20), testImage(t, 4, 120)
+	w := NewWalker(large, 1)
+	seed := int64(0)
+	allocs := testing.AllocsPerRun(20, func() {
+		seed++
+		w.Reset(small, seed)
+		for i := 0; i < 1000; i++ {
+			w.Next()
+		}
+		w.Reset(large, seed)
+		for i := 0; i < 1000; i++ {
+			w.Next()
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("warm Reset plus walk allocates %.1f objects per run; want 0", allocs)
 	}
 }
 

@@ -13,6 +13,7 @@ package program
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"fdip/internal/isa"
 )
@@ -104,6 +105,80 @@ type Image struct {
 	Funcs []Func
 	// Entry is the program entry point (first function's entry).
 	Entry uint64
+
+	// static holds the read-only tables derived from Code and Behav on
+	// first use (see SchedWords and WalkerSlots). Images are shared across
+	// engine workers, so the tables are published atomically; Code and
+	// Behav must not change after first use.
+	static atomic.Pointer[staticTables]
+}
+
+// staticTables are per-image lookups that every simulation of the image
+// would otherwise rebuild per point.
+type staticTables struct {
+	sched  []uint32
+	slots  []uint32
+	nSlots int
+}
+
+// tables returns the static tables, deriving them on first use. The fast
+// path is one atomic load, small enough to inline: the fetch engine reads
+// the scheduler table on every cycle it delivers instructions.
+func (im *Image) tables() *staticTables {
+	if t := im.static.Load(); t != nil {
+		return t
+	}
+	return im.deriveTables()
+}
+
+// deriveTables builds and publishes the static tables. Concurrent first
+// uses may each build them; the tables are a pure function of the image,
+// so whichever publishes first is what every caller sees.
+func (im *Image) deriveTables() *staticTables {
+	t := &staticTables{
+		sched: make([]uint32, len(im.Code)),
+		slots: make([]uint32, len(im.Code)),
+	}
+	for i := range im.Code {
+		ins := &im.Code[i]
+		t.sched[i] = ins.SchedPack()
+		if i < len(im.Behav) && hasWalkerState(ins.Kind, im.Behav[i].Model) {
+			t.slots[i] = uint32(t.nSlots)
+			t.nSlots++
+		}
+	}
+	if !im.static.CompareAndSwap(nil, t) {
+		return im.static.Load()
+	}
+	return t
+}
+
+// hasWalkerState reports whether the oracle walker keeps dynamic state for
+// an instruction of this kind and behaviour: loop and pattern conditionals
+// (trip count, pattern position) and indirect jumps and calls (previous
+// target). Every other instruction is resolved statelessly.
+func hasWalkerState(kind isa.Kind, model BranchModel) bool {
+	switch kind {
+	case isa.CondBranch:
+		return model == ModelLoop || model == ModelPattern
+	case isa.IndirectJump, isa.IndirectCall:
+		return true
+	}
+	return false
+}
+
+// SchedWords returns each instruction's packed scheduler word
+// (isa.Instr.SchedPack), indexed by word index. The table is derived once
+// per image and shared; callers must not modify it.
+func (im *Image) SchedWords() []uint32 { return im.tables().sched }
+
+// WalkerSlots returns the dense ordinal of each stateful instruction (see
+// hasWalkerState), indexed by word index, and the number of such
+// instructions. Entries for stateless instructions are meaningless. The
+// table is derived once per image and shared; callers must not modify it.
+func (im *Image) WalkerSlots() (slots []uint32, n int) {
+	t := im.tables()
+	return t.slots, t.nSlots
 }
 
 // Size returns the code footprint in bytes.

@@ -245,3 +245,69 @@ func TestBranchModelString(t *testing.T) {
 		t.Error("unknown model should format")
 	}
 }
+
+// TestStaticTables checks the image-owned tables against their definitions:
+// the scheduler table is SchedPack per instruction, and the walker slots
+// number exactly the stateful instructions densely in address order.
+func TestStaticTables(t *testing.T) {
+	im := MustGenerate(DefaultParams())
+	sched := im.SchedWords()
+	if len(sched) != len(im.Code) {
+		t.Fatalf("sched table has %d entries; want %d", len(sched), len(im.Code))
+	}
+	slots, n := im.WalkerSlots()
+	next := 0
+	for i := range im.Code {
+		ins := &im.Code[i]
+		if sched[i] != ins.SchedPack() {
+			t.Fatalf("sched[%d] = %#x; want %#x", i, sched[i], ins.SchedPack())
+		}
+		if hasWalkerState(ins.Kind, im.Behav[i].Model) {
+			if slots[i] != uint32(next) {
+				t.Fatalf("slot[%d] = %d; want %d", i, slots[i], next)
+			}
+			next++
+		}
+	}
+	if n != next {
+		t.Fatalf("WalkerSlots counts %d stateful instructions; want %d", n, next)
+	}
+	// A few percent of instructions carry walker state; the compact
+	// walker's size advantage rests on that.
+	if n == 0 || n > len(im.Code)/10 {
+		t.Errorf("%d of %d instructions carry walker state; want a small nonzero share", n, len(im.Code))
+	}
+	if again := im.SchedWords(); &again[0] != &sched[0] {
+		t.Error("SchedWords rebuilt its table; want one derivation per image")
+	}
+}
+
+// TestStaticTablesConcurrentFirstUse derives an image's tables from many
+// goroutines at once, as engine workers sharing a cached image do; every
+// caller must see the same published tables. Run under -race.
+func TestStaticTablesConcurrentFirstUse(t *testing.T) {
+	p := DefaultParams()
+	p.NumFuncs = 40
+	im := MustGenerate(p)
+	const n = 8
+	got := make([]*uint32, n)
+	done := make(chan struct{})
+	for i := 0; i < n; i++ {
+		go func() {
+			defer func() { done <- struct{}{} }()
+			if i%2 == 0 {
+				slots, _ := im.WalkerSlots()
+				_ = slots[len(slots)-1]
+			}
+			got[i] = &im.SchedWords()[0]
+		}()
+	}
+	for i := 0; i < n; i++ {
+		<-done
+	}
+	for i := 1; i < n; i++ {
+		if got[i] != got[0] {
+			t.Fatalf("goroutine %d saw a different scheduler table than goroutine 0", i)
+		}
+	}
+}

@@ -140,7 +140,8 @@ func Fuzz(tb testing.TB, seed int64) {
 	wseed := rng.Int63()
 
 	// Oracle 1: the event-scheduled kernel against naive per-cycle stepping.
-	sched := core.MustNew(cfg, im, oracle.NewWalker(im, wseed))
+	schedWalker := oracle.NewWalker(im, wseed)
+	sched := core.MustNew(cfg, im, schedWalker)
 	want := sched.Run()
 	naive := core.MustNew(cfg, im, oracle.NewWalker(im, wseed)).RunNaive()
 	if !reflect.DeepEqual(want, naive) {
@@ -149,20 +150,25 @@ func Fuzz(tb testing.TB, seed int64) {
 	}
 
 	// Oracle 2a: pooled checkout after a completed job — the machine that just
-	// ran the scheduled pass is dirty; Reset must restore fresh semantics.
-	sched.Reset(im, oracle.NewWalker(im, wseed))
+	// ran the scheduled pass is dirty, and so is its walker; resetting both,
+	// as the engine's machine pool does, must restore fresh semantics.
+	schedWalker.Reset(im, wseed)
+	sched.Reset(im, schedWalker)
 	if got := sched.Run(); !reflect.DeepEqual(want, got) {
 		tb.Fatalf("fuzz seed %d (%s): Reset after a completed run diverged from fresh\nfresh: %+v\nreset: %+v",
 			seed, cfg.Prefetch.Kind, want, got)
 	}
 
 	// Oracle 2b: pooled checkout after an abandoned job — dirty the machine
-	// mid-flight on a different walker seed, then Reset and rerun.
-	dirty := core.MustNew(cfg, im, oracle.NewWalker(im, wseed+1))
+	// and its walker mid-flight on a different walker seed, then reset both
+	// and rerun.
+	dirtyWalker := oracle.NewWalker(im, wseed+1)
+	dirty := core.MustNew(cfg, im, dirtyWalker)
 	for steps := 200 + rng.Intn(800); steps > 0; steps-- {
 		dirty.Step()
 	}
-	dirty.Reset(im, oracle.NewWalker(im, wseed))
+	dirtyWalker.Reset(im, wseed)
+	dirty.Reset(im, dirtyWalker)
 	if got := dirty.Run(); !reflect.DeepEqual(want, got) {
 		tb.Fatalf("fuzz seed %d (%s): Reset from a mid-flight state diverged from fresh\nfresh: %+v\nreset: %+v",
 			seed, cfg.Prefetch.Kind, want, got)

@@ -86,8 +86,8 @@ func FreshResult(tb testing.TB, tr Triple) core.Result {
 }
 
 // ResetResult runs the triple on a machine that first ran the dirty triple
-// (same Config, typically a different workload or seed) and was then Reset —
-// the pooled checkout path. dirtySteps > 0 instead abandons the dirtying run
+// (same Config, typically a different workload or seed) and was then Reset,
+// together with its oracle walker — the pooled checkout path. dirtySteps > 0 instead abandons the dirtying run
 // after that many cycles, exercising Reset from a mid-flight state (what a
 // cancelled job leaves behind in the pool).
 func ResetResult(tb testing.TB, tr, dirty Triple, dirtySteps int) core.Result {
@@ -97,7 +97,8 @@ func ResetResult(tb testing.TB, tr, dirty Triple, dirtySteps int) core.Result {
 	if dcfg != cfg {
 		tb.Fatalf("simtest: %s: dirty triple %s has a different validated config", tr.Name, dirty.Name)
 	}
-	p, err := core.New(dcfg, dim, oracle.NewWalker(dim, dseed))
+	w := oracle.NewWalker(dim, dseed)
+	p, err := core.New(dcfg, dim, w)
 	if err != nil {
 		tb.Fatalf("simtest: %s: %v", dirty.Name, err)
 	}
@@ -108,7 +109,10 @@ func ResetResult(tb testing.TB, tr, dirty Triple, dirtySteps int) core.Result {
 	} else {
 		p.Run()
 	}
-	p.Reset(im, oracle.NewWalker(im, seed))
+	// The pool recycles the walker with the machine, so the dirty walker is
+	// reset too rather than replaced.
+	w.Reset(im, seed)
+	p.Reset(im, w)
 	return p.Run()
 }
 
