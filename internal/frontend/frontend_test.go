@@ -22,12 +22,13 @@ func mkImage(t testing.TB, code []isa.Instr, behav map[int]program.Behavior) *pr
 	im := &program.Image{
 		Base:  0x1000,
 		Code:  code,
-		Behav: make([]program.Behavior, len(code)),
 		Funcs: []program.Func{{Name: "f0000", Entry: 0x1000, NumInstrs: len(code)}},
 		Entry: 0x1000,
 	}
-	for i, b := range behav {
-		im.Behav[i] = b
+	for i := range code {
+		if b, ok := behav[i]; ok {
+			im.Behav = append(im.Behav, program.Branch{Word: i, Behavior: b})
+		}
 	}
 	if err := im.Validate(); err != nil {
 		t.Fatalf("hand-built image invalid: %v", err)

@@ -52,11 +52,12 @@ type Walker struct {
 
 	stack []uint64
 	// state holds one record per stateful branch (loop and pattern
-	// conditionals, indirect jumps and calls), indexed through the image's
-	// dense ordinal table slots. Only a few percent of instructions carry
-	// state, so a reset costs O(stateful branches), not O(image).
+	// conditionals, indirect jumps and calls), reached through the image's
+	// BehaviorIndex. Only a few percent of instructions carry state, so a
+	// reset costs O(stateful branches), not O(image).
+	ord   []uint32
+	slot  []uint32
 	state []branchState
-	slots []uint32
 
 	// Executed counts records produced.
 	Executed uint64
@@ -98,7 +99,7 @@ func (w *Walker) Reset(im *program.Image, seed int64) {
 	w.pc = im.Entry
 	w.stack = w.stack[:0]
 	var n int
-	w.slots, n = im.WalkerSlots()
+	w.ord, w.slot, n = im.BehaviorIndex()
 	if cap(w.state) < n {
 		w.state = make([]branchState, n)
 	} else {
@@ -135,7 +136,7 @@ func (w *Walker) NextInto(rec *Record) bool {
 
 	switch ins.Kind {
 	case isa.CondBranch:
-		rec.Taken = w.condOutcome(w.pc, ins)
+		rec.Taken = w.condOutcome(w.pc)
 		if rec.Taken {
 			rec.NextPC = ins.Target
 		}
@@ -175,16 +176,21 @@ func (w *Walker) push(ret uint64) {
 	w.stack = append(w.stack, ret)
 }
 
-// condOutcome resolves a conditional branch per its behaviour model. The
-// branch is inside the image (NextInto already decoded it), so its behaviour
-// record is read in place — Behavior carries two slice headers, and copying
-// it out was a duffcopy per executed conditional.
-func (w *Walker) condOutcome(pc uint64, ins isa.Instr) bool {
-	idx := isa.WordIndex(pc, w.im.Base)
-	b := &w.im.Behav[idx]
+// record returns the branch at pc's behaviour record, read in place (copying
+// its two slice headers out cost a duffcopy per branch), and its position.
+// Validate gives every conditional and indirect jump and call a record; a
+// word without one (NoBehavior) panics on the bounds check.
+func (w *Walker) record(pc uint64) (*program.Branch, uint32) {
+	r := w.ord[isa.WordIndex(pc, w.im.Base)]
+	return &w.im.Behav[r], r
+}
+
+// condOutcome resolves a conditional branch per its behaviour model.
+func (w *Walker) condOutcome(pc uint64) bool {
+	b, r := w.record(pc)
 	switch b.Model {
 	case program.ModelLoop:
-		st := &w.state[w.slots[idx]]
+		st := &w.state[w.slot[r]]
 		left := st.loopLeft - 1
 		if left < 0 {
 			// Entering the loop: draw a fresh trip count. Zero trips
@@ -200,7 +206,7 @@ func (w *Walker) condOutcome(pc uint64, ins isa.Instr) bool {
 	case program.ModelBiased:
 		return w.rng.Float64() < b.TakenProb
 	case program.ModelPattern:
-		st := &w.state[w.slots[idx]]
+		st := &w.state[w.slot[r]]
 		pos := st.patPos
 		taken := b.Pattern>>pos&1 == 1
 		pos++
@@ -210,8 +216,9 @@ func (w *Walker) condOutcome(pc uint64, ins isa.Instr) bool {
 		st.patPos = pos
 		return taken
 	default:
-		// Defensive: treat unknown conditionals as weakly not taken.
-		return w.rng.Float64() < 0.35
+		// Validate makes this unreachable; drawing an outcome here would
+		// silently perturb the RNG stream.
+		panic(fmt.Sprintf("oracle: conditional at %#x has behaviour %v", pc, b.Model))
 	}
 }
 
@@ -232,16 +239,15 @@ func (w *Walker) drawTrip(mean int) int {
 // indirectTarget picks a dynamic target from the instruction's target set,
 // repeating the previous target with probability Sticky (bursty dispatch).
 func (w *Walker) indirectTarget(pc uint64) uint64 {
-	idx := isa.WordIndex(pc, w.im.Base)
-	b := &w.im.Behav[idx]
+	b, r := w.record(pc)
 	if len(b.Targets) == 0 {
 		panic(fmt.Sprintf("oracle: indirect CTI at %#x has no targets", pc))
 	}
-	st := &w.state[w.slots[idx]]
+	st := &w.state[w.slot[r]]
 	if st.hasLast && b.Sticky > 0 && w.rng.Float64() < b.Sticky {
 		return st.lastTarget
 	}
-	t := w.drawTarget(b)
+	t := w.drawTarget(&b.Behavior)
 	st.lastTarget = t
 	st.hasLast = true
 	return t

@@ -251,8 +251,8 @@ func TestWalkerReset(t *testing.T) {
 // within one image (state cleared in place, RNG reseeded, not continued).
 func TestWalkerResetMatchesNew(t *testing.T) {
 	small, large := testImage(t, 3, 20), testImage(t, 4, 120)
-	_, ns := small.WalkerSlots()
-	_, nl := large.WalkerSlots()
+	_, _, ns := small.BehaviorIndex()
+	_, _, nl := large.BehaviorIndex()
 	if ns >= nl {
 		t.Fatalf("stateful branches: small %d, large %d; want small < large", ns, nl)
 	}
@@ -316,6 +316,42 @@ func TestWalkerResetZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("warm Reset plus walk allocates %.1f objects per run; want 0", allocs)
+	}
+}
+
+// TestWalkerPanicsOnUnmodelledConditional requires the walker to refuse a
+// conditional that Validate would reject, rather than draw an outcome that
+// silently perturbs the RNG stream: one with no behaviour record, and one
+// whose record has no conditional model.
+func TestWalkerPanicsOnUnmodelledConditional(t *testing.T) {
+	code := []isa.Instr{
+		{Kind: isa.ALU, Dst: 1, Src1: 2, Src2: isa.NoReg},
+		{Kind: isa.CondBranch, Target: 0x1000},
+		{Kind: isa.Jump, Target: 0x1000},
+	}
+	cases := []struct {
+		name  string
+		behav []program.Branch
+	}{
+		{"no record", nil},
+		{"no model", []program.Branch{{Word: 1}}},
+		{"indirect model", []program.Branch{{Word: 1, Behavior: program.Behavior{Model: program.ModelIndirect, Targets: []uint64{0x1000}}}}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			im := &program.Image{Base: 0x1000, Code: code, Behav: tc.behav, Entry: 0x1000}
+			if im.Validate() == nil {
+				t.Fatal("Validate accepted the image; want it rejected")
+			}
+			w := NewWalker(im, 1)
+			w.Next() // the ALU
+			defer func() {
+				if recover() == nil {
+					t.Error("walker resolved an unmodelled conditional; want a panic")
+				}
+			}()
+			w.Next()
+		})
 	}
 }
 

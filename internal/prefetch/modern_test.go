@@ -16,12 +16,12 @@ import (
 func testDecodeImage() *program.Image {
 	const n = 1 << 12 // 4096 instructions = 16KB at 4B each
 	code := make([]isa.Instr, n)
-	behav := make([]program.Behavior, n)
+	var behav []program.Branch
 	for i := range code {
 		switch i % 7 {
 		case 2:
 			code[i] = isa.Instr{Kind: isa.CondBranch, Target: uint64((i*37)%n) * isa.InstrBytes}
-			behav[i] = program.Behavior{Model: program.ModelBiased, TakenProb: 0.5}
+			behav = append(behav, program.Branch{Word: i, Behavior: program.Behavior{Model: program.ModelBiased, TakenProb: 0.5}})
 		case 5:
 			code[i] = isa.Instr{Kind: isa.Jump, Target: uint64((i*53+9)%n) * isa.InstrBytes}
 		case 6:

@@ -164,9 +164,6 @@ type funcPlan struct {
 // (*Image).Validate; generation fails only on nonsensical parameters.
 func Generate(p Params) (*Image, error) {
 	p.setDefaults()
-	if p.NumFuncs < 1 {
-		return nil, fmt.Errorf("program: NumFuncs must be >= 1")
-	}
 	if p.CodeBase%isa.InstrBytes != 0 {
 		return nil, fmt.Errorf("program: CodeBase %#x not aligned", p.CodeBase)
 	}
@@ -177,11 +174,13 @@ func Generate(p Params) (*Image, error) {
 		plans[fi] = planFunc(rng, p, fi)
 	}
 
-	// Layout pass: assign addresses.
+	// Layout pass: assign addresses, build the function directory and count
+	// the modelled terminators.
 	addr := p.CodeBase
-	entries := make([]uint64, p.NumFuncs)
+	funcs := make([]Func, p.NumFuncs)
+	modelled := 0
 	for fi := range plans {
-		entries[fi] = addr
+		entry := addr
 		for bi := range plans[fi].blocks {
 			b := &plans[fi].blocks[bi]
 			b.addr = addr
@@ -189,18 +188,22 @@ func Generate(p Params) (*Image, error) {
 			if b.term != isa.Nop {
 				n++
 			}
+			if b.behav.Model != ModelNone {
+				modelled++
+			}
 			addr += uint64(n) * isa.InstrBytes
 		}
-		addr += uint64(plans[fi].pad) * isa.InstrBytes
+		addr += uint64(plans[fi].pad) * isa.InstrBytes // padding stays isa.Nop, Code's zero value
+		funcs[fi] = Func{Name: fmt.Sprintf("f%04d", fi), Entry: entry, NumInstrs: int((addr - entry) / isa.InstrBytes)}
 	}
 	totalInstrs := int((addr - p.CodeBase) / isa.InstrBytes)
 
 	im := &Image{
 		Base:  p.CodeBase,
 		Code:  make([]isa.Instr, totalInstrs),
-		Behav: make([]Behavior, totalInstrs),
-		Funcs: make([]Func, p.NumFuncs),
-		Entry: entries[0],
+		Behav: make([]Branch, 0, modelled),
+		Funcs: funcs,
+		Entry: funcs[0].Entry,
 	}
 
 	// Emission pass: resolve targets and write instructions.
@@ -210,7 +213,7 @@ func Generate(p Params) (*Image, error) {
 		blockAddr := func(bi int) uint64 { return fp.blocks[bi].addr }
 		for bi := range fp.blocks {
 			b := &fp.blocks[bi]
-			w := im.index(b.addr)
+			w := isa.WordIndex(b.addr, im.Base)
 			for k := 0; k < b.bodyLen; k++ {
 				im.Code[w] = regs.bodyInstr(rng)
 				w++
@@ -224,11 +227,11 @@ func Generate(p Params) (*Image, error) {
 			case isa.CondBranch, isa.Jump:
 				ins.Target = blockAddr(b.targetBlk)
 			case isa.Call:
-				ins.Target = entries[b.calleeFn]
+				ins.Target = funcs[b.calleeFn].Entry
 			case isa.IndirectCall:
 				bh.Targets = make([]uint64, len(b.calleeFns))
 				for j, cf := range b.calleeFns {
-					bh.Targets[j] = entries[cf]
+					bh.Targets[j] = funcs[cf].Entry
 				}
 			case isa.IndirectJump:
 				bh.Targets = make([]uint64, 0, len(b.extraBlks)+1)
@@ -240,27 +243,9 @@ func Generate(p Params) (*Image, error) {
 				// no static target
 			}
 			im.Code[w] = ins
-			im.Behav[w] = bh
-		}
-		// Function padding: nops.
-		fnEnd := blockAddr(len(fp.blocks)-1) +
-			uint64(fp.blocks[len(fp.blocks)-1].bodyLen)*isa.InstrBytes
-		if fp.blocks[len(fp.blocks)-1].term != isa.Nop {
-			fnEnd += isa.InstrBytes
-		}
-		for k := 0; k < fp.pad; k++ {
-			im.Code[im.index(fnEnd)+k] = isa.Instr{Kind: isa.Nop}
-		}
-		var end uint64
-		if fi+1 < p.NumFuncs {
-			end = entries[fi+1]
-		} else {
-			end = im.End()
-		}
-		im.Funcs[fi] = Func{
-			Name:      fmt.Sprintf("f%04d", fi),
-			Entry:     entries[fi],
-			NumInstrs: int((end - entries[fi]) / isa.InstrBytes),
+			if bh.Model != ModelNone {
+				im.Behav = append(im.Behav, Branch{Word: w, Behavior: bh})
+			}
 		}
 	}
 

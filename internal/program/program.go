@@ -23,7 +23,7 @@ import (
 type BranchModel uint8
 
 const (
-	// ModelNone marks non-branch instructions.
+	// ModelNone is BehaviorAt's model for an unmodelled instruction.
 	ModelNone BranchModel = iota
 	// ModelBiased branches are taken with probability TakenProb,
 	// independently per dynamic instance.
@@ -91,33 +91,44 @@ type Func struct {
 	NumInstrs int
 }
 
+// Branch is one record of an image's behaviour table: the behaviour of the
+// modelled instruction at word index Word.
+type Branch struct {
+	Word int
+	Behavior
+}
+
 // Image is a complete static program: a flat instruction array starting at
-// Base, plus per-instruction behaviour metadata and a function directory.
+// Base, plus a sparse behaviour table and a function directory.
 type Image struct {
 	// Base is the byte address of Code[0]. Always instruction aligned.
 	Base uint64
 	// Code holds the instructions in address order.
 	Code []isa.Instr
-	// Behav is parallel to Code. Entries for non-CTI instructions have
-	// Model == ModelNone.
-	Behav []Behavior
+	// Behav holds, in address order, one record per modelled instruction:
+	// each conditional branch and each indirect jump and call.
+	Behav []Branch
 	// Funcs lists generated functions in address order.
 	Funcs []Func
 	// Entry is the program entry point (first function's entry).
 	Entry uint64
 
 	// static holds the read-only tables derived from Code and Behav on
-	// first use (see SchedWords and WalkerSlots). Images are shared across
-	// engine workers, so the tables are published atomically; Code and
-	// Behav must not change after first use.
+	// first use (see SchedWords and BehaviorIndex). Images are shared
+	// across engine workers, so the tables are published atomically; Code
+	// and Behav must not change after first use.
 	static atomic.Pointer[staticTables]
 }
+
+// NoBehavior marks an unmodelled word in BehaviorIndex's ordinal table.
+const NoBehavior = ^uint32(0)
 
 // staticTables are per-image lookups that every simulation of the image
 // would otherwise rebuild per point.
 type staticTables struct {
 	sched  []uint32
-	slots  []uint32
+	ord    []uint32
+	slot   []uint32
 	nSlots int
 }
 
@@ -137,13 +148,20 @@ func (im *Image) tables() *staticTables {
 func (im *Image) deriveTables() *staticTables {
 	t := &staticTables{
 		sched: make([]uint32, len(im.Code)),
-		slots: make([]uint32, len(im.Code)),
+		ord:   make([]uint32, len(im.Code)),
+		slot:  make([]uint32, len(im.Behav)),
 	}
 	for i := range im.Code {
-		ins := &im.Code[i]
-		t.sched[i] = ins.SchedPack()
-		if i < len(im.Behav) && hasWalkerState(ins.Kind, im.Behav[i].Model) {
-			t.slots[i] = uint32(t.nSlots)
+		t.sched[i] = im.Code[i].SchedPack()
+		t.ord[i] = NoBehavior
+	}
+	for r := range im.Behav {
+		b := &im.Behav[r]
+		t.ord[b.Word] = uint32(r)
+		// Every model but ModelBiased keeps walker state: a loop's trip
+		// count, a pattern's position, an indirect's previous target.
+		if b.Model != ModelBiased {
+			t.slot[r] = uint32(t.nSlots)
 			t.nSlots++
 		}
 	}
@@ -153,32 +171,19 @@ func (im *Image) deriveTables() *staticTables {
 	return t
 }
 
-// hasWalkerState reports whether the oracle walker keeps dynamic state for
-// an instruction of this kind and behaviour: loop and pattern conditionals
-// (trip count, pattern position) and indirect jumps and calls (previous
-// target). Every other instruction is resolved statelessly.
-func hasWalkerState(kind isa.Kind, model BranchModel) bool {
-	switch kind {
-	case isa.CondBranch:
-		return model == ModelLoop || model == ModelPattern
-	case isa.IndirectJump, isa.IndirectCall:
-		return true
-	}
-	return false
-}
-
 // SchedWords returns each instruction's packed scheduler word
 // (isa.Instr.SchedPack), indexed by word index. The table is derived once
 // per image and shared; callers must not modify it.
 func (im *Image) SchedWords() []uint32 { return im.tables().sched }
 
-// WalkerSlots returns the dense ordinal of each stateful instruction (see
-// hasWalkerState), indexed by word index, and the number of such
-// instructions. Entries for stateless instructions are meaningless. The
-// table is derived once per image and shared; callers must not modify it.
-func (im *Image) WalkerSlots() (slots []uint32, n int) {
+// BehaviorIndex returns the lookups into Behav: ord maps each word index to
+// its record's position in Behav, or NoBehavior; slot maps each record to a
+// dense ordinal over the n records that keep oracle-walker state (every
+// model but ModelBiased). The tables are derived once per image and shared;
+// callers must not modify them.
+func (im *Image) BehaviorIndex() (ord, slot []uint32, n int) {
 	t := im.tables()
-	return t.slots, t.nSlots
+	return t.ord, t.slot, t.nSlots
 }
 
 // Size returns the code footprint in bytes.
@@ -202,34 +207,32 @@ func (im *Image) InstrAt(addr uint64) (ins isa.Instr, ok bool) {
 	return im.Code[isa.WordIndex(addr, im.Base)], true
 }
 
-// BehaviorAt returns the behaviour record for the instruction at addr.
-// It returns a zero Behavior for addresses outside the image.
+// BehaviorAt returns the behaviour of the instruction at addr. It returns a
+// zero Behavior for unmodelled instructions and addresses outside the image.
 func (im *Image) BehaviorAt(addr uint64) Behavior {
-	if addr%isa.InstrBytes != 0 || !im.Contains(addr) {
-		return Behavior{}
+	if _, ok := im.InstrAt(addr); ok {
+		if r := im.tables().ord[isa.WordIndex(addr, im.Base)]; r != NoBehavior {
+			return im.Behav[r].Behavior
+		}
 	}
-	return im.Behav[isa.WordIndex(addr, im.Base)]
+	return Behavior{}
 }
-
-// index returns the word index for addr; callers must ensure it is valid.
-func (im *Image) index(addr uint64) int { return isa.WordIndex(addr, im.Base) }
 
 // Validate checks structural invariants of the image. It is used by tests
 // and by the generator's own self-check:
 //
-//   - Code and Behav have equal length and the image is non-empty.
+//   - The image is non-empty.
 //   - Entry and all function entries are in bounds and aligned.
 //   - Every direct CTI target is in bounds and aligned.
-//   - Every CTI has a behaviour model; no non-CTI does.
-//   - ModelIndirect target sets are non-empty, in bounds, and weight
-//     vectors (when present) match in length with non-negative entries.
-//   - ModelLoop back-edges have positive mean trip counts.
+//   - Behav is in strictly ascending word order, within the image, and has
+//     a record exactly for each conditional and indirect jump and call.
+//   - Conditionals are ModelBiased, ModelLoop or ModelPattern with sane
+//     parameters; ModelLoop back-edges have positive mean trip counts.
+//   - Indirect jumps and calls are ModelIndirect with a non-empty, in-bounds
+//     target set and, when present, a matching non-negative weight vector.
 func (im *Image) Validate() error {
 	if len(im.Code) == 0 {
 		return fmt.Errorf("program: empty image")
-	}
-	if len(im.Code) != len(im.Behav) {
-		return fmt.Errorf("program: code/behaviour length mismatch: %d vs %d", len(im.Code), len(im.Behav))
 	}
 	if im.Base%isa.InstrBytes != 0 {
 		return fmt.Errorf("program: unaligned base %#x", im.Base)
@@ -242,13 +245,21 @@ func (im *Image) Validate() error {
 			return fmt.Errorf("program: function %s entry %#x outside image", f.Name, f.Entry)
 		}
 	}
+	next := 0 // the merge walk's position in Behav
 	for i, ins := range im.Code {
 		pc := im.Base + uint64(i)*isa.InstrBytes
-		b := im.Behav[i]
-		if !ins.IsCTI() {
-			if b.Model != ModelNone {
-				return fmt.Errorf("program: non-CTI at %#x has behaviour %v", pc, b.Model)
+		var b *Behavior
+		if next < len(im.Behav) && im.Behav[next].Word <= i {
+			if im.Behav[next].Word < i {
+				return fmt.Errorf("program: behaviour record %d (word %d) out of order or outside the image", next, im.Behav[next].Word)
 			}
+			b = &im.Behav[next].Behavior
+			next++
+		}
+		if want := ins.Kind == isa.CondBranch || ins.Kind == isa.IndirectJump || ins.Kind == isa.IndirectCall; want != (b != nil) {
+			return fmt.Errorf("program: %v at %#x has a behaviour record: %t, want %t", ins.Kind, pc, b != nil, want)
+		}
+		if !ins.IsCTI() {
 			continue
 		}
 		if ins.Kind.IsIndirect() {
@@ -293,6 +304,9 @@ func (im *Image) Validate() error {
 				return fmt.Errorf("program: conditional at %#x has model %v", pc, b.Model)
 			}
 		}
+	}
+	if next < len(im.Behav) {
+		return fmt.Errorf("program: behaviour record %d (word %d) out of order or outside the image", next, im.Behav[next].Word)
 	}
 	return nil
 }

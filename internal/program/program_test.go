@@ -3,6 +3,8 @@ package program
 import (
 	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -92,7 +94,7 @@ func TestCTIsHaveBehaviour(t *testing.T) {
 	im := MustGenerate(DefaultParams())
 	conds, loops, indirects := 0, 0, 0
 	for i, ins := range im.Code {
-		b := im.Behav[i]
+		b := im.BehaviorAt(im.Base + uint64(i)*isa.InstrBytes)
 		switch ins.Kind {
 		case isa.CondBranch:
 			conds++
@@ -124,7 +126,7 @@ func TestBackwardBranchesAreLoops(t *testing.T) {
 			continue
 		}
 		pc := im.Base + uint64(i)*isa.InstrBytes
-		if ins.Target <= pc && im.Behav[i].Model != ModelLoop {
+		if ins.Target <= pc && im.BehaviorAt(pc).Model != ModelLoop {
 			t.Fatalf("backward conditional at %#x is not a loop model", pc)
 		}
 	}
@@ -136,43 +138,108 @@ func TestValidateRejectsCorruption(t *testing.T) {
 		p.NumFuncs = 20
 		return MustGenerate(p)
 	}
+	// firstOf returns the word index of the first instruction of kind k.
+	firstOf := func(im *Image, k isa.Kind) int {
+		for i, ins := range im.Code {
+			if ins.Kind == k {
+				return i
+			}
+		}
+		t.Fatalf("no %v in image", k)
+		return 0
+	}
+	// recordOf returns the position in Behav of word w's record.
+	recordOf := func(im *Image, w int) int {
+		for r, b := range im.Behav {
+			if b.Word == w {
+				return r
+			}
+		}
+		t.Fatalf("word %d has no record", w)
+		return 0
+	}
+	// insert adds b to Behav at its address-ordered position.
+	insert := func(im *Image, b Branch) {
+		r := sort.Search(len(im.Behav), func(r int) bool { return im.Behav[r].Word > b.Word })
+		im.Behav = slices.Insert(im.Behav, r, b)
+	}
+	biased := Behavior{Model: ModelBiased, TakenProb: 0.5}
 
-	im := fresh()
-	// Out-of-image CTI target.
-	for i, ins := range im.Code {
-		if ins.Kind == isa.Jump {
-			im.Code[i].Target = im.End() + 64
-			break
+	cases := []struct {
+		name    string
+		corrupt func(im *Image)
+	}{
+		{"out-of-image jump target", func(im *Image) {
+			im.Code[firstOf(im, isa.Jump)].Target = im.End() + 64
+		}},
+		{"empty indirect target set", func(im *Image) {
+			im.Behav[recordOf(im, firstOf(im, isa.IndirectCall))].Targets = nil
+		}},
+		{"unsorted records", func(im *Image) {
+			im.Behav[3], im.Behav[4] = im.Behav[4], im.Behav[3]
+		}},
+		{"duplicate record", func(im *Image) {
+			im.Behav = slices.Insert(im.Behav, 5, im.Behav[5])
+		}},
+		{"record past the image", func(im *Image) {
+			im.Behav = append(im.Behav, Branch{Word: len(im.Code), Behavior: biased})
+		}},
+		{"record before the image", func(im *Image) {
+			im.Behav = slices.Insert(im.Behav, 0, Branch{Word: -1, Behavior: biased})
+		}},
+		{"record on a non-CTI", func(im *Image) {
+			insert(im, Branch{Word: firstOf(im, isa.ALU), Behavior: biased})
+		}},
+		{"record on a jump", func(im *Image) {
+			insert(im, Branch{Word: firstOf(im, isa.Jump), Behavior: biased})
+		}},
+		{"record on a call", func(im *Image) {
+			insert(im, Branch{Word: firstOf(im, isa.Call), Behavior: Behavior{Model: ModelIndirect, Targets: []uint64{im.Entry}}})
+		}},
+		{"record on a return", func(im *Image) {
+			insert(im, Branch{Word: firstOf(im, isa.Ret), Behavior: Behavior{Model: ModelIndirect, Targets: []uint64{im.Entry}}})
+		}},
+		{"missing record on a conditional", func(im *Image) {
+			r := recordOf(im, firstOf(im, isa.CondBranch))
+			im.Behav = slices.Delete(im.Behav, r, r+1)
+		}},
+		{"missing record on an indirect jump", func(im *Image) {
+			r := recordOf(im, firstOf(im, isa.IndirectJump))
+			im.Behav = slices.Delete(im.Behav, r, r+1)
+		}},
+		{"conditional with no model", func(im *Image) {
+			im.Behav[recordOf(im, firstOf(im, isa.CondBranch))].Behavior = Behavior{}
+		}},
+	}
+	for _, tc := range cases {
+		im := fresh()
+		tc.corrupt(im)
+		if err := im.Validate(); err == nil {
+			t.Errorf("%s: not rejected", tc.name)
 		}
 	}
-	if err := im.Validate(); err == nil {
-		t.Error("corrupt jump target not rejected")
+	if err := fresh().Validate(); err != nil {
+		t.Fatalf("uncorrupted image rejected: %v", err)
 	}
-
-	im = fresh()
-	// Behaviour on a non-CTI.
-	for i, ins := range im.Code {
-		if ins.Kind == isa.ALU {
-			im.Behav[i] = Behavior{Model: ModelBiased, TakenProb: 0.5}
-			break
-		}
+	// Adjacent conditionals, where a duplicated record would otherwise
+	// slide onto the next word: only the order check catches it.
+	adjacent := &Image{
+		Base: 0x1000,
+		Code: []isa.Instr{
+			{Kind: isa.CondBranch, Target: 0x1000},
+			{Kind: isa.CondBranch, Target: 0x1000},
+			{Kind: isa.Jump, Target: 0x1000},
+		},
+		Behav: []Branch{{Word: 0, Behavior: biased}, {Word: 1, Behavior: biased}},
+		Entry: 0x1000,
 	}
-	if err := im.Validate(); err == nil {
-		t.Error("behaviour on non-CTI not rejected")
+	if err := adjacent.Validate(); err != nil {
+		t.Fatalf("adjacent conditionals rejected: %v", err)
 	}
-
-	im = fresh()
-	// Indirect CTI with no targets.
-	for i, ins := range im.Code {
-		if ins.Kind == isa.IndirectCall {
-			im.Behav[i].Targets = nil
-			break
-		}
+	adjacent.Behav[1].Word = 0
+	if err := adjacent.Validate(); err == nil {
+		t.Error("duplicate record on adjacent conditionals not rejected")
 	}
-	if err := im.Validate(); err == nil {
-		t.Error("empty indirect target set not rejected")
-	}
-
 	if err := (&Image{}).Validate(); err == nil {
 		t.Error("empty image not rejected")
 	}
@@ -246,42 +313,6 @@ func TestBranchModelString(t *testing.T) {
 	}
 }
 
-// TestStaticTables checks the image-owned tables against their definitions:
-// the scheduler table is SchedPack per instruction, and the walker slots
-// number exactly the stateful instructions densely in address order.
-func TestStaticTables(t *testing.T) {
-	im := MustGenerate(DefaultParams())
-	sched := im.SchedWords()
-	if len(sched) != len(im.Code) {
-		t.Fatalf("sched table has %d entries; want %d", len(sched), len(im.Code))
-	}
-	slots, n := im.WalkerSlots()
-	next := 0
-	for i := range im.Code {
-		ins := &im.Code[i]
-		if sched[i] != ins.SchedPack() {
-			t.Fatalf("sched[%d] = %#x; want %#x", i, sched[i], ins.SchedPack())
-		}
-		if hasWalkerState(ins.Kind, im.Behav[i].Model) {
-			if slots[i] != uint32(next) {
-				t.Fatalf("slot[%d] = %d; want %d", i, slots[i], next)
-			}
-			next++
-		}
-	}
-	if n != next {
-		t.Fatalf("WalkerSlots counts %d stateful instructions; want %d", n, next)
-	}
-	// A few percent of instructions carry walker state; the compact
-	// walker's size advantage rests on that.
-	if n == 0 || n > len(im.Code)/10 {
-		t.Errorf("%d of %d instructions carry walker state; want a small nonzero share", n, len(im.Code))
-	}
-	if again := im.SchedWords(); &again[0] != &sched[0] {
-		t.Error("SchedWords rebuilt its table; want one derivation per image")
-	}
-}
-
 // TestStaticTablesConcurrentFirstUse derives an image's tables from many
 // goroutines at once, as engine workers sharing a cached image do; every
 // caller must see the same published tables. Run under -race.
@@ -296,8 +327,8 @@ func TestStaticTablesConcurrentFirstUse(t *testing.T) {
 		go func() {
 			defer func() { done <- struct{}{} }()
 			if i%2 == 0 {
-				slots, _ := im.WalkerSlots()
-				_ = slots[len(slots)-1]
+				ord, _, _ := im.BehaviorIndex()
+				_ = ord[len(ord)-1]
 			}
 			got[i] = &im.SchedWords()[0]
 		}()
