@@ -29,7 +29,7 @@
 // With no mode flag fdipd prints its usage and exits 2.
 //
 // Plan flags: -instrs (per-point budget, baked into the demo plan's configs),
-// -chunk (points per assignment), -topk (extremes retained in the
+// -chunk (points per journaled range), -topk (extremes retained in the
 // -coordinate summary). -shards sets the service's concurrent worker
 // sessions per sweep.
 //
@@ -85,7 +85,7 @@ func main() {
 		priority   = flag.Int("priority", 0, "submit: queue priority (higher runs first)")
 		coordinate = flag.Bool("coordinate", false, "run the built-in demo plan single-process: the reference every service sweep diffs against")
 		shards     = flag.Int("shards", 2, "service: concurrent worker sessions per sweep")
-		chunk      = flag.Int("chunk", 2, "service/submit: plan points per assignment")
+		chunk      = flag.Int("chunk", 2, "service/submit: plan points per journaled range")
 		instrs     = flag.Uint64("instrs", 50_000, "committed-instruction budget per demo-plan point")
 		topk       = flag.Int("topk", 3, "coordinate: extremes retained per side in the IPC summary")
 	)

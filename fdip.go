@@ -231,14 +231,18 @@ type (
 	// DistCoordinator shards Plans across worker sessions and merges the
 	// shard streams back into the engine.Stream contract.
 	DistCoordinator = dist.Coordinator
-	// DistOptions configures a coordinator (dialer, shard count, chunking,
-	// journal path, retry budget).
+	// DistOptions configures a coordinator (dialer, shard count, the
+	// journaled range size ChunkPoints, journal path, retry budget). A
+	// range is journaled and yielded whole but dispatched as up to Shards
+	// pieces, each at least one worker's slots wide, so idle shards share a
+	// slow range.
 	DistOptions = dist.Options
 	// DistDialer mints worker sessions; DistSession is one live worker.
 	DistDialer  = dist.Dialer
 	DistSession = dist.Session
-	// DistAssignment is one contiguous index range of a plan, shipped as
-	// resolved jobs.
+	// DistAssignment is one worker request: some points of a plan, shipped
+	// as resolved jobs with their enumeration indices — a coordinator sends
+	// pieces of a journaled range.
 	DistAssignment = dist.Assignment
 	// DistWorker is the execution side of a shard (what fdipd wraps).
 	DistWorker = dist.Worker

@@ -3,11 +3,13 @@ package dist
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"fdip/internal/core"
 	"fdip/internal/durable"
@@ -22,6 +24,8 @@ type countingDialer struct {
 	jobs  int
 	runs  int
 }
+
+func (d *countingDialer) Slots() int { return dialerSlots(d.inner) }
 
 func (d *countingDialer) Dial(ctx context.Context) (Session, error) {
 	s, err := d.inner.Dial(ctx)
@@ -51,6 +55,71 @@ func (cs *countingSession) Run(ctx context.Context, a Assignment, emit func(engi
 }
 
 func (cs *countingSession) Close() error { return cs.s.Close() }
+
+// unwindDialer's sessions fail every piece but the one holding index 0,
+// and only once that piece is running; it then waits for the stream to
+// unwind and completes anyway, ignoring the cancel.
+type unwindDialer struct {
+	inner   Dialer
+	running chan struct{} // closed when the index-0 piece starts
+}
+
+func (d *unwindDialer) Slots() int { return dialerSlots(d.inner) }
+
+func (d *unwindDialer) Dial(ctx context.Context) (Session, error) {
+	s, err := d.inner.Dial(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return unwindSession{d, s}, nil
+}
+
+type unwindSession struct {
+	d *unwindDialer
+	s Session
+}
+
+func (u unwindSession) Run(ctx context.Context, a Assignment, emit func(engine.RunOutcome) error) error {
+	if a.Indices[0] != 0 {
+		<-u.d.running
+		return errors.New("worker lost")
+	}
+	close(u.d.running)
+	<-ctx.Done()
+	return u.s.Run(context.Background(), a, emit)
+}
+
+func (u unwindSession) Close() error { return u.s.Close() }
+
+// TestPieceLandingDuringUnwindIsCached: a piece that completes after its
+// sweep failed still writes its results to the shared cache, so a later
+// overlapping sweep does not simulate them again.
+func TestPieceLandingDuringUnwindIsCached(t *testing.T) {
+	p := testPlan()
+	ref := reference(t, p)
+	cache := new(engine.ResultCache)
+	c := New(Options{Dialer: &unwindDialer{inner: Loopback{Workers: 3}, running: make(chan struct{})}, Shards: 2, ChunkPoints: 6, MaxRetries: -1, Cache: cache})
+	if _, err := c.Sweep(context.Background(), p); err == nil {
+		t.Fatal("sweep succeeded; want the lost piece's error")
+	}
+	i := 0
+	for _, job := range p.Jobs() {
+		_, key, err := engine.ResolveJob(job, 0)
+		if err != nil {
+			t.Fatalf("resolve point %d: %v", i, err)
+		}
+		res, ok := cache.Get(key)
+		switch {
+		case i < 3 && !ok:
+			t.Errorf("point %d: finished during the unwind but not cached", i)
+		case i < 3 && resultChecksum(res) != resultChecksum(ref[i].Result):
+			t.Errorf("point %d: cached result differs from the reference", i)
+		case i >= 3 && ok:
+			t.Errorf("point %d: cached, but its piece never ran", i)
+		}
+		i++
+	}
+}
 
 // overlapPlan shares 4 of its 6 points with testPlan (base and golden
 // configs) and introduces 2 new ones (an FDP variant testPlan doesn't run).
@@ -113,43 +182,47 @@ func TestCacheFullyServesRepeatSweep(t *testing.T) {
 }
 
 // TestCacheServesOverlapSparsely: a second plan overlapping the first on 4 of
-// 6 points must ship exactly the 2 new points — as sparse assignments mixing
-// hits and misses inside one range, over the JSON wire form (the loopback
-// proves the Indices table round-trips) — and still match its own
-// single-process reference bit-identically.
+// 6 points must ship exactly the 2 new points — as sparse pieces mixing hits
+// and misses inside one range, over the JSON wire form (the loopback proves
+// the Indices table round-trips) — and still match its own single-process
+// reference bit-identically.
 func TestCacheServesOverlapSparsely(t *testing.T) {
 	pA, pB := testPlan(), overlapPlan()
 	refB := reference(t, pB)
-	cache := new(engine.ResultCache)
+	// Enumeration is config-fastest, so with ChunkPoints=3 range [0,3) =
+	// gcc{base,golden,fdp30k} and range [3,6) = deltablue{base,golden,fdp30k}
+	// — 2 hits + 1 miss apiece, one single-job piece each. With ChunkPoints=6
+	// one range holds both misses, cut into two single-job pieces for the two
+	// shards: the second sweep's workers run one simulation at a time, so a
+	// single-job piece fills one.
+	for _, chunk := range []int{3, 6} {
+		cache := new(engine.ResultCache)
+		warm := New(Options{Dialer: Loopback{Workers: 2}, Shards: 2, ChunkPoints: 2, Cache: cache})
+		if _, err := warm.Sweep(context.Background(), pA); err != nil {
+			t.Fatalf("chunk=%d: warm sweep: %v", chunk, err)
+		}
 
-	warm := New(Options{Dialer: Loopback{Workers: 2}, Shards: 2, ChunkPoints: 2, Cache: cache})
-	if _, err := warm.Sweep(context.Background(), pA); err != nil {
-		t.Fatalf("warm sweep: %v", err)
-	}
+		second := &countingDialer{inner: Loopback{Workers: 1}}
+		c := New(Options{Dialer: second, Shards: 2, ChunkPoints: chunk, Cache: cache})
+		outs, err := c.Sweep(context.Background(), pB)
+		if err != nil {
+			t.Fatalf("chunk=%d: overlap sweep: %v", chunk, err)
+		}
+		requireIdentical(t, fmt.Sprintf("overlap chunk=%d", chunk), refB, outs)
 
-	second := &countingDialer{inner: Loopback{Workers: 2}}
-	// ChunkPoints=3 makes each range straddle hits and misses: enumeration is
-	// config-fastest, so range [0,3) = gcc{base,golden,fdp30k} and range
-	// [3,6) = deltablue{base,golden,fdp30k} — 2 hits + 1 miss apiece.
-	c := New(Options{Dialer: second, Shards: 2, ChunkPoints: 3, Cache: cache})
-	outs, err := c.Sweep(context.Background(), pB)
-	if err != nil {
-		t.Fatalf("overlap sweep: %v", err)
-	}
-	requireIdentical(t, "overlap", refB, outs)
-
-	jobs, runs := second.shipped()
-	if jobs != 2 {
-		t.Errorf("overlap sweep shipped %d jobs, want exactly the 2 uncached points", jobs)
-	}
-	if runs != 2 {
-		t.Errorf("overlap sweep shipped %d assignments, want 2 sparse ones", runs)
-	}
-	for i, out := range outs {
-		wantCached := out.Job.Name == "gcc/base" || out.Job.Name == "gcc/golden" ||
-			out.Job.Name == "deltablue/base" || out.Job.Name == "deltablue/golden"
-		if out.Cached != wantCached {
-			t.Errorf("point %d (%s): Cached=%v, want %v", i, out.Job.Name, out.Cached, wantCached)
+		jobs, runs := second.shipped()
+		if jobs != 2 {
+			t.Errorf("chunk=%d: overlap sweep shipped %d jobs, want exactly the 2 uncached points", chunk, jobs)
+		}
+		if runs != 2 {
+			t.Errorf("chunk=%d: overlap sweep shipped %d pieces, want 2 sparse ones", chunk, runs)
+		}
+		for i, out := range outs {
+			wantCached := out.Job.Name == "gcc/base" || out.Job.Name == "gcc/golden" ||
+				out.Job.Name == "deltablue/base" || out.Job.Name == "deltablue/golden"
+			if out.Cached != wantCached {
+				t.Errorf("chunk=%d: point %d (%s): Cached=%v, want %v", chunk, i, out.Job.Name, out.Cached, wantCached)
+			}
 		}
 	}
 }
@@ -190,18 +263,81 @@ func TestJournalReplayPrimesCache(t *testing.T) {
 	requireIdentical(t, "cache-only", ref, again)
 }
 
-// TestQuiesceDrainsAndResumes is the graceful-shutdown proof: quiescing
-// mid-sweep stops dispatch, completes + journals in-flight ranges, ends with
-// ErrQuiesced — and a fresh coordinator over the same journal finishes the
-// sweep executing only what was never dispatched.
+// quiesceGate lands a quiesce while a range's pieces are in flight: the
+// sweep's first worker run goes through, every later run waits for the
+// quiesce, and the first run of range gateStart closes started (the test
+// then quiesces). So range 0 cannot finish, and range gateStart's second
+// piece cannot leave, before the quiesce.
+type quiesceGate struct {
+	inner     Dialer
+	gateStart int
+	quiesce   <-chan struct{}
+	started   chan struct{}
+
+	mu   sync.Mutex
+	runs int
+}
+
+func (g *quiesceGate) Slots() int { return dialerSlots(g.inner) }
+
+func (g *quiesceGate) Dial(ctx context.Context) (Session, error) {
+	s, err := g.inner.Dial(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return &gatedSession{g: g, s: s}, nil
+}
+
+type gatedSession struct {
+	g *quiesceGate
+	s Session
+}
+
+func (gs *gatedSession) Run(ctx context.Context, a Assignment, emit func(engine.RunOutcome) error) error {
+	g := gs.g
+	g.mu.Lock()
+	g.runs++
+	first := g.runs == 1
+	if a.Start == g.gateStart && g.started != nil {
+		close(g.started)
+		g.started = nil
+	}
+	g.mu.Unlock()
+	if !first {
+		select {
+		case <-g.quiesce:
+		case <-time.After(10 * time.Second):
+			return errors.New("quiesce never landed")
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+	return gs.s.Run(ctx, a, emit)
+}
+
+func (gs *gatedSession) Close() error { return gs.s.Close() }
+
+// TestQuiesceDrainsAndResumes is the graceful-shutdown proof: a quiesce that
+// lands while a range's pieces are in flight stops dispatch of new ranges,
+// yet that range is still dispatched whole, completes, journals as one
+// record and yields; the stream ends with ErrQuiesced — and a fresh
+// coordinator over the same journal finishes the sweep executing only what
+// was never dispatched.
 func TestQuiesceDrainsAndResumes(t *testing.T) {
 	p := testPlan()
 	ref := reference(t, p)
 	journal := filepath.Join(t.TempDir(), "sweep.journal")
 	quiesce := make(chan struct{})
+	started := make(chan struct{})
+	go func() {
+		<-started // range 2's first piece is running
+		close(quiesce)
+	}()
 
-	run1 := newChaosDialer(Loopback{Workers: 2}, 0)
-	c1 := New(Options{Dialer: run1, Shards: 1, ChunkPoints: 2, Journal: journal, Quiesce: quiesce})
+	// Single-slot workers, so each two-point range leaves as two pieces.
+	run1 := newChaosDialer(Loopback{Workers: 1}, 0)
+	gate := &quiesceGate{inner: run1, gateStart: 2, quiesce: quiesce, started: started}
+	c1 := New(Options{Dialer: gate, Shards: 2, ChunkPoints: 2, Journal: journal, Quiesce: quiesce})
 	var terminal error
 	delivered := make(map[int]bool)
 	for out, err := range c1.Stream(context.Background(), p) {
@@ -213,20 +349,26 @@ func TestQuiesceDrainsAndResumes(t *testing.T) {
 			t.Fatalf("run 1 point %d: %v", out.Index, out.Err)
 		}
 		delivered[out.Index] = true
-		if len(delivered) == 2 {
-			close(quiesce) // after the first full range: drain now
-		}
 	}
 	if !errors.Is(terminal, ErrQuiesced) {
 		t.Fatalf("run 1 terminal = %v, want ErrQuiesced", terminal)
 	}
-	if len(delivered)%2 != 0 || len(delivered) == 0 || len(delivered) == p.Points() {
-		t.Fatalf("run 1 delivered %d points; want whole ranges, some but not all", len(delivered))
+	// Ranges 0 and 2 were started before the quiesce; range 4 never was.
+	if len(delivered) != 4 || !delivered[0] || !delivered[1] || !delivered[2] || !delivered[3] {
+		t.Fatalf("run 1 delivered %v; want exactly points 0-3 (ranges 0 and 2, whole)", delivered)
+	}
+	j, completed, err := OpenJournal(journal, c1.fingerprint(p), p.Points(), 2)
+	if err != nil {
+		t.Fatalf("reopen journal: %v", err)
+	}
+	j.Close()
+	if len(completed) != 2 || len(completed[0]) != 2 || len(completed[2]) != 2 {
+		t.Fatalf("journal after the drain holds %d ranges (%d + %d outcomes); want ranges 0 and 2, whole", len(completed), len(completed[0]), len(completed[2]))
 	}
 
-	// Resume: a fresh coordinator executes exactly the never-dispatched ranges.
-	run2 := newChaosDialer(Loopback{Workers: 2}, 0)
-	c2 := New(Options{Dialer: run2, Shards: 1, ChunkPoints: 2, Journal: journal})
+	// Resume: a fresh coordinator executes exactly the never-dispatched range.
+	run2 := newChaosDialer(Loopback{Workers: 1}, 0)
+	c2 := New(Options{Dialer: run2, Shards: 2, ChunkPoints: 2, Journal: journal})
 	outs := make([]engine.RunOutcome, p.Points())
 	seen := make([]bool, p.Points())
 	for out, err := range c2.Stream(context.Background(), p) {
@@ -240,14 +382,14 @@ func TestQuiesceDrainsAndResumes(t *testing.T) {
 		outs[out.Index] = out
 	}
 	requireIdentical(t, "quiesce-resume", ref, outs)
-	for _, start := range run2.executedStarts() {
-		if delivered[start] {
-			t.Errorf("resume re-executed range %d, which run 1 drained and journaled", start)
+	executed := run2.executedStarts()
+	for _, start := range executed {
+		if start != 4 {
+			t.Errorf("resume executed a piece of range %d, which run 1 drained and journaled", start)
 		}
 	}
-	wantExec := (p.Points()+1)/2 - len(delivered)/2
-	if got := len(run2.executedStarts()); got != wantExec {
-		t.Errorf("resume executed %d ranges, want %d", got, wantExec)
+	if len(executed) != 2 {
+		t.Errorf("resume ran %d pieces, want range 4's 2", len(executed))
 	}
 }
 

@@ -16,12 +16,17 @@ import (
 type Options struct {
 	// Dialer supplies worker sessions (required).
 	Dialer Dialer
-	// Shards is the number of concurrent worker sessions (default 1).
+	// Shards is the number of concurrent worker sessions (default 1), and
+	// the most pieces one range's cache misses are cut into.
 	Shards int
-	// ChunkPoints is the assignment granularity — how many consecutive
-	// enumeration points each worker range carries (default 32). Smaller
-	// chunks checkpoint and rebalance finer; larger ones amortise wire and
-	// dial overhead.
+	// ChunkPoints is the checkpoint granularity — how many consecutive
+	// enumeration points each journaled range carries (default 32). A range
+	// is journaled and yielded whole, but dispatched as up to Shards pieces,
+	// so several shards can work on one range — as many as keep every piece
+	// at least as large as one worker's slots (Slotted); a dialer that does
+	// not report slots gets whole ranges. Smaller chunks checkpoint finer
+	// and deliver first outcomes sooner; larger ones amortise journal
+	// records and worker requests.
 	ChunkPoints int
 	// Instrs, when non-zero, is the committed-instruction budget workers
 	// apply to every job — the distributed analogue of
@@ -29,20 +34,21 @@ type Options struct {
 	Instrs uint64
 	// Journal is the checkpoint file path; "" disables checkpointing.
 	Journal string
-	// MaxRetries bounds how many times a range is re-dialed and re-run
+	// MaxRetries bounds how many times a piece is re-dialed and re-run
 	// after its session fails (0 = default 2; negative = never retry).
 	MaxRetries int
 	// Cache, when non-nil, is a cross-sweep result cache (shared across
 	// sweeps and, behind a service, across clients). Before a range is
-	// shipped, each of its jobs is looked up; hits are served without worker
-	// execution (tagged with this sweep's index and name, Cached=true) and
-	// only the misses travel, as a sparse assignment. Fresh successful
-	// results — and journal-replayed ones — are written back, so sweeps
-	// sharing the cache share completed points.
+	// dispatched, each of its jobs is looked up; hits are served without
+	// worker execution (tagged with this sweep's index and name,
+	// Cached=true) and only the misses travel, as sparse pieces. Fresh
+	// successful results — and journal-replayed ones — are written back, so
+	// sweeps sharing the cache share completed points.
 	Cache *engine.ResultCache
 	// Quiesce, when non-nil, is the graceful-drain signal: once it is
 	// closed, the coordinator stops dispatching new ranges, lets in-flight
-	// ranges complete (journaled and yielded as usual), and then ends the
+	// ranges complete (a range whose first piece has left is dispatched
+	// whole, then journaled and yielded as usual), and then ends the
 	// stream with a terminal error wrapping ErrQuiesced. Paired with a
 	// journal this is a clean checkpointed shutdown: re-running the sweep
 	// resumes exactly after the drained ranges.
@@ -96,21 +102,42 @@ func (c *Coordinator) fingerprint(p *engine.Plan) uint64 {
 	return h.Sum64()
 }
 
-// rangeResult is one range's merged fate, delivered shard -> coordinator.
-type rangeResult struct {
+// pendingRange is one journal range between dispatch and delivery. The
+// dispatcher fills its cache hits, keys and piece count before the first
+// piece leaves; from then on keys and keyed are read-only (shard loops read
+// them to cache what their pieces ran), and only the consumer loop writes,
+// filling each piece's outcomes into its slots as the piece lands.
+type pendingRange struct {
 	start   int
-	outs    []engine.RunOutcome
-	shipped int   // jobs a worker executed; 0 = served wholly from the cache
-	err     error // terminal: the range exhausted its retries
+	outs    []engine.RunOutcome // slot i holds enumeration index start+i
+	keys    []engine.JobKey     // per-slot cache key (nil without a cache)
+	keyed   []bool              // keys[i] is valid (the job resolved)
+	shipped int                 // jobs shipped to workers (Cached cannot tell: worker memo hits set it too)
+	left    int                 // pieces not yet landed
+}
+
+// piece is the dispatch unit: a sparse assignment of some of one range's
+// cache misses (Start is the range's start, its identity).
+type piece struct {
+	rng *pendingRange
+	a   Assignment
+}
+
+// delivery is one piece's fate, shard -> consumer loop. A fully cached range
+// arrives as a delivery without outcomes, straight from the dispatcher.
+type delivery struct {
+	rng  *pendingRange
+	outs []engine.RunOutcome
+	err  error // terminal: the piece exhausted its retries
 }
 
 // Stream executes every point of the plan across the coordinator's shards
 // and yields outcomes as ranges complete. The contract is engine.Stream's,
 // reassembled: completion order across ranges, enumeration order within one,
 // every outcome index-tagged; per-job failures ride inside outcomes; a
-// stream-level failure (context death, a range out of retries, a journal
+// stream-level failure (context death, a piece out of retries, a journal
 // write error) yields once as a terminal (zero, error) pair. Breaking out of
-// the loop cancels outstanding assignments before the iterator returns.
+// the loop cancels outstanding pieces before the iterator returns.
 //
 // With a journal configured, ranges completed by a previous run replay from
 // disk first (no re-execution), then the remainder executes; a consumer that
@@ -185,47 +212,17 @@ func (c *Coordinator) Stream(ctx context.Context, p *engine.Plan) iter.Seq2[engi
 		ctx, cancel := context.WithCancel(ctx)
 		defer cancel()
 
-		// The dispatcher walks the plan's enumeration exactly once (O(points)
-		// total, O(chunk) live), slicing it into assignments and skipping
-		// journaled ranges.
-		work := make(chan Assignment)
-		go func() {
-			defer close(work)
-			next, stop := iter.Pull2(p.Jobs())
-			defer stop()
-			for start := 0; start < points; start += chunk {
-				count := min(chunk, points-start)
-				_, done := completed[start]
-				var jobs []engine.Job
-				if !done {
-					jobs = make([]engine.Job, 0, count)
-				}
-				for j := 0; j < count; j++ {
-					_, job, ok := next()
-					if !ok {
-						return // plan shorter than Points() promised; shard validation catches it
-					}
-					if !done {
-						jobs = append(jobs, job)
-					}
-				}
-				if done {
-					continue
-				}
-				select {
-				case work <- Assignment{Start: start, Jobs: jobs, Instrs: c.opts.Instrs}:
-				case <-ctx.Done():
-					return
-				case <-c.opts.Quiesce:
-					// Graceful drain: stop handing out ranges; closing work
-					// lets the shard loops finish what they hold and exit.
-					return
-				}
-			}
-		}()
-
-		deliveries := make(chan rangeResult)
+		// The dispatcher and every shard loop deliver to the consumer loop;
+		// deliveries closes once all of them have exited.
+		work := make(chan piece)
+		deliveries := make(chan delivery)
 		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer close(work)
+			c.dispatch(ctx, p, completed, work, deliveries)
+		}()
 		for i := 0; i < c.opts.Shards; i++ {
 			wg.Add(1)
 			go func() {
@@ -267,26 +264,35 @@ func (c *Coordinator) Stream(ctx context.Context, p *engine.Plan) iter.Seq2[engi
 				yield(engine.RunOutcome{}, d.err)
 				return
 			}
+			r := d.rng
+			if len(d.outs) > 0 { // a piece landed; a fully cached range has none
+				for _, out := range d.outs {
+					r.outs[out.Index-r.start] = out
+				}
+				if r.left--; r.left > 0 {
+					continue
+				}
+			}
 			// An executed range is journaled durably before it is yielded:
 			// once the consumer has seen it, it must never replay
 			// differently. A range no worker ran replays identically from
 			// the cache, so it is journaled after delivery, unsynced, off
 			// the consumer's path.
-			if jr != nil && d.shipped > 0 {
-				if err := jr.Commit(d.start, d.outs); err != nil {
+			if jr != nil && r.shipped > 0 {
+				if err := jr.Commit(r.start, r.outs); err != nil {
 					drain()
 					yield(engine.RunOutcome{}, err)
 					return
 				}
 			}
-			for _, out := range d.outs {
+			for _, out := range r.outs {
 				if !yield(out, nil) {
 					drain()
 					return
 				}
 			}
-			if jr != nil && d.shipped == 0 {
-				if err := jr.note(d.start, d.outs); err != nil {
+			if jr != nil && r.shipped == 0 {
+				if err := jr.note(r.start, r.outs); err != nil {
 					drain()
 					yield(engine.RunOutcome{}, err)
 					return
@@ -314,11 +320,130 @@ func (c *Coordinator) Sweep(ctx context.Context, p *engine.Plan) ([]engine.RunOu
 	return outs, nil
 }
 
+// dispatch walks the plan's enumeration exactly once (O(points) total,
+// O(chunk) live), skipping journaled ranges. Every other range is split on
+// the cache: a fully cached range goes straight to the consumer loop and
+// never dials, and the misses of the rest leave as pieces the shard loops
+// take first-in first-out, so a shard that finishes early can take a piece
+// of a range another shard is still running instead of idling. Quiesce is
+// honoured only before a range's first piece: a started range is dispatched
+// whole, so it still completes, journals and yields.
+func (c *Coordinator) dispatch(ctx context.Context, p *engine.Plan, completed map[int][]engine.RunOutcome, work chan<- piece, deliveries chan<- delivery) {
+	next, stop := iter.Pull2(p.Jobs())
+	defer stop()
+	points, chunk := p.Points(), c.opts.ChunkPoints
+	for start := 0; start < points; start += chunk {
+		count := min(chunk, points-start)
+		_, done := completed[start]
+		var jobs []engine.Job
+		if !done {
+			jobs = make([]engine.Job, 0, count)
+		}
+		for j := 0; j < count; j++ {
+			_, job, ok := next()
+			if !ok {
+				return // plan shorter than Points() promised; shard validation catches it
+			}
+			if !done {
+				jobs = append(jobs, job)
+			}
+		}
+		if done {
+			continue
+		}
+		// Checked before the selects below too, which pick at random when a
+		// shard is ready as well: a closed quiesce must win.
+		if quiesced(c.opts.Quiesce) {
+			return
+		}
+		r, pieces := c.split(start, jobs)
+		if len(pieces) == 0 {
+			select {
+			case deliveries <- delivery{rng: r}:
+			case <-ctx.Done():
+				return
+			case <-c.opts.Quiesce:
+				return
+			}
+			continue
+		}
+		quiesce := c.opts.Quiesce
+		for _, pc := range pieces {
+			select {
+			case work <- pc:
+			case <-ctx.Done():
+				return
+			case <-quiesce:
+				// Graceful drain: stop handing out ranges; closing work
+				// lets the shard loops finish what they hold and exit.
+				return
+			}
+			quiesce = nil // the range has started: dispatch it whole
+		}
+	}
+}
+
+// split builds one range's pending state and pieces. With a cache, hits fill
+// their slots directly (tagged with this sweep's index and display name);
+// the misses — every job, without a cache — are cut into pieceCount sparse
+// pieces of near-equal size in enumeration order. A fully cached range gets
+// no pieces, which is what lets an overlapping sweep complete with zero live
+// workers.
+func (c *Coordinator) split(start int, jobs []engine.Job) (*pendingRange, []piece) {
+	r := &pendingRange{start: start, outs: make([]engine.RunOutcome, len(jobs))}
+	if c.opts.Cache != nil {
+		r.keys = make([]engine.JobKey, len(jobs))
+		r.keyed = make([]bool, len(jobs))
+	}
+	var missJobs []engine.Job
+	var missIdx []int
+	for i, job := range jobs {
+		if c.opts.Cache != nil {
+			rj, key, err := engine.ResolveJob(job, c.opts.Instrs)
+			if err == nil {
+				r.keys[i], r.keyed[i] = key, true
+				if res, ok := c.opts.Cache.Get(key); ok {
+					r.outs[i] = engine.RunOutcome{Job: rj, Index: start + i, Result: res, Cached: true}
+					continue
+				}
+			}
+		}
+		// Unresolvable jobs travel too, so their failure outcomes are
+		// produced by the same worker path a cacheless run takes.
+		missJobs = append(missJobs, job)
+		missIdx = append(missIdx, start+i)
+	}
+	n := pieceCount(len(missJobs), c.opts.Shards, dialerSlots(c.opts.Dialer))
+	r.shipped, r.left = len(missJobs), n
+	pieces := make([]piece, n)
+	for k := range pieces {
+		lo, hi := k*len(missJobs)/n, (k+1)*len(missJobs)/n
+		pieces[k] = piece{rng: r, a: Assignment{Start: start, Jobs: missJobs[lo:hi], Indices: missIdx[lo:hi], Instrs: c.opts.Instrs}}
+	}
+	return r, pieces
+}
+
+// pieceCount is how many pieces a range's misses are cut into: at most one
+// per shard, and never so many that a piece holds fewer jobs than one worker
+// runs at once (slots). A shard runs one piece at a time, so a piece smaller
+// than its worker would idle that worker's spare slots. A dialer that cannot
+// say how many simulations its workers run at once (slots 0) gets whole
+// ranges.
+func pieceCount(misses, shards, slots int) int {
+	switch {
+	case misses == 0:
+		return 0
+	case slots <= 0:
+		return 1
+	}
+	return max(1, min(shards, misses/slots))
+}
+
 // shardLoop is one shard slot: it keeps (at most) one live session, pulls
-// assignments, and delivers each range's buffered outcomes. Session failures
-// are retried on fresh dials inside runRange; a range that exhausts its
-// retries is delivered as a terminal error.
-func (c *Coordinator) shardLoop(ctx context.Context, work <-chan Assignment, deliveries chan<- rangeResult) {
+// pieces, caches each piece's fresh results, and delivers its buffered
+// outcomes. Session failures are retried on fresh dials inside execPiece; a
+// piece that exhausts its retries is delivered as a terminal error.
+func (c *Coordinator) shardLoop(ctx context.Context, work <-chan piece, deliveries chan<- delivery) {
 	var sess Session
 	defer func() {
 		if sess != nil {
@@ -326,22 +451,32 @@ func (c *Coordinator) shardLoop(ctx context.Context, work <-chan Assignment, del
 		}
 	}()
 	for {
-		var a Assignment
+		var pc piece
 		var ok bool
 		select {
-		case a, ok = <-work:
+		case pc, ok = <-work:
 			if !ok {
 				return
 			}
 		case <-ctx.Done():
 			return
 		}
-		outs, shipped, err := c.runRange(ctx, &sess, a)
+		outs, err := c.execPiece(ctx, &sess, pc.a)
+		if err == nil && pc.rng.keys != nil {
+			// Cached here rather than at delivery, so a piece that lands
+			// while the stream unwinds still serves later sweeps.
+			r := pc.rng
+			for _, out := range outs {
+				if slot := out.Index - r.start; r.keyed[slot] && out.Err == nil {
+					c.opts.Cache.Put(r.keys[slot], out.Result)
+				}
+			}
+		}
 		if err != nil && ctx.Err() != nil {
 			return // the stream is unwinding; its own terminal error wins
 		}
 		select {
-		case deliveries <- rangeResult{start: a.Start, outs: outs, shipped: shipped, err: err}:
+		case deliveries <- delivery{rng: pc.rng, outs: outs, err: err}:
 		case <-ctx.Done():
 			return
 		}
@@ -375,69 +510,14 @@ func (c *Coordinator) primeCache(out engine.RunOutcome) {
 	}
 }
 
-// runRange obtains one range's outcomes: served from the shared result
-// cache where possible, executed on a worker otherwise. It also reports how
-// many jobs it shipped to a worker (Cached cannot tell: a worker's own memo
-// hits set it too). Without a cache it is exactly execRange.
-func (c *Coordinator) runRange(ctx context.Context, sess *Session, a Assignment) ([]engine.RunOutcome, int, error) {
-	if c.opts.Cache == nil {
-		outs, err := c.execRange(ctx, sess, a)
-		return outs, len(a.Jobs), err
-	}
-	// Split the range on the cache: hits fill their slots directly
-	// (tagged with this sweep's index and display name), misses ship as a
-	// sparse assignment carrying their global indices. A fully cached range
-	// never dials a worker at all, which is what lets a second, overlapping
-	// sweep complete even with zero live workers.
-	outs := make([]engine.RunOutcome, len(a.Jobs))
-	keys := make([]engine.JobKey, len(a.Jobs))
-	keyed := make([]bool, len(a.Jobs))
-	var missJobs []engine.Job
-	var missIdx, missSlot []int
-	for i, job := range a.Jobs {
-		gi := a.globalIndex(i)
-		rj, key, err := engine.ResolveJob(job, a.Instrs)
-		if err == nil {
-			keys[i], keyed[i] = key, true
-			if res, ok := c.opts.Cache.Get(key); ok {
-				outs[i] = engine.RunOutcome{Job: rj, Index: gi, Result: res, Cached: true}
-				continue
-			}
-		}
-		// Unresolvable jobs travel too, so their failure outcomes are
-		// produced by the same worker path a cacheless run takes.
-		missJobs = append(missJobs, job)
-		missIdx = append(missIdx, gi)
-		missSlot = append(missSlot, i)
-	}
-	if len(missJobs) > 0 {
-		sub := Assignment{Start: a.Start, Jobs: missJobs, Indices: missIdx, Instrs: a.Instrs}
-		fresh, err := c.execRange(ctx, sess, sub)
-		if err != nil {
-			return nil, 0, err
-		}
-		slotByGlobal := make(map[int]int, len(missIdx))
-		for j, gi := range missIdx {
-			slotByGlobal[gi] = missSlot[j]
-		}
-		for _, out := range fresh {
-			slot := slotByGlobal[out.Index]
-			outs[slot] = out
-			if keyed[slot] && out.Err == nil {
-				c.opts.Cache.Put(keys[slot], out.Result)
-			}
-		}
-	}
-	return outs, len(missJobs), nil
-}
-
-// execRange executes one assignment on a worker, re-dialing and re-running
-// on a fresh session after failures (a dead worker's range is reassigned
-// wholesale — a range is only ever delivered complete, so a retry can never
-// double-deliver a partially-streamed range's outcomes). *sess is the
-// shard's cached session: nil-on-entry means dial, and a failed session is
-// closed and nilled so the next attempt (or assignment) starts clean.
-func (c *Coordinator) execRange(ctx context.Context, sess *Session, a Assignment) ([]engine.RunOutcome, error) {
+// execPiece executes one piece on a worker, re-dialing and re-running it on
+// a fresh session after failures (a dead worker's piece is reassigned whole,
+// and only that piece: its range's other pieces are untouched — a piece
+// only ever lands complete, so a retry can never double-deliver a
+// partially-streamed attempt's outcomes). *sess is the shard's cached
+// session: nil-on-entry means dial, and a failed session is closed and
+// nilled so the next attempt (or piece) starts clean.
+func (c *Coordinator) execPiece(ctx context.Context, sess *Session, a Assignment) ([]engine.RunOutcome, error) {
 	var lastErr error
 	for attempt := 0; attempt <= c.opts.MaxRetries; attempt++ {
 		if err := ctx.Err(); err != nil {
@@ -459,24 +539,16 @@ func (c *Coordinator) execRange(ctx context.Context, sess *Session, a Assignment
 		(*sess).Close()
 		*sess = nil
 	}
-	return nil, fmt.Errorf("dist: range [%d,%d) failed %d attempts: %w", a.Start, a.End(), c.opts.MaxRetries+1, lastErr)
+	return nil, fmt.Errorf("dist: piece of range %d (%d jobs) failed %d attempts: %w", a.Start, len(a.Jobs), c.opts.MaxRetries+1, lastErr)
 }
 
-// runOnce runs one assignment on one session, buffering and validating the
-// range: every carried index (contiguous [Start, End) in the dense form, the
-// Indices table in the sparse one), each exactly once, nothing outside.
-// Buffering is what makes retry safe — a range either delivers whole or
-// contributes nothing.
+// runOnce runs one piece on one session, buffering and validating it: every
+// index of its Indices table exactly once, nothing else. Buffering is what
+// makes retry safe — a piece either lands whole or contributes nothing.
 func runOnce(ctx context.Context, sess Session, a Assignment) ([]engine.RunOutcome, error) {
 	outs := make([]engine.RunOutcome, 0, len(a.Jobs))
 	seen := make([]bool, len(a.Jobs))
 	slotOf := func(global int) int {
-		if a.Indices == nil {
-			if i := global - a.Start; i >= 0 && i < len(a.Jobs) {
-				return i
-			}
-			return -1
-		}
 		if i := sort.SearchInts(a.Indices, global); i < len(a.Indices) && a.Indices[i] == global {
 			return i
 		}
@@ -485,7 +557,7 @@ func runOnce(ctx context.Context, sess Session, a Assignment) ([]engine.RunOutco
 	err := sess.Run(ctx, a, func(out engine.RunOutcome) error {
 		i := slotOf(out.Index)
 		if i < 0 {
-			return fmt.Errorf("dist: worker emitted index %d outside range [%d,%d)", out.Index, a.Start, a.End())
+			return fmt.Errorf("dist: worker emitted index %d outside its piece of range %d", out.Index, a.Start)
 		}
 		if seen[i] {
 			return fmt.Errorf("dist: worker emitted index %d twice", out.Index)
@@ -498,7 +570,7 @@ func runOnce(ctx context.Context, sess Session, a Assignment) ([]engine.RunOutco
 		return nil, err
 	}
 	if len(outs) != len(a.Jobs) {
-		return nil, fmt.Errorf("dist: worker delivered %d of %d outcomes for range [%d,%d)", len(outs), len(a.Jobs), a.Start, a.End())
+		return nil, fmt.Errorf("dist: worker delivered %d of %d outcomes for a piece of range %d", len(outs), len(a.Jobs), a.Start)
 	}
 	return outs, nil
 }

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"fdip/internal/core"
 	"fdip/internal/engine"
@@ -134,6 +135,8 @@ type chaosDialer struct {
 func newChaosDialer(inner Dialer, kills int) *chaosDialer {
 	return &chaosDialer{inner: inner, kills: kills, attempts: make(map[int]int)}
 }
+
+func (d *chaosDialer) Slots() int { return dialerSlots(d.inner) }
 
 func (d *chaosDialer) Dial(ctx context.Context) (Session, error) {
 	d.mu.Lock()
@@ -373,6 +376,160 @@ func TestSummaryShardMergeMatchesSequential(t *testing.T) {
 					t.Errorf("shards=%d %s[%d]: %v != sequential %v", shards, name, i, got[i], want[i])
 				}
 			}
+		}
+	}
+}
+
+// rendezvousDialer hands out sessions whose Run blocks until two sessions
+// are running at once (or a bounded wait passes), and records how many jobs
+// each session ran.
+type rendezvousDialer struct {
+	inner Dialer
+	both  chan struct{} // closed once two sessions run at once
+	once  sync.Once
+
+	mu       sync.Mutex
+	running  int
+	sessions []*rendezvousSession
+}
+
+func newRendezvousDialer(inner Dialer) *rendezvousDialer {
+	return &rendezvousDialer{inner: inner, both: make(chan struct{})}
+}
+
+func (d *rendezvousDialer) Slots() int { return dialerSlots(d.inner) }
+
+func (d *rendezvousDialer) Dial(ctx context.Context) (Session, error) {
+	s, err := d.inner.Dial(ctx)
+	if err != nil {
+		return nil, err
+	}
+	rs := &rendezvousSession{d: d, s: s}
+	d.mu.Lock()
+	d.sessions = append(d.sessions, rs)
+	d.mu.Unlock()
+	return rs, nil
+}
+
+type rendezvousSession struct {
+	d    *rendezvousDialer
+	s    Session
+	jobs int
+}
+
+func (rs *rendezvousSession) Run(ctx context.Context, a Assignment, emit func(engine.RunOutcome) error) error {
+	d := rs.d
+	d.mu.Lock()
+	rs.jobs += len(a.Jobs)
+	if d.running++; d.running == 2 {
+		d.once.Do(func() { close(d.both) })
+	}
+	d.mu.Unlock()
+	defer func() {
+		d.mu.Lock()
+		d.running--
+		d.mu.Unlock()
+	}()
+	// Bounded: a range that only one session ever runs fails the test's
+	// job-count check instead of hanging it.
+	select {
+	case <-d.both:
+	case <-time.After(5 * time.Second):
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+	return rs.s.Run(ctx, a, emit)
+}
+
+func (rs *rendezvousSession) Close() error { return rs.s.Close() }
+
+// TestRangeSpreadsAcrossShards: one range on two shards is dispatched as two
+// pieces that run at once, one per session, and still reassembles into the
+// single-process outcomes and one whole journal record in enumeration order.
+func TestRangeSpreadsAcrossShards(t *testing.T) {
+	p := testPlan()
+	ref := reference(t, p)
+	journal := filepath.Join(t.TempDir(), "sweep.journal")
+	d := newRendezvousDialer(Loopback{Workers: 2})
+	c := New(Options{Dialer: d, Shards: 2, ChunkPoints: 6, Journal: journal})
+	outs, err := c.Sweep(context.Background(), p)
+	if err != nil {
+		t.Fatalf("sweep: %v", err)
+	}
+	requireIdentical(t, "spread", ref, outs)
+
+	d.mu.Lock()
+	var jobs []int
+	for _, s := range d.sessions {
+		jobs = append(jobs, s.jobs)
+	}
+	d.mu.Unlock()
+	if len(jobs) != 2 || jobs[0] != 3 || jobs[1] != 3 {
+		t.Errorf("sessions ran %v jobs; want [3 3] — the range's misses split across both shards", jobs)
+	}
+
+	j, completed, err := OpenJournal(journal, c.fingerprint(p), p.Points(), 6)
+	if err != nil {
+		t.Fatalf("reopen journal: %v", err)
+	}
+	j.Close()
+	if len(completed) != 1 || len(completed[0]) != p.Points() {
+		t.Fatalf("journal holds %d ranges (range 0: %d outcomes); want one whole range of %d", len(completed), len(completed[0]), p.Points())
+	}
+	for i, out := range completed[0] {
+		if out.Index != i {
+			t.Errorf("journal record slot %d holds index %d; want enumeration order", i, out.Index)
+		}
+	}
+}
+
+// TestFailedPieceRetriesAlone: a session that dies mid-piece costs a re-run
+// of its own piece only — one range of 6 points on 2 shards ships 3 + 3 jobs
+// plus the 3-job retry, never the whole range again.
+func TestFailedPieceRetriesAlone(t *testing.T) {
+	p := testPlan()
+	ref := reference(t, p)
+	counter := &countingDialer{inner: newChaosDialer(Loopback{Workers: 2}, 1)}
+	c := New(Options{Dialer: counter, Shards: 2, ChunkPoints: 6})
+	outs, err := c.Sweep(context.Background(), p)
+	if err != nil {
+		t.Fatalf("sweep under a kill: %v", err)
+	}
+	requireIdentical(t, "piece-retry", ref, outs)
+	if jobs, runs := counter.shipped(); jobs != 9 || runs != 3 {
+		t.Errorf("sweep shipped %d jobs in %d requests; want 9 in 3 (two pieces, one retried alone)", jobs, runs)
+	}
+}
+
+// unslotted hides its dialer's slot count.
+type unslotted struct{ Dialer }
+
+// TestPiecesFillWorkerSlots: a range is cut into no more pieces than keep
+// each one at least a worker's slots wide, so spreading a range across
+// shards never leaves a worker's slots idle; a dialer that does not report
+// slots gets whole ranges.
+func TestPiecesFillWorkerSlots(t *testing.T) {
+	p := testPlan()
+	ref := reference(t, p)
+	for _, tc := range []struct {
+		name   string
+		dialer Dialer
+		pieces int
+	}{
+		{"1 slot", Loopback{Workers: 1}, 4},
+		{"2 slots", Loopback{Workers: 2}, 3},
+		{"4 slots", Loopback{Workers: 4}, 1},
+		{"unslotted", unslotted{Loopback{Workers: 1}}, 1},
+	} {
+		counter := &countingDialer{inner: tc.dialer}
+		c := New(Options{Dialer: counter, Shards: 4, ChunkPoints: 6})
+		outs, err := c.Sweep(context.Background(), p)
+		if err != nil {
+			t.Fatalf("%s: sweep: %v", tc.name, err)
+		}
+		requireIdentical(t, tc.name, ref, outs)
+		if jobs, runs := counter.shipped(); jobs != 6 || runs != tc.pieces {
+			t.Errorf("%s: one 6-point range on 4 shards shipped %d jobs in %d pieces; want 6 in %d", tc.name, jobs, runs, tc.pieces)
 		}
 	}
 }

@@ -1,11 +1,12 @@
 // Package dist shards Plans across worker processes: a coordinator splits a
-// plan's enumeration order into contiguous index ranges, hands each range to
-// a worker session over a newline-delimited JSON wire protocol, and merges
-// the completion-order shard streams back into the single-process stream
-// contract (index-tagged RunOutcomes feeding stats.Collector). A checkpoint
-// journal makes sweeps resumable: completed ranges are persisted as they
-// finish and replayed instead of re-executed after a coordinator restart,
-// and a dead worker's range is re-dialed and re-run on a fresh session.
+// plan's enumeration order into contiguous index ranges, cuts each range
+// into pieces that idle worker sessions take first-in first-out over a
+// newline-delimited JSON wire protocol, and merges the pieces back into
+// whole ranges and the ranges into the single-process stream contract
+// (index-tagged RunOutcomes feeding stats.Collector). A checkpoint journal
+// makes sweeps resumable: completed ranges are persisted as they finish and
+// replayed instead of re-executed after a coordinator restart, and a dead
+// worker's piece is re-dialed and re-run on a fresh session.
 //
 // The invariant the whole package is built around is bit-identity: every job
 // is deterministic in its (params, config, seed) key, enumeration order is
@@ -23,18 +24,19 @@ import (
 	"fdip/internal/engine"
 )
 
-// Assignment is one unit of distributed work: a range of a plan's
-// enumeration order, shipped as resolved jobs (a Plan itself — closures over
-// axes — cannot cross a process boundary). In the common dense form Jobs[i]
-// is enumeration index Start+i; a sparse assignment (Indices set) carries an
-// explicit global index per job, which is how a coordinator with a result
-// cache ships only a range's cache misses. Workers re-tag outcome indices
-// into the global space either way.
+// Assignment is one worker request: jobs from a plan's enumeration order,
+// shipped resolved (a Plan itself — closures over axes — cannot cross a
+// process boundary). In the dense form Jobs[i] is enumeration index
+// Start+i; a sparse assignment (Indices set) carries an explicit global
+// index per job. A Coordinator always ships sparse pieces: some of one
+// journaled range's cache misses, with Start naming the range. Workers
+// re-tag outcome indices into the global space either way.
 type Assignment struct {
-	// Start is the enumeration index of Jobs[0] (dense form), and the range
-	// identity journals and retries key on in both forms.
+	// Start is the enumeration index of Jobs[0] (dense form); in a
+	// coordinator's sparse piece it is the start of the journaled range the
+	// piece belongs to.
 	Start int `json:"start"`
-	// Jobs are the range's resolved simulation points, in enumeration order.
+	// Jobs are the resolved simulation points, in enumeration order.
 	Jobs []engine.Job `json:"jobs"`
 	// Indices, when set, gives Jobs[i] the global enumeration index
 	// Indices[i] (sparse form; len must equal len(Jobs), ascending). Nil
@@ -46,15 +48,6 @@ type Assignment struct {
 	Instrs uint64 `json:"instrs,omitempty"`
 }
 
-// End returns the exclusive end index of the range (one past the last
-// carried job's global index).
-func (a Assignment) End() int {
-	if len(a.Indices) > 0 {
-		return a.Indices[len(a.Indices)-1] + 1
-	}
-	return a.Start + len(a.Jobs)
-}
-
 // globalIndex returns Jobs[i]'s index in the plan's enumeration space.
 func (a Assignment) globalIndex(i int) int {
 	if a.Indices != nil {
@@ -64,12 +57,12 @@ func (a Assignment) globalIndex(i int) int {
 }
 
 // Session is one live worker connection. Run executes one assignment,
-// calling emit for every outcome of the range (in the worker's completion
+// calling emit for every outcome of it (in the worker's completion
 // order, indices re-tagged into the plan's global enumeration space), and
-// returns nil only when the whole range succeeded at the protocol level
+// returns nil only when the whole assignment succeeded at the protocol level
 // (per-job simulation failures travel inside outcomes as Err, exactly like
 // engine.Stream). A non-nil error marks the session dead: the coordinator
-// closes it and retries the range on a freshly dialed one.
+// closes it and retries the piece on a freshly dialed one.
 type Session interface {
 	Run(ctx context.Context, a Assignment, emit func(engine.RunOutcome) error) error
 	Close() error
@@ -80,6 +73,23 @@ type Session interface {
 // policy's supply of replacement workers.
 type Dialer interface {
 	Dial(ctx context.Context) (Session, error)
+}
+
+// Slotted is implemented by a Dialer that knows how many simulations one of
+// its workers runs at once. A coordinator never cuts a range into pieces
+// smaller than that, so spreading a range across shards cannot leave a
+// worker's slots idle; a Dialer that does not implement Slotted, or reports
+// 0, gets whole ranges.
+type Slotted interface {
+	Slots() int
+}
+
+// dialerSlots is d's worker slot count, 0 when it does not know.
+func dialerSlots(d Dialer) int {
+	if s, ok := d.(Slotted); ok {
+		return s.Slots()
+	}
+	return 0
 }
 
 // Loopback is the in-process Dialer: every Dial builds a fresh Worker with
@@ -93,6 +103,9 @@ type Loopback struct {
 	// (0 = GOMAXPROCS).
 	Workers int
 }
+
+// Slots reports each dialed worker's simulation concurrency.
+func (l Loopback) Slots() int { return workerSlots(l.Workers) }
 
 // Dial builds a fresh in-process worker session.
 func (l Loopback) Dial(ctx context.Context) (Session, error) {

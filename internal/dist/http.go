@@ -8,16 +8,20 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"strconv"
 
 	"fdip/internal/engine"
 )
 
 // HTTP dials sessions against a long-running fdipd HTTP worker (fdipd
 // -listen). Each Run is one POST of an assign frame; the response streams
-// the range's NDJSON outcome frames. Sessions are connection-light (the
+// the piece's NDJSON outcome frames. Sessions are connection-light (the
 // http.Client pools connections), so a "dead session" here just means the
 // last request failed and the coordinator should retry — against the same
-// worker if it recovered, or another one under a Registry.
+// worker if it recovered, or another one under a Registry. An HTTP dialer
+// contacts no worker before Run, so it is not Slotted and its coordinators
+// dispatch whole ranges; a Registry learns its workers' slots from their
+// responses.
 type HTTP struct {
 	// URL is the worker's base URL ("http://host:8080"); a URL with no path
 	// (or "/") is normalised to the /v1/run endpoint, an explicit path is
@@ -37,10 +41,15 @@ func (h HTTP) Dial(ctx context.Context) (Session, error) {
 	return &httpSession{url: u.String()}, nil
 }
 
+// slotsHeader carries a worker's slot count (Worker.Slots) on every run
+// response.
+const slotsHeader = "Fdip-Worker-Slots"
+
 // httpSession posts through http.DefaultClient, which sets no response
 // timeout: streams are long-lived, and a timeout would kill healthy ranges.
 type httpSession struct {
-	url string
+	url   string
+	slots int // the worker's slot count from its last response (0 = unknown)
 }
 
 func (s *httpSession) Run(ctx context.Context, a Assignment, emit func(engine.RunOutcome) error) error {
@@ -61,6 +70,9 @@ func (s *httpSession) Run(ctx context.Context, a Assignment, emit func(engine.Ru
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 		return fmt.Errorf("dist: worker %s: %s: %s", s.url, resp.Status, bytes.TrimSpace(msg))
+	}
+	if n, err := strconv.Atoi(resp.Header.Get(slotsHeader)); err == nil && n > 0 {
+		s.slots = n
 	}
 	return readOutcomes(json.NewDecoder(resp.Body), emit)
 }

@@ -52,6 +52,7 @@ type WorkerInfo struct {
 type regWorker struct {
 	url     string
 	expires time.Time
+	slots   int // from the worker's last answered run (0 = not yet known)
 }
 
 // NewRegistry builds a registry whose registrations expire ttl after their
@@ -149,6 +150,24 @@ func (r *Registry) Live() []WorkerInfo {
 	return out
 }
 
+// Slots reports the largest slot count among the live workers (Slotted), so
+// a coordinator's pieces fill even the widest of them. It is 0 — whole
+// ranges — while the pool is empty or any live worker has not yet answered
+// a run through this registry.
+func (r *Registry) Slots() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.pruneLocked()
+	slots := 0
+	for _, w := range r.workers {
+		if w.slots == 0 {
+			return 0
+		}
+		slots = max(slots, w.slots)
+	}
+	return slots
+}
+
 // pick returns the next live worker in rotation, or ok=false with a wake
 // channel to wait on when the pool is empty.
 func (r *Registry) pick() (id, url string, wake <-chan struct{}, ok bool) {
@@ -192,22 +211,31 @@ func (r *Registry) Dial(ctx context.Context) (Session, error) {
 			r.Deregister(id)
 			continue
 		}
-		return &registrySession{Session: inner, reg: r, id: id}, nil
+		return &registrySession{httpSession: inner.(*httpSession), reg: r, id: id}, nil
 	}
 }
 
 // registrySession pins a session to its registry entry so failures evict the
-// worker from the rotation.
+// worker from the rotation, and answers teach the registry the worker's
+// slots.
 type registrySession struct {
-	Session
+	*httpSession
 	reg *Registry
 	id  string
 }
 
 func (s *registrySession) Run(ctx context.Context, a Assignment, emit func(engine.RunOutcome) error) error {
-	err := s.Session.Run(ctx, a, emit)
+	err := s.httpSession.Run(ctx, a, emit)
 	if err != nil && ctx.Err() == nil {
 		s.reg.Deregister(s.id)
+		return err
+	}
+	if s.slots > 0 {
+		s.reg.mu.Lock()
+		if w, ok := s.reg.workers[s.id]; ok {
+			w.slots = s.slots
+		}
+		s.reg.mu.Unlock()
 	}
 	return err
 }

@@ -125,12 +125,25 @@ func TestRegistrySweepWithSelfRegisteredWorkers(t *testing.T) {
 	r.Register("w1", w1.URL, 0)
 	r.Register("w2", w2.URL, 0)
 
+	if s := r.Slots(); s != 0 {
+		t.Errorf("Slots before any run = %d, want 0 (unknown)", s)
+	}
 	c := New(Options{Dialer: r, Shards: 2, ChunkPoints: 2})
 	outs, err := c.Sweep(context.Background(), p)
 	if err != nil {
 		t.Fatalf("sweep over registry: %v", err)
 	}
 	requireIdentical(t, "registry", ref, outs)
+
+	// Both workers answered runs, which report their slots.
+	if s := r.Slots(); s != 2 {
+		t.Errorf("Slots after the sweep = %d, want the workers' 2", s)
+	}
+	// A worker that has not answered yet makes the pool's slots unknown.
+	r.Register("w3", "http://127.0.0.1:1", 0)
+	if s := r.Slots(); s != 0 {
+		t.Errorf("Slots with an unanswered worker = %d, want 0", s)
+	}
 }
 
 // TestRegistryEvictsDeadWorker kills one of two registered workers before the

@@ -1,0 +1,120 @@
+package dist
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
+	"testing"
+
+	"fdip/internal/engine"
+)
+
+// FuzzReadOutcomes feeds arbitrary bytes to the coordinator's reader of a
+// worker's response stream. Whatever arrives, readOutcomes must not panic,
+// every outcome it emits must be the outcome of the outcome frame it just
+// consumed, and it may return nil only right after consuming a done frame.
+// Each consumed frame is cut out of the input by the decoder's offsets and
+// checked on its own. The seed corpus (testdata/fuzz/FuzzReadOutcomes)
+// covers done, error, outcome, torn and unknown frames;
+// TestReadOutcomesCorpus pins its known answers.
+func FuzzReadOutcomes(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dec := json.NewDecoder(bytes.NewReader(data))
+		var prev int64
+		// consumed decodes the frame readOutcomes read last: the bytes
+		// between the previous frame's end and the decoder's offset.
+		consumed := func() (frame, []byte) {
+			end := dec.InputOffset()
+			raw := data[prev:end]
+			prev = end
+			var fr frame
+			if err := json.Unmarshal(raw, &fr); err != nil {
+				t.Fatalf("readOutcomes acted on bytes that are no frame: %q: %v", raw, err)
+			}
+			return fr, raw
+		}
+		emitted := 0
+		err := readOutcomes(dec, func(out engine.RunOutcome) error {
+			emitted++
+			fr, raw := consumed()
+			if fr.Type != "outcome" || fr.Outcome == nil {
+				t.Fatalf("outcome %d emitted from a frame that is not an outcome frame: %q", emitted, raw)
+			}
+			got, _ := json.Marshal(out)
+			want, _ := json.Marshal(fr.Outcome)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("outcome %d emitted as %s, its frame holds %s", emitted, got, want)
+			}
+			return nil
+		})
+		if err == nil {
+			if fr, raw := consumed(); fr.Type != "done" {
+				t.Fatalf("readOutcomes returned nil after %d outcomes, and the frame it ended on is no done frame: %q", emitted, raw)
+			}
+		}
+
+		// An emit failure ends the read with that failure.
+		if emitted > 0 {
+			stop := errors.New("consumer stopped")
+			err := readOutcomes(json.NewDecoder(bytes.NewReader(data)), func(engine.RunOutcome) error { return stop })
+			if !errors.Is(err, stop) {
+				t.Fatalf("readOutcomes after a failing emit = %v, want the emit error", err)
+			}
+		}
+	})
+}
+
+// TestReadOutcomesCorpus pins what readOutcomes makes of each committed
+// FuzzReadOutcomes seed: how many outcomes it emits, and whether the stream
+// ends cleanly.
+func TestReadOutcomesCorpus(t *testing.T) {
+	want := map[string]struct {
+		emitted int
+		ok      bool
+	}{
+		"done":     {0, true},
+		"error":    {0, false}, // an error terminator fails the run
+		"mistyped": {0, false}, // a done frame that does not decode is no done frame
+		"outcome":  {2, true},
+		"torn":     {1, false}, // the stream ends inside its second frame
+		"unknown":  {1, false}, // an assign frame cannot come back from a worker
+	}
+	dir := filepath.Join("testdata", "fuzz", "FuzzReadOutcomes")
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != len(want) {
+		t.Errorf("corpus holds %d seeds, the table %d", len(entries), len(want))
+	}
+	for _, e := range entries {
+		w, ok := want[e.Name()]
+		if !ok {
+			t.Errorf("seed %s has no known answer", e.Name())
+			continue
+		}
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A seed file is the "go test fuzz v1" header and one []byte("...")
+		// line.
+		_, line, _ := strings.Cut(strings.TrimSpace(string(b)), "\n")
+		data, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(line, "[]byte("), ")"))
+		if err != nil {
+			t.Fatalf("seed %s: %v", e.Name(), err)
+		}
+		emitted := 0
+		err = readOutcomes(json.NewDecoder(strings.NewReader(data)), func(engine.RunOutcome) error {
+			emitted++
+			return nil
+		})
+		if emitted != w.emitted || (err == nil) != w.ok {
+			t.Errorf("seed %s: emitted %d outcomes, err %v; want %d outcomes, clean end %v", e.Name(), emitted, err, w.emitted, w.ok)
+		}
+	}
+}

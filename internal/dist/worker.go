@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"runtime"
+	"strconv"
 	"sync"
 
 	"fdip/internal/engine"
@@ -14,8 +16,8 @@ import (
 // engines (one per instruction budget, sharing a single image cache) and is
 // what cmd/fdipd serves over HTTP. A Worker is stateless across assignments
 // in the contract's sense — all durable progress lives in the coordinator's
-// journal — so killing one mid-range loses nothing but the range's partial
-// work.
+// journal — so killing one mid-assignment loses nothing but the
+// assignment's partial work.
 type Worker struct {
 	workers int
 	images  *engine.ImageCache
@@ -32,6 +34,20 @@ func NewWorker(workers int) *Worker {
 		images:  engine.NewImageCache(),
 		engines: make(map[uint64]*engine.Engine),
 	}
+}
+
+// Slots is how many simulations the worker runs at once. Its HTTP handler
+// reports it on every response (slotsHeader), which is how a Registry learns
+// its workers' slots.
+func (w *Worker) Slots() int { return workerSlots(w.workers) }
+
+// workerSlots resolves a worker count the way the engine does (0 =
+// GOMAXPROCS).
+func workerSlots(workers int) int {
+	if workers > 0 {
+		return workers
+	}
+	return runtime.GOMAXPROCS(0)
 }
 
 // engineFor returns the engine for an instruction budget, building it on
@@ -75,9 +91,10 @@ func (w *Worker) Run(ctx context.Context, a Assignment, emit func(engine.RunOutc
 }
 
 // Handler returns the HTTP transport: POST one assign frame, receive the
-// range's NDJSON outcome frames (flushed per frame, so the coordinator
-// streams instead of buffering the whole range) ending in a done or error
-// terminator. Mount it at /v1/run — the path HTTP dialers post to.
+// assignment's NDJSON outcome frames (flushed per frame, so the coordinator
+// streams instead of buffering the whole assignment) ending in a done or
+// error terminator. Every response reports the worker's Slots in its
+// slotsHeader. Mount it at /v1/run — the path HTTP dialers post to.
 func (w *Worker) Handler() http.Handler {
 	return http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
 		if req.Method != http.MethodPost {
@@ -90,6 +107,7 @@ func (w *Worker) Handler() http.Handler {
 			return
 		}
 		rw.Header().Set("Content-Type", "application/x-ndjson")
+		rw.Header().Set(slotsHeader, strconv.Itoa(w.Slots()))
 		enc := json.NewEncoder(rw)
 		fl, _ := rw.(http.Flusher)
 		send := func(f frame) error {

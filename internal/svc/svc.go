@@ -44,7 +44,7 @@ type Options struct {
 	StateDir string
 	// Shards is the per-sweep worker-session fan-out (default 4).
 	Shards int
-	// ChunkPoints is the default assignment granularity for submissions that
+	// ChunkPoints is the default journaled range size for submissions that
 	// don't set their own (default 8).
 	ChunkPoints int
 	// MaxQueued bounds queued+running sweeps; further submissions fail with
@@ -83,7 +83,7 @@ type SubmitRequest struct {
 	// Instrs is the committed-instruction budget applied to every point
 	// (0 = each config's own limits).
 	Instrs uint64 `json:"instrs,omitempty"`
-	// ChunkPoints overrides the service's assignment granularity (0 = server
+	// ChunkPoints overrides the service's journaled range size (0 = server
 	// default). It participates in the sweep's journal fingerprint.
 	ChunkPoints int `json:"chunk_points,omitempty"`
 }
