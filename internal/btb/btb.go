@@ -70,13 +70,35 @@ type Pred struct {
 	Target uint64
 }
 
+// entry is one way in 24 bytes. key folds the entry's metadata into its tag
+// word, tag<<keyTagShift | cti<<keyCTIShift | length<<keyLenShift | valid, so
+// a tag match is one compare of the key with its length and kind bits masked
+// off; an invalid entry has key 0. Instruction addresses stay far below
+// 2^56, so no tag loses a bit to the shift.
 type entry struct {
-	valid  bool
-	tag    uint64
-	stamp  uint64
-	length uint8
-	cti    isa.Kind
+	key    uint64
 	target uint64
+	stamp  uint64
+}
+
+const (
+	keyValid    = 1
+	keyLenShift = 1 // 5 bits: MaxBlockInstrs is at most 31
+	keyCTIShift = 6 // 4 bits: an isa.Kind
+	keyTagShift = 10
+	// keyMeta masks the length and kind fields.
+	keyMeta = 1<<keyTagShift - 1 - keyValid
+)
+
+// Every isa.Kind fits the key's 4-bit kind field.
+const _ = uint(1<<(keyTagShift-keyCTIShift) - isa.NumKinds)
+
+func (e *entry) pred() Pred {
+	return Pred{
+		NumInstrs: int(e.key >> keyLenShift & 31),
+		CTI:       isa.Kind(e.key >> keyCTIShift & 15),
+		Target:    e.target,
+	}
 }
 
 // probeMemoSize is the direct-mapped probe-memo table size (conventional
@@ -95,16 +117,16 @@ const probeMemoSize = 2048
 type probeMemo struct {
 	pc     uint64
 	gen    uint64
-	si     int32
-	way    int32
+	idx    int32 // the hit entry's index in entries
 	misses uint8
 	hit    bool
 }
 
 // TargetBuffer is a set-associative FTB/BTB with true-LRU replacement.
 type TargetBuffer struct {
-	cfg      Config
-	sets     [][]entry
+	cfg Config
+	// entries holds every way, set si at [si*Ways, (si+1)*Ways).
+	entries  []entry
 	setShift uint
 	clock    uint64
 
@@ -126,14 +148,12 @@ type TargetBuffer struct {
 // New creates a target buffer.
 func New(cfg Config) *TargetBuffer {
 	cfg.setDefaults()
-	// One flat backing array sliced per set (see cache.New): constant
-	// allocation count and contiguous tag storage.
-	backing := make([]entry, cfg.Sets*cfg.Ways)
-	sets := make([][]entry, cfg.Sets)
-	for i := range sets {
-		sets[i] = backing[i*cfg.Ways : (i+1)*cfg.Ways : (i+1)*cfg.Ways]
+	t := &TargetBuffer{
+		cfg:      cfg,
+		entries:  make([]entry, cfg.Sets*cfg.Ways),
+		setShift: uint(bits.TrailingZeros(uint(cfg.Sets))),
+		gen:      1,
 	}
-	t := &TargetBuffer{cfg: cfg, sets: sets, setShift: uint(bits.TrailingZeros(uint(cfg.Sets))), gen: 1}
 	if !cfg.BlockOriented {
 		t.memo = make([]probeMemo, probeMemoSize)
 	}
@@ -146,56 +166,56 @@ func (t *TargetBuffer) Config() Config { return t.cfg }
 // Entries returns the total entry capacity.
 func (t *TargetBuffer) Entries() int { return t.cfg.Sets * t.cfg.Ways }
 
-func (t *TargetBuffer) setAndTag(pc uint64) (int, uint64) {
+// find returns the index in entries of the entry for pc, or -1, and the
+// first index of pc's set.
+func (t *TargetBuffer) find(pc uint64) (idx, lo int) {
 	word := pc >> 2
-	return int(word & uint64(t.cfg.Sets-1)), word >> t.setShift
+	lo = int(word&uint64(t.cfg.Sets-1)) * t.cfg.Ways
+	want := word>>t.setShift<<keyTagShift | keyValid
+	set := t.entries[lo : lo+t.cfg.Ways]
+	for i := range set {
+		if set[i].key&^keyMeta == want {
+			return lo + i, lo
+		}
+	}
+	return -1, lo
 }
 
 // lookup probes one address.
 func (t *TargetBuffer) lookup(pc uint64) (Pred, bool) {
 	t.Lookups++
-	si, tag := t.setAndTag(pc)
-	set := t.sets[si]
-	for i := range set {
-		e := &set[i]
-		if e.valid && e.tag == tag {
-			t.Hits++
-			t.clock++
-			e.stamp = t.clock
-			return Pred{NumInstrs: int(e.length), CTI: e.cti, Target: e.target}, true
-		}
+	i, _ := t.find(pc)
+	if i < 0 {
+		t.Misses++
+		return Pred{}, false
 	}
-	t.Misses++
-	return Pred{}, false
+	t.Hits++
+	t.clock++
+	e := &t.entries[i]
+	e.stamp = t.clock
+	return e.pred(), true
 }
 
 // insert allocates or retrains the entry for pc.
 func (t *TargetBuffer) insert(pc uint64, length int, cti isa.Kind, target uint64) {
-	if length < 1 {
-		length = 1
-	}
-	if length > t.cfg.MaxBlockInstrs {
-		length = t.cfg.MaxBlockInstrs
-	}
-	si, tag := t.setAndTag(pc)
-	set := t.sets[si]
+	length = max(1, min(length, t.cfg.MaxBlockInstrs))
+	meta := uint64(cti&15)<<keyCTIShift | uint64(length)<<keyLenShift
+	i, lo := t.find(pc)
 	t.clock++
 	// Retrain an existing entry in place.
-	for i := range set {
-		e := &set[i]
-		if e.valid && e.tag == tag {
-			e.length = uint8(length)
-			e.cti = cti
-			e.target = target
-			e.stamp = t.clock
-			t.Updates++
-			return
-		}
+	if i >= 0 {
+		e := &t.entries[i]
+		e.key = e.key&^keyMeta | meta
+		e.target = target
+		e.stamp = t.clock
+		t.Updates++
+		return
 	}
 	// Allocate: prefer an invalid way, else evict true-LRU.
+	set := t.entries[lo : lo+t.cfg.Ways]
 	victim := 0
 	for i := range set {
-		if !set[i].valid {
+		if set[i].key&keyValid == 0 {
 			victim = i
 			goto fill
 		}
@@ -205,7 +225,7 @@ func (t *TargetBuffer) insert(pc uint64, length int, cti isa.Kind, target uint64
 	}
 	t.Evictions++
 fill:
-	set[victim] = entry{valid: true, tag: tag, stamp: t.clock, length: uint8(length), cti: cti, target: target}
+	set[victim] = entry{key: pc>>2>>t.setShift<<keyTagShift | meta | keyValid, target: target, stamp: t.clock}
 	t.Inserts++
 	t.gen++ // a new resident address: every memoised walk may now be stale
 }
@@ -243,24 +263,23 @@ func (t *TargetBuffer) PredictBlock(pc uint64) (Pred, bool) {
 		t.Misses += uint64(m.misses)
 		t.Hits++
 		t.clock++
-		e := &t.sets[m.si][m.way]
+		e := &t.entries[m.idx]
 		e.stamp = t.clock
-		return Pred{NumInstrs: int(m.misses) + 1, CTI: e.cti, Target: e.target}, true
+		p := e.pred()
+		p.NumInstrs = int(m.misses) + 1
+		return p, true
 	}
 	for i := 0; i < t.cfg.MaxBlockInstrs; i++ {
-		apc := pc + uint64(i)*isa.InstrBytes
 		t.Lookups++
-		si, tag := t.setAndTag(apc)
-		set := t.sets[si]
-		for w := range set {
-			e := &set[w]
-			if e.valid && e.tag == tag {
-				t.Hits++
-				t.clock++
-				e.stamp = t.clock
-				*m = probeMemo{pc: pc, gen: t.gen, si: int32(si), way: int32(w), misses: uint8(i), hit: true}
-				return Pred{NumInstrs: i + 1, CTI: e.cti, Target: e.target}, true
-			}
+		if idx, _ := t.find(pc + uint64(i)*isa.InstrBytes); idx >= 0 {
+			t.Hits++
+			t.clock++
+			e := &t.entries[idx]
+			e.stamp = t.clock
+			*m = probeMemo{pc: pc, gen: t.gen, idx: int32(idx), misses: uint8(i), hit: true}
+			p := e.pred()
+			p.NumInstrs = i + 1
+			return p, true
 		}
 		t.Misses++
 	}
@@ -274,14 +293,8 @@ func (t *TargetBuffer) PredictBlock(pc uint64) (Pred, bool) {
 // already knows, and statistics must stay bit-identical whether or not it
 // runs.
 func (t *TargetBuffer) Peek(pc uint64) bool {
-	si, tag := t.setAndTag(pc)
-	set := t.sets[si]
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			return true
-		}
-	}
-	return false
+	i, _ := t.find(pc)
+	return i >= 0
 }
 
 // TrainBlock records a resolved fetch block: start address, length in
@@ -298,20 +311,14 @@ func (t *TargetBuffer) TrainBlock(start uint64, numInstrs int, cti isa.Kind, tar
 
 // InvalidateAll clears the buffer (used between experiment phases).
 func (t *TargetBuffer) InvalidateAll() {
-	for _, set := range t.sets {
-		for i := range set {
-			set[i] = entry{}
-		}
-	}
+	clear(t.entries)
 	t.gen++ // memoised hits now point at invalid entries
 }
 
 // Reset restores the pristine just-constructed state: every entry invalid,
 // the LRU clock rewound, and counters zeroed, retaining the backing array.
 func (t *TargetBuffer) Reset() {
-	for _, set := range t.sets {
-		clear(set)
-	}
+	clear(t.entries)
 	t.clock = 0
 	clear(t.memo) // gen rewinds to its fresh value, so stale entries must go
 	t.gen = 1

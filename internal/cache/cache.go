@@ -6,6 +6,7 @@ package cache
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"math/rand"
 )
@@ -37,8 +38,8 @@ func (p Policy) String() string {
 
 // Config sizes a cache.
 type Config struct {
-	// SizeBytes is the total capacity; must be a multiple of
-	// Ways*LineBytes. Rounded to the nearest valid power-of-two set count.
+	// SizeBytes is the total capacity. SizeBytes / (Ways*LineBytes) is the
+	// set count, which must be a positive power of two (see Check).
 	SizeBytes int
 	// Ways is the set associativity.
 	Ways int
@@ -53,23 +54,56 @@ type Config struct {
 	Seed int64
 }
 
+// Check reports whether New accepts the geometry: a power-of-two line size,
+// positive ways, and a set count that is a positive power of two a lazy
+// cache's uint32 slot index can number.
+func (cfg Config) Check() error {
+	if cfg.LineBytes <= 0 || cfg.LineBytes&(cfg.LineBytes-1) != 0 {
+		return fmt.Errorf("cache: line size %d not a power of two", cfg.LineBytes)
+	}
+	if cfg.Ways <= 0 {
+		return fmt.Errorf("cache: %d ways; must be positive", cfg.Ways)
+	}
+	if n := cfg.numSets(); n <= 0 || n&(n-1) != 0 || n > math.MaxUint32 {
+		return fmt.Errorf("cache: %dB/%dw/%dB gives %d sets (need a positive power of two below 2^32)",
+			cfg.SizeBytes, cfg.Ways, cfg.LineBytes, n)
+	}
+	return nil
+}
+
+// numSets is SizeBytes / (Ways*LineBytes), computed so no product can
+// overflow.
+func (cfg Config) numSets() int { return cfg.SizeBytes / cfg.LineBytes / cfg.Ways }
+
 // lazySetThreshold is the total line count above which a cache defers
 // per-set tag storage to first touch (see New).
 const lazySetThreshold = 8192
 
-type line struct {
-	valid      bool
-	tag        uint64
-	stamp      uint64
-	prefetched bool
+// chunkSets is how many sets a lazy cache carves per chunk (fewer when the
+// cache has fewer sets).
+const chunkSets = 256
+
+// way is one tag-array entry in 16 bytes. key packs the tag with two flags,
+// tag<<2 | prefetched<<1 | valid, so a hit is one compare of the key with its
+// prefetched bit masked off; an invalid way has key 0. Simulated addresses
+// stay far below 2^62, so no tag loses a bit to the shift.
+type way struct {
+	key   uint64
+	stamp uint64
 }
+
+const (
+	wayValid      = 1
+	wayPrefetched = 2
+)
 
 // Cache is a set-associative cache holding tags only — the simulator tracks
 // presence and timing, never data.
 type Cache struct {
 	cfg       Config
-	sets      [][]line
+	numSets   int
 	lineShift uint
+	setBits   uint
 	setMask   uint64
 	clock     uint64
 	// rng drives the Random policy; nil under every other policy, which
@@ -79,14 +113,25 @@ type Cache struct {
 	portCycle int64
 	portsUsed int
 
-	// chunks carve storage for lazily allocated sets, keeping the
-	// allocation count low and touched sets adjacent in memory. arena is
-	// the uncarved rest of chunks[used-1]. Reset rewinds used rather than
-	// dropping the chunks, so a recycled cache refills without allocating;
-	// the chunks never hold more sets than the cache has.
-	chunks [][]line
-	used   int
-	arena  []line
+	// ways is a flat cache's tag array, set si at [si*Ways, (si+1)*Ways);
+	// nil for a lazy cache.
+	ways []way
+
+	// A lazy cache (the megabyte-class L2) leaves sets unbacked until their
+	// first fill: a simulation touches a small fraction of the tag array, so
+	// skipping the up-front allocation avoids zeroing megabytes per machine.
+	// An unbacked set reads as all-invalid, which is exactly a cold set's
+	// behaviour, so results are unchanged. slot[si] is 0 for an unbacked
+	// set, else 1 + the set's carve position p: chunk p/chunkSets, set
+	// p%chunkSets within it. carved counts the sets carved since the cache
+	// was last emptied: Reset and InvalidateAll rewind it rather than drop
+	// the chunks, so a recycled cache refills without allocating, and a
+	// chunk is cleared when carving first reaches it again. The chunks
+	// never hold more sets than the cache has.
+	slot       []uint32
+	chunks     [][]way
+	carved     int
+	chunkShift uint
 
 	// Accesses/Hits/Misses count demand accesses; Probes/ProbeHits count
 	// non-allocating tag checks; Fills/Evictions count line movement;
@@ -99,43 +144,29 @@ type Cache struct {
 	PortGrants, PortRejections uint64
 }
 
-// New builds a cache. Invalid geometry panics: the configuration comes from
-// code, not user input, and a silent fix-up would skew experiments.
+// New builds a cache. Invalid geometry panics: callers validate theirs with
+// Check first, and a silent fix-up would skew experiments.
 func New(cfg Config) *Cache {
-	if cfg.LineBytes <= 0 || cfg.LineBytes&(cfg.LineBytes-1) != 0 {
-		panic(fmt.Sprintf("cache: line size %d not a power of two", cfg.LineBytes))
-	}
-	if cfg.Ways <= 0 {
-		panic("cache: ways must be positive")
-	}
-	numSets := cfg.SizeBytes / (cfg.Ways * cfg.LineBytes)
-	if numSets <= 0 || numSets&(numSets-1) != 0 {
-		panic(fmt.Sprintf("cache: %dB/%dw/%dB gives %d sets (need power of two)",
-			cfg.SizeBytes, cfg.Ways, cfg.LineBytes, numSets))
+	if err := cfg.Check(); err != nil {
+		panic(err)
 	}
 	if cfg.TagPorts <= 0 {
 		cfg.TagPorts = 1
 	}
-	sets := make([][]line, numSets)
-	if numSets*cfg.Ways <= lazySetThreshold {
-		// Small cache: one flat backing array sliced per set — two
-		// allocations total and contiguous memory for the tag walks.
-		backing := make([]line, numSets*cfg.Ways)
-		for i := range sets {
-			sets[i] = backing[i*cfg.Ways : (i+1)*cfg.Ways : (i+1)*cfg.Ways]
-		}
-	}
-	// Large caches (the megabyte-class L2) leave sets nil until first fill:
-	// a simulation touches a small fraction of the tag array, so skipping
-	// the up-front allocation avoids zeroing megabytes per machine and the
-	// cold-page scatter on every fill. A nil set reads as all-invalid,
-	// which is exactly a cold set's behaviour, so results are unchanged.
+	numSets := cfg.numSets()
 	c := &Cache{
 		cfg:       cfg,
-		sets:      sets,
+		numSets:   numSets,
 		lineShift: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
+		setBits:   uint(bits.TrailingZeros(uint(numSets))),
 		setMask:   uint64(numSets - 1),
 		portCycle: -1,
+	}
+	if numSets*cfg.Ways <= lazySetThreshold {
+		c.ways = make([]way, numSets*cfg.Ways)
+	} else {
+		c.slot = make([]uint32, numSets)
+		c.chunkShift = uint(bits.TrailingZeros(uint(min(chunkSets, numSets))))
 	}
 	if cfg.Repl == Random {
 		c.rng = rand.New(rand.NewSource(cfg.Seed + 1))
@@ -147,14 +178,50 @@ func New(cfg Config) *Cache {
 func (c *Cache) Config() Config { return c.cfg }
 
 // NumSets returns the set count.
-func (c *Cache) NumSets() int { return len(c.sets) }
+func (c *Cache) NumSets() int { return c.numSets }
 
 // LineAddr aligns addr down to its cache line.
 func (c *Cache) LineAddr(addr uint64) uint64 { return addr &^ uint64(c.cfg.LineBytes-1) }
 
-func (c *Cache) setAndTag(addr uint64) (int, uint64) {
+// locate returns addr's set index and the key a valid, non-prefetched way
+// holding its line has.
+func (c *Cache) locate(addr uint64) (int, uint64) {
 	l := addr >> c.lineShift
-	return int(l & c.setMask), l >> uint(bits.TrailingZeros(uint(len(c.sets))))
+	return int(l & c.setMask), l>>c.setBits<<2 | wayValid
+}
+
+// set returns set si's ways. A flat cache slices its tag array directly and
+// never consults the slot index.
+func (c *Cache) set(si int) []way {
+	if c.slot != nil {
+		return c.lazySet(si)
+	}
+	return c.ways[si*c.cfg.Ways:][:c.cfg.Ways]
+}
+
+// lazySet returns a lazy cache's set si: nil while the set is unbacked,
+// which holds no line. It stays out of line so that set, on every flat
+// cache's lookup path, inlines.
+//
+//go:noinline
+func (c *Cache) lazySet(si int) []way {
+	s := c.slot[si]
+	if s == 0 {
+		return nil
+	}
+	p, n := int(s-1), c.cfg.Ways
+	lo := (p & (1<<c.chunkShift - 1)) * n
+	return c.chunks[p>>c.chunkShift][lo : lo+n]
+}
+
+// find returns the way in set holding key's line, or nil.
+func find(set []way, key uint64) *way {
+	for i := range set {
+		if set[i].key&^wayPrefetched == key {
+			return &set[i]
+		}
+	}
+	return nil
 }
 
 // TryUsePort consumes one tag port for the given cycle. It returns false
@@ -185,79 +252,61 @@ func (c *Cache) IdlePorts(now int64) int {
 // Access performs a demand lookup, updating replacement state on a hit.
 func (c *Cache) Access(addr uint64) bool {
 	c.Accesses++
-	si, tag := c.setAndTag(addr)
-	set := c.sets[si]
-	for i := range set {
-		ln := &set[i]
-		if ln.valid && ln.tag == tag {
-			c.Hits++
-			if ln.prefetched {
-				c.PrefetchedHits++
-				ln.prefetched = false
-			}
-			if c.cfg.Repl == LRU {
-				c.clock++
-				ln.stamp = c.clock
-			}
-			return true
-		}
+	si, key := c.locate(addr)
+	w := find(c.set(si), key)
+	if w == nil {
+		c.Misses++
+		return false
 	}
-	c.Misses++
-	return false
+	c.Hits++
+	if w.key&wayPrefetched != 0 {
+		c.PrefetchedHits++
+		w.key = key
+	}
+	if c.cfg.Repl == LRU {
+		c.clock++
+		w.stamp = c.clock
+	}
+	return true
 }
 
 // Probe performs a tag check without touching replacement state or demand
 // counters — the cache-probe-filtering primitive.
 func (c *Cache) Probe(addr uint64) bool {
 	c.Probes++
-	si, tag := c.setAndTag(addr)
-	for i := range c.sets[si] {
-		if c.sets[si][i].valid && c.sets[si][i].tag == tag {
-			c.ProbeHits++
-			return true
-		}
+	if c.Contains(addr) {
+		c.ProbeHits++
+		return true
 	}
 	return false
 }
 
 // Contains reports presence without any statistics side effects.
 func (c *Cache) Contains(addr uint64) bool {
-	si, tag := c.setAndTag(addr)
-	for i := range c.sets[si] {
-		if c.sets[si][i].valid && c.sets[si][i].tag == tag {
-			return true
-		}
-	}
-	return false
+	si, key := c.locate(addr)
+	return find(c.set(si), key) != nil
 }
 
 // Fill installs the line containing addr, returning the evicted line
 // address when a valid victim was displaced. prefetched marks lines
 // installed by a prefetcher for useful-prefetch accounting.
 func (c *Cache) Fill(addr uint64, prefetched bool) (evicted uint64, didEvict bool) {
-	si, tag := c.setAndTag(addr)
-	set := c.sets[si]
+	si, key := c.locate(addr)
+	set := c.set(si)
 	if set == nil {
-		if len(c.arena) < c.cfg.Ways {
-			c.nextChunk()
-		}
-		set = c.arena[:c.cfg.Ways:c.cfg.Ways]
-		c.arena = c.arena[c.cfg.Ways:]
-		c.sets[si] = set
+		set = c.carve(si)
 	}
 	c.clock++
 	// Already present: refresh only.
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			if c.cfg.Repl == LRU {
-				set[i].stamp = c.clock
-			}
-			return 0, false
+	if w := find(set, key); w != nil {
+		if c.cfg.Repl == LRU {
+			w.stamp = c.clock
 		}
+		return 0, false
 	}
 	victim := -1
 	for i := range set {
-		if !set[i].valid {
+		if set[i].key&wayValid == 0 {
 			victim = i
 			break
 		}
@@ -275,71 +324,62 @@ func (c *Cache) Fill(addr uint64, prefetched bool) (evicted uint64, didEvict boo
 			}
 		}
 		didEvict = true
-		evicted = c.reconstructAddr(si, set[victim].tag)
+		evicted = (set[victim].key>>2<<c.setBits | uint64(si)) << c.lineShift
 		c.Evictions++
 	}
-	set[victim] = line{valid: true, tag: tag, stamp: c.clock, prefetched: prefetched}
+	if prefetched {
+		key |= wayPrefetched
+	}
+	set[victim] = way{key: key, stamp: c.clock}
 	c.Fills++
 	return evicted, didEvict
 }
 
-// nextChunk points arena at the next set chunk: a chunk an earlier
-// generation carved, cleared (its sets belonged to that generation), or a
-// new zeroed one once those run out.
-func (c *Cache) nextChunk() {
-	if c.used < len(c.chunks) {
-		c.arena = c.chunks[c.used]
-		clear(c.arena)
-	} else {
-		// 256 sets a chunk, or every set when there are fewer: set counts
-		// are powers of two, so the chunks never outgrow the capacity.
-		c.arena = make([]line, c.cfg.Ways*min(256, len(c.sets)))
-		c.chunks = append(c.chunks, c.arena)
+// carve backs a lazy cache's set si with the next carve position: a slice of
+// a chunk an earlier generation carved, cleared when carving first reaches
+// that chunk again (its sets belonged to that generation), or of a new
+// zeroed chunk once those run out.
+func (c *Cache) carve(si int) []way {
+	p := c.carved
+	c.carved++
+	if ci := p >> c.chunkShift; ci == len(c.chunks) {
+		// A power-of-two set count makes the chunks tile the cache exactly.
+		c.chunks = append(c.chunks, make([]way, c.cfg.Ways<<c.chunkShift))
+	} else if p&(1<<c.chunkShift-1) == 0 {
+		clear(c.chunks[ci])
 	}
-	c.used++
+	c.slot[si] = uint32(p + 1)
+	return c.lazySet(si)
 }
 
 // Invalidate removes the line containing addr, reporting whether it was
 // present.
 func (c *Cache) Invalidate(addr uint64) bool {
-	si, tag := c.setAndTag(addr)
-	set := c.sets[si]
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			set[i] = line{}
-			return true
-		}
+	si, key := c.locate(addr)
+	if w := find(c.set(si), key); w != nil {
+		*w = way{}
+		return true
 	}
 	return false
 }
 
-// InvalidateAll empties the cache.
+// InvalidateAll empties the cache. A lazy cache unbacks every set, which
+// reads the same as backed sets of invalid ways.
 func (c *Cache) InvalidateAll() {
-	for _, set := range c.sets {
-		for i := range set {
-			set[i] = line{}
-		}
-	}
+	clear(c.ways)
+	clear(c.slot)
+	c.carved = 0
 }
 
 // Reset restores the pristine just-constructed state: every line invalid,
 // replacement clock and port state rewound, counters zeroed, and the Random
-// policy's RNG reseeded to its initial stream. Flat-backed caches keep their
-// backing array and zero it; lazily backed caches (the megabyte-class L2)
-// instead unlink their set slices and rewind the chunk cursor, exactly
-// reproducing a fresh machine's cold tag array. Chunks are cleared as Fill
-// reuses them, so a reset never zeroes the whole capacity, and a recycled
-// cache refills without allocating.
+// policy's RNG reseeded to its initial stream. A flat cache zeroes its tag
+// array; a lazy cache (the megabyte-class L2) unbacks its sets and rewinds
+// its carve position, exactly reproducing a fresh machine's cold tag array.
+// Chunks are cleared as Fill reuses them, so a reset never zeroes the whole
+// capacity, and a recycled cache refills without allocating.
 func (c *Cache) Reset() {
-	if len(c.sets)*c.cfg.Ways <= lazySetThreshold {
-		for _, set := range c.sets {
-			clear(set)
-		}
-	} else {
-		clear(c.sets)
-		c.arena = nil
-		c.used = 0
-	}
+	c.InvalidateAll()
 	c.clock = 0
 	if c.rng != nil {
 		c.rng.Seed(c.cfg.Seed + 1)
@@ -351,12 +391,6 @@ func (c *Cache) Reset() {
 	c.Fills, c.Evictions = 0, 0
 	c.PrefetchedHits = 0
 	c.PortGrants, c.PortRejections = 0, 0
-}
-
-// reconstructAddr rebuilds a line address from set index and tag.
-func (c *Cache) reconstructAddr(si int, tag uint64) uint64 {
-	setBits := uint(bits.TrailingZeros(uint(len(c.sets))))
-	return ((tag << setBits) | uint64(si)) << c.lineShift
 }
 
 // MissRate returns demand misses per demand access.

@@ -27,6 +27,9 @@ func TestBadGeometryPanics(t *testing.T) {
 		{SizeBytes: 1000, Ways: 2, LineBytes: 32},
 	}
 	for i, cfg := range cases {
+		if cfg.Check() == nil {
+			t.Errorf("case %d: Check accepts a geometry New refuses", i)
+		}
 		func() {
 			defer func() {
 				if recover() == nil {

@@ -107,9 +107,10 @@ func requireSameTrace(t *testing.T, got, want []uint64) {
 // TestLazyCacheResetRecyclesChunks drives a lazily chunked cache through
 // generations whose traces touch more sets each time, so a later
 // generation first reuses (and must clear) the chunks an earlier one
-// carved, then extends the arena past them — and a final, narrower
-// generation reuses only a prefix. Every generation must match a fresh
-// cache, and the retained chunks never exceed the cache's capacity.
+// carved, then carves past them — and a final, narrower generation reuses
+// only a prefix. Every generation must match a fresh cache, the slot index
+// must map the generation's backed sets one-to-one onto its carve
+// positions, and the retained chunks never exceed the cache's capacity.
 func TestLazyCacheResetRecyclesChunks(t *testing.T) {
 	cfg := Config{SizeBytes: 1 << 20, Ways: 8, LineBytes: 32, Repl: LRU, TagPorts: 4}
 	c := New(cfg)
@@ -120,6 +121,21 @@ func TestLazyCacheResetRecyclesChunks(t *testing.T) {
 		got := cacheTrace(c, seed, 8000, lines)
 		want := cacheTrace(New(cfg), seed, 8000, lines)
 		requireSameTrace(t, got, want)
+		backed := make([]bool, c.carved)
+		for si, s := range c.slot {
+			if s == 0 {
+				continue
+			}
+			if int(s) > c.carved || backed[s-1] {
+				t.Fatalf("generation %d: set %d has slot %d; want a carve position below %d used once", gen, si, s, c.carved)
+			}
+			backed[s-1] = true
+		}
+		for p, ok := range backed {
+			if !ok {
+				t.Fatalf("generation %d: carve position %d backs no set", gen, p)
+			}
+		}
 		retained := 0
 		for _, ch := range c.chunks {
 			retained += len(ch)
@@ -129,7 +145,7 @@ func TestLazyCacheResetRecyclesChunks(t *testing.T) {
 		}
 	}
 	if len(c.chunks) < 2 {
-		t.Fatalf("only %d chunks carved; the test no longer extends the arena", len(c.chunks))
+		t.Fatalf("only %d chunks carved; the test no longer carves past the first", len(c.chunks))
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 
 	"fdip/internal/backend"
 	"fdip/internal/btb"
+	"fdip/internal/cache"
 	"fdip/internal/memsys"
 	"fdip/internal/prefetch"
 )
@@ -129,7 +130,20 @@ func DefaultConfig() Config {
 	}
 }
 
-// Validate normalises and checks the configuration.
+// l1i is the L1-I's geometry.
+func (c *Config) l1i() cache.Config {
+	return cache.Config{
+		SizeBytes: c.L1ISizeBytes,
+		Ways:      c.L1IWays,
+		LineBytes: c.LineBytes,
+		Repl:      cache.LRU,
+		TagPorts:  c.L1ITagPorts,
+	}
+}
+
+// Validate normalises and checks the configuration. A cache geometry
+// cache.New would refuse is an error here, so a bad config fails its own
+// run rather than panicking the machine build.
 func (c *Config) Validate() error {
 	d := DefaultConfig()
 	if c.L1ISizeBytes <= 0 {
@@ -151,6 +165,12 @@ func (c *Config) Validate() error {
 		c.PrefetchBufferEntries = 0
 	}
 	c.Mem.LineBytes = c.LineBytes
+	if err := c.l1i().Check(); err != nil {
+		return fmt.Errorf("core: L1-I: %w", err)
+	}
+	if err := c.Mem.Check(); err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
 	if c.FTQEntries <= 0 {
 		c.FTQEntries = d.FTQEntries
 	}

@@ -77,13 +77,7 @@ func New(cfg Config, im *program.Image, stream oracle.Stream) (*Processor, error
 		return nil, err
 	}
 	p := &Processor{cfg: cfg, im: im, dir: dir}
-	p.l1i = cache.New(cache.Config{
-		SizeBytes: cfg.L1ISizeBytes,
-		Ways:      cfg.L1IWays,
-		LineBytes: cfg.LineBytes,
-		Repl:      cache.LRU,
-		TagPorts:  cfg.L1ITagPorts,
-	})
+	p.l1i = cache.New(cfg.l1i())
 	p.pfb = cache.NewPrefetchBuffer(cfg.PrefetchBufferEntries, cfg.LineBytes)
 	p.hier = memsys.New(cfg.Mem)
 	p.ftb = btb.New(cfg.FTB)

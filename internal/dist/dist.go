@@ -20,6 +20,7 @@ package dist
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 
 	"fdip/internal/engine"
 )
@@ -46,6 +47,15 @@ type Assignment struct {
 	// applies to every job (engine.WithInstrBudget); zero leaves each job's
 	// own config untouched.
 	Instrs uint64 `json:"instrs,omitempty"`
+}
+
+// check rejects an assignment no worker can run: a sparse Indices table
+// whose length differs from Jobs.
+func (a Assignment) check() error {
+	if a.Indices != nil && len(a.Indices) != len(a.Jobs) {
+		return fmt.Errorf("dist: sparse assignment with %d indices for %d jobs", len(a.Indices), len(a.Jobs))
+	}
+	return nil
 }
 
 // globalIndex returns Jobs[i]'s index in the plan's enumeration space.

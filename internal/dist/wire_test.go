@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -83,20 +85,37 @@ func TestReadOutcomesCorpus(t *testing.T) {
 		"torn":     {1, false}, // the stream ends inside its second frame
 		"unknown":  {1, false}, // an assign frame cannot come back from a worker
 	}
-	dir := filepath.Join("testdata", "fuzz", "FuzzReadOutcomes")
+	seeds := readSeeds(t, "FuzzReadOutcomes")
+	if len(seeds) != len(want) {
+		t.Errorf("corpus holds %d seeds, the table %d", len(seeds), len(want))
+	}
+	for name, data := range seeds {
+		w, ok := want[name]
+		if !ok {
+			t.Errorf("seed %s has no known answer", name)
+			continue
+		}
+		emitted := 0
+		err := readOutcomes(json.NewDecoder(strings.NewReader(data)), func(engine.RunOutcome) error {
+			emitted++
+			return nil
+		})
+		if emitted != w.emitted || (err == nil) != w.ok {
+			t.Errorf("seed %s: emitted %d outcomes, err %v; want %d outcomes, clean end %v", name, emitted, err, w.emitted, w.ok)
+		}
+	}
+}
+
+// readSeeds returns a fuzz target's committed seed corpus by file name.
+func readSeeds(t *testing.T, target string) map[string]string {
+	t.Helper()
+	dir := filepath.Join("testdata", "fuzz", target)
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != len(want) {
-		t.Errorf("corpus holds %d seeds, the table %d", len(entries), len(want))
-	}
+	seeds := make(map[string]string, len(entries))
 	for _, e := range entries {
-		w, ok := want[e.Name()]
-		if !ok {
-			t.Errorf("seed %s has no known answer", e.Name())
-			continue
-		}
 		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
 		if err != nil {
 			t.Fatal(err)
@@ -108,13 +127,66 @@ func TestReadOutcomesCorpus(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %s: %v", e.Name(), err)
 		}
-		emitted := 0
-		err = readOutcomes(json.NewDecoder(strings.NewReader(data)), func(engine.RunOutcome) error {
-			emitted++
-			return nil
-		})
-		if emitted != w.emitted || (err == nil) != w.ok {
-			t.Errorf("seed %s: emitted %d outcomes, err %v; want %d outcomes, clean end %v", e.Name(), emitted, err, w.emitted, w.ok)
+		seeds[e.Name()] = data
+	}
+	return seeds
+}
+
+// FuzzWorkerAssign feeds arbitrary bytes to a worker's decode of its run
+// request. decodeAssign must not panic, and may accept only an assignment
+// whose sparse Indices table, if any, matches its Jobs. Bytes it refuses must
+// get a 400 from the worker's handler, before any engine is built; accepted
+// bodies are not run, so the fuzz body simulates nothing. The seed corpus
+// (testdata/fuzz/FuzzWorkerAssign) covers valid dense and sparse
+// assignments, a torn body, a frame of the wrong type and a sparse table of
+// the wrong length; TestWorkerAssignCorpus pins its known answers.
+func FuzzWorkerAssign(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		a, err := decodeAssign(bytes.NewReader(data))
+		if err == nil {
+			if a.Indices != nil && len(a.Indices) != len(a.Jobs) {
+				t.Fatalf("accepted %d indices for %d jobs", len(a.Indices), len(a.Jobs))
+			}
+			return
+		}
+		w := NewWorker(1)
+		rec := httptest.NewRecorder()
+		w.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/run", bytes.NewReader(data)))
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("refused body (%v) answered %d, want 400", err, rec.Code)
+		}
+		if len(w.engines) != 0 {
+			t.Fatalf("refused body built %d engines", len(w.engines))
+		}
+	})
+}
+
+// TestWorkerAssignCorpus pins whether decodeAssign accepts each committed
+// FuzzWorkerAssign seed, and how many jobs an accepted one carries.
+func TestWorkerAssignCorpus(t *testing.T) {
+	want := map[string]struct {
+		jobs int
+		ok   bool
+	}{
+		"dense":      {2, true},
+		"sparse":     {2, true},
+		"torn":       {0, false}, // the body ends inside the frame
+		"wrongtype":  {0, false}, // an outcome frame is no assignment
+		"mismatched": {0, false}, // three indices for two jobs
+	}
+	seeds := readSeeds(t, "FuzzWorkerAssign")
+	if len(seeds) != len(want) {
+		t.Errorf("corpus holds %d seeds, the table %d", len(seeds), len(want))
+	}
+	for name, data := range seeds {
+		w, ok := want[name]
+		if !ok {
+			t.Errorf("seed %s has no known answer", name)
+			continue
+		}
+		a, err := decodeAssign(strings.NewReader(data))
+		if (err == nil) != w.ok || (err == nil && len(a.Jobs) != w.jobs) {
+			t.Errorf("seed %s: %d jobs, err %v; want %d jobs, accepted %v", name, len(a.Jobs), err, w.jobs, w.ok)
 		}
 	}
 }

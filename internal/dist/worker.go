@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -74,8 +75,8 @@ func (w *Worker) engineFor(instrs uint64) *engine.Engine {
 // with Err set; the returned error is assignment-terminal (a malformed
 // assignment, a stream-level engine failure, or an emit failure).
 func (w *Worker) Run(ctx context.Context, a Assignment, emit func(engine.RunOutcome) error) error {
-	if a.Indices != nil && len(a.Indices) != len(a.Jobs) {
-		return fmt.Errorf("dist: worker: sparse assignment with %d indices for %d jobs", len(a.Indices), len(a.Jobs))
+	if err := a.check(); err != nil {
+		return fmt.Errorf("dist: worker: %w", err)
 	}
 	eng := w.engineFor(a.Instrs)
 	for out, err := range eng.StreamJobs(ctx, a.Jobs) {
@@ -101,9 +102,9 @@ func (w *Worker) Handler() http.Handler {
 			http.Error(rw, "dist: POST one assign frame", http.StatusMethodNotAllowed)
 			return
 		}
-		var f frame
-		if err := json.NewDecoder(req.Body).Decode(&f); err != nil || f.Type != "assign" || f.Assign == nil {
-			http.Error(rw, "dist: body must be a single assign frame", http.StatusBadRequest)
+		a, err := decodeAssign(req.Body)
+		if err != nil {
+			http.Error(rw, err.Error(), http.StatusBadRequest)
 			return
 		}
 		rw.Header().Set("Content-Type", "application/x-ndjson")
@@ -119,7 +120,7 @@ func (w *Worker) Handler() http.Handler {
 			}
 			return nil
 		}
-		runErr := w.Run(req.Context(), *f.Assign, func(out engine.RunOutcome) error {
+		runErr := w.Run(req.Context(), a, func(out engine.RunOutcome) error {
 			return send(frame{Type: "outcome", Outcome: &out})
 		})
 		if runErr != nil {
@@ -128,4 +129,18 @@ func (w *Worker) Handler() http.Handler {
 		}
 		send(frame{Type: "done"})
 	})
+}
+
+// decodeAssign reads a run request's body: one assign frame whose assignment
+// passes Assignment.check. Anything else is an error, which the handler
+// answers with 400 before any engine is built.
+func decodeAssign(body io.Reader) (Assignment, error) {
+	var f frame
+	if err := json.NewDecoder(body).Decode(&f); err != nil {
+		return Assignment{}, fmt.Errorf("dist: body must be a single assign frame: %v", err)
+	}
+	if f.Type != "assign" || f.Assign == nil {
+		return Assignment{}, fmt.Errorf("dist: body must be a single assign frame, not type %q", f.Type)
+	}
+	return *f.Assign, f.Assign.check()
 }

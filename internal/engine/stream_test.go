@@ -212,6 +212,57 @@ func TestStreamPerJobFailuresKeepStreaming(t *testing.T) {
 	}
 }
 
+// TestBadCacheGeometryFailsItsOwnJob pins that a cache geometry cache.New
+// refuses — a set count that is no positive power of two, or a size below
+// one set — fails config validation: Run returns an error instead of
+// panicking, and in a sweep the bad column fails as a per-job error while
+// the columns beside it run, instead of a panic aborting the stream.
+func TestBadCacheGeometryFailsItsOwnJob(t *testing.T) {
+	cases := []struct {
+		name   string
+		mutate func(*core.Config)
+	}{
+		{"l1i-size", func(c *core.Config) { c.L1ISizeBytes = 3000 }},
+		{"l1i-ways", func(c *core.Config) { c.L1IWays = 3 }},
+		{"l1i-below-one-set", func(c *core.Config) { c.L1ISizeBytes = 32 }},
+		{"l2-size", func(c *core.Config) { c.Mem.L2SizeBytes = 3 << 20 }},
+		{"l2-ways", func(c *core.Config) { c.Mem.L2Ways = 6 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := core.DefaultConfig()
+			tc.mutate(&cfg)
+			e := New(WithWorkers(2), WithInstrBudget(5_000))
+			if _, err := e.Run(context.Background(), Job{Workload: "gcc", Config: cfg}); err == nil {
+				t.Fatal("Run accepted the geometry")
+			}
+			jobs := []Job{
+				{Workload: "gcc", Config: core.DefaultConfig()},
+				{Workload: "gcc", Config: cfg},
+				{Workload: "deltablue", Config: core.DefaultConfig()},
+			}
+			got := make([]RunOutcome, len(jobs))
+			n := 0
+			for out, err := range e.StreamJobs(context.Background(), jobs) {
+				if err != nil {
+					t.Fatalf("stream-level error for a bad column: %v", err)
+				}
+				got[out.Index] = out
+				n++
+			}
+			if n != len(jobs) {
+				t.Fatalf("streamed %d outcomes, want %d", n, len(jobs))
+			}
+			if got[0].Err != nil || got[2].Err != nil {
+				t.Errorf("healthy columns failed: %v / %v", got[0].Err, got[2].Err)
+			}
+			if got[1].Err == nil {
+				t.Error("the bad column did not fail")
+			}
+		})
+	}
+}
+
 // TestStreamPanicSurfacesAsTerminalError pins the panic contract: a panic in
 // a worker goroutine (here injected through the progress sink, which runJob
 // invokes on the worker's stack) must surface as the stream's terminal error

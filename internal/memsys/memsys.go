@@ -123,16 +123,31 @@ type Hierarchy struct {
 func New(cfg Config) *Hierarchy {
 	cfg.setDefaults()
 	return &Hierarchy{
-		cfg: cfg,
-		l2: cache.New(cache.Config{
-			SizeBytes: cfg.L2SizeBytes,
-			Ways:      cfg.L2Ways,
-			LineBytes: cfg.LineBytes,
-			Repl:      cache.LRU,
-			TagPorts:  4,
-		}),
+		cfg:      cfg,
+		l2:       cache.New(cfg.l2()),
 		inflight: make(map[uint64]*Transfer),
 	}
+}
+
+// l2 is the L2's geometry.
+func (c Config) l2() cache.Config {
+	return cache.Config{
+		SizeBytes: c.L2SizeBytes,
+		Ways:      c.L2Ways,
+		LineBytes: c.LineBytes,
+		Repl:      cache.LRU,
+		TagPorts:  4,
+	}
+}
+
+// Check reports whether New accepts the configuration: after defaults, the
+// L2 geometry must be one cache.New builds.
+func (c Config) Check() error {
+	c.setDefaults()
+	if err := c.l2().Check(); err != nil {
+		return fmt.Errorf("memsys: L2: %w", err)
+	}
+	return nil
 }
 
 // Config returns the (normalised) configuration.
