@@ -69,9 +69,9 @@
 //	for out, err := range coord.Stream(ctx, plan) { ... }
 //
 // For spaces too large to collect at all, mergeable reducers (DistSummary:
-// online moments, a fixed-bucket histogram sketch, and fixed-memory
-// top-k/bottom-k) fold each shard locally and merge to exactly the
-// single-pass summary.
+// online moments, a fixed-bucket histogram sketch with exact quantiles at
+// bucket resolution, and fixed-memory top-k/bottom-k) fold each shard
+// locally and merge to exactly the single-pass summary.
 //
 // Coordinators that share a DistCache (the engine's own JobKey-keyed result
 // cache) serve each other's completed points without re-execution. Above the
@@ -253,9 +253,10 @@ type (
 	// DistMetric projects an outcome to the scalar a DistSummary reduces.
 	DistMetric = dist.Metric
 	// DistSummary is the mergeable sweep reduction: online moments, a
-	// fixed-bucket histogram sketch, and fixed-memory top-k/bottom-k
+	// fixed-bucket histogram sketch (its p50/p90 are exact nearest-rank
+	// quantiles at bucket resolution), and fixed-memory top-k/bottom-k
 	// extremes, shard-mergeable with results identical to a single
-	// sequential pass.
+	// sequential pass in any arrival order.
 	DistSummary = dist.Summary
 	// DistRegistry is the dynamic session pool: workers self-register (and
 	// heartbeat) instead of arriving via static dialer lists; dead workers
@@ -272,7 +273,8 @@ type (
 	JobKey = engine.JobKey
 	// Moments is the mergeable online mean/variance accumulator.
 	Moments = stats.Moments
-	// HistogramSketch is the mergeable fixed-bucket histogram reducer.
+	// HistogramSketch is the mergeable fixed-bucket histogram reducer,
+	// with exact nearest-rank quantiles at bucket resolution.
 	HistogramSketch = stats.HistogramSketch
 	// JobTopK retains the k best (or worst) scored jobs of a stream in
 	// O(k) memory, mergeable across shards; ScoredJob is one entry.

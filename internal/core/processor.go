@@ -43,8 +43,10 @@ type Processor struct {
 	// allocations in steady state.
 	fillFn func(*memsys.Transfer)
 
-	ftqOcc *stats.Histogram
-	robOcc *stats.Histogram
+	// ftqOcc is the sampled FTQ occupancy distribution (Result.FTQOccP90);
+	// occSamples, ftqOccSum and robOccSum give the two occupancy means.
+	ftqOcc                           *stats.HistogramSketch
+	occSamples, ftqOccSum, robOccSum uint64
 
 	// commit-side counters gathered via the backend's OnCommitRange hook
 	condBranches, ctisCommitted uint64
@@ -54,11 +56,11 @@ type Processor struct {
 	lastProgressCount uint64
 }
 
-// occSampleShift sets the occupancy-sampling cadence: both the FTQ and ROB
-// occupancy histograms sample once every 2^occSampleShift = 64 cycles, on
-// cycles divisible by 64. A shared cadence keeps the two histograms
-// comparable, and a sparse one keeps them exact under cycle-skipping (the
-// scheduler bulk-adds the samples an idle stretch would have produced).
+// occSampleShift sets the occupancy-sampling cadence: FTQ and ROB occupancy
+// are sampled together once every 2^occSampleShift = 64 cycles, on cycles
+// divisible by 64. A shared cadence keeps the two comparable, and a sparse
+// one keeps them exact under cycle-skipping (the scheduler bulk-adds the
+// samples an idle stretch would have produced).
 const occSampleShift = 6
 
 // progressWindow is the deadlock-detection horizon: a run burning this many
@@ -120,8 +122,9 @@ func New(cfg Config, im *program.Image, stream oracle.Stream) (*Processor, error
 			cfg.FetchWidth, p.pf.OnDemandAccess)
 	}
 
-	p.ftqOcc = stats.NewHistogram(cfg.FTQEntries+1, 1)
-	p.robOcc = stats.NewHistogram(cfg.Backend.ROBSize+1, 1)
+	// Width-1 integer buckets: every occupancy 0..FTQEntries has its own
+	// exactly representable bucket and upper edge.
+	p.ftqOcc = stats.NewHistogramSketch(0, float64(cfg.FTQEntries+1), cfg.FTQEntries+1)
 	p.fillFn = p.fill
 	return p, nil
 }
@@ -153,7 +156,7 @@ func (p *Processor) Reset(im *program.Image, stream oracle.Stream) {
 	p.fe.Reset(im, stream)
 	p.now = 0
 	p.ftqOcc.Reset()
-	p.robOcc.Reset()
+	p.occSamples, p.ftqOccSum, p.robOccSum = 0, 0, 0
 	p.condBranches, p.ctisCommitted = 0, 0
 	p.committedByKind = [isa.NumKinds]uint64{}
 	p.lastProgressCycle, p.lastProgressCount = 0, 0
@@ -258,8 +261,7 @@ func (p *Processor) Step() {
 	p.pf.Tick(now)
 
 	if now&(1<<occSampleShift-1) == 0 {
-		p.ftqOcc.Add(p.q.Len())
-		p.robOcc.Add(p.be.ROBOccupancy())
+		p.sampleOcc(p.q.Len(), p.be.ROBOccupancy(), 1)
 	}
 	p.now++
 }
@@ -372,8 +374,7 @@ func (p *Processor) skipIdle() {
 			p.bpu.FullStalls += n
 		}
 		if k := occSamplesIn(now, target); k > 0 {
-			p.ftqOcc.AddN(p.q.Len(), k)
-			p.robOcc.AddN(p.be.ROBOccupancy(), k)
+			p.sampleOcc(p.q.Len(), p.be.ROBOccupancy(), k)
 		}
 	}
 	p.pf.OnSkip(n)
@@ -398,13 +399,19 @@ func (p *Processor) runAheadAndSample(now, target int64, n uint64) {
 	rampEnd := now + int64(pushed)
 	const mask = int64(1)<<occSampleShift - 1
 	for c := (now + mask) &^ mask; c < rampEnd; c += 1 << occSampleShift {
-		p.ftqOcc.Add(occ + int(c-now) + 1)
-		p.robOcc.Add(rob)
+		p.sampleOcc(occ+int(c-now)+1, rob, 1)
 	}
 	if k := occSamplesIn(rampEnd, target); k > 0 {
-		p.ftqOcc.AddN(p.q.Len(), k)
-		p.robOcc.AddN(rob, k)
+		p.sampleOcc(p.q.Len(), rob, k)
 	}
+}
+
+// sampleOcc records k identical occupancy samples of the FTQ and ROB.
+func (p *Processor) sampleOcc(ftq, rob int, k uint64) {
+	p.ftqOcc.AddN(float64(ftq), k)
+	p.occSamples += k
+	p.ftqOccSum += uint64(ftq) * k
+	p.robOccSum += uint64(rob) * k
 }
 
 // occSamplesIn counts the occupancy sample points (cycles divisible by

@@ -122,9 +122,11 @@ func (p *Processor) Finalize() Result {
 	r.OutOfImageFetched = p.fe.OutOfImage
 	r.Squashed = p.be.Squashed
 
-	r.FTQOccMean = p.ftqOcc.Mean()
-	r.FTQOccP90 = p.ftqOcc.Quantile(0.9)
-	r.ROBOccMean = p.robOcc.Mean()
+	if p.occSamples > 0 {
+		r.FTQOccMean = float64(p.ftqOccSum) / float64(p.occSamples)
+		r.ROBOccMean = float64(p.robOccSum) / float64(p.occSamples)
+	}
+	r.FTQOccP90 = int64(p.ftqOcc.Quantile(0.9))
 
 	r.FTBStorageBytes = p.ftb.StorageBytes()
 	r.PFBEntries = p.pfb.Capacity()

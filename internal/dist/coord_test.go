@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"math"
+	"math/rand"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -15,7 +17,6 @@ import (
 	"fdip/internal/core"
 	"fdip/internal/engine"
 	"fdip/internal/prefetch"
-	"fdip/internal/stats"
 )
 
 // goldenChecksum mirrors internal/engine's pinned constant: the FNV-64a
@@ -311,71 +312,71 @@ func TestStreamEarlyBreakUnwinds(t *testing.T) {
 }
 
 // TestSummaryShardMergeMatchesSequential pins the mergeable-reducer
-// contract on real outcomes: per-shard summaries merged in any order agree
-// with one sequential fold — exactly for the discrete parts (count,
-// failures, top-k/bottom-k retained sets) and to float tolerance for the
-// moments.
+// contract on real outcomes: per-shard summaries merged in any order, and a
+// fold over a shuffled arrival order, agree with one sequential fold —
+// exactly for the histogram, its quantiles, the top-k/bottom-k retained
+// sets, the count and the failures, and to float tolerance for the moments.
 func TestSummaryShardMergeMatchesSequential(t *testing.T) {
+	// A failed outcome rides along so the failure count is pinned too.
 	ref := reference(t, testPlan())
+	outs := append(ref, engine.RunOutcome{Index: len(ref), Err: errors.New("boom")})
 	seq := NewSummary("IPC", 3, IPC)
-	for _, out := range ref {
+	for _, out := range outs {
 		seq.Observe(out)
 	}
-	for _, shards := range []int{2, 3} {
-		parts := make([]*Summary, shards)
+	inOrder := make([]int, len(outs))
+	for i := range inOrder {
+		inOrder[i] = i
+	}
+	rng := rand.New(rand.NewSource(20))
+	for _, tc := range []struct {
+		name   string
+		shards int
+		order  []int // arrival order of outs
+	}{
+		{"shards=1", 1, inOrder},
+		{"shards=2", 2, inOrder},
+		{"shards=8", 8, inOrder},
+		{"shuffled", 1, rng.Perm(len(outs))},
+		{"shuffled/shards=2", 2, rng.Perm(len(outs))},
+	} {
+		parts := make([]*Summary, tc.shards)
 		for i := range parts {
 			parts[i] = NewSummary("IPC", 3, IPC)
 		}
-		for i, out := range ref {
-			parts[i%shards].Observe(out)
+		for i, j := range tc.order {
+			parts[i%tc.shards].Observe(outs[j])
 		}
 		merged := NewSummary("IPC", 3, IPC)
-		for i := shards - 1; i >= 0; i-- {
+		for i := tc.shards - 1; i >= 0; i-- {
 			merged.Merge(parts[i])
 		}
 		if merged.Moments.Count != seq.Moments.Count || merged.Failures != seq.Failures {
-			t.Fatalf("shards=%d: count/failures %d/%d, want %d/%d",
-				shards, merged.Moments.Count, merged.Failures, seq.Moments.Count, seq.Failures)
+			t.Fatalf("%s: count/failures %d/%d, want %d/%d",
+				tc.name, merged.Moments.Count, merged.Failures, seq.Moments.Count, seq.Failures)
 		}
-		if d := merged.Moments.Mean - seq.Moments.Mean; d > 1e-12 || d < -1e-12 {
-			t.Errorf("shards=%d: merged mean drifts by %g", shards, d)
+		if d := merged.Moments.Mean - seq.Moments.Mean; math.Abs(d) > 1e-12 {
+			t.Errorf("%s: merged mean drifts by %g", tc.name, d)
 		}
-		// Quantile legs: count and min/max stay exact under merge; the
-		// estimates themselves are approximate, so bound them by the
-		// metric's exact range rather than pinning bits.
-		if merged.P50.Count() != seq.P50.Count() || merged.P90.Count() != seq.P90.Count() {
-			t.Errorf("shards=%d: quantile counts %d/%d, want %d/%d",
-				shards, merged.P50.Count(), merged.P90.Count(), seq.P50.Count(), seq.P90.Count())
+		if d := merged.Moments.Variance() - seq.Moments.Variance(); math.Abs(d) > 1e-12 {
+			t.Errorf("%s: merged variance drifts by %g", tc.name, d)
 		}
-		if merged.P50.Min() != seq.P50.Min() || merged.P50.Max() != seq.P50.Max() {
-			t.Errorf("shards=%d: merged min/max %v/%v, want exact %v/%v",
-				shards, merged.P50.Min(), merged.P50.Max(), seq.P50.Min(), seq.P50.Max())
-		}
-		for name, q := range map[string]*stats.P2Quantile{"p50": merged.P50, "p90": merged.P90} {
-			if v := q.Quantile(); v < q.Min() || v > q.Max() {
-				t.Errorf("shards=%d: merged %s=%v outside observed range [%v, %v]",
-					shards, name, v, q.Min(), q.Max())
-			}
-		}
-		// Histogram leg: integer counts over fixed geometry merge exactly, so
-		// the sharded sketch must be bit-identical to the sequential one.
+		// Integer counts over a fixed geometry merge exactly, so the sketch
+		// and every quantile read from it match the sequential pass.
 		if !reflect.DeepEqual(merged.Hist, seq.Hist) {
-			t.Errorf("shards=%d: merged histogram diverges from sequential pass:\n%v\nwant\n%v",
-				shards, merged.Hist, seq.Hist)
+			t.Errorf("%s: merged histogram diverges from sequential pass:\n%v\nwant\n%v",
+				tc.name, merged.Hist, seq.Hist)
 		}
-		for name, pair := range map[string][2][]stats.ScoredItem[engine.Job]{
-			"top":    {merged.Top.Items(), seq.Top.Items()},
-			"bottom": {merged.Bottom.Items(), seq.Bottom.Items()},
-		} {
-			got, want := pair[0], pair[1]
-			if len(got) != len(want) {
-				t.Fatalf("shards=%d %s: %d items, want %d", shards, name, len(got), len(want))
+		for _, q := range []float64{0.5, 0.9} {
+			if got, want := merged.Hist.Quantile(q), seq.Hist.Quantile(q); got != want {
+				t.Errorf("%s: p%g = %v, want sequential %v", tc.name, 100*q, got, want)
 			}
-			for i := range want {
-				if got[i].Seq != want[i].Seq || got[i].Score != want[i].Score || got[i].Value.Name != want[i].Value.Name {
-					t.Errorf("shards=%d %s[%d]: %v != sequential %v", shards, name, i, got[i], want[i])
-				}
-			}
+		}
+		if got, want := merged.Top.Items(), seq.Top.Items(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: top %v, want sequential %v", tc.name, got, want)
+		}
+		if got, want := merged.Bottom.Items(), seq.Bottom.Items(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: bottom %v, want sequential %v", tc.name, got, want)
 		}
 	}
 }

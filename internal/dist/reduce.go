@@ -13,19 +13,15 @@ type Metric func(engine.RunOutcome) float64
 // IPC is the canonical metric: the point's instructions per cycle.
 func IPC(out engine.RunOutcome) float64 { return out.Result.IPC }
 
-// MissPKI reduces the would-be L1-I miss rate per kilo-instruction.
-func MissPKI(out engine.RunOutcome) float64 { return out.Result.MissPKI }
-
-// BusUtilPct reduces the L1<->L2 bus utilisation percentage.
-func BusUtilPct(out engine.RunOutcome) float64 { return out.Result.BusUtilPct }
-
 // Summary is the mergeable reduction of a sweep over one metric: online
-// mean/variance (stats.Moments) plus the k best and k worst points
-// (stats.TopK, tie-broken by enumeration index) and a failure count. Each
-// shard can fold its own ranges into a private Summary and Merge them — the
-// result is identical (TopK sets exactly, moments up to float associativity)
-// to observing the whole stream in one process, in any order, which is what
-// lets million-point sweeps report without anyone holding the result set.
+// mean/variance (stats.Moments), a fixed-bucket value histogram with exact
+// quantiles at bucket resolution (stats.HistogramSketch), the k best and k
+// worst points (stats.TopK, tie-broken by enumeration index) and a failure
+// count. Each shard can fold its own ranges into a private Summary and Merge
+// them — the result is identical (histogram, quantiles and TopK sets exactly,
+// moments up to float associativity) to observing the whole stream in one
+// process, in any order, which is what lets million-point sweeps report
+// without anyone holding the result set.
 type Summary struct {
 	// MetricName labels the reduced metric in reports.
 	MetricName string
@@ -33,17 +29,13 @@ type Summary struct {
 	Moments stats.Moments
 	// Top and Bottom retain the k highest- and lowest-metric points.
 	Top, Bottom *stats.TopK[engine.Job]
-	// P50 and P90 estimate the metric's median and 90th percentile in
-	// fixed memory (stats.P2Quantile). Unlike the other legs they merge
-	// approximately: a sharded reduction's quantiles track, but are not
-	// bit-identical to, the sequential pass (min/max and count stay exact).
-	P50, P90 *stats.P2Quantile
 	// Hist is the metric's fixed-bucket value distribution
 	// (stats.HistogramSketch). Integer counts over a geometry fixed at
 	// construction merge exactly, so the sharded histogram is bit-identical
-	// to the sequential pass. The default geometry (histBuckets buckets over
-	// [0, histHi)) suits IPC-scaled metrics; out-of-range values land in the
-	// under/overflow counters rather than being lost.
+	// to the sequential pass, and so are the quantiles String reports from
+	// it. The default geometry (histBuckets buckets over [0, histHi)) suits
+	// IPC-scaled metrics; out-of-range values land in the under/overflow
+	// counters rather than being lost.
 	Hist *stats.HistogramSketch
 	// Failures counts outcomes that carried an error (excluded from the
 	// metric's moments and extremes).
@@ -65,8 +57,6 @@ func NewSummary(name string, k int, metric Metric) *Summary {
 		MetricName: name,
 		Top:        stats.NewTopK[engine.Job](k),
 		Bottom:     stats.NewBottomK[engine.Job](k),
-		P50:        stats.NewP2Quantile(0.5),
-		P90:        stats.NewP2Quantile(0.9),
 		Hist:       stats.NewHistogramSketch(0, histHi, histBuckets),
 		metric:     metric,
 	}
@@ -82,8 +72,6 @@ func (s *Summary) Observe(out engine.RunOutcome) {
 	s.Moments.Add(v)
 	s.Top.Add(v, int64(out.Index), out.Job)
 	s.Bottom.Add(v, int64(out.Index), out.Job)
-	s.P50.Add(v)
-	s.P90.Add(v)
 	s.Hist.Add(v)
 }
 
@@ -92,17 +80,18 @@ func (s *Summary) Merge(o *Summary) {
 	s.Moments.Merge(o.Moments)
 	s.Top.Merge(o.Top)
 	s.Bottom.Merge(o.Bottom)
-	s.P50.Merge(o.P50)
-	s.P90.Merge(o.P90)
 	s.Hist.Merge(o.Hist)
 	s.Failures += o.Failures
 }
 
-// String renders the summary in report form.
+// String renders the summary in report form. p50 and p90 are nearest-rank
+// quantiles read from Hist, so each is its bucket's upper bound (a
+// 0.25-wide bucket at the default geometry), or the exact maximum when the
+// rank lands in overflow.
 func (s *Summary) String() string {
 	out := fmt.Sprintf("%s: n=%d mean=%.4f stddev=%.4f p50=%.4f p90=%.4f failures=%d",
 		s.MetricName, s.Moments.Count, s.Moments.Mean, s.Moments.StdDev(),
-		s.P50.Quantile(), s.P90.Quantile(), s.Failures)
+		s.Hist.Quantile(0.5), s.Hist.Quantile(0.9), s.Failures)
 	for _, it := range s.Top.Items() {
 		out += fmt.Sprintf("\n  top    %-40s %.4f", it.Value.Name, it.Score)
 	}

@@ -6,13 +6,14 @@ import (
 	"strings"
 )
 
-// HistogramSketch is the mergeable fixed-bucket histogram reducer: n equal
-// buckets over [Lo, Hi), plus under- and overflow counters. Because the
-// geometry is fixed at construction and the state is integer counts, Merge is
-// exact — a sharded reduction's histogram is bit-identical to a single
-// sequential pass over the concatenated stream, in any merge order. That is
-// the same discipline as Moments/TopK, and what lets dist.Summary carry a
-// value distribution per shard without anyone holding the sample set.
+// HistogramSketch is the simulator's one histogram: n equal buckets over
+// [Lo, Hi), under- and overflow counters, and the exact maximum. Because the
+// geometry is fixed at construction and the state is integer counts plus a
+// max, Merge is exact — a sharded reduction's histogram is bit-identical to a
+// single sequential pass over the concatenated stream, in any merge order.
+// That is the same discipline as Moments/TopK, and what lets dist.Summary
+// carry a value distribution (and its quantiles) per shard without anyone
+// holding the sample set.
 //
 // All shards of one reduction must construct the sketch with identical
 // (Lo, Hi, buckets); Merge panics on a geometry mismatch rather than
@@ -25,6 +26,8 @@ type HistogramSketch struct {
 	Counts []uint64
 	// Under counts observations below Lo; Over counts those at or above Hi.
 	Under, Over uint64
+	// Max is the largest observation, -Inf while the sketch is empty.
+	Max float64
 }
 
 // NewHistogramSketch builds a sketch of n equal buckets over [lo, hi).
@@ -33,17 +36,25 @@ func NewHistogramSketch(lo, hi float64, n int) *HistogramSketch {
 	if n <= 0 || !(hi > lo) {
 		panic(fmt.Sprintf("stats: HistogramSketch geometry [%g,%g)/%d is degenerate", lo, hi, n))
 	}
-	return &HistogramSketch{Lo: lo, Hi: hi, Counts: make([]uint64, n)}
+	return &HistogramSketch{Lo: lo, Hi: hi, Counts: make([]uint64, n), Max: math.Inf(-1)}
 }
 
 // Add folds one observation. NaN is ignored.
-func (h *HistogramSketch) Add(x float64) {
+func (h *HistogramSketch) Add(x float64) { h.AddN(x, 1) }
+
+// AddN folds n identical observations in one update — the bulk form the
+// cycle kernel uses when fast-forwarding over idle stretches whose sampled
+// value is provably constant. NaN is ignored.
+func (h *HistogramSketch) AddN(x float64, n uint64) {
+	if n == 0 || math.IsNaN(x) {
+		return
+	}
+	h.Max = max(h.Max, x)
 	switch {
-	case math.IsNaN(x):
 	case x < h.Lo:
-		h.Under++
+		h.Under += n
 	case x >= h.Hi:
-		h.Over++
+		h.Over += n
 	default:
 		i := int(float64(len(h.Counts)) * (x - h.Lo) / (h.Hi - h.Lo))
 		// Guard the float boundary: x just under Hi can round the scaled
@@ -51,8 +62,17 @@ func (h *HistogramSketch) Add(x float64) {
 		if i >= len(h.Counts) {
 			i = len(h.Counts) - 1
 		}
-		h.Counts[i]++
+		h.Counts[i] += n
 	}
+}
+
+// Reset discards every observation, restoring the just-constructed state
+// while retaining the bucket array (part of the simulator-wide Reset
+// contract; see ARCHITECTURE.md).
+func (h *HistogramSketch) Reset() {
+	clear(h.Counts)
+	h.Under, h.Over = 0, 0
+	h.Max = math.Inf(-1)
 }
 
 // Count returns the total number of folded observations, including under-
@@ -71,6 +91,31 @@ func (h *HistogramSketch) BucketBounds(i int) (lo, hi float64) {
 	return h.Lo + float64(i)*w, h.Lo + float64(i+1)*w
 }
 
+// Quantile returns an upper bound of the q-quantile (q clamped to [0, 1]):
+// the nearest-rank observation, rank ceil(q·Count) (at least 1), reported as
+// its bucket's upper edge — Lo for an underflow rank, the exact Max for an
+// overflow one. An empty sketch reports 0. The result depends only on the
+// counts, so merged shards report exactly the sequential pass's quantiles.
+func (h *HistogramSketch) Quantile(q float64) float64 {
+	n := h.Count()
+	if n == 0 {
+		return 0
+	}
+	q = min(max(q, 0), 1)
+	target := max(uint64(math.Ceil(q*float64(n))), 1)
+	cum := h.Under
+	if cum >= target {
+		return h.Lo
+	}
+	for i, c := range h.Counts {
+		if cum += c; cum >= target {
+			_, hi := h.BucketBounds(i)
+			return hi
+		}
+	}
+	return h.Max
+}
+
 // Merge folds another shard's sketch into h, as if every observation o saw
 // had been Added to h. The geometries must match exactly.
 func (h *HistogramSketch) Merge(o *HistogramSketch) {
@@ -83,6 +128,7 @@ func (h *HistogramSketch) Merge(o *HistogramSketch) {
 	}
 	h.Under += o.Under
 	h.Over += o.Over
+	h.Max = max(h.Max, o.Max)
 	for i, c := range o.Counts {
 		h.Counts[i] += c
 	}

@@ -58,14 +58,6 @@ func (m *Moments) Variance() float64 {
 	return m.M2 / float64(m.Count)
 }
 
-// SampleVariance returns the Bessel-corrected sample variance.
-func (m *Moments) SampleVariance() float64 {
-	if m.Count < 2 {
-		return 0
-	}
-	return m.M2 / float64(m.Count-1)
-}
-
 // StdDev returns the population standard deviation.
 func (m *Moments) StdDev() float64 { return math.Sqrt(m.Variance()) }
 
@@ -102,9 +94,6 @@ func NewTopK[T any](k int) *TopK[T] { return &TopK[T]{k: k} }
 
 // NewBottomK retains the k lowest-scoring items.
 func NewBottomK[T any](k int) *TopK[T] { return &TopK[T]{k: k, bottom: true} }
-
-// K returns the retention bound.
-func (t *TopK[T]) K() int { return t.k }
 
 // Len returns the number of currently retained items (≤ k).
 func (t *TopK[T]) Len() int { return len(t.heap) }

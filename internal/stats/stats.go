@@ -1,6 +1,7 @@
 // Package stats provides the measurement plumbing shared by the simulator:
-// histograms, rate helpers, geometric means, and fixed-width text tables in
-// the style of the paper's result presentation.
+// mergeable reducers (a histogram, moments, top-k), rate helpers, geometric
+// means, and fixed-width text tables in the style of the paper's result
+// presentation.
 package stats
 
 import (
@@ -8,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -18,14 +18,6 @@ func Pct(n, d uint64) float64 {
 		return 0
 	}
 	return 100 * float64(n) / float64(d)
-}
-
-// Ratio returns n/d, or 0 when d == 0.
-func Ratio(n, d uint64) float64 {
-	if d == 0 {
-		return 0
-	}
-	return float64(n) / float64(d)
 }
 
 // PerKilo returns 1000*n/d (e.g. misses per kilo-instruction), or 0 when
@@ -66,117 +58,6 @@ func GmeanSpeedupPct(gainsPct []float64) float64 {
 		return 0
 	}
 	return (g - 1) * 100
-}
-
-// Histogram is a bounded linear histogram with an overflow bucket.
-type Histogram struct {
-	// BucketWidth is the value span of each bucket.
-	BucketWidth int
-	buckets     []uint64
-	over        uint64
-	count       uint64
-	sum         int64
-	max         int64
-}
-
-// NewHistogram creates a histogram with n buckets of the given width,
-// covering [0, n*width); larger samples land in the overflow bucket.
-func NewHistogram(n, width int) *Histogram {
-	if n <= 0 {
-		n = 1
-	}
-	if width <= 0 {
-		width = 1
-	}
-	return &Histogram{BucketWidth: width, buckets: make([]uint64, n)}
-}
-
-// Add records one sample. Negative samples clamp to zero.
-func (h *Histogram) Add(v int) { h.AddN(v, 1) }
-
-// AddN records n identical samples in one update — the bulk form the cycle
-// kernel uses when fast-forwarding over idle stretches whose sampled value
-// is provably constant. Negative samples clamp to zero.
-func (h *Histogram) AddN(v int, n uint64) {
-	if n == 0 {
-		return
-	}
-	if v < 0 {
-		v = 0
-	}
-	h.count += n
-	h.sum += int64(v) * int64(n)
-	if int64(v) > h.max {
-		h.max = int64(v)
-	}
-	b := v / h.BucketWidth
-	if b >= len(h.buckets) {
-		h.over += n
-		return
-	}
-	h.buckets[b] += n
-}
-
-// Reset discards every recorded sample, restoring the just-constructed
-// state while retaining the bucket array (part of the simulator-wide Reset
-// contract; see ARCHITECTURE.md).
-func (h *Histogram) Reset() {
-	clear(h.buckets)
-	h.over = 0
-	h.count = 0
-	h.sum = 0
-	h.max = 0
-}
-
-// Count returns the number of samples recorded.
-func (h *Histogram) Count() uint64 { return h.count }
-
-// Mean returns the sample mean.
-func (h *Histogram) Mean() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.count)
-}
-
-// Max returns the largest sample seen.
-func (h *Histogram) Max() int64 { return h.max }
-
-// Bucket returns the count in bucket i (samples in [i*w, (i+1)*w)).
-func (h *Histogram) Bucket(i int) uint64 {
-	if i < 0 || i >= len(h.buckets) {
-		return 0
-	}
-	return h.buckets[i]
-}
-
-// Overflow returns the count of samples past the last bucket.
-func (h *Histogram) Overflow() uint64 { return h.over }
-
-// Quantile returns an upper bound of the q-quantile (0 <= q <= 1) using
-// bucket upper edges; overflow samples report the observed max.
-func (h *Histogram) Quantile(q float64) int64 {
-	if h.count == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := uint64(math.Ceil(q * float64(h.count)))
-	if target == 0 {
-		target = 1
-	}
-	var cum uint64
-	for i, c := range h.buckets {
-		cum += c
-		if cum >= target {
-			return int64((i + 1) * h.BucketWidth)
-		}
-	}
-	return h.max
 }
 
 // Table renders fixed-width text tables. Columns auto-size; numeric cells
@@ -315,15 +196,4 @@ func isNumeric(s string) bool {
 		}
 	}
 	return digit
-}
-
-// Sorted returns keys of a string-keyed map in sorted order; a small helper
-// for deterministic output.
-func Sorted[M ~map[string]V, V any](m M) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
