@@ -283,6 +283,21 @@ func BenchmarkRunFilteredFDP(b *testing.B) {
 	benchmarkRun(b, cfg)
 }
 
+// BenchmarkRunLargePFB measures E7's largest point on slow memory: the
+// FDP+CPF machine with a 128-entry prefetch buffer over 300-cycle memory.
+// Every issue attempt probes the buffer and the in-flight transfers, and
+// this is the machine where the buffer is largest and the most transfers
+// are in flight.
+func BenchmarkRunLargePFB(b *testing.B) {
+	cfg := DefaultConfig()
+	cfg.Prefetch.Kind = PrefetchFDP
+	cfg.Prefetch.FDP.CPF = CPFConservative
+	cfg.PrefetchBufferEntries = 128
+	cfg.Mem.MemLatency = 300
+	cfg.MaxInstrs = 50_000
+	benchmarkRun(b, cfg)
+}
+
 // TestStepZeroAlloc pins the zero-allocation contract of the cycle kernel at
 // the public API: in steady state, advancing the machine allocates nothing.
 // CI runs this test as the allocation-regression gate.

@@ -1,18 +1,25 @@
 package cache
 
+import "math/bits"
+
 // PrefetchBuffer is the small fully-associative FIFO buffer prefetched lines
 // land in. It is probed in parallel with the L1-I on every fetch; a hit
 // transfers the line into the L1-I (the caller performs the Fill) and frees
 // the buffer slot. Keeping prefetches out of the cache until first use is
 // what protects the L1-I from wrong-path pollution.
+//
+// Probes go through an exact line→slot index, so Contains, Take and Insert
+// cost the same at 8 entries as at 128; a used-slot bitmap finds the lowest
+// free slot an insert takes.
 type PrefetchBuffer struct {
 	lineMask uint64
 	entries  []uint64
-	valid    []bool
-	next     int // FIFO allocation cursor
+	used     []uint64  // bit i%64 of word i/64 set: entries[i] is live
+	index    LineIndex // live line → slot
+	next     int       // FIFO allocation cursor
 
-	// Inserts/Hits/Evictions/Replaced count buffer traffic; a Replaced
-	// entry is one evicted before any use (a wasted prefetch).
+	// Inserts/Hits/Evictions count buffer traffic; an eviction replaces a
+	// live entry the FIFO cursor chose because no slot was free.
 	Inserts, Hits, Evictions uint64
 }
 
@@ -21,13 +28,12 @@ type PrefetchBuffer struct {
 // buffer" (inserts drop, probes miss), which gives experiments a clean way
 // to disable prefetching storage.
 func NewPrefetchBuffer(numEntries, lineBytes int) *PrefetchBuffer {
-	if numEntries < 0 {
-		numEntries = 0
-	}
+	numEntries = max(numEntries, 0)
 	return &PrefetchBuffer{
 		lineMask: ^uint64(lineBytes - 1),
 		entries:  make([]uint64, numEntries),
-		valid:    make([]bool, numEntries),
+		used:     make([]uint64, (numEntries+63)/64),
+		index:    NewLineIndex(numEntries),
 	}
 }
 
@@ -37,83 +43,66 @@ func (p *PrefetchBuffer) Capacity() int { return len(p.entries) }
 // Contains reports whether the line holding addr is buffered, without side
 // effects.
 func (p *PrefetchBuffer) Contains(addr uint64) bool {
-	l := addr & p.lineMask
-	for i, v := range p.valid {
-		if v && p.entries[i] == l {
-			return true
-		}
-	}
-	return false
+	return p.index.Has(addr & p.lineMask)
 }
 
 // Take removes and returns the buffered line on a fetch hit. ok is false on
 // a miss.
 func (p *PrefetchBuffer) Take(addr uint64) bool {
-	l := addr & p.lineMask
-	for i, v := range p.valid {
-		if v && p.entries[i] == l {
-			p.valid[i] = false
-			p.Hits++
-			return true
-		}
+	i, ok := p.index.Delete(addr & p.lineMask)
+	if ok {
+		p.used[i/64] &^= 1 << (i % 64)
+		p.Hits++
 	}
-	return false
+	return ok
 }
 
-// Insert installs a prefetched line, evicting FIFO-oldest when full.
-// Duplicate inserts refresh nothing and are dropped.
+// Insert installs a prefetched line in the lowest free slot, or in the
+// FIFO cursor's slot when none is free. Duplicate inserts refresh nothing
+// and are dropped.
 func (p *PrefetchBuffer) Insert(addr uint64) {
 	if len(p.entries) == 0 {
 		return
 	}
 	l := addr & p.lineMask
-	if p.Contains(l) {
+	if p.index.Has(l) {
 		return
 	}
-	// Prefer a free slot.
-	for i, v := range p.valid {
-		if !v {
-			p.entries[i] = l
-			p.valid[i] = true
-			p.Inserts++
-			return
+	p.Inserts++
+	if p.index.Len() < len(p.entries) {
+		for w, u := range p.used {
+			if u != ^uint64(0) {
+				p.install(64*w+bits.TrailingZeros64(^u), l)
+				return
+			}
 		}
 	}
-	// FIFO eviction.
-	p.entries[p.next] = l
-	p.valid[p.next] = true
+	p.index.Delete(p.entries[p.next])
+	p.install(p.next, l)
 	p.next = (p.next + 1) % len(p.entries)
-	p.Inserts++
 	p.Evictions++
 }
 
-// InvalidateAll empties the buffer.
-func (p *PrefetchBuffer) InvalidateAll() {
-	for i := range p.valid {
-		p.valid[i] = false
-	}
+// install puts line l in slot i.
+func (p *PrefetchBuffer) install(i int, l uint64) {
+	p.entries[i] = l
+	p.used[i/64] |= 1 << (i % 64)
+	p.index.Put(l, i)
 }
 
 // Reset restores the pristine just-constructed state: every entry invalid,
 // the FIFO cursor rewound, and counters zeroed, retaining the backing
 // arrays.
 func (p *PrefetchBuffer) Reset() {
-	clear(p.valid)
 	clear(p.entries)
+	clear(p.used)
+	p.index.Reset()
 	p.next = 0
 	p.Inserts, p.Hits, p.Evictions = 0, 0, 0
 }
 
 // Occupancy returns the number of live entries.
-func (p *PrefetchBuffer) Occupancy() int {
-	n := 0
-	for _, v := range p.valid {
-		if v {
-			n++
-		}
-	}
-	return n
-}
+func (p *PrefetchBuffer) Occupancy() int { return p.index.Len() }
 
 // StorageBits accounts buffer storage: each entry holds a 48-bit line
 // address tag plus the line data itself.

@@ -79,13 +79,13 @@ func TestPFBZeroCapacity(t *testing.T) {
 	}
 }
 
-func TestPFBInvalidateAllAndStorage(t *testing.T) {
+func TestPFBResetAndStorage(t *testing.T) {
 	p := NewPrefetchBuffer(4, 32)
 	p.Insert(0x1000)
 	p.Insert(0x2000)
-	p.InvalidateAll()
-	if p.Occupancy() != 0 {
-		t.Errorf("Occupancy = %d", p.Occupancy())
+	p.Reset()
+	if p.Occupancy() != 0 || p.Contains(0x1000) || p.Contains(0x2000) {
+		t.Errorf("Occupancy = %d after Reset", p.Occupancy())
 	}
 	if got := p.StorageBits(32); got != 4*(48+256) {
 		t.Errorf("StorageBits = %d", got)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"iter"
+	"reflect"
 	"sort"
 	"sync"
 
@@ -166,6 +167,17 @@ func (c *Coordinator) Stream(ctx context.Context, p *engine.Plan) iter.Seq2[engi
 				return
 			}
 			defer jr.Close()
+		}
+
+		// A replayed outcome must be the plan's own point: a record whose
+		// job differs from the plan's at its index (a journal written under
+		// another plan with the same fingerprint) becomes the tear point,
+		// and it and every later record execute again.
+		if bad := c.firstForeign(p, jr, completed); bad >= 0 {
+			if err := jr.tear(bad, completed); err != nil {
+				yield(engine.RunOutcome{}, err)
+				return
+			}
 		}
 
 		// A journal primes the shared result cache before anything replays:
@@ -497,6 +509,28 @@ func quiesced(ch <-chan struct{}) bool {
 	default:
 		return false
 	}
+}
+
+// firstForeign returns the start of the replayed range, earliest in the
+// journal, holding an outcome whose job is not the plan's resolved job at
+// its index, or -1 when every replayed outcome is the plan's.
+func (c *Coordinator) firstForeign(p *engine.Plan, jr *Journal, completed map[int][]engine.RunOutcome) int {
+	bad := -1
+	if len(completed) == 0 {
+		return bad
+	}
+	chunk := c.opts.ChunkPoints
+	for i, job := range p.Jobs() {
+		start := i - i%chunk
+		outs, ok := completed[start]
+		if !ok || bad >= 0 && jr.offsets[start] >= jr.offsets[bad] {
+			continue
+		}
+		if rj, _, _ := engine.ResolveJob(job, c.opts.Instrs); !reflect.DeepEqual(outs[i-start].Job, rj) {
+			bad = start
+		}
+	}
+	return bad
 }
 
 // primeCache writes one journal-replayed outcome into the shared result

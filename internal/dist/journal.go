@@ -31,6 +31,10 @@ import (
 // Crash tolerance: a coordinator killed mid-append leaves a torn final line;
 // OpenJournal truncates the tail back to the last record that decodes and
 // validates, sacrificing (at most) the final range's work, never correctness.
+// A record validates only if it is a range the plan could have produced: a
+// start on a chunk boundary inside the plan, seen for the first time, with
+// exactly that range's outcomes in enumeration order. Anything else is a
+// tear point, so replay can never deliver a point twice or outside the plan.
 type journalRecord struct {
 	Type string `json:"type"` // "header" | "range"
 
@@ -47,9 +51,10 @@ type journalRecord struct {
 
 // Journal is an open checkpoint file positioned for appends.
 type Journal struct {
-	mu  sync.Mutex
-	f   *os.File
-	enc *json.Encoder
+	mu      sync.Mutex
+	f       *os.File
+	enc     *json.Encoder
+	offsets map[int]int64 // replayed range start → its record's file offset
 }
 
 // OpenJournal opens (creating if absent) the journal at path for a sweep
@@ -62,7 +67,7 @@ func OpenJournal(path string, fingerprint uint64, points, chunk int) (*Journal, 
 	if err != nil {
 		return nil, nil, fmt.Errorf("dist: journal: %w", err)
 	}
-	j := &Journal{f: f, enc: json.NewEncoder(f)}
+	j := &Journal{f: f, enc: json.NewEncoder(f), offsets: make(map[int]int64)}
 	completed := make(map[int][]engine.RunOutcome)
 
 	dec := json.NewDecoder(f)
@@ -107,36 +112,77 @@ func OpenJournal(path string, fingerprint uint64, points, chunk int) (*Journal, 
 		if err == io.EOF {
 			break
 		}
-		// A record that fails to decode — or decodes but is internally
-		// inconsistent — marks the tear point; everything after it is
+		// A record that fails to decode — or decodes but is not a range
+		// of this plan — marks the tear point; everything after it is
 		// suspect and gets re-executed rather than trusted.
-		if err != nil || rec.Type != "range" || len(rec.Outcomes) != rec.Count || rec.Count <= 0 {
+		if err != nil || !rec.replayable(points, chunk, completed) {
 			torn = true
 			break
 		}
 		completed[rec.Start] = rec.Outcomes
+		j.offsets[rec.Start] = good
 		good = dec.InputOffset()
 	}
 	if torn {
-		if err := f.Truncate(good); err != nil {
-			f.Close()
-			return nil, nil, fmt.Errorf("dist: journal: truncate torn tail: %w", err)
-		}
-	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	if torn {
-		// Truncation may have cut the last good record's trailing newline;
-		// keep the file one-record-per-line for human eyes (the decoder
-		// doesn't care either way).
-		if _, err := f.WriteString("\n"); err != nil {
+		if err := j.truncate(good); err != nil {
 			f.Close()
 			return nil, nil, err
 		}
+	} else if _, err := f.Seek(0, io.SeekEnd); err != nil {
+		f.Close()
+		return nil, nil, err
 	}
 	return j, completed, nil
+}
+
+// replayable reports whether rec is a range record a sweep of points points
+// chunked at chunk could have committed, and the first for its start.
+func (rec *journalRecord) replayable(points, chunk int, completed map[int][]engine.RunOutcome) bool {
+	if rec.Type != "range" || chunk <= 0 || rec.Start < 0 || rec.Start >= points || rec.Start%chunk != 0 {
+		return false
+	}
+	if _, dup := completed[rec.Start]; dup {
+		return false
+	}
+	if rec.Count != min(chunk, points-rec.Start) || len(rec.Outcomes) != rec.Count {
+		return false
+	}
+	for i, out := range rec.Outcomes {
+		if out.Index != rec.Start+i {
+			return false
+		}
+	}
+	return true
+}
+
+// truncate cuts the file at off, the tear point, and positions it for
+// appends.
+func (j *Journal) truncate(off int64) error {
+	if err := j.f.Truncate(off); err != nil {
+		return fmt.Errorf("dist: journal: truncate torn tail: %w", err)
+	}
+	if _, err := j.f.Seek(0, io.SeekEnd); err != nil {
+		return err
+	}
+	// Truncation may have cut the last good record's trailing newline;
+	// keep the file one-record-per-line for human eyes (the decoder
+	// doesn't care either way).
+	_, err := j.f.WriteString("\n")
+	return err
+}
+
+// tear makes the record of replayed range start the tear point: the file
+// is truncated before it, and it and every range recorded after it leave
+// completed, to be executed again.
+func (j *Journal) tear(start int, completed map[int][]engine.RunOutcome) error {
+	off := j.offsets[start]
+	for s, o := range j.offsets {
+		if o >= off {
+			delete(completed, s)
+			delete(j.offsets, s)
+		}
+	}
+	return j.truncate(off)
 }
 
 // Commit durably records one completed range. The fsync is what upgrades

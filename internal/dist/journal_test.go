@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -175,5 +176,182 @@ func TestJournalPreventsReexecution(t *testing.T) {
 	}
 	if len(executed) != 2 {
 		t.Errorf("resume executed ranges %v; want the two non-journaled ranges [2 4]", executed)
+	}
+}
+
+// TestJournalRejectsRangesOutsideThePlan: a record is replayed only if it is
+// a range the plan's chunking could have committed, the first for its start,
+// with that range's outcomes in enumeration order. The first record that is
+// not becomes the tear point: it and everything after it are dropped, and
+// the records before it survive.
+func TestJournalRejectsRangesOutsideThePlan(t *testing.T) {
+	const points, chunk = 7, 2
+	reindex := func(outs []engine.RunOutcome, idx ...int) []engine.RunOutcome {
+		for i := range outs {
+			outs[i].Index = idx[i]
+		}
+		return outs
+	}
+	for _, tc := range []struct {
+		name  string
+		start int
+		outs  []engine.RunOutcome
+		ok    bool
+	}{
+		{"last range short", 6, synthRange(6, 1), true},
+		{"unaligned start", 1, synthRange(1, 2), false},
+		{"start past the plan", 8, synthRange(8, 2), false},
+		{"negative start", -2, synthRange(-2, 2), false},
+		{"short range", 4, synthRange(4, 1), false},
+		{"long last range", 6, synthRange(6, 2), false},
+		{"indices outside the range", 4, reindex(synthRange(4, 2), 70, 71), false},
+		{"indices out of order", 4, reindex(synthRange(4, 2), 5, 4), false},
+		{"repeated start", 0, synthRange(0, 2), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "j")
+			j, _, err := OpenJournal(path, 1, points, chunk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, rec := range []struct {
+				start int
+				outs  []engine.RunOutcome
+			}{{0, synthRange(0, 2)}, {tc.start, tc.outs}, {2, synthRange(2, 2)}} {
+				if err := j.Commit(rec.start, rec.outs); err != nil {
+					t.Fatal(err)
+				}
+			}
+			j.Close()
+			j, completed, err := OpenJournal(path, 1, points, chunk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer j.Close()
+			want := []int{0}
+			if tc.ok {
+				want = []int{0, 2, tc.start}
+			}
+			if len(completed) != len(want) {
+				t.Fatalf("replayed %d ranges, want %v", len(completed), want)
+			}
+			for _, s := range want {
+				if _, ok := completed[s]; !ok {
+					t.Errorf("range %d not replayed; want %v", s, want)
+				}
+			}
+		})
+	}
+}
+
+// journalPlanRange commits outs as range start of plan p's journal under
+// coordinator c, as a previous run of some other writer would have.
+func journalPlanRange(t *testing.T, c *Coordinator, p *engine.Plan, start int, outs []engine.RunOutcome) {
+	t.Helper()
+	j, _, err := OpenJournal(c.opts.Journal, c.fingerprint(p), p.Points(), c.opts.ChunkPoints)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Commit(start, outs); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+}
+
+// TestJournalMisalignedRangeNotReplayed: a record at start 1 of a 6-point
+// plan chunked at 2 claims points 1 and 2, which straddle ranges 0 and 2.
+// Replaying it delivered both points twice — once from the journal, once
+// when ranges 0 and 2 executed.
+func TestJournalMisalignedRangeNotReplayed(t *testing.T) {
+	p := testPlan()
+	ref := reference(t, p)
+	c := New(Options{Dialer: Loopback{Workers: 2}, Shards: 1, ChunkPoints: 2, Journal: filepath.Join(t.TempDir(), "j")})
+	journalPlanRange(t, c, p, 1, ref[1:3])
+
+	seen := make([]int, p.Points())
+	got := make([]engine.RunOutcome, p.Points())
+	for out, err := range c.Stream(context.Background(), p) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen[out.Index]++
+		got[out.Index] = out
+	}
+	for i, n := range seen {
+		if n != 1 {
+			t.Errorf("point %d delivered %d times, want once", i, n)
+		}
+	}
+	requireIdentical(t, "misaligned journal", ref, got)
+}
+
+// TestJournalOutOfPlanIndicesNotReplayed: a start-0 record whose outcomes
+// carry indices 70 and 71 of a 6-point plan made Sweep index past its
+// result slice and panic.
+func TestJournalOutOfPlanIndicesNotReplayed(t *testing.T) {
+	p := testPlan()
+	ref := reference(t, p)
+	c := New(Options{Dialer: Loopback{Workers: 2}, Shards: 1, ChunkPoints: 2, Journal: filepath.Join(t.TempDir(), "j")})
+	forged := append([]engine.RunOutcome(nil), ref[0:2]...)
+	forged[0].Index, forged[1].Index = 70, 71
+	journalPlanRange(t, c, p, 0, forged)
+
+	outs, err := c.Sweep(context.Background(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireIdentical(t, "out-of-plan journal", ref, outs)
+}
+
+// TestJournalForeignJobNotReplayed: a structurally valid record whose jobs
+// are not the plan's (a journal of another plan whose shape and labels
+// fingerprint the same) is neither replayed nor allowed to prime the shared
+// result cache. It becomes the tear point: the record before it replays, it
+// and the record after it execute again, and the rewritten journal replays
+// cleanly.
+func TestJournalForeignJobNotReplayed(t *testing.T) {
+	p := testPlan()
+	ref := reference(t, p)
+	journal := filepath.Join(t.TempDir(), "j")
+	cache := new(engine.ResultCache)
+	d := newChaosDialer(Loopback{Workers: 2}, 0)
+	c := New(Options{Dialer: d, Shards: 1, ChunkPoints: 2, Journal: journal, Cache: cache})
+	foreign := append([]engine.RunOutcome(nil), ref[0:2]...)
+	foreign[0].Job.Seed, foreign[1].Job.Seed = 99, 98
+	foreign[0].Result.Cycles++
+	journalPlanRange(t, c, p, 2, ref[2:4])
+	journalPlanRange(t, c, p, 0, foreign)
+	journalPlanRange(t, c, p, 4, ref[4:6])
+
+	outs, err := c.Sweep(context.Background(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireIdentical(t, "foreign journal", ref, outs)
+	executed := d.executedStarts()
+	slices.Sort(executed)
+	if !slices.Equal(executed, []int{0, 4}) {
+		t.Errorf("executed ranges %v; want [0 4] (range 2 replays, the foreign range and everything after it execute)", executed)
+	}
+	if _, key, err := engine.ResolveJob(foreign[0].Job, 0); err == nil {
+		if _, ok := cache.Get(key); ok {
+			t.Error("the foreign record primed the shared cache")
+		}
+	}
+
+	j, completed, err := OpenJournal(journal, c.fingerprint(p), p.Points(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	if len(completed) != 3 {
+		t.Fatalf("rewritten journal replays %d ranges, want 3", len(completed))
+	}
+	for start, outs := range completed {
+		for i, out := range outs {
+			if !reflect.DeepEqual(out.Job, ref[start+i].Job) {
+				t.Errorf("rewritten journal point %d holds job %+v", start+i, out.Job)
+			}
+		}
 	}
 }

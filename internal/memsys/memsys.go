@@ -83,25 +83,57 @@ type Transfer struct {
 	FromL2 bool
 
 	// seq orders completions with equal Done cycles (request order), making
-	// the completion queue fully deterministic.
+	// the completion order fully deterministic.
 	seq uint64
+}
+
+// Completion lanes. A transfer is done at Done = start + latency. The bus
+// starts transfers in strictly increasing cycles (start = max(now,
+// busFreeAt), then busFreeAt = start + BusCyclesPerLine), and latency is one
+// of two constants: an L2 hit's or an L2 miss's. Within one latency class,
+// then, transfers complete in request order, with strictly increasing Done
+// and seq. So the in-flight transfers live in two FIFO lanes, one per class,
+// each already sorted by (Done, seq), and the earlier of the two lane heads
+// is exactly the transfer a min-heap keyed by (Done, seq) would pop.
+const (
+	laneHit  = 0
+	laneMiss = 1
+
+	// laneBit tags a lane-miss slot in the in-flight index.
+	laneBit = 1 << 30
+)
+
+// lane is a FIFO ring of in-flight transfers of one latency class.
+type lane struct {
+	ring    []Transfer // power-of-two length; live: head, head+1, ... (mod len)
+	head, n int
+}
+
+// front returns the lane's oldest transfer, or nil when it is empty.
+func (l *lane) front() *Transfer {
+	if l.n == 0 {
+		return nil
+	}
+	return &l.ring[l.head]
 }
 
 // Hierarchy is the L2 + bus + memory model.
 //
-// In-flight transfers live in a min-heap keyed by (Done, request order), so
-// draining completions is O(log n) per completed transfer and free when
-// nothing has completed. Transfer records are pooled: DrainCompleted recycles
-// each record after delivery, so the steady-state hot path performs no heap
-// allocation.
+// In-flight transfers live in two completion lanes (see laneHit), so the
+// next completion is the earlier of two ring heads and draining costs O(1)
+// per completed transfer. An exact line index over the lanes answers
+// Inflight and finds the transfer a request merges into. The rings and the
+// index keep their storage across completions and Reset, so the
+// steady-state hot path performs no heap allocation.
 type Hierarchy struct {
-	cfg Config
-	l2  *cache.Cache
+	cfg      Config
+	l2       *cache.Cache
+	lineMask uint64
 
 	busFreeAt int64
-	inflight  map[uint64]*Transfer
-	queue     []*Transfer // min-heap on (Done, seq)
-	free      []*Transfer // recycled Transfer records
+	lanes     [2]lane
+	inflight  cache.LineIndex // line → ring slot, laneBit set for laneMiss
+	nextDone  int64           // the earlier lane head's Done; MaxInt64 when idle
 	seq       uint64
 
 	// BusBusyCycles accumulates bus occupancy for utilisation reports.
@@ -125,7 +157,9 @@ func New(cfg Config) *Hierarchy {
 	return &Hierarchy{
 		cfg:      cfg,
 		l2:       cache.New(cfg.l2()),
-		inflight: make(map[uint64]*Transfer),
+		lineMask: ^uint64(cfg.LineBytes - 1),
+		inflight: cache.NewLineIndex(16),
+		nextDone: math.MaxInt64,
 	}
 }
 
@@ -160,19 +194,21 @@ func (h *Hierarchy) L2() *cache.Cache { return h.l2 }
 // now. Prefetchers must check this before issuing.
 func (h *Hierarchy) BusIdle(now int64) bool { return h.busFreeAt <= now }
 
-// Inflight reports whether the line is already being transferred.
-func (h *Hierarchy) Inflight(line uint64) bool {
-	_, ok := h.inflight[line]
-	return ok
+// Inflight reports whether the line holding addr is being transferred.
+func (h *Hierarchy) Inflight(addr uint64) bool {
+	return h.inflight.Has(addr & h.lineMask)
 }
 
 // Request starts (or merges into) a transfer of the given line at cycle now.
 // Demand requests always queue; prefetch requests should only be made when
 // BusIdle(now) is true, but the model tolerates queued prefetches for
-// experiments that deliberately ignore the idle rule.
+// experiments that deliberately ignore the idle rule. The returned transfer
+// lives in a completion lane: it is valid only until the next Request or
+// DrainCompleted.
 func (h *Hierarchy) Request(line uint64, prefetch bool, now int64) *Transfer {
-	line = line &^ uint64(h.cfg.LineBytes-1)
-	if t, ok := h.inflight[line]; ok {
+	line &= h.lineMask
+	if v, ok := h.inflight.Get(line); ok {
+		t := &h.lanes[v/laneBit].ring[v%laneBit]
 		if !prefetch {
 			if t.Prefetch && !t.DemandMerged {
 				t.DemandMerged = true
@@ -195,11 +231,13 @@ func (h *Hierarchy) Request(line uint64, prefetch bool, now int64) *Transfer {
 
 	hit := h.l2.Access(line)
 	lat := h.cfg.L2HitLatency + h.cfg.BusCyclesPerLine
+	li := laneHit
 	if !hit {
 		lat += h.cfg.MemLatency
+		li = laneMiss
 		h.l2.Fill(line, prefetch)
 	}
-	t := h.alloc()
+	t := h.push(li, line)
 	*t = Transfer{
 		Line:     line,
 		Done:     start + int64(lat),
@@ -208,8 +246,7 @@ func (h *Hierarchy) Request(line uint64, prefetch bool, now int64) *Transfer {
 		seq:      h.seq,
 	}
 	h.seq++
-	h.inflight[line] = t
-	h.push(t)
+	h.nextDone = min(h.nextDone, t.Done)
 	if prefetch {
 		h.PrefetchRequests++
 		if hit {
@@ -228,97 +265,83 @@ func (h *Hierarchy) Request(line uint64, prefetch bool, now int64) *Transfer {
 	return t
 }
 
-// alloc takes a Transfer record from the free pool, or makes one.
-func (h *Hierarchy) alloc() *Transfer {
-	if n := len(h.free); n > 0 {
-		t := h.free[n-1]
-		h.free = h.free[:n-1]
-		return t
+// push appends a transfer of line to lane li, indexes it, and returns its
+// slot for the caller to fill. A full ring doubles, re-indexing the
+// transfers it moves.
+func (h *Hierarchy) push(li int, line uint64) *Transfer {
+	l := &h.lanes[li]
+	if l.n == len(l.ring) {
+		ring := make([]Transfer, max(8, 2*len(l.ring)))
+		for i := range l.n {
+			ring[i] = l.ring[(l.head+i)&(len(l.ring)-1)]
+			h.inflight.Put(ring[i].Line, li*laneBit+i)
+		}
+		l.ring, l.head = ring, 0
 	}
-	return new(Transfer)
+	slot := (l.head + l.n) & (len(l.ring) - 1)
+	l.n++
+	h.inflight.Put(line, li*laneBit+slot)
+	return &l.ring[slot]
 }
 
-// transferLess orders the completion heap: earliest Done first, request
-// order breaking ties.
-func transferLess(a, b *Transfer) bool {
-	return a.Done < b.Done || (a.Done == b.Done && a.seq < b.seq)
-}
-
-// push inserts a transfer into the completion heap.
-func (h *Hierarchy) push(t *Transfer) {
-	h.queue = append(h.queue, t)
-	i := len(h.queue) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !transferLess(h.queue[i], h.queue[parent]) {
-			break
+// next returns the lane whose head completes first — the earlier head by
+// (Done, seq) — or nil when nothing is in flight.
+func (h *Hierarchy) next() *lane {
+	a, b := &h.lanes[laneHit], &h.lanes[laneMiss]
+	ta, tb := a.front(), b.front()
+	switch {
+	case tb == nil:
+		if ta == nil {
+			return nil
 		}
-		h.queue[i], h.queue[parent] = h.queue[parent], h.queue[i]
-		i = parent
+		return a
+	case ta == nil:
+		return b
+	case tb.Done < ta.Done || tb.Done == ta.Done && tb.seq < ta.seq:
+		return b
 	}
-}
-
-// popCompleted removes and returns the earliest transfer finished at or
-// before now, or nil when none has.
-func (h *Hierarchy) popCompleted(now int64) *Transfer {
-	if len(h.queue) == 0 || h.queue[0].Done > now {
-		return nil
-	}
-	t := h.queue[0]
-	last := len(h.queue) - 1
-	h.queue[0] = h.queue[last]
-	h.queue[last] = nil
-	h.queue = h.queue[:last]
-	// Sift down.
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < len(h.queue) && transferLess(h.queue[l], h.queue[smallest]) {
-			smallest = l
-		}
-		if r < len(h.queue) && transferLess(h.queue[r], h.queue[smallest]) {
-			smallest = r
-		}
-		if smallest == i {
-			break
-		}
-		h.queue[i], h.queue[smallest] = h.queue[smallest], h.queue[i]
-		i = smallest
-	}
-	delete(h.inflight, t.Line)
-	return t
+	return a
 }
 
 // DrainCompleted delivers every transfer finished at or before now, in
-// completion order, then recycles its record. The *Transfer passed to deliver
-// is valid only for the duration of the call — the zero-allocation delivery
-// path for the cycle kernel.
+// completion order (Done, then request order), retiring each from its lane
+// once deliver returns. The *Transfer passed to deliver is valid only for
+// the duration of the call, and deliver must not call Request — the
+// zero-allocation delivery path for the cycle kernel. A cycle with nothing
+// to deliver costs one comparison.
 func (h *Hierarchy) DrainCompleted(now int64, deliver func(*Transfer)) {
-	for {
-		t := h.popCompleted(now)
-		if t == nil {
+	if now >= h.nextDone {
+		h.drain(now, deliver)
+	}
+}
+
+// drain is DrainCompleted's delivery loop.
+func (h *Hierarchy) drain(now int64, deliver func(*Transfer)) {
+	for l := h.next(); l != nil; l = h.next() {
+		t := &l.ring[l.head]
+		if t.Done > now {
+			h.nextDone = t.Done
 			return
 		}
+		h.inflight.Delete(t.Line)
 		deliver(t)
-		h.free = append(h.free, t)
+		l.head = (l.head + 1) & (len(l.ring) - 1)
+		l.n--
 	}
+	h.nextDone = math.MaxInt64
 }
 
 // Reset restores the pristine just-constructed state: the L2 cold, the bus
 // free at cycle 0, no transfer in flight, and every counter zeroed. The
-// completion heap's records are recycled into the transfer free list and the
-// heap/map backing storage is retained, so a reset machine allocates nothing
-// to reach steady state again.
+// lanes' rings and the in-flight index keep their storage, so a reset
+// machine allocates nothing to reach steady state again.
 func (h *Hierarchy) Reset() {
 	h.l2.Reset()
 	h.busFreeAt = 0
-	clear(h.inflight)
-	for i, t := range h.queue {
-		h.free = append(h.free, t)
-		h.queue[i] = nil
-	}
-	h.queue = h.queue[:0]
+	h.lanes[laneHit].head, h.lanes[laneHit].n = 0, 0
+	h.lanes[laneMiss].head, h.lanes[laneMiss].n = 0, 0
+	h.inflight.Reset()
+	h.nextDone = math.MaxInt64
 	h.seq = 0
 	h.BusBusyCycles = 0
 	h.DemandRequests, h.PrefetchRequests = 0, 0
@@ -331,18 +354,13 @@ func (h *Hierarchy) Reset() {
 // NextCompletion returns the cycle the earliest in-flight transfer finishes,
 // or math.MaxInt64 when nothing is in flight — the memory system's
 // contribution to the core's next-interesting-cycle schedule.
-func (h *Hierarchy) NextCompletion() int64 {
-	if len(h.queue) == 0 {
-		return math.MaxInt64
-	}
-	return h.queue[0].Done
-}
+func (h *Hierarchy) NextCompletion() int64 { return h.nextDone }
 
 // BusFreeAt returns the first cycle a new transfer could start.
 func (h *Hierarchy) BusFreeAt() int64 { return h.busFreeAt }
 
 // PendingCount returns the number of in-flight transfers.
-func (h *Hierarchy) PendingCount() int { return len(h.queue) }
+func (h *Hierarchy) PendingCount() int { return h.lanes[laneHit].n + h.lanes[laneMiss].n }
 
 // BusUtilization returns the fraction of the first totalCycles the bus was
 // busy.

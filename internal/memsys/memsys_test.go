@@ -45,11 +45,11 @@ func TestL2HitLatency(t *testing.T) {
 
 func TestBusSerialization(t *testing.T) {
 	h := hier()
-	a := h.Request(0x1000, false, 0)
-	b := h.Request(0x2000, false, 0)
+	a := h.Request(0x1000, false, 0).Done
+	b := h.Request(0x2000, false, 0).Done
 	// b's bus slot starts when a's ends (cycle 4).
-	if b.Done != a.Done+4 {
-		t.Errorf("b.Done = %d, want %d", b.Done, a.Done+4)
+	if b != a+4 {
+		t.Errorf("b.Done = %d, want %d", b, a+4)
 	}
 	if h.DemandBusWait != 4 {
 		t.Errorf("DemandBusWait = %d", h.DemandBusWait)
@@ -99,17 +99,14 @@ func TestDrainCompletedOrderAndRemoval(t *testing.T) {
 	w := h.Request(0x2000, false, 0)
 	h.DrainCompleted(w.Done, func(*Transfer) {})
 
-	slow := h.Request(0x1000, false, 200) // cold: done 264
-	fast := h.Request(0x2000, false, 200) // L2 hit, bus queued: start 204 → done 218
-	slowDone, fastDone := slow.Done, fast.Done
+	slowDone := h.Request(0x1000, false, 200).Done // cold: done 264
+	fastDone := h.Request(0x2000, false, 200).Done // L2 hit, bus queued: start 204 → done 218
 	if fastDone >= slowDone {
 		t.Fatalf("expected out-of-order completion: fast=%d slow=%d", fastDone, slowDone)
 	}
-	// Records are recycled once the callback returns, so pointer identity
-	// is checked inside it.
 	n := 0
 	h.DrainCompleted(fastDone, func(tr *Transfer) {
-		if n++; tr != fast {
+		if n++; tr.Line != 0x2000 || tr.Done != fastDone {
 			t.Errorf("DrainCompleted delivered line %#x before the fast transfer", tr.Line)
 		}
 	})
@@ -124,7 +121,7 @@ func TestDrainCompletedOrderAndRemoval(t *testing.T) {
 	}
 	n = 0
 	h.DrainCompleted(slowDone, func(tr *Transfer) {
-		if n++; tr != slow {
+		if n++; tr.Line != 0x1000 || tr.Done != slowDone {
 			t.Errorf("second DrainCompleted delivered line %#x, not the slow transfer", tr.Line)
 		}
 	})
@@ -142,6 +139,25 @@ func TestLineAlignment(t *testing.T) {
 	b := h.Request(0x101c, false, 0)
 	if a != b {
 		t.Error("same-line requests created two transfers")
+	}
+}
+
+// TestInflightLineAligned: Inflight answers for any address in a transfer's
+// line, exactly as Request merges any address in it.
+func TestInflightLineAligned(t *testing.T) {
+	h := hier()
+	h.Request(0x1000, true, 0)
+	for _, addr := range []uint64{0x1000, 0x1004, 0x101f} {
+		if !h.Inflight(addr) {
+			t.Errorf("Inflight(%#x) = false with line 0x1000 in flight", addr)
+		}
+	}
+	if h.Inflight(0x1020) || h.Inflight(0xfff) {
+		t.Error("Inflight reported a neighbouring line")
+	}
+	h.Request(0x101c, false, 1)
+	if h.DemandMerges != 1 || h.PendingCount() != 1 {
+		t.Errorf("demand at 0x101c: merges=%d pending=%d; want one merge into the prefetch", h.DemandMerges, h.PendingCount())
 	}
 }
 

@@ -49,9 +49,9 @@ func memTrace(h *Hierarchy, seed int64) []uint64 {
 }
 
 // TestHierarchyResetEqualsFresh dirties the hierarchy (in-flight transfers
-// left pending, the L2 warm, the transfer pool populated), resets it, and
+// left pending, the L2 warm, the lanes and index grown), resets it, and
 // requires the exact observable behaviour of a freshly constructed one —
-// including the L2's lazy arena drop and the recycled completion heap.
+// including the L2's lazy arena drop and the rewound completion lanes.
 func TestHierarchyResetEqualsFresh(t *testing.T) {
 	cfg := Config{
 		LineBytes: 32, L2SizeBytes: 1 << 20, L2Ways: 8,
