@@ -322,27 +322,6 @@ func BenchmarkOracleWalker(b *testing.B) {
 	}
 }
 
-// BenchmarkTraceRoundTrip measures trace encode+decode per instruction.
-func BenchmarkTraceRoundTrip(b *testing.B) {
-	params := program.DefaultParams()
-	params.NumFuncs = 100
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		var n uint64 = 50_000
-		var buf writeCounter
-		if err := WriteTrace(&buf, params, 3, n); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-type writeCounter struct{ n int }
-
-func (w *writeCounter) Write(p []byte) (int, error) {
-	w.n += len(p)
-	return len(p), nil
-}
-
 // BenchmarkE12WrongPathPIQ regenerates the redirect-policy ablation
 // (extension).
 func BenchmarkE12WrongPathPIQ(b *testing.B) {

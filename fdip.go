@@ -100,7 +100,6 @@ import (
 	"fdip/internal/program"
 	"fdip/internal/stats"
 	"fdip/internal/svc"
-	"fdip/internal/trace"
 	"fdip/internal/workloads"
 )
 
@@ -419,43 +418,5 @@ func (s *Simulator) RunContext(ctx context.Context) (Result, error) { return s.p
 // Snapshot returns measurements at the current cycle without stopping.
 func (s *Simulator) Snapshot() Result { return s.p.Finalize() }
 
-// WriteTrace executes n instructions of the program generated from params
-// (walker seeded with seed) and writes a compact binary trace to w.
-func WriteTrace(w io.Writer, params ProgramParams, seed int64, n uint64) error {
-	im, err := program.Generate(params)
-	if err != nil {
-		return err
-	}
-	walker := oracle.NewWalker(im, seed)
-	tw, err := trace.NewWriter(w, params, seed, im)
-	if err != nil {
-		return err
-	}
-	for i := uint64(0); i < n; i++ {
-		rec, ok := walker.Next()
-		if !ok {
-			break
-		}
-		tw.Append(rec)
-	}
-	return tw.Flush()
-}
-
-// ReplayTrace simulates cfg over a previously written trace; the program
-// image is regenerated from the trace header. The run ends at the trace's
-// recorded horizon even if cfg.MaxInstrs is larger. A machine that cannot
-// make progress (deadlock) returns an error rather than panicking.
-func ReplayTrace(r io.Reader, cfg Config) (Result, error) {
-	tr, err := trace.NewReader(r)
-	if err != nil {
-		return Result{}, err
-	}
-	p, err := core.New(cfg, tr.Image(), tr)
-	if err != nil {
-		return Result{}, err
-	}
-	return p.RunContext(context.Background())
-}
-
 // Version identifies the library release.
-const Version = "3.3.0"
+const Version = "4.0.0"

@@ -110,43 +110,6 @@ func TestSimulatorMatchesRun(t *testing.T) {
 	}
 }
 
-func TestTraceRoundTripFacade(t *testing.T) {
-	p := DefaultProgramParams()
-	p.NumFuncs = 60
-	p.Seed = 31
-	const n = 40_000
-
-	var buf bytes.Buffer
-	if err := WriteTrace(&buf, p, 4, n); err != nil {
-		t.Fatalf("WriteTrace: %v", err)
-	}
-
-	cfg := DefaultConfig()
-	cfg.MaxInstrs = n
-	replayed, err := ReplayTrace(bytes.NewReader(buf.Bytes()), cfg)
-	if err != nil {
-		t.Fatalf("ReplayTrace: %v", err)
-	}
-
-	im, err := GenerateProgram(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	live, err := NewEngine().RunImage(context.Background(), cfg, im, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if live.Cycles != replayed.Cycles || live.IPC != replayed.IPC {
-		t.Errorf("replay not cycle-exact: live %d cycles, replay %d", live.Cycles, replayed.Cycles)
-	}
-}
-
-func TestReplayTraceRejectsGarbage(t *testing.T) {
-	if _, err := ReplayTrace(strings.NewReader("not a trace at all"), DefaultConfig()); err == nil {
-		t.Error("garbage trace accepted")
-	}
-}
-
 func TestConfigErrorsSurface(t *testing.T) {
 	im := smallImage(t)
 	cfg := DefaultConfig()
@@ -288,11 +251,11 @@ func TestPlanStreamFacade(t *testing.T) {
 	}
 }
 
-func TestVersionIsV3(t *testing.T) {
+func TestVersionIsV4(t *testing.T) {
 	if Version == "" {
 		t.Error("empty Version")
 	}
-	if !strings.HasPrefix(Version, "3.") {
-		t.Errorf("Version = %q, want a 3.x release (Plan/Stream surface)", Version)
+	if !strings.HasPrefix(Version, "4.") {
+		t.Errorf("Version = %q, want a 4.x release (no trace replay)", Version)
 	}
 }

@@ -231,9 +231,6 @@ func (b *Backend) Reset() {
 // Accept returns how many instructions the decode pipe can take this cycle.
 func (b *Backend) Accept() int { return b.cfg.PipeCap - b.dpCount }
 
-// Drained reports whether no work remains anywhere in the backend.
-func (b *Backend) Drained() bool { return b.count == 0 && b.dpCount == 0 }
-
 // ROBOccupancy returns the live ROB entry count.
 func (b *Backend) ROBOccupancy() int { return b.count }
 

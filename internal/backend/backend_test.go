@@ -16,6 +16,10 @@ func mkUop(seq uint64, kind isa.Kind) pipe.Uop {
 	}
 }
 
+// Drained reports whether no work remains anywhere in the backend. Only
+// tests ask: the processor's run loop ends on its instruction or cycle cap.
+func (b *Backend) Drained() bool { return b.count == 0 && b.dpCount == 0 }
+
 func smallBackend() *Backend {
 	return New(Config{ROBSize: 16, IssueWidth: 2, CommitWidth: 2, IssueWindow: 8, DecodeLatency: 1, PipeCap: 8})
 }

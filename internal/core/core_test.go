@@ -182,7 +182,7 @@ func TestCommittedMatchesOracleStream(t *testing.T) {
 	raw := oracle.NewWalker(im, 42)
 	var want []uint64
 	for i := 0; i < n; i++ {
-		rec, _ := raw.Next()
+		rec := raw.Next()
 		want = append(want, rec.PC)
 	}
 

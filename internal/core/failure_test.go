@@ -152,39 +152,6 @@ func TestSlowMemoryConvergence(t *testing.T) {
 	}
 }
 
-func TestTraceExhaustionDrainsCleanly(t *testing.T) {
-	// A stream that ends mid-flight: the processor must drain the backend
-	// and stop without panicking, committing exactly the stream length.
-	im := pathologicalImage(t, 38)
-	const n = 10_000
-	stream := &truncatedStream{inner: oracle.NewWalker(im, 8), limit: n}
-	cfg := DefaultConfig()
-	cfg.MaxInstrs = 1 << 30
-	pr, err := New(cfg, im, stream)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := pr.Run()
-	if r.Committed != n {
-		t.Errorf("committed %d, want exactly %d", r.Committed, n)
-	}
-}
-
-type truncatedStream struct {
-	inner *oracle.Walker
-	limit uint64
-	count uint64
-}
-
-func (s *truncatedStream) NextInto(rec *oracle.Record) bool {
-	if s.count >= s.limit {
-		*rec = oracle.Record{}
-		return false
-	}
-	s.count++
-	return s.inner.NextInto(rec)
-}
-
 func TestKeepPIQOnSquashRuns(t *testing.T) {
 	im := pathologicalImage(t, 39)
 	cfg := DefaultConfig()

@@ -69,8 +69,8 @@ const occSampleShift = 6
 // fires on exactly the same cycle as under per-cycle stepping.
 const progressWindow = 2_000_000
 
-// New assembles a processor over the program image and oracle stream.
-func New(cfg Config, im *program.Image, stream oracle.Stream) (*Processor, error) {
+// New assembles a processor over the program image and oracle walker.
+func New(cfg Config, im *program.Image, walker *oracle.Walker) (*Processor, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -115,10 +115,10 @@ func New(cfg Config, im *program.Image, stream oracle.Stream) (*Processor, error
 	// arena; the backend sizes the arena to max in-flight and its own
 	// backpressure (Accept) bounds allocation.
 	if cfg.PerfectL1I {
-		p.fe = frontend.NewPerfectFetchEngine(im, stream, p.q, p.be.Arena(), p.l1i, p.pfb, p.hier,
+		p.fe = frontend.NewPerfectFetchEngine(im, walker, p.q, p.be.Arena(), p.l1i, p.pfb, p.hier,
 			cfg.FetchWidth, p.pf.OnDemandAccess)
 	} else {
-		p.fe = frontend.NewFetchEngine(im, stream, p.q, p.be.Arena(), p.l1i, p.pfb, p.hier,
+		p.fe = frontend.NewFetchEngine(im, walker, p.q, p.be.Arena(), p.l1i, p.pfb, p.hier,
 			cfg.FetchWidth, p.pf.OnDemandAccess)
 	}
 
@@ -130,18 +130,18 @@ func New(cfg Config, im *program.Image, stream oracle.Stream) (*Processor, error
 }
 
 // Reset restores the assembled machine to its just-constructed state over a
-// (possibly different) program image and oracle stream, retaining every
+// (possibly different) program image and oracle walker, retaining every
 // allocated backing array. The configuration is fixed at construction, so a
 // reset machine is only valid for jobs with the identical validated Config.
 //
 // The contract is pristine-machine semantics: after Reset the processor is
-// observationally indistinguishable from New(cfg, im, stream) — every table
+// observationally indistinguishable from New(cfg, im, walker) — every table
 // cold, every queue empty, every counter zero, the clock at cycle 0 — and it
 // must hold from *any* prior state, including a run abandoned mid-flight by
 // context cancellation. The differential harness in internal/simtest
 // enforces the equivalence end to end; per-component tests enforce it layer
 // by layer.
-func (p *Processor) Reset(im *program.Image, stream oracle.Stream) {
+func (p *Processor) Reset(im *program.Image, walker *oracle.Walker) {
 	p.im = im
 	p.l1i.Reset()
 	p.pfb.Reset()
@@ -153,7 +153,7 @@ func (p *Processor) Reset(im *program.Image, stream oracle.Stream) {
 	p.bpu.Reset(im.Entry)
 	p.be.Reset()
 	p.pf.Reset()
-	p.fe.Reset(im, stream)
+	p.fe.Reset(im, walker)
 	p.now = 0
 	p.ftqOcc.Reset()
 	p.occSamples, p.ftqOccSum, p.robOccSum = 0, 0, 0
@@ -163,8 +163,8 @@ func (p *Processor) Reset(im *program.Image, stream oracle.Stream) {
 }
 
 // MustNew is New for known-good configurations.
-func MustNew(cfg Config, im *program.Image, stream oracle.Stream) *Processor {
-	p, err := New(cfg, im, stream)
+func MustNew(cfg Config, im *program.Image, walker *oracle.Walker) *Processor {
+	p, err := New(cfg, im, walker)
 	if err != nil {
 		panic(err)
 	}
@@ -278,32 +278,27 @@ func (p *Processor) Step() {
 //
 // The one component allowed to act *inside* a jump is the BPU: its
 // predictions are clock-independent, so when fetch provably cannot consume
-// them (stalled on a miss, or the stream exhausted) and the prefetcher is
-// push-inert, the burst path retires the whole stretch of one-push-per-cycle
-// Ticks in a single BPU.RunAhead call and reconstructs the exact
-// FTQ-occupancy sample trajectory the stepped cycles would have produced.
+// them (stalled on a miss) and the prefetcher is push-inert, the burst path
+// retires the whole stretch of one-push-per-cycle Ticks in a single
+// BPU.RunAhead call and reconstructs the exact FTQ-occupancy sample
+// trajectory the stepped cycles would have produced.
 func (p *Processor) skipIdle() {
 	now := p.now
 	target := int64(math.MaxInt64)
 
-	// Fetch engine: acts this cycle unless the stream ended, a demand miss
-	// is outstanding, decode is backpressured, or the FTQ is empty.
-	// burstOK marks the states in which fetch cannot act for the whole
-	// window *whatever the FTQ holds*, so BPU pushes inside the window
-	// cannot wake it.
+	// Fetch engine: acts this cycle unless a demand miss is outstanding,
+	// decode is backpressured, or the FTQ is empty. Only a stall keeps
+	// fetch from acting for the whole window *whatever the FTQ holds*, so
+	// it is the one state in which BPU pushes inside the window cannot wake
+	// fetch (the burst path's precondition).
 	stallUntil, stalled := p.fe.StallEvent()
 	backendFull := false
-	burstOK := false
 	switch {
-	case p.fe.Exhausted():
-		// Never fetches again; the run ends once the backend drains.
-		burstOK = true
 	case stalled:
 		if stallUntil <= now {
 			return
 		}
 		target = stallUntil
-		burstOK = true
 	case p.be.Accept() <= 0:
 		// Unblocked only by a decode-pipe drain — a backend event below.
 		backendFull = true
@@ -325,7 +320,7 @@ func (p *Processor) skipIdle() {
 	burst := false
 	switch {
 	case bpuWork == now:
-		if !burstOK || !p.pf.PushInert() {
+		if !stalled || !p.pf.PushInert() {
 			return
 		}
 		burst = true
@@ -357,7 +352,6 @@ func (p *Processor) skipIdle() {
 	// Bulk-account the per-cycle counters the skipped ticks would have
 	// bumped, replicating each tick's own priority order.
 	switch {
-	case p.fe.Exhausted():
 	case stalled:
 		p.fe.StallCycles += n
 	case backendFull:
@@ -425,9 +419,9 @@ func occSamplesIn(from, to int64) uint64 {
 	return uint64((to-1-first)>>occSampleShift) + 1
 }
 
-// Run executes until MaxInstrs commit, MaxCycles elapse, or a trace stream
-// drains. It returns the final measurements. A simulator deadlock panics;
-// callers that want an error (and cancellation) should use RunContext.
+// Run executes until MaxInstrs commit or MaxCycles elapse. It returns the
+// final measurements. A simulator deadlock panics; callers that want an
+// error (and cancellation) should use RunContext.
 func (p *Processor) Run() Result {
 	res, err := p.RunContext(context.Background())
 	if err != nil {
@@ -443,9 +437,6 @@ func (p *Processor) Run() Result {
 // harnesses; sweeps should use Run or RunContext, which are much faster.
 func (p *Processor) RunNaive() Result {
 	for p.be.Committed < p.cfg.MaxInstrs && p.now < p.cfg.MaxCycles {
-		if p.fe.Exhausted() && p.be.Drained() {
-			break
-		}
 		p.Step()
 	}
 	return p.Finalize()
@@ -476,11 +467,8 @@ func (p *Processor) RunContext(ctx context.Context) (Result, error) {
 	pollAt := p.now + ctxPollCycles
 	var iter uint64
 	for p.be.Committed < p.cfg.MaxInstrs && p.now < p.cfg.MaxCycles {
-		if p.fe.Exhausted() && p.be.Drained() {
-			break
-		}
 		p.Step()
-		if p.be.Committed < p.cfg.MaxInstrs && !(p.fe.Exhausted() && p.be.Drained()) {
+		if p.be.Committed < p.cfg.MaxInstrs {
 			p.skipIdle()
 		}
 		if err := p.progressErr(); err != nil {

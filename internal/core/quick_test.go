@@ -71,7 +71,7 @@ func TestQuickRandomConfigsHoldInvariants(t *testing.T) {
 		pr.be.OnCommitRange = func(first uint32, cnt int) {
 			ai := first
 			for i := 0; i < cnt; i++ {
-				rec, _ := ref.Next()
+				rec := ref.Next()
 				if ar.At(ai).PC != rec.PC {
 					mismatch = true
 				}

@@ -70,18 +70,17 @@ func TestSkipIdleNeverOvershoots(t *testing.T) {
 					cfg.Prefetch.FDP.PIQSize, cfg.Mem.MemLatency}, args...)...)
 		}
 		for iter := 0; iter < 200_000; iter++ {
-			if p.be.Committed >= cfg.MaxInstrs || p.now >= cfg.MaxCycles ||
-				(p.fe.Exhausted() && p.be.Drained()) {
+			if p.be.Committed >= cfg.MaxInstrs || p.now >= cfg.MaxCycles {
 				break
 			}
 			p.Step()
-			if p.be.Committed >= cfg.MaxInstrs || (p.fe.Exhausted() && p.be.Drained()) {
+			if p.be.Committed >= cfg.MaxInstrs {
 				break
 			}
 
 			now := p.now
 			stallUntil, stalled := p.fe.StallEvent()
-			fetchCanAct := !p.fe.Exhausted() && (!stalled || stallUntil <= now) &&
+			fetchCanAct := (!stalled || stallUntil <= now) &&
 				p.be.Accept() > 0 && p.q.Head() != nil
 			beEv := p.be.NextEvent(now)
 			pfEv := p.pf.NextEvent(now)

@@ -112,8 +112,7 @@ func (b *BPU) Tick(now int64) {
 //
 // RunAhead must only be called for a window in which the BPU is past its
 // redirect resume point and nothing else touches the FTQ — the caller's
-// scheduler proves fetch is stalled (or the stream exhausted) and no squash
-// can occur.
+// scheduler proves fetch is stalled on a miss and no squash can occur.
 func (b *BPU) RunAhead(n uint64) uint64 {
 	var pushed uint64
 	for pushed < n && !b.q.Full() {

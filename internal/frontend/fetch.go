@@ -24,7 +24,7 @@ type NotifyFunc func(line uint64, l1Hit, pfbHit bool, now int64)
 // buffer of uop values.
 type FetchEngine struct {
 	im     *program.Image
-	stream oracle.Stream
+	walker *oracle.Walker
 	q      *ftq.Queue
 	ar     *pipe.Arena
 	l1i    *cache.Cache
@@ -37,10 +37,9 @@ type FetchEngine struct {
 	stallUntil int64
 	perfect    bool
 
-	diverged  bool
-	seq       uint64
-	cur       oracle.Record
-	exhausted bool
+	diverged bool
+	seq      uint64
+	cur      oracle.Record
 
 	// DemandAccesses counts L1-I demand lookups; L1Hits and PFBHits their
 	// outcomes; FullMisses lookups that went to the L2 (LateMerges of
@@ -57,25 +56,25 @@ type FetchEngine struct {
 // NewFetchEngine builds a fetch engine delivering up to width instructions
 // per cycle into arena ar (the backend's, see backend.Arena). notify may be
 // nil.
-func NewFetchEngine(im *program.Image, stream oracle.Stream, q *ftq.Queue, ar *pipe.Arena, l1i *cache.Cache,
+func NewFetchEngine(im *program.Image, walker *oracle.Walker, q *ftq.Queue, ar *pipe.Arena, l1i *cache.Cache,
 	pfb *cache.PrefetchBuffer, hier *memsys.Hierarchy, width int, notify NotifyFunc) *FetchEngine {
-	return newFetchEngine(im, stream, q, ar, l1i, pfb, hier, width, notify, false)
+	return newFetchEngine(im, walker, q, ar, l1i, pfb, hier, width, notify, false)
 }
 
 // NewPerfectFetchEngine builds a fetch engine whose every demand access hits
 // — the no-front-end-stall upper bound used by the evaluation.
-func NewPerfectFetchEngine(im *program.Image, stream oracle.Stream, q *ftq.Queue, ar *pipe.Arena, l1i *cache.Cache,
+func NewPerfectFetchEngine(im *program.Image, walker *oracle.Walker, q *ftq.Queue, ar *pipe.Arena, l1i *cache.Cache,
 	pfb *cache.PrefetchBuffer, hier *memsys.Hierarchy, width int, notify NotifyFunc) *FetchEngine {
-	return newFetchEngine(im, stream, q, ar, l1i, pfb, hier, width, notify, true)
+	return newFetchEngine(im, walker, q, ar, l1i, pfb, hier, width, notify, true)
 }
 
-func newFetchEngine(im *program.Image, stream oracle.Stream, q *ftq.Queue, ar *pipe.Arena, l1i *cache.Cache,
+func newFetchEngine(im *program.Image, walker *oracle.Walker, q *ftq.Queue, ar *pipe.Arena, l1i *cache.Cache,
 	pfb *cache.PrefetchBuffer, hier *memsys.Hierarchy, width int, notify NotifyFunc, perfect bool) *FetchEngine {
 	if width < 1 {
 		width = 4
 	}
 	f := &FetchEngine{
-		im: im, stream: stream, q: q, ar: ar, l1i: l1i, pfb: pfb, hier: hier,
+		im: im, walker: walker, q: q, ar: ar, l1i: l1i, pfb: pfb, hier: hier,
 		width: width, notify: notify, perfect: perfect,
 	}
 	f.advance()
@@ -84,27 +83,22 @@ func newFetchEngine(im *program.Image, stream oracle.Stream, q *ftq.Queue, ar *p
 
 // advance pulls the next oracle record into f.cur in place.
 func (f *FetchEngine) advance() {
-	f.exhausted = !f.stream.NextInto(&f.cur)
+	f.walker.NextInto(&f.cur)
 }
 
-// Exhausted reports whether the oracle stream ended (trace replay only).
-func (f *FetchEngine) Exhausted() bool { return f.exhausted }
-
 // Reset restores the pristine just-constructed state over a (possibly
-// different) program image and oracle stream: no stall, no divergence,
+// different) program image and oracle walker: no stall, no divergence,
 // sequence numbers and counters rewound, and the first oracle record pulled
 // — exactly what newFetchEngine leaves behind. The wired FTQ, caches, and
 // hierarchy are reset by their own owners; width, perfect mode, and the
 // prefetch notify hook are configuration, so they persist.
-func (f *FetchEngine) Reset(im *program.Image, stream oracle.Stream) {
+func (f *FetchEngine) Reset(im *program.Image, walker *oracle.Walker) {
 	f.im = im
-	f.stream = stream
+	f.walker = walker
 	f.stalled = false
 	f.stallUntil = 0
 	f.diverged = false
 	f.seq = 0
-	f.cur = oracle.Record{}
-	f.exhausted = false
 	f.DemandAccesses, f.L1Hits, f.PFBHits, f.FullMisses, f.LateMerges = 0, 0, 0, 0, 0
 	f.Delivered, f.WrongPath, f.OutOfImage = 0, 0, 0
 	f.StallCycles, f.IdleNoFTQ, f.BackendFull = 0, 0, 0
@@ -138,9 +132,6 @@ func (f *FetchEngine) Redirect() {
 // ROB occupancy, both bounded, so allocation never overflows and the hot
 // path never copies a uop.
 func (f *FetchEngine) Tick(now int64, accept int) (first uint32, n int) {
-	if f.exhausted {
-		return 0, 0
-	}
 	if f.stalled {
 		if now < f.stallUntil {
 			f.StallCycles++
@@ -237,13 +228,13 @@ func (f *FetchEngine) Tick(now int64, accept int) (first uint32, n int) {
 		} else {
 			u.PredNextPC = pc + isa.InstrBytes
 		}
-		if rec := &f.cur; !f.diverged && !f.exhausted && rec.PC == pc {
+		if rec := &f.cur; !f.diverged && rec.PC == pc {
 			// Correct path: the oracle already decoded this instruction,
 			// and its record is read in place (advance overwrites it only
 			// after the last use). This arm handles nearly every fetched
 			// instruction, so it stays inline in the delivery loop — the
-			// cold cases (wrong path, image end, replay end) share one
-			// out-of-line call below.
+			// cold cases (wrong path, image end) share one out-of-line
+			// call below.
 			u.Instr = rec.Instr
 			// Correct-path PCs are always in-image, so the image's
 			// packed-scheduler-word table covers them: the pack is a pure
@@ -262,13 +253,8 @@ func (f *FetchEngine) Tick(now int64, accept int) (first uint32, n int) {
 			}
 			f.advance()
 			f.seq++
-		} else if f.tagSlow(pc, u) {
-			// Oracle stream ended mid-slot: roll the unfinished
-			// allocation back and stop (replay end — the head block
-			// stays put and Delivered excludes this cycle by design;
-			// FetchedInstrs keeps its pre-iteration value).
-			f.ar.FreeNewest(1)
-			return first, n
+		} else {
+			f.tagSlow(pc, u)
 		}
 		n++
 		pc += isa.InstrBytes
@@ -282,11 +268,11 @@ func (f *FetchEngine) Tick(now int64, accept int) (first uint32, n int) {
 }
 
 // tagSlow fills the per-instruction remainder of u on the cold paths the
-// delivery loop's inline correct-path arm excludes: wrong-path fetch,
-// fetch past the code image, and oracle-stream exhaustion. Every remaining
-// field is assigned, so the arena slot needs no prior zeroing. stop is true
-// when the oracle stream is exhausted (trace replay end).
-func (f *FetchEngine) tagSlow(pc uint64, u *pipe.Uop) (stop bool) {
+// delivery loop's inline correct-path arm excludes: wrong-path fetch and
+// fetch past the code image. Every remaining field is assigned, so the arena
+// slot needs no prior zeroing. A correct-path PC the walker did not draw is
+// a front-end bug and panics.
+func (f *FetchEngine) tagSlow(pc uint64, u *pipe.Uop) {
 	u.OnCorrectPath = false
 	u.ActualTaken = false
 	u.ActualNextPC = 0
@@ -304,16 +290,11 @@ func (f *FetchEngine) tagSlow(pc uint64, u *pipe.Uop) (stop bool) {
 	u.Instr = ins
 	u.Sched = ins.SchedPack()
 
-	if f.diverged {
-		f.WrongPath++
-		f.seq++
-		return false
+	if !f.diverged {
+		panic(fmt.Sprintf("frontend: correct-path fetch at %#x but oracle expects %#x", pc, f.cur.PC))
 	}
-
-	if f.exhausted {
-		return true
-	}
-	panic(fmt.Sprintf("frontend: correct-path fetch at %#x but oracle expects %#x", pc, f.cur.PC))
+	f.WrongPath++
+	f.seq++
 }
 
 // classifyMiss names the misprediction cause.

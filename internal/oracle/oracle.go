@@ -29,15 +29,6 @@ type Record struct {
 	NextPC uint64
 }
 
-// Stream produces correct-path records. Implementations include the live
-// Walker and the trace reader in internal/trace.
-type Stream interface {
-	// NextInto fills rec with the next record in place — the fetch
-	// engine's per-instruction hot path copies nothing. It returns false
-	// when the stream is exhausted (live walkers never exhaust).
-	NextInto(rec *Record) bool
-}
-
 // maxStack bounds the walker's call stack; generation guarantees an acyclic
 // call graph, so this is a defensive limit, not a semantic one.
 const maxStack = 4096
@@ -112,17 +103,17 @@ func (w *Walker) Reset(im *program.Image, seed int64) {
 // PC returns the address of the next instruction the walker will execute.
 func (w *Walker) PC() uint64 { return w.pc }
 
-// Next executes one instruction and returns its record. A live walker always
-// returns ok == true.
-func (w *Walker) Next() (Record, bool) {
+// Next executes one instruction and returns its record.
+func (w *Walker) Next() Record {
 	var rec Record
 	w.NextInto(&rec)
-	return rec, true
+	return rec
 }
 
-// NextInto executes one instruction, filling rec in place (the Stream
-// method). It always returns true (live walkers never exhaust).
-func (w *Walker) NextInto(rec *Record) bool {
+// NextInto executes one instruction, filling rec in place — the fetch
+// engine's per-instruction hot path copies nothing. The walker never runs
+// out: the program's outermost return restarts it at the entry point.
+func (w *Walker) NextInto(rec *Record) {
 	ins, ok := w.im.InstrAt(w.pc)
 	if !ok {
 		// The generator and Validate make this unreachable; crash loudly
@@ -166,7 +157,6 @@ func (w *Walker) NextInto(rec *Record) bool {
 
 	w.pc = rec.NextPC
 	w.Executed++
-	return true
 }
 
 func (w *Walker) push(ret uint64) {

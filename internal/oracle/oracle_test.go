@@ -24,10 +24,7 @@ func TestWalkerFollowsRealEdges(t *testing.T) {
 	w := NewWalker(im, 99)
 	prev := Record{NextPC: im.Entry}
 	for i := 0; i < 200_000; i++ {
-		rec, ok := w.Next()
-		if !ok {
-			t.Fatal("live walker exhausted")
-		}
+		rec := w.Next()
 		if rec.PC != prev.NextPC {
 			t.Fatalf("step %d: pc %#x, want %#x", i, rec.PC, prev.NextPC)
 		}
@@ -56,8 +53,8 @@ func TestWalkerDeterministic(t *testing.T) {
 	im := testImage(t, 2, 40)
 	a, b := NewWalker(im, 7), NewWalker(im, 7)
 	for i := 0; i < 50_000; i++ {
-		ra, _ := a.Next()
-		rb, _ := b.Next()
+		ra := a.Next()
+		rb := b.Next()
 		if ra != rb {
 			t.Fatalf("step %d: %+v != %+v", i, ra, rb)
 		}
@@ -69,8 +66,8 @@ func TestWalkerSeedsDiffer(t *testing.T) {
 	a, b := NewWalker(im, 7), NewWalker(im, 8)
 	same := true
 	for i := 0; i < 20_000; i++ {
-		ra, _ := a.Next()
-		rb, _ := b.Next()
+		ra := a.Next()
+		rb := b.Next()
 		if ra != rb {
 			same = false
 			break
@@ -87,7 +84,7 @@ func TestCallsAndReturnsBalance(t *testing.T) {
 	depth := 0
 	maxDepth := 0
 	for i := 0; i < 500_000; i++ {
-		rec, _ := w.Next()
+		rec := w.Next()
 		switch rec.Instr.Kind {
 		case isa.Call, isa.IndirectCall:
 			depth++
@@ -115,7 +112,7 @@ func TestReturnsGoToCallSites(t *testing.T) {
 	w := NewWalker(im, 1)
 	var stack []uint64
 	for i := 0; i < 300_000; i++ {
-		rec, _ := w.Next()
+		rec := w.Next()
 		switch rec.Instr.Kind {
 		case isa.Call, isa.IndirectCall:
 			stack = append(stack, rec.PC+isa.InstrBytes)
@@ -143,7 +140,7 @@ func TestLoopBranchesTerminate(t *testing.T) {
 	// exceed 4x the mean trip (the walker's cap).
 	consec := map[uint64]int{}
 	for i := 0; i < 400_000; i++ {
-		rec, _ := w.Next()
+		rec := w.Next()
 		if rec.Instr.Kind != isa.CondBranch {
 			continue
 		}
@@ -169,7 +166,7 @@ func TestBiasedBranchFrequencies(t *testing.T) {
 	taken := map[uint64]int{}
 	seen := map[uint64]int{}
 	for i := 0; i < 1_000_000; i++ {
-		rec, _ := w.Next()
+		rec := w.Next()
 		if rec.Instr.Kind != isa.CondBranch {
 			continue
 		}
@@ -203,7 +200,7 @@ func TestIndirectTargetsFromSet(t *testing.T) {
 	w := NewWalker(im, 4)
 	found := false
 	for i := 0; i < 300_000; i++ {
-		rec, _ := w.Next()
+		rec := w.Next()
 		if rec.Instr.Kind != isa.IndirectJump && rec.Instr.Kind != isa.IndirectCall {
 			continue
 		}
@@ -238,8 +235,8 @@ func TestWalkerReset(t *testing.T) {
 	if w.Executed != 0 {
 		t.Errorf("after Reset, Executed = %d", w.Executed)
 	}
-	if _, ok := w.Next(); !ok {
-		t.Error("walker dead after Reset")
+	if rec := w.Next(); rec.PC != im.Entry {
+		t.Errorf("first record after Reset at %#x, want entry %#x", rec.PC, im.Entry)
 	}
 }
 
@@ -277,8 +274,8 @@ func TestWalkerResetMatchesNew(t *testing.T) {
 				w.Reset(tc.to, seed)
 				ref := NewWalker(tc.to, seed)
 				for i := 0; i < n; i++ {
-					got, _ := w.Next()
-					want, _ := ref.Next()
+					got := w.Next()
+					want := ref.Next()
 					if got != want {
 						t.Fatalf("generation %d record %d: reset walker %+v, fresh walker %+v", gen, i, got, want)
 					}
@@ -360,7 +357,7 @@ func TestWalkerCoversFootprint(t *testing.T) {
 	w := NewWalker(im, 6)
 	touched := map[uint64]bool{}
 	for i := 0; i < 2_000_000; i++ {
-		rec, _ := w.Next()
+		rec := w.Next()
 		touched[rec.PC&^63] = true // 64B lines
 	}
 	lines := int(im.Size() / 64)
