@@ -255,10 +255,11 @@ func BenchmarkRunShort(b *testing.B) {
 	benchmarkRun(b, cfg)
 }
 
-// BenchmarkRunIdleHeavy measures the idle-heavy regime the burst scheduler
-// targets: no prefetching, a small L1-I over slow memory, and a deep FTQ —
-// most cycles are fetch stalls during which only the BPU's run-ahead acts,
-// exactly the deep-run-ahead machine the FDIP evaluation sweeps.
+// BenchmarkRunIdleHeavy measures the idle-heavy regime the cycle-skip
+// scheduler targets: no prefetching, a small L1-I over slow memory, and a
+// deep FTQ — most cycles are fetch stalls during which only the BPU's
+// run-ahead acts (stepped until the FTQ fills, then skipped), exactly the
+// deep-run-ahead machine the FDIP evaluation sweeps.
 func BenchmarkRunIdleHeavy(b *testing.B) {
 	cfg := DefaultConfig()
 	cfg.L1ISizeBytes = 8 * 1024
@@ -270,8 +271,9 @@ func BenchmarkRunIdleHeavy(b *testing.B) {
 
 // BenchmarkRunFilteredFDP measures the filtered fetch-directed prefetcher
 // (enqueue-side cache-probe filtering) on the same small-cache slow-memory
-// machine: the FDP scan cursor's precise next-work modelling and PIQ-full
-// bursts are what keep this config off the per-cycle stepping path.
+// machine: the kernel skips only the stretches in which the PIQ is empty
+// and the scan cursor has caught up with the FTQ, so a PIQ waiting on the
+// bus keeps this config on the per-cycle stepping path.
 func BenchmarkRunFilteredFDP(b *testing.B) {
 	cfg := DefaultConfig()
 	cfg.L1ISizeBytes = 8 * 1024

@@ -12,7 +12,7 @@ import (
 // data path: steady-state scheduled execution — Step plus skipIdle, with
 // mispredict squashes and misfetch recovery recycling arena slots
 // throughout — must allocate nothing once warm. CI runs this alongside
-// TestStepZeroAlloc and TestBurstKernelZeroAlloc.
+// TestStepZeroAlloc and TestScheduledKernelZeroAlloc.
 func TestArenaSteadyStateZeroAlloc(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.L1ISizeBytes = 8 * 1024

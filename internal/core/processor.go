@@ -269,28 +269,19 @@ func (p *Processor) Step() {
 // skipIdle fast-forwards the clock over cycles that are provably uneventful:
 // every component either reports the next cycle it could act (a memory
 // completion, a fetch stall lifting, a backend operand turning ready, the
-// BPU's redirect resume) or is blocked on one of those events. The clock
-// jumps straight to the earliest such cycle, and the per-cycle counters the
-// skipped ticks would have bumped — stall/idle cycles, BPU full-queue
-// stalls, occupancy samples — are added in bulk, so results are
-// bit-identical to per-cycle stepping. When any component could act this
-// cycle the method returns without effect.
-//
-// The one component allowed to act *inside* a jump is the BPU: its
-// predictions are clock-independent, so when fetch provably cannot consume
-// them (stalled on a miss) and the prefetcher is push-inert, the burst path
-// retires the whole stretch of one-push-per-cycle Ticks in a single
-// BPU.RunAhead call and reconstructs the exact FTQ-occupancy sample
-// trajectory the stepped cycles would have produced.
+// BPU's redirect resume) or is blocked on one of those events, and the
+// prefetcher is idle. The clock jumps straight to the earliest such cycle,
+// and the per-cycle counters the skipped ticks would have bumped —
+// stall/idle cycles, BPU full-queue stalls, occupancy samples — are added
+// in bulk, so results are bit-identical to per-cycle stepping. No component
+// acts inside a jump: when any could act this cycle the method returns
+// without effect.
 func (p *Processor) skipIdle() {
 	now := p.now
 	target := int64(math.MaxInt64)
 
 	// Fetch engine: acts this cycle unless a demand miss is outstanding,
-	// decode is backpressured, or the FTQ is empty. Only a stall keeps
-	// fetch from acting for the whole window *whatever the FTQ holds*, so
-	// it is the one state in which BPU pushes inside the window cannot wake
-	// fetch (the burst path's precondition).
+	// decode is backpressured, or the FTQ is empty.
 	stallUntil, stalled := p.fe.StallEvent()
 	backendFull := false
 	switch {
@@ -312,28 +303,19 @@ func (p *Processor) skipIdle() {
 	// BPU: NextWork reports its schedule — the redirect resume while
 	// quiesced, "now" with queue room, never while the queue is full (the
 	// queue only drains through fetch progress or a redirect, both tracked
-	// above). A BPU predicting this cycle makes the machine "busy but
-	// predictable": skipping is only legal through the burst path, which
-	// replays the pushes, so it additionally needs fetch pinned down and a
-	// prefetcher that provably ignores the new blocks.
+	// above). A BPU that could predict this cycle is busy.
 	bpuWork := p.bpu.NextWork(now)
-	burst := false
 	switch {
 	case bpuWork == now:
-		if !stalled || !p.pf.PushInert() {
-			return
-		}
-		burst = true
+		return
 	case bpuWork != math.MaxInt64:
 		target = min(target, bpuWork)
 	}
 
-	if e := p.be.NextEvent(now); e <= now {
+	if !p.pf.Idle() {
 		return
-	} else {
-		target = min(target, e)
 	}
-	if e := p.pf.NextEvent(now); e <= now {
+	if e := p.be.NextEvent(now); e <= now {
 		return
 	} else {
 		target = min(target, e)
@@ -359,45 +341,15 @@ func (p *Processor) skipIdle() {
 	default:
 		p.fe.IdleNoFTQ += n
 	}
-	if burst {
-		p.runAheadAndSample(now, target, n)
-	} else {
-		if bpuWork == math.MaxInt64 {
-			// Ready against a full queue: every skipped Tick would have
-			// counted a full-queue stall.
-			p.bpu.FullStalls += n
-		}
-		if k := occSamplesIn(now, target); k > 0 {
-			p.sampleOcc(p.q.Len(), p.be.ROBOccupancy(), k)
-		}
+	if bpuWork == math.MaxInt64 {
+		// Ready against a full queue: every skipped Tick would have
+		// counted a full-queue stall.
+		p.bpu.FullStalls += n
 	}
-	p.pf.OnSkip(n)
+	if k := occSamplesIn(now, target); k > 0 {
+		p.sampleOcc(p.q.Len(), p.be.ROBOccupancy(), k)
+	}
 	p.now = target
-}
-
-// runAheadAndSample retires the BPU's predictions for the skipped window
-// [now, target) in one burst and reconstructs the occupancy sample
-// trajectory the stepped cycles would have produced. The stepped machine
-// pushes one block per cycle from the front of the window until the FTQ
-// fills, then counts full-queue stalls (RunAhead books those), so FTQ
-// occupancy is piecewise linear: a ramp of one per cycle over the first
-// `pushed` cycles, then a plateau. Samples land on cycles divisible by
-// 2^occSampleShift, *after* that cycle's push — at most a handful fall in
-// the ramp (it is bounded by the FTQ capacity), so those are added
-// individually and the plateau in bulk. ROB occupancy is constant across
-// the window (the backend reported no event before target).
-func (p *Processor) runAheadAndSample(now, target int64, n uint64) {
-	occ := p.q.Len()
-	pushed := p.bpu.RunAhead(n)
-	rob := p.be.ROBOccupancy()
-	rampEnd := now + int64(pushed)
-	const mask = int64(1)<<occSampleShift - 1
-	for c := (now + mask) &^ mask; c < rampEnd; c += 1 << occSampleShift {
-		p.sampleOcc(occ+int(c-now)+1, rob, 1)
-	}
-	if k := occSamplesIn(rampEnd, target); k > 0 {
-		p.sampleOcc(p.q.Len(), rob, k)
-	}
 }
 
 // sampleOcc records k identical occupancy samples of the FTQ and ROB.
@@ -431,10 +383,10 @@ func (p *Processor) Run() Result {
 }
 
 // RunNaive executes the run with strict per-cycle stepping — no idle
-// skipping, no BPU bursts. It is the reference semantics of the
-// event-scheduled kernel: RunContext must produce a bit-identical Result
-// from the same initial state. Exposed for the differential and fuzzing
-// harnesses; sweeps should use Run or RunContext, which are much faster.
+// skipping. It is the reference semantics of the event-scheduled kernel:
+// RunContext must produce a bit-identical Result from the same initial
+// state. Exposed for the differential and fuzzing harnesses; sweeps should
+// use Run or RunContext, which are much faster.
 func (p *Processor) RunNaive() Result {
 	for p.be.Committed < p.cfg.MaxInstrs && p.now < p.cfg.MaxCycles {
 		p.Step()
@@ -459,8 +411,7 @@ const ctxPollCycles = 1 << 16
 // The loop is event-scheduled: after each stepped cycle it asks every
 // component for its next interesting cycle and fast-forwards idle stretches
 // (fetch stalled on a miss, FTQ full, backend waiting on operands, next
-// memory completion cycles away) in one jump — with the BPU's run-ahead
-// retired in bursts inside those jumps. Results are bit-identical to
+// memory completion cycles away) in one jump. Results are bit-identical to
 // stepping every cycle; only wall-clock time changes.
 func (p *Processor) RunContext(ctx context.Context) (Result, error) {
 	done := ctx.Done()

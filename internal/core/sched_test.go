@@ -14,8 +14,8 @@ import (
 // event-scheduled kernel must reproduce bit-identically.
 func runNaive(p *Processor) Result { return p.RunNaive() }
 
-// schedConfigs covers every prefetcher (each has its own NextEvent logic)
-// plus the perfect-L1I fetch path and a saturating stream machine.
+// schedConfigs covers every prefetcher (each has its own Idle rule) plus
+// the perfect-L1I fetch path and a saturating stream machine.
 func schedConfigs() map[string]Config {
 	mk := func(mut func(*Config)) Config {
 		cfg := DefaultConfig()
@@ -47,10 +47,10 @@ func schedConfigs() map[string]Config {
 			c.Mem.MemLatency = 300
 			c.MaxInstrs = 30_000
 		}),
-		// The burst scheduler's home regimes: long stalls with only the
-		// BPU's run-ahead active (none/slow-mem), and an FDP whose tiny
-		// PIQ is full most cycles, so bursts run under a push-inert
-		// prefetcher (small-piq).
+		// Stall-heavy regimes: long misses with only the BPU's run-ahead
+		// active (none/slow-mem), and an FDP whose tiny PIQ is full most
+		// cycles, so the engine stays busy behind a blocked scan
+		// (small-piq).
 		"none-slow-mem": mk(func(c *Config) {
 			c.Mem.MemLatency = 300
 			c.MaxInstrs = 30_000
@@ -66,9 +66,9 @@ func schedConfigs() map[string]Config {
 			c.MaxInstrs = 30_000
 		}),
 		// The modern engines, each with a default machine and the two
-		// corners that stress their NextEvent/OnSkip accounting: a tiny
-		// replay/target queue (heads defer and drop constantly) and slow
-		// memory (long skippable stretches with work pending).
+		// corners that stress their Idle rules: a tiny replay/target queue
+		// (heads defer and drop constantly) and slow memory (long stalls
+		// with work pending).
 		"mana": mk(func(c *Config) {
 			c.Prefetch.Kind = PrefetchMANA
 		}),
@@ -176,11 +176,12 @@ func TestStepAllocFreeSteadyState(t *testing.T) {
 	}
 }
 
-// TestBurstKernelZeroAlloc extends the zero-allocation gate to the burst
-// path: steady-state scheduled execution — Step plus skipIdle, with the
-// BPU's RunAhead bursts and the occupancy-trajectory reconstruction firing
-// throughout — must not allocate. CI runs this alongside TestStepZeroAlloc.
-func TestBurstKernelZeroAlloc(t *testing.T) {
+// TestScheduledKernelZeroAlloc extends the zero-allocation gate to the
+// event-scheduled kernel: steady-state scheduled execution — Step plus
+// skipIdle on a stall-heavy machine, so idle jumps and their bulk counter
+// accounting fire throughout — must not allocate. CI runs this alongside
+// TestStepZeroAlloc.
+func TestScheduledKernelZeroAlloc(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.L1ISizeBytes = 8 * 1024
 	cfg.FTQEntries = 64

@@ -96,36 +96,6 @@ func (b *BPU) Tick(now int64) {
 		b.FullStalls++
 		return
 	}
-	b.predict()
-}
-
-// RunAhead retires up to n cycles of predictions in one call — the burst
-// mode behind the scheduler's idle jumps. A prediction consults only the
-// FTB, direction predictor, RAS, and FTQ, none of which observe the clock,
-// so n consecutive Ticks with room in the queue produce exactly the blocks
-// one RunAhead(n) does, in the same order with the same table updates. The
-// burst pushes until the FTQ fills (or n runs out) and books the remaining
-// cycles as full-queue stalls, which is precisely what the n stepped Ticks
-// would have done. It returns the number of blocks pushed; callers
-// reconstruct the FTQ-occupancy trajectory from it (one push per cycle from
-// the front of the window, then a plateau).
-//
-// RunAhead must only be called for a window in which the BPU is past its
-// redirect resume point and nothing else touches the FTQ — the caller's
-// scheduler proves fetch is stalled on a miss and no squash can occur.
-func (b *BPU) RunAhead(n uint64) uint64 {
-	var pushed uint64
-	for pushed < n && !b.q.Full() {
-		b.predict()
-		pushed++
-	}
-	b.FullStalls += n - pushed
-	return pushed
-}
-
-// predict makes one fetch-block prediction into the FTQ. The caller has
-// already checked readiness and queue room.
-func (b *BPU) predict() {
 	histCP := b.dir.History()
 	rasCP := b.ras.Checkpoint()
 

@@ -128,9 +128,6 @@ func New(capacity, lineSize int) *Queue {
 	return &Queue{lineSize: lineSize, entries: make([]Block, capacity)}
 }
 
-// Cap returns the queue capacity.
-func (q *Queue) Cap() int { return len(q.entries) }
-
 // wrap folds a position into [0, cap). Positions exceed the capacity by at
 // most one lap, so a conditional subtract replaces a modulo on hot paths.
 func (q *Queue) wrap(i int) int {

@@ -356,9 +356,6 @@ func (h *Hierarchy) Reset() {
 // contribution to the core's next-interesting-cycle schedule.
 func (h *Hierarchy) NextCompletion() int64 { return h.nextDone }
 
-// BusFreeAt returns the first cycle a new transfer could start.
-func (h *Hierarchy) BusFreeAt() int64 { return h.busFreeAt }
-
 // PendingCount returns the number of in-flight transfers.
 func (h *Hierarchy) PendingCount() int { return h.lanes[laneHit].n + h.lanes[laneMiss].n }
 

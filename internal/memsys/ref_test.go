@@ -250,7 +250,7 @@ func FuzzHierarchyReference(f *testing.F) {
 			}
 			gc := [...]uint64{got.BusBusyCycles, got.DemandRequests, got.PrefetchRequests, got.DemandMerges, got.PrefetchMerges,
 				got.DemandBusWait, got.L2DemandHits, got.L2DemandMisses, got.L2PrefetchHits, got.L2PrefetchMisses,
-				uint64(got.BusFreeAt()), got.seq, uint64(got.PendingCount())}
+				uint64(got.busFreeAt), got.seq, uint64(got.PendingCount())}
 			wc := [...]uint64{want.BusBusyCycles, want.DemandRequests, want.PrefetchRequests, want.DemandMerges, want.PrefetchMerges,
 				want.DemandBusWait, want.L2DemandHits, want.L2DemandMisses, want.L2PrefetchHits, want.L2PrefetchMisses,
 				uint64(want.busFreeAt), want.seq, uint64(want.PendingCount())}

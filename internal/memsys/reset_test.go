@@ -36,7 +36,7 @@ func memTrace(h *Hierarchy, seed int64) []uint64 {
 			if h.BusIdle(now) {
 				out = append(out, 4)
 			}
-			out = append(out, uint64(h.BusFreeAt()), uint64(h.PendingCount()))
+			out = append(out, uint64(h.busFreeAt), uint64(h.PendingCount()))
 			if n := h.NextCompletion(); h.PendingCount() > 0 {
 				out = append(out, uint64(n))
 			}

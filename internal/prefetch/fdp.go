@@ -2,7 +2,6 @@ package prefetch
 
 import (
 	"fmt"
-	"math"
 
 	"fdip/internal/ftq"
 )
@@ -257,55 +256,14 @@ func (f *FDP) removeProbe(now int64) {
 	}
 }
 
-// scanBlocked reports whether a full PIQ blocks the scan cursor. A blocked
-// scan is a proven no-op whatever the FTQ holds: the inner scan loop checks
-// PIQ capacity before it reads a line state, probes a tag port, or counts a
-// conservative stall, so no counter moves and the cursor stays put until
-// issue (or remove-side probing) frees a slot. This is also what makes the
-// engine push-inert — new blocks appended behind the cursor cannot wake a
-// scan that has no PIQ room.
-func (f *FDP) scanBlocked() bool { return len(f.piq) >= f.cfg.PIQSize }
-
-// NextEvent implements Prefetcher. The FDP is active while the scan cursor
-// trails the newest FTQ block (detected exactly by comparing against its
-// monotonic sequence number) *and* has PIQ room to enqueue into — a full
-// PIQ provably blocks the scan (see scanBlocked), so unscanned blocks alone
-// no longer pin the scheduler to per-cycle stepping. It is also active
-// while remove-side probing has queued entries to re-check, and whenever
-// the PIQ head would issue or be dropped this cycle. A PIQ head deferred on
-// a busy bus is the one waiting state the scheduler may jump: nothing
-// changes until the bus frees except the deferral counter, which OnSkip
-// batches.
-func (f *FDP) NextEvent(now int64) int64 {
+// Idle implements Prefetcher: the FDP acts while its PIQ holds entries to
+// issue (or re-probe) and while the scan cursor trails the newest FTQ block
+// beyond the skipped head (detected exactly by comparing against the
+// queue's monotonic sequence number).
+func (f *FDP) Idle() bool {
 	q := f.port.env.FTQ
-	if n := q.Len(); n > f.cfg.SkipHead && q.NewestSeq() >= f.nextSeq && !f.scanBlocked() {
-		return now // unscanned blocks and PIQ room: the scan advances this cycle
-	}
-	if len(f.piq) == 0 {
-		return math.MaxInt64
-	}
-	if f.cfg.RemoveCPF {
-		return now // remove-side probing runs every cycle the PIQ is populated
-	}
-	if !f.port.headDefers(f.piq[0], now) {
-		return now // the head issues or is dropped this cycle
-	}
-	return f.port.env.Hier.BusFreeAt()
+	return len(f.piq) == 0 && (q.Len() <= f.cfg.SkipHead || q.NewestSeq() < f.nextSeq)
 }
-
-// OnSkip implements Prefetcher: a skip with a populated PIQ can only have
-// crossed bus-busy deferral cycles (NextEvent pins every other state to
-// "active", and a scan blocked by a full PIQ touches nothing), so account
-// one deferral per skipped cycle.
-func (f *FDP) OnSkip(cycles uint64) {
-	if len(f.piq) > 0 {
-		f.port.stats.DeferredBusBusy += cycles
-	}
-}
-
-// PushInert implements Prefetcher: the FDP scans the FTQ, so pushes wake it
-// whenever the scan has PIQ room; only a full PIQ makes it push-inert.
-func (f *FDP) PushInert() bool { return f.scanBlocked() }
 
 // OnDemandAccess implements Prefetcher; FDP is driven by the FTQ, not the
 // demand stream.

@@ -1,9 +1,6 @@
 package prefetch
 
-import (
-	"math"
-	"math/bits"
-)
+import "math/bits"
 
 // MANA is a spatial-region instruction prefetcher in the style of MANA
 // (Ansari et al., arXiv:2102.01764): the demand miss stream is segmented
@@ -249,31 +246,9 @@ func (m *MANA) Tick(now int64) {
 	}
 }
 
-// NextEvent implements Prefetcher: an empty replay queue waits on demand
-// traffic; a head that would issue or be discarded is active now; a head
-// deferred on a busy bus waits for the bus, with OnSkip batching the
-// deferral counts.
-func (m *MANA) NextEvent(now int64) int64 {
-	if len(m.pending) == 0 {
-		return math.MaxInt64
-	}
-	if !m.port.headDefers(m.pending[0], now) {
-		return now
-	}
-	return m.port.env.Hier.BusFreeAt()
-}
-
-// OnSkip implements Prefetcher: skipped cycles with a populated replay queue
-// are exactly bus-busy deferrals (see NextLine.OnSkip).
-func (m *MANA) OnSkip(cycles uint64) {
-	if len(m.pending) > 0 {
-		m.port.stats.DeferredBusBusy += cycles
-	}
-}
-
-// PushInert implements Prefetcher: MANA observes the demand stream, never
-// the FTQ, so predicted-block pushes cannot wake it.
-func (m *MANA) PushInert() bool { return true }
+// Idle implements Prefetcher: an empty replay queue waits on demand
+// traffic.
+func (m *MANA) Idle() bool { return len(m.pending) == 0 }
 
 // OnSquash implements Prefetcher. Regions are trained on the architectural
 // demand stream and replays are spatial, not path predictions, so redirects

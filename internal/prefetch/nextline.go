@@ -1,7 +1,5 @@
 package prefetch
 
-import "math"
-
 // NextLine is Smith-style tagged next-line prefetching: a demand miss on
 // line L, or the first use of a prefetched line L, triggers a prefetch of
 // L+1. Triggers that find the bus busy wait in a small pending queue.
@@ -68,31 +66,9 @@ func (n *NextLine) Tick(now int64) {
 	}
 }
 
-// NextEvent implements Prefetcher: an empty pending queue waits on demand
-// traffic; a head that would issue or be discarded makes the engine active;
-// a head deferred on a busy bus only counts deferrals until the bus frees,
-// which OnSkip batches.
-func (n *NextLine) NextEvent(now int64) int64 {
-	if len(n.pending) == 0 {
-		return math.MaxInt64
-	}
-	if !n.port.headDefers(n.pending[0], now) {
-		return now
-	}
-	return n.port.env.Hier.BusFreeAt()
-}
-
-// OnSkip implements Prefetcher (see FDP.OnSkip: skipped cycles with pending
-// triggers are exactly bus-busy deferrals).
-func (n *NextLine) OnSkip(cycles uint64) {
-	if len(n.pending) > 0 {
-		n.port.stats.DeferredBusBusy += cycles
-	}
-}
-
-// PushInert implements Prefetcher: next-line triggers come from the demand
-// stream, so FTQ pushes never wake the engine.
-func (n *NextLine) PushInert() bool { return true }
+// Idle implements Prefetcher: an empty pending queue waits on demand
+// traffic.
+func (n *NextLine) Idle() bool { return len(n.pending) == 0 }
 
 // OnSquash implements Prefetcher. Next-line triggers come from the demand
 // stream, not predictions, so redirects do not invalidate them.

@@ -11,8 +11,6 @@
 package prefetch
 
 import (
-	"math"
-
 	"fdip/internal/btb"
 	"fdip/internal/cache"
 	"fdip/internal/ftq"
@@ -48,29 +46,11 @@ type Prefetcher interface {
 	Name() string
 	// Tick runs once per cycle, after the fetch engine.
 	Tick(now int64)
-	// NextEvent returns the earliest cycle, at or after now, at which Tick
-	// could change state, assuming no intervening demand accesses,
-	// squashes, or FTQ changes (each of those is an event the core already
-	// accounts for). Returning now means "active this cycle" and is always
-	// a safe conservative answer; math.MaxInt64 means idle until
-	// externally stimulated. The core's cycle-skip scheduler relies on
-	// Tick being a no-op strictly before the returned cycle, except for
-	// the per-cycle counters OnSkip accounts.
-	NextEvent(now int64) int64
-	// OnSkip informs the engine that the core fast-forwarded over cycles
-	// whose Ticks NextEvent declared no-ops; the engine adds the per-cycle
-	// counters those Ticks would have bumped (e.g. bus-busy deferrals).
-	OnSkip(cycles uint64)
-	// PushInert reports whether FTQ pushes cannot wake the engine: with
-	// predicted blocks appended to the queue, Tick stays a no-op (apart
-	// from the per-cycle counters OnSkip batches) until some other event
-	// NextEvent already tracks. Engines that never scan the FTQ are
-	// always push-inert; the FDP is push-inert only while a full PIQ
-	// blocks its scan cursor. The core's burst scheduler consults this
-	// before letting the BPU run ahead inside a skipped stretch. The
-	// answer only needs to hold for windows in which NextEvent(now) is in
-	// the future and no demand access, squash, or completion intervenes.
-	PushInert() bool
+	// Idle reports that Tick is a no-op — no queue, cursor or counter
+	// moves — until the next demand access, squash, FTQ push or memory
+	// completion. The core's cycle-skip scheduler only jumps the clock
+	// while the engine is idle; false is always a safe answer.
+	Idle() bool
 	// OnDemandAccess notifies the engine of a demand L1-I access to
 	// lineAddr and its outcome: l1Hit for a cache hit, pfbHit for a
 	// prefetch-buffer hit (mutually exclusive; both false on a full miss).
@@ -144,23 +124,8 @@ func (*None) Name() string { return "none" }
 // Tick implements Prefetcher.
 func (*None) Tick(int64) {}
 
-// NextEvent implements Prefetcher: the null prefetcher never acts.
-func (*None) NextEvent(int64) int64 { return math.MaxInt64 }
-
-// OnSkip implements Prefetcher.
-func (*None) OnSkip(uint64) {}
-
-// PushInert implements Prefetcher: the null prefetcher ignores the FTQ.
-func (*None) PushInert() bool { return true }
-
-// headDefers reports whether issuing line at cycle now would defer on a
-// busy bus — the one tryIssue outcome whose only per-cycle effect is the
-// DeferredBusBusy counter, which OnSkip can batch. Any other outcome
-// (present, in flight, idle bus) mutates queues or the bus and makes the
-// engine active.
-func (p *port) headDefers(line uint64, now int64) bool {
-	return !p.env.PFB.Contains(line) && !p.env.Hier.Inflight(line) && !p.env.Hier.BusIdle(now)
-}
+// Idle implements Prefetcher: the null prefetcher never acts.
+func (*None) Idle() bool { return true }
 
 // OnDemandAccess implements Prefetcher.
 func (*None) OnDemandAccess(uint64, bool, bool, int64) {}

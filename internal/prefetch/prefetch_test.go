@@ -45,6 +45,9 @@ func TestNonePrefetcherIsInert(t *testing.T) {
 	if n.Name() != "none" {
 		t.Error("bad name")
 	}
+	if !n.Idle() {
+		t.Error("none prefetcher not idle")
+	}
 }
 
 func TestNextLineTriggersOnMiss(t *testing.T) {
@@ -426,70 +429,31 @@ func TestFDPKeepPIQOnSquash(t *testing.T) {
 	}
 }
 
-// TestPushInert pins the burst-scheduler contract: engines that never scan
-// the FTQ are always push-inert; the FDP only while a full PIQ blocks its
-// scan cursor.
-func TestPushInert(t *testing.T) {
-	env := testEnv()
-	if !NewNone().PushInert() {
-		t.Error("none not push-inert")
-	}
-	if !NewNextLine(env, 4).PushInert() {
-		t.Error("nextline not push-inert")
-	}
-	if !NewStreamBuffers(env, 2, 4).PushInert() {
-		t.Error("streambuf not push-inert")
-	}
-	if !NewMANA(env, MANAConfig{}).PushInert() {
-		t.Error("mana not push-inert")
-	}
-	if !NewShadow(testModernEnv(), ShadowConfig{}).PushInert() {
-		t.Error("shadow not push-inert")
-	}
-	// Shadow stays push-inert even mid-decode: its work comes from arriving
-	// lines, and NextEvent pins decode cycles to "now" anyway.
-	sh := NewShadow(testModernEnv(), ShadowConfig{})
-	sh.OnDemandAccess(0, false, false, 0)
-	if !sh.PushInert() {
-		t.Error("shadow with queued decode work not push-inert")
-	}
-
-	f := NewFDP(env, FDPConfig{PIQSize: 2, SkipHead: 1})
-	if f.PushInert() {
-		t.Error("FDP with PIQ room claims push-inert")
-	}
-	env.Hier.Request(0x9000, false, 0) // bus busy: candidates stay queued
-	pushBlock(env.FTQ, 0, 0x1000, 1)
-	pushBlock(env.FTQ, 1, 0x2000, 4)
-	pushBlock(env.FTQ, 2, 0x3000, 4)
-	f.Tick(0)
-	if f.PIQOccupancy() != 2 {
-		t.Fatalf("PIQ = %d, want full (2)", f.PIQOccupancy())
-	}
-	if !f.PushInert() {
-		t.Error("FDP with full PIQ not push-inert")
-	}
-}
-
-// TestFDPNextEventPIQFull is the precise scan-cursor modelling: unscanned
-// FTQ blocks behind a full PIQ no longer pin the engine to "active this
-// cycle" — the next event is the bus freeing, and the blocked scan is a
-// proven no-op in between.
+// TestFDPNextEventPIQFull pins the FDP's Idle rule around a full PIQ: the
+// populated PIQ keeps the engine busy, the scan it blocks moves nothing but
+// one bus-busy deferral per Tick, and once the PIQ drains and the scan
+// cursor catches up with the FTQ the engine reports Idle — after which a
+// Tick is a no-op.
 func TestFDPNextEventPIQFull(t *testing.T) {
 	env := testEnv()
 	f := NewFDP(env, FDPConfig{PIQSize: 2, SkipHead: 1})
+	if !f.Idle() {
+		t.Error("fresh FDP over an empty FTQ not idle")
+	}
 	env.Hier.Request(0x9000, false, 0) // bus busy until cycle 4
 	pushBlock(env.FTQ, 0, 0x1000, 1)
 	pushBlock(env.FTQ, 1, 0x2000, 4)
+	if f.Idle() {
+		t.Error("FDP with unscanned blocks claims idle")
+	}
 	pushBlock(env.FTQ, 2, 0x3000, 4)
 	pushBlock(env.FTQ, 3, 0x4000, 4) // stays unscanned: PIQ fills first
 	f.Tick(0)
 	if f.PIQOccupancy() != 2 {
 		t.Fatalf("PIQ = %d, want 2", f.PIQOccupancy())
 	}
-
-	if got, want := f.NextEvent(1), env.Hier.BusFreeAt(); got != want {
-		t.Errorf("NextEvent with blocked scan = %d, want bus-free cycle %d", got, want)
+	if f.Idle() {
+		t.Error("FDP with a populated PIQ claims idle")
 	}
 
 	// The blocked scan must not move any counter or the cursor.
@@ -497,9 +461,12 @@ func TestFDPNextEventPIQFull(t *testing.T) {
 		enq, filt, dup, cons uint64
 		stats                PortStats
 		piq                  int
+		seq                  uint64
+		line                 int
 	}
 	take := func() snap {
-		return snap{f.Enqueued, f.FilteredProbe, f.DupInPIQ, f.ConservativeStalls, f.port.stats, f.PIQOccupancy()}
+		return snap{f.Enqueued, f.FilteredProbe, f.DupInPIQ, f.ConservativeStalls,
+			f.port.stats, f.PIQOccupancy(), f.nextSeq, f.nextLine}
 	}
 	before := take()
 	f.Tick(1)
@@ -511,21 +478,23 @@ func TestFDPNextEventPIQFull(t *testing.T) {
 		t.Errorf("blocked scan mutated state:\nbefore+defer: %+v\nafter:        %+v", before, after)
 	}
 
-	// OnSkip batches exactly those deferrals.
-	g := NewFDP(env, FDPConfig{PIQSize: 2, SkipHead: 1})
-	g.piq = append(g.piq, 0xdead000)
-	g.OnSkip(3)
-	if g.IssueStats().DeferredBusBusy != 3 {
-		t.Errorf("OnSkip deferrals = %d", g.IssueStats().DeferredBusBusy)
-	}
-
-	// When the bus frees, the head issues and the scan resumes.
+	// When the bus frees, the head issues and the scan resumes; stepping on
+	// drains the PIQ and the scan until the engine goes idle.
 	f.Tick(4)
 	if f.IssueStats().Issued != 1 {
 		t.Errorf("Issued after bus freed = %d", f.IssueStats().Issued)
 	}
-	if f.NextEvent(4) != 4 {
-		t.Errorf("NextEvent with PIQ room and unscanned blocks should be now")
+	now := int64(5)
+	for ; !f.Idle() && now < 1000; now++ {
+		f.Tick(now)
+	}
+	if !f.Idle() {
+		t.Fatalf("FDP still busy at cycle %d (PIQ %d)", now, f.PIQOccupancy())
+	}
+	before = take()
+	f.Tick(now)
+	if after := take(); before != after {
+		t.Errorf("idle Tick mutated state:\nbefore: %+v\nafter:  %+v", before, after)
 	}
 }
 
@@ -543,7 +512,7 @@ func TestFDPNextEventRemoveCPFStaysActive(t *testing.T) {
 	if f.PIQOccupancy() != 2 {
 		t.Fatalf("PIQ = %d", f.PIQOccupancy())
 	}
-	if got := f.NextEvent(1); got != 1 {
-		t.Errorf("RemoveCPF NextEvent = %d, want now (1)", got)
+	if f.Idle() {
+		t.Error("RemoveCPF FDP with a populated PIQ claims idle")
 	}
 }

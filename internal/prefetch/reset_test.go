@@ -57,8 +57,8 @@ func pfTrace(env Env, p Prefetcher, seed int64) []uint64 {
 			}
 		}
 		p.Tick(now)
-		if e := p.NextEvent(now); e < int64(1)<<62 {
-			out = append(out, uint64(e))
+		if p.Idle() {
+			out = append(out, 1)
 		}
 	}
 	st := p.IssueStats()

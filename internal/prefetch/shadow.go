@@ -1,10 +1,6 @@
 package prefetch
 
-import (
-	"math"
-
-	"fdip/internal/isa"
-)
+import "fdip/internal/isa"
 
 // Shadow is a shadow-branch decoder in the style of arXiv:2408.12592: every
 // line the fetch engine brings toward the L1-I carries instruction bytes the
@@ -183,38 +179,9 @@ func (s *Shadow) enqueueTarget(line uint64) {
 	s.targets = append(s.targets, line)
 }
 
-// NextEvent implements Prefetcher: a populated decode queue makes the engine
-// active every cycle (each Tick decodes a line and mutates the FTB); with
-// decode drained, the target queue follows the shared head-defers logic — an
-// empty queue waits on demand traffic, a deferred head on the bus.
-func (s *Shadow) NextEvent(now int64) int64 {
-	if len(s.decode) > 0 {
-		return now
-	}
-	if len(s.targets) == 0 {
-		return math.MaxInt64
-	}
-	if !s.port.headDefers(s.targets[0], now) {
-		return now
-	}
-	return s.port.env.Hier.BusFreeAt()
-}
-
-// OnSkip implements Prefetcher: inside a skipped stretch the decode queue is
-// provably empty (NextEvent pins decode work to "now"), so the only per-cycle
-// effect the skipped Ticks could have had is deferring the target head on a
-// busy bus.
-func (s *Shadow) OnSkip(cycles uint64) {
-	if len(s.targets) > 0 {
-		s.port.stats.DeferredBusBusy += cycles
-	}
-}
-
-// PushInert implements Prefetcher: the decoder is driven by arriving lines,
-// never by the FTQ, so predicted-block pushes cannot wake it. (It writes the
-// FTB the BPU reads, but only in active Ticks — during a skippable window
-// the decode queue is empty.)
-func (s *Shadow) PushInert() bool { return true }
+// Idle implements Prefetcher: with no line to decode and no target to
+// issue, the engine waits on demand traffic.
+func (s *Shadow) Idle() bool { return len(s.decode) == 0 && len(s.targets) == 0 }
 
 // OnSquash implements Prefetcher. Queued lines were genuinely fetched —
 // wrong-path or not, their bytes arrived and their branches are real code —

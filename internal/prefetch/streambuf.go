@@ -1,7 +1,5 @@
 package prefetch
 
-import "math"
-
 // StreamBuffers is a multi-way Jouppi stream-buffer prefetcher. A demand
 // miss that no active stream covers allocates a stream starting at the next
 // line; each stream runs ahead of the demand stream by up to depth lines.
@@ -120,40 +118,16 @@ func (s *StreamBuffers) Tick(now int64) {
 	}
 }
 
-// NextEvent implements Prefetcher. Tick walks streams in order and acts on
-// the first one holding credit, so only that stream decides the schedule:
-// if its next line would issue or be skipped past, the engine is active;
-// if it defers on a busy bus, nothing changes until the bus frees except
-// the deferral counter, which OnSkip batches. Credit-starved streams wait
-// on demand traffic.
-func (s *StreamBuffers) NextEvent(now int64) int64 {
-	for i := range s.streams {
-		st := &s.streams[i]
-		if !st.valid || st.credit <= 0 {
-			continue
-		}
-		if !s.port.headDefers(st.next, now) {
-			return now
-		}
-		return s.port.env.Hier.BusFreeAt()
-	}
-	return math.MaxInt64
-}
-
-// OnSkip implements Prefetcher (see FDP.OnSkip: with a credited stream,
-// skipped cycles are exactly bus-busy deferrals of its next line).
-func (s *StreamBuffers) OnSkip(cycles uint64) {
+// Idle implements Prefetcher: Tick only acts on streams holding credit,
+// and credit-starved streams wait on demand traffic.
+func (s *StreamBuffers) Idle() bool {
 	for i := range s.streams {
 		if s.streams[i].valid && s.streams[i].credit > 0 {
-			s.port.stats.DeferredBusBusy += cycles
-			return
+			return false
 		}
 	}
+	return true
 }
-
-// PushInert implements Prefetcher: streams follow the demand stream, so FTQ
-// pushes never wake the engine.
-func (s *StreamBuffers) PushInert() bool { return true }
 
 // OnSquash implements Prefetcher. Streams follow the demand stream, not
 // predictions; a redirect simply changes future misses.

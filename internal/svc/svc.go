@@ -245,6 +245,15 @@ func (s *Server) restore(records []queueRecord) error {
 	for _, rec := range records {
 		switch rec.Op {
 		case "submit":
+			if _, dup := s.jobs[rec.ID]; dup {
+				continue // an id journaled twice keeps its first submission
+			}
+			// Every journaled id counts, plannable or not, so Submit never
+			// reissues one.
+			var n int
+			if _, err := fmt.Sscanf(rec.ID, "s%d", &n); err == nil {
+				s.seq = max(s.seq, n)
+			}
 			if rec.Req == nil {
 				continue
 			}
@@ -252,7 +261,6 @@ func (s *Server) restore(records []queueRecord) error {
 			if err != nil {
 				continue // a poisoned historic submission must not brick restart
 			}
-			s.seq++
 			sw := &sweep{id: rec.ID, seq: s.seq, req: *rec.Req, plan: p, state: StateQueued}
 			s.jobs[rec.ID] = sw
 			s.order = append(s.order, sw)
@@ -365,9 +373,10 @@ func (s *Server) Submit(req SubmitRequest) (JobStatus, error) {
 	s.seq++
 	sw := &sweep{id: fmt.Sprintf("s%06d", s.seq), seq: s.seq, req: req, plan: p, state: StateQueued}
 	// Durability precedes acknowledgement: the submission is journaled (and
-	// fsynced) before the client learns its id.
+	// fsynced) before the client learns its id. A failed append still
+	// consumes the id — its bytes may have reached the file before the fsync
+	// failed — so the next submission cannot journal a second record under it.
 	if err := s.queue.Append(queueRecord{Op: "submit", ID: sw.id, Req: &req}); err != nil {
-		s.seq--
 		return JobStatus{}, err
 	}
 	s.jobs[sw.id] = sw

@@ -533,6 +533,51 @@ func TestServiceRestartResumes(t *testing.T) {
 	}
 }
 
+// TestRestoreNeverReissuesIDs pins id allocation across a restart: a
+// journaled submission that no longer plans still consumes its id, and an
+// id journaled twice restores only its first submission, so the next Submit
+// gets a fresh id instead of overwriting a live sweep (and sharing its dist
+// journal).
+func TestRestoreNeverReissuesIDs(t *testing.T) {
+	dir := t.TempDir()
+	q, _, err := openQueueJournal(dir + "/queue.journal")
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	poisoned := testReq("poisoned")
+	poisoned.Workloads = []string{"no-such-workload"}
+	first, second := testReq("first"), testReq("second")
+	for _, rec := range []queueRecord{
+		{Op: "submit", ID: "s000001", Req: &poisoned},
+		{Op: "submit", ID: "s000002", Req: &first},
+		{Op: "submit", ID: "s000002", Req: &second},
+	} {
+		if err := q.Append(rec); err != nil {
+			t.Fatalf("append: %v", err)
+		}
+	}
+	q.Close()
+
+	s, _, done := service(t, dir, Options{Shards: 1})
+	defer done()
+	if got, ok := s.Job("s000002"); !ok || got.Label != "first" {
+		t.Fatalf("restored s000002 = %+v (found %v), want the first submission", got, ok)
+	}
+	st, err := s.Submit(testReq("fresh"))
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	if st.ID != "s000003" {
+		t.Errorf("Submit after restart issued %s, want s000003", st.ID)
+	}
+	if got, ok := s.Job("s000002"); !ok || got.Label != "first" {
+		t.Errorf("s000002 after Submit = %+v (found %v), want the first submission", got, ok)
+	}
+	if n := len(s.Jobs()); n != 2 {
+		t.Errorf("%d jobs after restart and one Submit, want 2", n)
+	}
+}
+
 // TestQueueJournalTornTail pins the queue journal's crash discipline: a torn
 // final line is truncated at open, every complete record before it survives.
 func TestQueueJournalTornTail(t *testing.T) {
