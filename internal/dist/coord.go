@@ -523,7 +523,7 @@ func (c *Coordinator) firstForeign(p *engine.Plan, jr *Journal, completed map[in
 	for i, job := range p.Jobs() {
 		start := i - i%chunk
 		outs, ok := completed[start]
-		if !ok || bad >= 0 && jr.offsets[start] >= jr.offsets[bad] {
+		if !ok || bad >= 0 && jr.order[start] >= jr.order[bad] {
 			continue
 		}
 		if rj, _, _ := engine.ResolveJob(job, c.opts.Instrs); !reflect.DeepEqual(outs[i-start].Job, rj) {

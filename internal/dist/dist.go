@@ -21,6 +21,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"runtime"
 
 	"fdip/internal/engine"
 )
@@ -44,7 +45,7 @@ type Assignment struct {
 	// means the dense contiguous interpretation.
 	Indices []int `json:"indices,omitempty"`
 	// Instrs, when non-zero, is the committed-instruction budget the worker
-	// applies to every job (engine.WithInstrBudget); zero leaves each job's
+	// applies to every job (engine.WithBudget); zero leaves each job's
 	// own config untouched.
 	Instrs uint64 `json:"instrs,omitempty"`
 }
@@ -114,8 +115,14 @@ type Loopback struct {
 	Workers int
 }
 
-// Slots reports each dialed worker's simulation concurrency.
-func (l Loopback) Slots() int { return workerSlots(l.Workers) }
+// Slots reports each dialed worker's simulation concurrency, resolving
+// Workers the way the engine does.
+func (l Loopback) Slots() int {
+	if l.Workers > 0 {
+		return l.Workers
+	}
+	return runtime.GOMAXPROCS(0)
+}
 
 // Dial builds a fresh in-process worker session.
 func (l Loopback) Dial(ctx context.Context) (Session, error) {

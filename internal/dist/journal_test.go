@@ -1,7 +1,10 @@
 package dist
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -10,6 +13,7 @@ import (
 	"testing"
 
 	"fdip/internal/core"
+	"fdip/internal/durable"
 	"fdip/internal/engine"
 )
 
@@ -78,53 +82,65 @@ func TestJournalRejectsForeignSweep(t *testing.T) {
 	}
 }
 
-// TestJournalTornTailTruncated: a crash mid-append leaves a partial final
-// line; reopening must recover every complete record, drop the torn one, and
-// leave the file appendable.
+// TestJournalTornTailTruncated: a crash mid-append leaves a final line
+// without its newline; reopening must recover every complete record, drop
+// the torn one, and leave the file appendable. A record is complete only
+// with its newline, so a whole range record that lacks it is torn too.
 func TestJournalTornTailTruncated(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "j")
-	j, _, err := OpenJournal(path, 7, 8, 2)
+	whole, err := json.Marshal(journalRecord{Type: "range", Start: 4, Count: 2, Outcomes: synthRange(4, 2)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Commit(0, synthRange(0, 2)); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Commit(2, synthRange(2, 2)); err != nil {
-		t.Fatal(err)
-	}
-	j.Close()
+	for name, tail := range map[string]string{
+		"partial record":      `{"type":"range","start":4,"count":2,"outco`,
+		"record sans newline": string(whole),
+	} {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "j")
+			j, _, err := OpenJournal(path, 7, 8, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := j.Commit(0, synthRange(0, 2)); err != nil {
+				t.Fatal(err)
+			}
+			if err := j.Commit(2, synthRange(2, 2)); err != nil {
+				t.Fatal(err)
+			}
+			j.Close()
 
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"type":"range","start":4,"count":2,"outco`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+			f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.WriteString(tail); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
 
-	j2, completed, err := OpenJournal(path, 7, 8, 2)
-	if err != nil {
-		t.Fatalf("reopen after torn append: %v", err)
-	}
-	if len(completed) != 2 {
-		t.Fatalf("recovered %d ranges, want 2 (torn range 4 must be dropped, ranges 0 and 2 kept)", len(completed))
-	}
-	if _, ok := completed[4]; ok {
-		t.Fatal("torn range 4 was trusted")
-	}
-	// The journal must still accept appends after truncation.
-	if err := j2.Commit(4, synthRange(4, 2)); err != nil {
-		t.Fatal(err)
-	}
-	j2.Close()
-	_, completed, err = OpenJournal(path, 7, 8, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(completed) != 3 {
-		t.Fatalf("post-recovery journal holds %d ranges, want 3", len(completed))
+			j2, completed, err := OpenJournal(path, 7, 8, 2)
+			if err != nil {
+				t.Fatalf("reopen after torn append: %v", err)
+			}
+			if len(completed) != 2 {
+				t.Fatalf("recovered %d ranges, want 2 (torn range 4 must be dropped, ranges 0 and 2 kept)", len(completed))
+			}
+			if _, ok := completed[4]; ok {
+				t.Fatal("torn range 4 was trusted")
+			}
+			// The journal must still accept appends after truncation.
+			if err := j2.Commit(4, synthRange(4, 2)); err != nil {
+				t.Fatal(err)
+			}
+			j2.Close()
+			_, completed, err = OpenJournal(path, 7, 8, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(completed) != 3 {
+				t.Fatalf("post-recovery journal holds %d ranges, want 3", len(completed))
+			}
+		})
 	}
 }
 
@@ -354,4 +370,98 @@ func TestJournalForeignJobNotReplayed(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzJournalReopen feeds arbitrary bytes to OpenJournal as the journal file,
+// after a valid header line or without one. The open must either refuse a
+// foreign header or return only ranges the plan could have committed: starts
+// on a chunk boundary inside the plan, each with its range's count and
+// outcome i at index Start+i. The file is truncated to exactly the kept
+// records — the header and one line per distinct start — so a second open
+// returns the same ranges, and a range committed after it round-trips. The
+// seed corpus (testdata/fuzz/FuzzJournalReopen) holds a whole journal, a
+// torn tail, a record missing its newline, a foreign header and the two
+// replay probes: a misaligned start, and a start-0 record carrying indices
+// 70 and 71.
+func FuzzJournalReopen(f *testing.F) {
+	const fp, points, chunk = 1, 7, 2
+	header, err := json.Marshal(journalRecord{Type: "header", Fingerprint: fp, Points: points, Chunk: chunk})
+	if err != nil {
+		f.Fatal(err)
+	}
+	// Flushing proves nothing here and stalls on a busy disk.
+	flush := durable.Sync
+	durable.Sync = func(*os.File) error { return nil }
+	f.Cleanup(func() { durable.Sync = flush })
+	path := filepath.Join(f.TempDir(), "j")
+	f.Fuzz(func(t *testing.T, withHeader bool, body []byte) {
+		data := body
+		if withHeader {
+			data = slices.Concat(header, []byte("\n"), body)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, completed, err := OpenJournal(path, fp, points, chunk)
+		if err != nil {
+			if withHeader || !strings.Contains(err.Error(), "different sweep") {
+				t.Fatalf("open refused: %v", err)
+			}
+			return
+		}
+		for start, outs := range completed {
+			if start < 0 || start >= points || start%chunk != 0 || len(outs) != min(chunk, points-start) {
+				t.Fatalf("replayed range %d with %d outcomes", start, len(outs))
+			}
+			for i, out := range outs {
+				if out.Index != start+i {
+					t.Fatalf("range %d outcome %d has index %d", start, i, out.Index)
+				}
+			}
+		}
+		kept, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := bytes.SplitAfter(kept, []byte("\n"))
+		if len(lines) != len(completed)+2 || len(lines[len(lines)-1]) != 0 {
+			t.Fatalf("file keeps %d lines for %d ranges:\n%s", len(lines)-1, len(completed), kept)
+		}
+		seen := map[int]bool{}
+		for _, line := range lines[1 : len(lines)-1] {
+			var rec journalRecord
+			if err := json.Unmarshal(line, &rec); err != nil || seen[rec.Start] || completed[rec.Start] == nil {
+				t.Fatalf("kept line %q: start seen %v, err %v", line, seen[rec.Start], err)
+			}
+			seen[rec.Start] = true
+		}
+		j.Close()
+
+		j, again, err := OpenJournal(path, fp, points, chunk)
+		if err != nil {
+			t.Fatalf("second open: %v", err)
+		}
+		if !reflect.DeepEqual(again, completed) {
+			t.Fatalf("second open replays %v, first %v", slices.Sorted(maps.Keys(again)), slices.Sorted(maps.Keys(completed)))
+		}
+		missing := 0
+		for missing < points && completed[missing] != nil {
+			missing += chunk
+		}
+		if missing < points {
+			completed[missing] = synthRange(missing, min(chunk, points-missing))
+			if err := j.Commit(missing, completed[missing]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		j.Close()
+		j, again, err = OpenJournal(path, fp, points, chunk)
+		if err != nil {
+			t.Fatalf("open after commit: %v", err)
+		}
+		j.Close()
+		if !reflect.DeepEqual(again, completed) {
+			t.Fatalf("range %d did not round-trip: replays %v", missing, slices.Sorted(maps.Keys(again)))
+		}
+	})
 }

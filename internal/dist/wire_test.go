@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"fdip/internal/core"
 	"fdip/internal/engine"
 )
 
@@ -19,7 +20,7 @@ import (
 // worker's response stream. Whatever arrives, readOutcomes must not panic,
 // every outcome it emits must be the outcome of the outcome frame it just
 // consumed, and it may return nil only right after consuming a done frame.
-// Each consumed frame is cut out of the input by the decoder's offsets and
+// Each consumed frame is cut out of the input at the decoder's positions and
 // checked on its own. The seed corpus (testdata/fuzz/FuzzReadOutcomes)
 // covers done, error, outcome, torn and unknown frames;
 // TestReadOutcomesCorpus pins its known answers.
@@ -135,7 +136,7 @@ func readSeeds(t *testing.T, target string) map[string]string {
 // FuzzWorkerAssign feeds arbitrary bytes to a worker's decode of its run
 // request. decodeAssign must not panic, and may accept only an assignment
 // whose sparse Indices table, if any, matches its Jobs. Bytes it refuses must
-// get a 400 from the worker's handler, before any engine is built; accepted
+// get a 400 from the worker's handler, and no job may run; accepted
 // bodies are not run, so the fuzz body simulates nothing. The seed corpus
 // (testdata/fuzz/FuzzWorkerAssign) covers valid dense and sparse
 // assignments, a torn body, a frame of the wrong type and a sparse table of
@@ -155,10 +156,35 @@ func FuzzWorkerAssign(f *testing.F) {
 		if rec.Code != http.StatusBadRequest {
 			t.Fatalf("refused body (%v) answered %d, want 400", err, rec.Code)
 		}
-		if len(w.engines) != 0 {
-			t.Fatalf("refused body built %d engines", len(w.engines))
+		if st := w.eng.Stats(); st != (engine.Stats{}) {
+			t.Fatalf("refused body ran jobs: %+v", st)
 		}
 	})
+}
+
+// TestWorkerRefusesOversizedBody: a run request past maxAssignBytes — here
+// one job whose name alone is that long — gets 413 and runs nothing. Without
+// the bound the worker decoded any body whole (a 256 MiB one grew its heap by
+// gigabytes) and then ran its job.
+func TestWorkerRefusesOversizedBody(t *testing.T) {
+	cfg := core.DefaultConfig()
+	a := Assignment{Jobs: []engine.Job{{Name: strings.Repeat("x", maxAssignBytes), Workload: "gcc", Config: cfg}}, Instrs: 2_000}
+	body, err := json.Marshal(frame{Type: "assign", Assign: &a})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := NewWorker(1)
+	rec := httptest.NewRecorder()
+	w.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/run", bytes.NewReader(body)))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Errorf("a %d-byte body answered %d, want 413", len(body), rec.Code)
+	}
+	if strings.Contains(rec.Body.String(), `"outcome"`) {
+		t.Error("the refused body streamed an outcome")
+	}
+	if st := w.eng.Stats(); st != (engine.Stats{}) {
+		t.Errorf("a refused body ran jobs: %+v", st)
+	}
 }
 
 // TestWorkerAssignCorpus pins whether decodeAssign accepts each committed

@@ -3,86 +3,58 @@ package dist
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"runtime"
+	"slices"
 	"strconv"
-	"sync"
 
 	"fdip/internal/engine"
 )
 
-// Worker is the execution side of a shard: it runs assignments on pooled
-// engines (one per instruction budget, sharing a single image cache) and is
-// what cmd/fdipd serves over HTTP. A Worker is stateless across assignments
-// in the contract's sense — all durable progress lives in the coordinator's
-// journal — so killing one mid-assignment loses nothing but the
+// Worker is the execution side of a shard: it runs assignments on one pooled
+// engine and is what cmd/fdipd serves over HTTP. A Worker is stateless across
+// assignments in the contract's sense — all durable progress lives in the
+// coordinator's journal — so killing one mid-assignment loses nothing but the
 // assignment's partial work.
 type Worker struct {
-	workers int
-	images  *engine.ImageCache
-
-	mu      sync.Mutex
-	engines map[uint64]*engine.Engine
+	eng *engine.Engine
 }
 
-// NewWorker builds a worker whose engines run at most workers concurrent
+// NewWorker builds a worker whose engine runs at most workers concurrent
 // simulations (0 = GOMAXPROCS).
 func NewWorker(workers int) *Worker {
-	return &Worker{
-		workers: workers,
-		images:  engine.NewImageCache(),
-		engines: make(map[uint64]*engine.Engine),
-	}
+	return &Worker{eng: engine.New(engine.WithWorkers(workers))}
 }
 
 // Slots is how many simulations the worker runs at once. Its HTTP handler
 // reports it on every response (slotsHeader), which is how a Registry learns
 // its workers' slots.
-func (w *Worker) Slots() int { return workerSlots(w.workers) }
-
-// workerSlots resolves a worker count the way the engine does (0 =
-// GOMAXPROCS).
-func workerSlots(workers int) int {
-	if workers > 0 {
-		return workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// engineFor returns the engine for an instruction budget, building it on
-// first use. Budgets get separate engines because the budget participates in
-// the memo key's config; the image cache is shared across all of them.
-func (w *Worker) engineFor(instrs uint64) *engine.Engine {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	e, ok := w.engines[instrs]
-	if !ok {
-		e = engine.New(
-			engine.WithWorkers(w.workers),
-			engine.WithInstrBudget(instrs),
-			engine.WithImageCache(w.images),
-		)
-		w.engines[instrs] = e
-	}
-	return e
-}
+func (w *Worker) Slots() int { return w.eng.Workers() }
 
 // Run executes one assignment, emitting each outcome (completion order,
 // indices re-tagged from range-local to the plan's global enumeration space
 // — dense offset or the sparse Indices table). Per-job failures are outcomes
 // with Err set; the returned error is assignment-terminal (a malformed
 // assignment, a stream-level engine failure, or an emit failure).
+//
+// The assignment's budget is applied to a copy of each job's config, so one
+// engine serves every budget (the budget is part of the memo identity
+// either way), and each outcome carries the job's config as shipped.
 func (w *Worker) Run(ctx context.Context, a Assignment, emit func(engine.RunOutcome) error) error {
 	if err := a.check(); err != nil {
 		return fmt.Errorf("dist: worker: %w", err)
 	}
-	eng := w.engineFor(a.Instrs)
-	for out, err := range eng.StreamJobs(ctx, a.Jobs) {
+	jobs := slices.Clone(a.Jobs)
+	for i := range jobs {
+		jobs[i].Config = engine.WithBudget(jobs[i].Config, a.Instrs)
+	}
+	for out, err := range w.eng.StreamJobs(ctx, jobs) {
 		if err != nil {
 			return err
 		}
+		out.Job.Config = a.Jobs[out.Index].Config
 		out.Index = a.globalIndex(out.Index)
 		if err := emit(out); err != nil {
 			return err
@@ -90,6 +62,12 @@ func (w *Worker) Run(ctx context.Context, a Assignment, emit func(engine.RunOutc
 	}
 	return ctx.Err()
 }
+
+// maxAssignBytes bounds a run request's body. A piece carries at most one
+// range's jobs (ChunkPoints: 32 by default, 8 in the sweep service), and a
+// job is about 0.9 KB of JSON, so 32 MiB holds more than 35k jobs while
+// keeping a hostile body from growing the worker's memory without limit.
+const maxAssignBytes = 32 << 20
 
 // Handler returns the HTTP transport: POST one assign frame, receive the
 // assignment's NDJSON outcome frames (flushed per frame, so the coordinator
@@ -102,8 +80,13 @@ func (w *Worker) Handler() http.Handler {
 			http.Error(rw, "dist: POST one assign frame", http.StatusMethodNotAllowed)
 			return
 		}
-		a, err := decodeAssign(req.Body)
-		if err != nil {
+		a, err := decodeAssign(http.MaxBytesReader(rw, req.Body, maxAssignBytes))
+		var tooBig *http.MaxBytesError
+		switch {
+		case errors.As(err, &tooBig):
+			http.Error(rw, fmt.Sprintf("dist: run request exceeds %d bytes", tooBig.Limit), http.StatusRequestEntityTooLarge)
+			return
+		case err != nil:
 			http.Error(rw, err.Error(), http.StatusBadRequest)
 			return
 		}
@@ -133,11 +116,11 @@ func (w *Worker) Handler() http.Handler {
 
 // decodeAssign reads a run request's body: one assign frame whose assignment
 // passes Assignment.check. Anything else is an error, which the handler
-// answers with 400 before any engine is built.
+// answers with 400 (413 past maxAssignBytes) before any job runs.
 func decodeAssign(body io.Reader) (Assignment, error) {
 	var f frame
 	if err := json.NewDecoder(body).Decode(&f); err != nil {
-		return Assignment{}, fmt.Errorf("dist: body must be a single assign frame: %v", err)
+		return Assignment{}, fmt.Errorf("dist: body must be a single assign frame: %w", err)
 	}
 	if f.Type != "assign" || f.Assign == nil {
 		return Assignment{}, fmt.Errorf("dist: body must be a single assign frame, not type %q", f.Type)

@@ -233,7 +233,7 @@ func (e *Engine) Sweep(ctx context.Context, jobs []Job) ([]RunOutcome, error) {
 // slot and honours ctx but is not memoised (an arbitrary image has no cache
 // key). Machines still come from the per-configuration pool.
 func (e *Engine) RunImage(ctx context.Context, cfg core.Config, im *program.Image, seed int64) (core.Result, error) {
-	cfg = withBudget(cfg, e.instrs)
+	cfg = WithBudget(cfg, e.instrs)
 	if err := cfg.Validate(); err != nil {
 		return core.Result{}, err
 	}

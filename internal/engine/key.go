@@ -35,16 +35,18 @@ func ResolveJob(job Job, instrs uint64) (Job, JobKey, error) {
 	if err != nil {
 		return job, JobKey{}, err
 	}
-	cfg := withBudget(job.Config, instrs)
+	cfg := WithBudget(job.Config, instrs)
 	if err := cfg.Validate(); err != nil {
 		return job, JobKey{}, err
 	}
 	return job, JobKey{params: params, cfg: cfg, seed: job.Seed}, nil
 }
 
-// withBudget applies an engine-wide instruction budget (0 leaves cfg as is),
-// re-deriving the cycle cap from it.
-func withBudget(cfg core.Config, instrs uint64) core.Config {
+// WithBudget applies an instruction budget to cfg (0 leaves cfg as is),
+// re-deriving the cycle cap from it. It is the one budget rule: the engine's
+// WithInstrBudget, ResolveJob's memo identity and a dist worker's assignments
+// all apply it.
+func WithBudget(cfg core.Config, instrs uint64) core.Config {
 	if instrs != 0 {
 		cfg.MaxInstrs = instrs
 		cfg.MaxCycles = 0

@@ -432,7 +432,7 @@ func forwardTarget(rng *rand.Rand, nBlocks, bi, window int) int {
 	return bi + 1 + rng.Intn(span)
 }
 
-// pickCallee selects a callee with index > fi; small offsets are hot under
+// pickCallee selects a callee with index > fi; near callees are hot under
 // skew > 1, uniform at skew == 1.
 func pickCallee(rng *rand.Rand, p Params, fi int, skew float64) int {
 	span := p.NumFuncs - 1 - fi

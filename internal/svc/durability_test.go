@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -172,11 +173,11 @@ func TestServiceRestartAfterPowerLoss(t *testing.T) {
 
 			// A sweep that ran again after the reboot has a second done
 			// record; one whose done record survived must replay instead.
-			q, records, err := openQueueJournal(filepath.Join(dir, "queue.journal"))
+			q, records, err := durable.Open[queueRecord](filepath.Join(dir, "queue.journal"), nil)
 			if err != nil {
 				t.Fatalf("reopen queue journal: %v", err)
 			}
-			q.Close()
+			q.Close(false)
 			doneRecs := map[string]int{}
 			for _, rec := range records {
 				if rec.Op == "done" {
@@ -259,4 +260,85 @@ func TestServiceRequeuesUnreplayableSweep(t *testing.T) {
 	if n := wc.shipped(); n != 2*len(ref) {
 		t.Errorf("%d jobs shipped, want %d (the lost sweep runs again)", n, 2*len(ref))
 	}
+}
+
+// FuzzQueueRestore feeds arbitrary bytes to a restarting service as its
+// queue journal, then submits once and shuts down, with no workers. Restore
+// must not panic and must restore each id once; the Submit must issue an id
+// no journaled submit used; and a done or failed record whose id has no
+// earlier submit must change nothing, so a service restored from the journal
+// without those records holds the same sweeps. The seed corpus
+// (testdata/fuzz/FuzzQueueRestore) holds the reissue probe (an unplannable
+// submit and an id journaled twice), an id whose successor overflows, a
+// duplicate submit id, and a done before its submit beside records for
+// unknown ids.
+func FuzzQueueRestore(f *testing.F) {
+	// Flushing proves nothing here and stalls on a busy disk.
+	flush := durable.Sync
+	durable.Sync = func(*os.File) error { return nil }
+	f.Cleanup(func() { durable.Sync = flush })
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir, ref := t.TempDir(), t.TempDir()
+		path := filepath.Join(dir, "queue.journal")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		// The records restore reads, one per kept line, and the journal
+		// without its terminal records for ids not yet submitted.
+		q, recs, err := durable.Open[queueRecord](path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q.Close(false)
+		kept, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var orphanFree []byte
+		journaled := map[string]bool{}
+		for i, line := range bytes.SplitAfter(kept, []byte("\n"))[:len(recs)] {
+			switch recs[i].Op {
+			case "submit":
+				journaled[recs[i].ID] = true
+			case "done", "failed":
+				if !journaled[recs[i].ID] {
+					continue
+				}
+			}
+			orphanFree = append(orphanFree, line...)
+		}
+		if err := os.WriteFile(filepath.Join(ref, "queue.journal"), orphanFree, 0o644); err != nil {
+			t.Fatal(err)
+		}
+
+		s, err := New(Options{StateDir: dir})
+		if err != nil {
+			t.Fatalf("restore: %v", err)
+		}
+		st, err := s.Submit(SubmitRequest{Workloads: []string{"gcc"}, Configs: []ConfigPoint{{Name: "base", Config: testCfg(core.PrefetchNone)}}})
+		if err == nil && journaled[st.ID] {
+			t.Errorf("Submit reissued journaled id %s", st.ID)
+		}
+		if err := s.Shutdown(); err != nil {
+			t.Fatal(err)
+		}
+		want, err := New(Options{StateDir: ref})
+		if err != nil {
+			t.Fatalf("restore without orphan records: %v", err)
+		}
+		if err := want.Shutdown(); err != nil {
+			t.Fatal(err)
+		}
+		got := slices.DeleteFunc(s.Jobs(), func(j JobStatus) bool { return j.ID == st.ID })
+		if !slices.Equal(got, want.Jobs()) {
+			t.Errorf("orphan done/failed records changed the restore:\nwith    %+v\nwithout %+v", got, want.Jobs())
+		}
+		ids := map[string]bool{}
+		for _, j := range got {
+			if _, ok := idSeq(j.ID); !ok || ids[j.ID] {
+				t.Errorf("restored id %s: one Submit could write %v, seen before %v", j.ID, ok, ids[j.ID])
+			}
+			ids[j.ID] = true
+		}
+	})
 }

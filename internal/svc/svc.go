@@ -27,6 +27,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -34,6 +35,7 @@ import (
 
 	"fdip/internal/core"
 	"fdip/internal/dist"
+	"fdip/internal/durable"
 	"fdip/internal/engine"
 )
 
@@ -168,7 +170,7 @@ type Server struct {
 	opts  Options
 	reg   *dist.Registry
 	cache *engine.ResultCache
-	queue *queueJournal
+	queue *durable.Log[queueRecord]
 
 	mu    sync.Mutex
 	cond  *sync.Cond // guards/announces every sweep-state and buffer change
@@ -179,6 +181,7 @@ type Server struct {
 
 	quiesce   chan struct{}
 	quiesceFn sync.Once
+	closeErr  error // the queue journal's close, Shutdown's result
 	schedDone chan struct{}
 }
 
@@ -213,15 +216,12 @@ func New(opts Options) (*Server, error) {
 		schedDone: make(chan struct{}),
 	}
 	s.cond = sync.NewCond(&s.mu)
-	q, records, err := openQueueJournal(filepath.Join(opts.StateDir, "queue.journal"))
+	q, records, err := durable.Open[queueRecord](filepath.Join(opts.StateDir, "queue.journal"), nil)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("svc: queue journal: %w", err)
 	}
 	s.queue = q
-	if err := s.restore(records); err != nil {
-		q.Close()
-		return nil, err
-	}
+	s.restore(records)
 	go s.scheduler()
 	return s, nil
 }
@@ -240,20 +240,21 @@ func (s *Server) Registry() *dist.Registry { return s.reg }
 // resumes behind its journal. Unfinished sweeps — queued or mid-run at the
 // crash — replay last, only to prime the cache (the scheduler may reach a
 // sweep that read from one of them first), and stay queued.
-func (s *Server) restore(records []queueRecord) error {
+func (s *Server) restore(records []queueRecord) {
 	var finished []*sweep
 	for _, rec := range records {
 		switch rec.Op {
 		case "submit":
-			if _, dup := s.jobs[rec.ID]; dup {
-				continue // an id journaled twice keeps its first submission
+			// Only an id Submit could have written names a sweep (any other
+			// could collide with one Submit issues later), and an id
+			// journaled twice keeps its first submission.
+			n, ok := idSeq(rec.ID)
+			if _, dup := s.jobs[rec.ID]; !ok || dup {
+				continue
 			}
 			// Every journaled id counts, plannable or not, so Submit never
 			// reissues one.
-			var n int
-			if _, err := fmt.Sscanf(rec.ID, "s%d", &n); err == nil {
-				s.seq = max(s.seq, n)
-			}
+			s.seq = max(s.seq, n)
 			if rec.Req == nil {
 				continue
 			}
@@ -297,7 +298,6 @@ func (s *Server) restore(records []queueRecord) error {
 			sw.buf, sw.cached = buf, cached
 		}
 	}
-	return nil
 }
 
 // replay rebuilds one sweep's stream from its dist journal without executing
@@ -370,13 +370,16 @@ func (s *Server) Submit(req SubmitRequest) (JobStatus, error) {
 	if backlog >= s.opts.MaxQueued {
 		return JobStatus{}, fmt.Errorf("%w: %d sweeps pending", ErrQueueFull, backlog)
 	}
+	if s.seq >= math.MaxInt-1 {
+		return JobStatus{}, fmt.Errorf("svc: submission ids exhausted at %s", sweepID(s.seq))
+	}
 	s.seq++
-	sw := &sweep{id: fmt.Sprintf("s%06d", s.seq), seq: s.seq, req: req, plan: p, state: StateQueued}
+	sw := &sweep{id: sweepID(s.seq), seq: s.seq, req: req, plan: p, state: StateQueued}
 	// Durability precedes acknowledgement: the submission is journaled (and
 	// fsynced) before the client learns its id. A failed append still
 	// consumes the id — its bytes may have reached the file before the fsync
 	// failed — so the next submission cannot journal a second record under it.
-	if err := s.queue.Append(queueRecord{Op: "submit", ID: sw.id, Req: &req}); err != nil {
+	if err := s.queue.Append(queueRecord{Op: "submit", ID: sw.id, Req: &req}, true); err != nil {
 		return JobStatus{}, err
 	}
 	s.jobs[sw.id] = sw
@@ -512,8 +515,9 @@ func (s *Server) runSweep(sw *sweep) {
 	if rec != nil {
 		// A failed append must not change the outcome: a lost done record
 		// re-queues the sweep on restart, and it resumes behind its complete
-		// dist journal without executing anything.
-		_ = s.queue.Append(*rec)
+		// dist journal without executing anything. Only a failed record is
+		// synced (see queueRecord).
+		_ = s.queue.Append(*rec, rec.Op == "failed")
 	}
 }
 
@@ -529,7 +533,9 @@ func quiesced(ch <-chan struct{}) bool {
 
 // Shutdown gracefully drains the service: dispatch stops, in-flight ranges
 // finish and journal, the interrupted sweep (if any) re-queues, the scheduler
-// exits, and the queue journal closes. Safe to call more than once.
+// exits, and the queue journal closes, flushing its unsynced done records.
+// Safe to call more than once: a later call waits for the first and returns
+// its result.
 func (s *Server) Shutdown() error {
 	s.quiesceFn.Do(func() {
 		close(s.quiesce)
@@ -537,9 +543,10 @@ func (s *Server) Shutdown() error {
 		s.cond.Broadcast() // release nextRunnable and stream watchers
 		s.mu.Unlock()
 		s.reg.Close() // release coordinator dials blocked on an empty pool
+		<-s.schedDone
+		s.closeErr = s.queue.Close(true)
 	})
-	<-s.schedDone
-	return s.queue.Close()
+	return s.closeErr
 }
 
 // Stream copies one sweep's completion-order outcomes to fn, starting at

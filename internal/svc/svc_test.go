@@ -8,14 +8,18 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
 	"fdip/internal/core"
 	"fdip/internal/dist"
+	"fdip/internal/durable"
 	"fdip/internal/engine"
 	"fdip/internal/prefetch"
 )
@@ -540,23 +544,13 @@ func TestServiceRestartResumes(t *testing.T) {
 // journal).
 func TestRestoreNeverReissuesIDs(t *testing.T) {
 	dir := t.TempDir()
-	q, _, err := openQueueJournal(dir + "/queue.journal")
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
 	poisoned := testReq("poisoned")
 	poisoned.Workloads = []string{"no-such-workload"}
 	first, second := testReq("first"), testReq("second")
-	for _, rec := range []queueRecord{
-		{Op: "submit", ID: "s000001", Req: &poisoned},
-		{Op: "submit", ID: "s000002", Req: &first},
-		{Op: "submit", ID: "s000002", Req: &second},
-	} {
-		if err := q.Append(rec); err != nil {
-			t.Fatalf("append: %v", err)
-		}
-	}
-	q.Close()
+	journalQueue(t, dir,
+		queueRecord{Op: "submit", ID: "s000001", Req: &poisoned},
+		queueRecord{Op: "submit", ID: "s000002", Req: &first},
+		queueRecord{Op: "submit", ID: "s000002", Req: &second})
 
 	s, _, done := service(t, dir, Options{Shards: 1})
 	defer done()
@@ -578,12 +572,90 @@ func TestRestoreNeverReissuesIDs(t *testing.T) {
 	}
 }
 
+// journalQueue appends recs to the queue journal in dir, as an earlier
+// service run (or a forger) would have.
+func journalQueue(t *testing.T, dir string, recs ...queueRecord) {
+	t.Helper()
+	q, _, err := durable.Open[queueRecord](filepath.Join(dir, "queue.journal"), nil)
+	if err != nil {
+		t.Fatalf("open queue journal: %v", err)
+	}
+	for _, rec := range recs {
+		if err := q.Append(rec, false); err != nil {
+			t.Fatalf("append: %v", err)
+		}
+	}
+	if err := q.Close(false); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRestoreNeverWrapsIDs: a journaled submit whose id Submit could not have
+// written — here the largest int, whose successor wrapped negative — names no
+// sweep. Restore used to take its ordinal, so Submit issued
+// s-9223372036854775808, and after a second restart issued that id again,
+// overwriting the sweep that held it. And at the last ordinal Submit may
+// issue, Submit refuses instead of wrapping.
+func TestRestoreNeverWrapsIDs(t *testing.T) {
+	dir := t.TempDir()
+	forged := testReq("forged")
+	journalQueue(t, dir, queueRecord{Op: "submit", ID: "s9223372036854775807", Req: &forged})
+	labels := map[string]string{}
+	for _, label := range []string{"a", "b"} {
+		s, _, done := service(t, dir, Options{Shards: 1})
+		st, err := s.Submit(testReq(label))
+		if err != nil {
+			t.Fatalf("submit %s: %v", label, err)
+		}
+		if prev, dup := labels[st.ID]; dup {
+			t.Errorf("Submit reissued %s (sweep %q) to sweep %q", st.ID, prev, label)
+		}
+		labels[st.ID] = label
+		done()
+	}
+	s, _, done := service(t, dir, Options{Shards: 1})
+	for id, label := range labels {
+		if got, ok := s.Job(id); !ok || got.Label != label {
+			t.Errorf("restored %s = %+v (found %v), want sweep %q", id, got, ok, label)
+		}
+	}
+	if got, ok := s.Job("s9223372036854775807"); ok {
+		t.Errorf("restored a sweep under an id Submit cannot write: %+v", got)
+	}
+	done()
+
+	last := t.TempDir()
+	journalQueue(t, last, queueRecord{Op: "submit", ID: sweepID(math.MaxInt - 1), Req: &forged})
+	s, _, done = service(t, last, Options{Shards: 1})
+	defer done()
+	if st, err := s.Submit(testReq("past the last id")); err == nil {
+		t.Errorf("Submit after ordinal MaxInt-1 issued %s, want an error", st.ID)
+	}
+	if n := len(s.Jobs()); n != 1 {
+		t.Errorf("%d jobs, want the restored one", n)
+	}
+}
+
+// TestShutdownTwice: a second Shutdown returns the first one's result. It
+// used to close the queue journal again and fail with "file already closed".
+func TestShutdownTwice(t *testing.T) {
+	s, err := New(Options{StateDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range 2 {
+		if err := s.Shutdown(); err != nil {
+			t.Errorf("Shutdown call %d: %v", i+1, err)
+		}
+	}
+}
+
 // TestQueueJournalTornTail pins the queue journal's crash discipline: a torn
 // final line is truncated at open, every complete record before it survives.
 func TestQueueJournalTornTail(t *testing.T) {
 	dir := t.TempDir()
 	path := dir + "/queue.journal"
-	q, records, err := openQueueJournal(path)
+	q, records, err := durable.Open[queueRecord](path, nil)
 	if err != nil {
 		t.Fatalf("open fresh: %v", err)
 	}
@@ -591,23 +663,28 @@ func TestQueueJournalTornTail(t *testing.T) {
 		t.Fatalf("fresh journal has %d records", len(records))
 	}
 	req := testReq("torn")
-	if err := q.Append(queueRecord{Op: "submit", ID: "s000001", Req: &req}); err != nil {
+	if err := q.Append(queueRecord{Op: "submit", ID: "s000001", Req: &req}, true); err != nil {
 		t.Fatalf("append: %v", err)
 	}
-	if err := q.Append(queueRecord{Op: "done", ID: "s000001"}); err != nil {
+	if err := q.Append(queueRecord{Op: "done", ID: "s000001"}, false); err != nil {
 		t.Fatalf("append: %v", err)
 	}
+	q.Close(true)
 	// Crash mid-append: half a record, no newline.
-	if _, err := q.f.Write([]byte(`{"op":"submit","id":"s0000`)); err != nil {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte(`{"op":"submit","id":"s0000`)); err != nil {
 		t.Fatalf("tear: %v", err)
 	}
-	q.Close()
+	f.Close()
 
-	q2, records, err := openQueueJournal(path)
+	q2, records, err := durable.Open[queueRecord](path, nil)
 	if err != nil {
 		t.Fatalf("reopen torn: %v", err)
 	}
-	defer q2.Close()
+	defer q2.Close(false)
 	if len(records) != 2 || records[0].Op != "submit" || records[1].Op != "done" {
 		t.Fatalf("torn reopen records = %+v, want the 2 complete ones", records)
 	}
@@ -615,7 +692,7 @@ func TestQueueJournalTornTail(t *testing.T) {
 		t.Fatalf("submit record lost its request: %+v", records[0])
 	}
 	// And the journal must be appendable again at the truncated offset.
-	if err := q2.Append(queueRecord{Op: "failed", ID: "s000002", Error: "x"}); err != nil {
+	if err := q2.Append(queueRecord{Op: "failed", ID: "s000002", Error: "x"}, true); err != nil {
 		t.Fatalf("append after truncate: %v", err)
 	}
 }
