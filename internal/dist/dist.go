@@ -143,15 +143,15 @@ func (s *loopbackSession) Run(ctx context.Context, a Assignment, emit func(engin
 		return err
 	}
 	return s.wk.Run(ctx, a, func(out engine.RunOutcome) error {
-		b, err := json.Marshal(out)
+		b, err := json.Marshal(out.Wire())
 		if err != nil {
 			return err
 		}
-		var back engine.RunOutcome
+		var back engine.WireOutcome
 		if err := json.Unmarshal(b, &back); err != nil {
 			return err
 		}
-		return emit(back)
+		return emit(back.Outcome())
 	})
 }
 

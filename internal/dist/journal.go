@@ -41,9 +41,9 @@ type journalRecord struct {
 	Chunk       int    `json:"chunk,omitempty"`
 
 	// Range fields.
-	Start    int                 `json:"start"`
-	Count    int                 `json:"count"`
-	Outcomes []engine.RunOutcome `json:"outcomes,omitempty"`
+	Start    int                  `json:"start"`
+	Count    int                  `json:"count"`
+	Outcomes []engine.WireOutcome `json:"outcomes,omitempty"`
 }
 
 // Journal is an open checkpoint file positioned for appends.
@@ -74,7 +74,11 @@ func OpenJournal(path string, fingerprint uint64, points, chunk int) (*Journal, 
 		if !rec.replayable(points, chunk, completed) {
 			return false, nil
 		}
-		completed[rec.Start] = rec.Outcomes
+		outs := make([]engine.RunOutcome, len(rec.Outcomes))
+		for k := range rec.Outcomes {
+			outs[k] = rec.Outcomes[k].Outcome()
+		}
+		completed[rec.Start] = outs
 		j.order[rec.Start] = i
 		return true, nil
 	})
@@ -143,7 +147,11 @@ func (j *Journal) note(start int, outs []engine.RunOutcome) error {
 }
 
 func (j *Journal) append(start int, outs []engine.RunOutcome, sync bool) error {
-	return j.log.Append(journalRecord{Type: "range", Start: start, Count: len(outs), Outcomes: outs}, sync)
+	wire := make([]engine.WireOutcome, len(outs))
+	for i, out := range outs {
+		wire[i] = out.Wire()
+	}
+	return j.log.Append(journalRecord{Type: "range", Start: start, Count: len(outs), Outcomes: wire}, sync)
 }
 
 // Close closes the journal file. It does not fsync: unsynced records are

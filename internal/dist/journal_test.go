@@ -87,7 +87,11 @@ func TestJournalRejectsForeignSweep(t *testing.T) {
 // the torn one, and leave the file appendable. A record is complete only
 // with its newline, so a whole range record that lacks it is torn too.
 func TestJournalTornTailTruncated(t *testing.T) {
-	whole, err := json.Marshal(journalRecord{Type: "range", Start: 4, Count: 2, Outcomes: synthRange(4, 2)})
+	var outs []engine.WireOutcome
+	for _, out := range synthRange(4, 2) {
+		outs = append(outs, out.Wire())
+	}
+	whole, err := json.Marshal(journalRecord{Type: "range", Start: 4, Count: 2, Outcomes: outs})
 	if err != nil {
 		t.Fatal(err)
 	}

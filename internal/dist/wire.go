@@ -17,16 +17,23 @@ import (
 //	                        {"type":"done"}
 //	                        {"type":"error","error":"..."}
 //
-// Outcomes reuse engine.RunOutcome's JSON form (errors flattened to strings),
-// so the distributed wire is the same schema single-process tooling already
-// consumes. Per-job failures are outcome frames with "error" set inside the
+// An outcome is an engine.WireOutcome (errors flattened to strings), the one
+// JSON form of an outcome, so the distributed wire is the same schema
+// single-process tooling already consumes, and a frame encodes or decodes in
+// one pass. Per-job failures are outcome frames with "error" set inside the
 // outcome; a frame of type "error" is assignment-terminal and triggers the
 // coordinator's retry-on-a-fresh-session path.
 type frame struct {
-	Type    string             `json:"type"`
-	Assign  *Assignment        `json:"assign,omitempty"`
-	Outcome *engine.RunOutcome `json:"outcome,omitempty"`
-	Error   string             `json:"error,omitempty"`
+	Type    string              `json:"type"`
+	Assign  *Assignment         `json:"assign,omitempty"`
+	Outcome *engine.WireOutcome `json:"outcome,omitempty"`
+	Error   string              `json:"error,omitempty"`
+}
+
+// outcomeFrame is the frame a worker sends for one outcome.
+func outcomeFrame(out engine.RunOutcome) frame {
+	w := out.Wire()
+	return frame{Type: "outcome", Outcome: &w}
 }
 
 // readOutcomes consumes one assignment's response frames from dec, emitting
@@ -43,7 +50,7 @@ func readOutcomes(dec *json.Decoder, emit func(engine.RunOutcome) error) error {
 			if f.Outcome == nil {
 				return fmt.Errorf("dist: outcome frame without an outcome")
 			}
-			if err := emit(*f.Outcome); err != nil {
+			if err := emit(f.Outcome.Outcome()); err != nil {
 				return err
 			}
 		case "done":

@@ -104,7 +104,7 @@ func (w *Worker) Handler() http.Handler {
 			return nil
 		}
 		runErr := w.Run(req.Context(), a, func(out engine.RunOutcome) error {
-			return send(frame{Type: "outcome", Outcome: &out})
+			return send(outcomeFrame(out))
 		})
 		if runErr != nil {
 			send(frame{Type: "error", Error: runErr.Error()})

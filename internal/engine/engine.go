@@ -58,7 +58,7 @@ type RunOutcome struct {
 	// Result holds the measurements; zero-valued when Err is non-nil.
 	Result core.Result `json:"result"`
 	// Err is the job's failure, nil on success. (JSON encodes its
-	// message; see export.go.)
+	// message; see WireOutcome.)
 	Err error `json:"-"`
 	// Cached reports that the result was served from the memo cache (or
 	// joined an in-flight identical simulation) rather than simulated anew.

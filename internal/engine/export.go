@@ -8,9 +8,17 @@ import (
 	"fdip/internal/core"
 )
 
-// outcomeJSON is the wire form of RunOutcome: errors flatten to strings so
-// downstream tooling gets machine-readable failures.
-type outcomeJSON struct {
+// WireOutcome is the one JSON form of a RunOutcome: the dist outcome frame,
+// the dist checkpoint journal, the svc result stream, WriteOutcomesJSON and
+// fdipd's output all carry exactly these bytes. The error flattens to a
+// string, so downstream tooling gets machine-readable failures.
+//
+// Codecs that embed outcomes in a larger record (frames, journal records)
+// hold WireOutcome fields rather than RunOutcome ones, so encoding/json makes
+// one reflective pass over the whole record; a RunOutcome field would go
+// through its Marshaler methods, whose output json compacts (on encode) and
+// whose input it scans again (on decode).
+type WireOutcome struct {
 	Job          Job         `json:"job"`
 	Index        int         `json:"index"`
 	Result       core.Result `json:"result"`
@@ -20,28 +28,37 @@ type outcomeJSON struct {
 	CyclesPerSec float64     `json:"cycles_per_sec,omitempty"`
 }
 
-// MarshalJSON encodes the outcome with its error (if any) as a string.
-func (o RunOutcome) MarshalJSON() ([]byte, error) {
-	j := outcomeJSON{Job: o.Job, Index: o.Index, Result: o.Result, Cached: o.Cached,
+// Wire returns the outcome's wire form.
+func (o RunOutcome) Wire() WireOutcome {
+	w := WireOutcome{Job: o.Job, Index: o.Index, Result: o.Result, Cached: o.Cached,
 		Elapsed: int64(o.Elapsed), CyclesPerSec: o.CyclesPerSec}
 	if o.Err != nil {
-		j.Error = o.Err.Error()
+		w.Error = o.Err.Error()
 	}
-	return json.Marshal(j)
+	return w
 }
 
-// UnmarshalJSON decodes the wire form; a non-empty error string becomes a
-// jsonError so Err survives a round trip.
+// Outcome converts the wire form back; a non-empty error string becomes an
+// error with that message, so Err survives a round trip.
+func (w *WireOutcome) Outcome() RunOutcome {
+	o := RunOutcome{Job: w.Job, Index: w.Index, Result: w.Result, Cached: w.Cached,
+		Elapsed: time.Duration(w.Elapsed), CyclesPerSec: w.CyclesPerSec}
+	if w.Error != "" {
+		o.Err = jsonError(w.Error)
+	}
+	return o
+}
+
+// MarshalJSON encodes the outcome's wire form.
+func (o RunOutcome) MarshalJSON() ([]byte, error) { return json.Marshal(o.Wire()) }
+
+// UnmarshalJSON decodes the outcome from its wire form.
 func (o *RunOutcome) UnmarshalJSON(data []byte) error {
-	var j outcomeJSON
-	if err := json.Unmarshal(data, &j); err != nil {
+	var w WireOutcome
+	if err := json.Unmarshal(data, &w); err != nil {
 		return err
 	}
-	*o = RunOutcome{Job: j.Job, Index: j.Index, Result: j.Result, Cached: j.Cached,
-		Elapsed: time.Duration(j.Elapsed), CyclesPerSec: j.CyclesPerSec}
-	if j.Error != "" {
-		o.Err = jsonError(j.Error)
-	}
+	*o = w.Outcome()
 	return nil
 }
 
@@ -56,8 +73,9 @@ func WriteResultJSON(w io.Writer, res core.Result) error {
 	return enc.Encode(res)
 }
 
-// WriteOutcomesJSON writes sweep outcomes as an indented JSON array —
-// the machine-readable form of a whole sweep for downstream tooling.
+// WriteOutcomesJSON writes sweep outcomes as an indented JSON array of their
+// wire forms — the machine-readable form of a whole sweep for downstream
+// tooling.
 func WriteOutcomesJSON(w io.Writer, outs []RunOutcome) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

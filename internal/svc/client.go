@@ -179,26 +179,38 @@ func (c *Client) Stream(ctx context.Context, id string, from int, fn func(Stream
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 		return fmt.Errorf("svc: stream %s: %s: %s", id, resp.Status, bytes.TrimSpace(msg))
 	}
-	dec := json.NewDecoder(resp.Body)
+	return readStream(resp.Body, id, fn)
+}
+
+// readStream reads one stream body, invoking fn per outcome frame until the
+// terminal done (nil) or error (ErrSweepFailed) frame. A body that ends or
+// corrupts before its terminator is an error, and so is an outcome frame
+// without an outcome: a StreamFrame fn sees always carries one.
+func readStream(body io.Reader, id string, fn func(StreamFrame) error) error {
+	dec := json.NewDecoder(body)
 	for {
-		var f StreamFrame
-		if err := dec.Decode(&f); err != nil {
+		var w streamWire
+		if err := dec.Decode(&w); err != nil {
 			if err == io.EOF {
 				return fmt.Errorf("svc: stream %s ended without a terminal frame", id)
 			}
 			return err
 		}
-		switch f.Type {
+		switch w.Type {
 		case "outcome":
-			if err := fn(f); err != nil {
+			if w.Outcome == nil {
+				return fmt.Errorf("svc: stream %s: outcome frame without an outcome", id)
+			}
+			out := w.Outcome.Outcome()
+			if err := fn(StreamFrame{Type: w.Type, Seq: w.Seq, Outcome: &out, Error: w.Error}); err != nil {
 				return err
 			}
 		case "done":
 			return nil
 		case "error":
-			return fmt.Errorf("%w: %s: %s", ErrSweepFailed, id, f.Error)
+			return fmt.Errorf("%w: %s: %s", ErrSweepFailed, id, w.Error)
 		default:
-			return fmt.Errorf("svc: stream %s: unknown frame type %q", id, f.Type)
+			return fmt.Errorf("svc: stream %s: unknown frame type %q", id, w.Type)
 		}
 	}
 }

@@ -140,7 +140,7 @@ func (s *Server) Handler() http.Handler {
 		enc := json.NewEncoder(w)
 		fl, _ := w.(http.Flusher)
 		err := s.Stream(r.Context(), id, from, func(f StreamFrame) error {
-			if err := enc.Encode(f); err != nil {
+			if err := enc.Encode(f.wire()); err != nil {
 				return err
 			}
 			if fl != nil {

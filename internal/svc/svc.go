@@ -618,3 +618,22 @@ type StreamFrame struct {
 	Outcome *engine.RunOutcome `json:"outcome,omitempty"`
 	Error   string             `json:"error,omitempty"`
 }
+
+// streamWire is StreamFrame's wire form: the same fields in the same order
+// under the same tags, with the outcome as an engine.WireOutcome, so the
+// stream handler and Client.Stream make one encoding/json pass per frame.
+type streamWire struct {
+	Type    string              `json:"type"`
+	Seq     int                 `json:"seq"`
+	Outcome *engine.WireOutcome `json:"outcome,omitempty"`
+	Error   string              `json:"error,omitempty"`
+}
+
+func (f StreamFrame) wire() streamWire {
+	w := streamWire{Type: f.Type, Seq: f.Seq, Error: f.Error}
+	if f.Outcome != nil {
+		out := f.Outcome.Wire()
+		w.Outcome = &out
+	}
+	return w
+}
