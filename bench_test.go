@@ -36,6 +36,16 @@ func newRunner() *experiments.Runner {
 	return experiments.NewRunner(experiments.Options{Instrs: benchInstrs()})
 }
 
+// mustGenerate builds a synthetic program image from known-good params.
+func mustGenerate(tb testing.TB, p ProgramParams) *Image {
+	tb.Helper()
+	im, err := GenerateProgram(p)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return im
+}
+
 // runExperiment executes fn once per iteration, printing the table on the
 // first and reporting rows as a sanity metric.
 func runExperiment(b *testing.B, fn func(ctx context.Context, r *experiments.Runner) (*stats.Table, error)) {
@@ -174,7 +184,7 @@ func BenchmarkSweepParallel(b *testing.B) { benchmarkSweep(b, runtime.GOMAXPROCS
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	params := program.DefaultParams()
 	params.NumFuncs = 300
-	im := program.MustGenerate(params)
+	im := mustGenerate(b, params)
 	cfg := DefaultConfig()
 	cfg.Prefetch.Kind = PrefetchFDP
 	cfg.Prefetch.FDP.CPF = CPFConservative
@@ -199,7 +209,7 @@ func stepSim(tb testing.TB) *Simulator {
 	tb.Helper()
 	params := program.DefaultParams()
 	params.NumFuncs = 60
-	im := program.MustGenerate(params)
+	im := mustGenerate(tb, params)
 	cfg := DefaultConfig()
 	cfg.Prefetch.Kind = PrefetchFDP
 	cfg.Prefetch.FDP.CPF = CPFConservative
@@ -231,7 +241,7 @@ func BenchmarkStep(b *testing.B) {
 func benchmarkRun(b *testing.B, cfg Config) {
 	params := program.DefaultParams()
 	params.NumFuncs = 60
-	im := program.MustGenerate(params)
+	im := mustGenerate(b, params)
 	b.ReportAllocs()
 	var cycles int64
 	for i := 0; i < b.N; i++ {
@@ -315,12 +325,13 @@ func TestStepZeroAlloc(t *testing.T) {
 func BenchmarkOracleWalker(b *testing.B) {
 	params := program.DefaultParams()
 	params.NumFuncs = 300
-	im := program.MustGenerate(params)
+	im := mustGenerate(b, params)
 	w := oracle.NewWalker(im, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
+	var rec oracle.Record
 	for i := 0; i < b.N; i++ {
-		w.Next()
+		w.NextInto(&rec)
 	}
 }
 

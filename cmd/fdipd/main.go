@@ -22,7 +22,7 @@
 //	                                   plan on the in-process engine and prints
 //	                                   one NDJSON row per point (sorted by
 //	                                   index, deterministic fields only) on
-//	                                   stdout, with a mergeable-reducer summary
+//	                                   stdout, with an order-independent summary
 //	                                   on stderr. Every -submit of the same
 //	                                   plan must byte-diff clean against it.
 //

@@ -10,11 +10,11 @@
 // spatial-region prefetching (PrefetchMANA) and shadow-branch decoding that
 // prefills the FTB ahead of the predictor (PrefetchShadow).
 //
-// The primary surface is the v3 Plan/Stream pair over the concurrent
-// Engine: a context-aware, worker-pooled, memoising executor. A Plan
-// declares a parameter space from composable axes — workloads (Over), knob
-// sweeps (Vary), explicit named machines (Configs) — and expands it lazily,
-// so a million-point sweep never materializes a million-entry slice.
+// The surface is the simulator and the local sweep API. Engine is a
+// context-aware, worker-pooled, memoising executor. A Plan declares a
+// parameter space from composable axes — workloads (Over), knob sweeps
+// (Vary), explicit named machines (Configs) — and expands it lazily, so a
+// million-point sweep never materializes a million-entry slice.
 // Engine.Stream ranges over a plan's outcomes as each job completes, with
 // in-flight work bounded by the worker pool and an early break cancelling
 // everything outstanding. Identical jobs simulate once (the engine
@@ -45,61 +45,31 @@
 //		fmt.Println(out.Job.Name, out.Result.IPC)
 //	}
 //
-// Explicit job slices still work — Sweep is the ordered collector over
-// Stream and returns one outcome per job in job order:
+// Sweep collects a job slice into one outcome per job, in job order:
 //
 //	outs, _ := eng.Sweep(ctx, jobs)
 //	fdip.WriteOutcomesJSON(os.Stdout, outs) // machine-readable export
 //
-// Sweeps also run distributed: a DistCoordinator shards a Plan's enumeration
-// across fdipd -listen worker processes over an NDJSON-over-HTTP wire
-// protocol, with checkpoint/resume journalling and retry-with-reassignment
-// for dead workers, and merges the shard streams back into the exact
-// single-process stream contract — outcomes are bit-identical whatever the
-// shard count or failure history:
-//
-//	workers := fdip.NewDistRegistry(0)
-//	workers.Register("a", "http://host-a:7070", time.Hour)
-//	workers.Register("b", "http://host-b:7070", time.Hour)
-//	coord := fdip.NewDistCoordinator(fdip.DistOptions{
-//		Dialer:  workers,
-//		Shards:  8,
-//		Journal: "sweep.journal", // kill it, rerun it, nothing re-executes
-//	})
-//	for out, err := range coord.Stream(ctx, plan) { ... }
-//
-// For spaces too large to collect at all, mergeable reducers (DistSummary:
-// online moments, a fixed-bucket histogram sketch with exact quantiles at
-// bucket resolution, and fixed-memory top-k/bottom-k) fold each shard
-// locally and merge to exactly the single-pass summary.
-//
-// Coordinators that share a DistCache (the engine's own JobKey-keyed result
-// cache) serve each other's completed points without re-execution. Above the
-// coordinator sits the sweep service (SweepServer; fdipd -serve): a
-// long-running daemon with a persistent priority job queue, one such cache
-// shared by every submission, NDJSON streaming endpoints with cursor-based
-// reconnect, and worker self-registration with heartbeats (DistRegistry) —
-// all preserving the same bit-identity contract through worker kills, client
-// disconnects, and service restarts.
-//
 // Progress streams as typed events (WithProgress), runs honour context
-// cancellation and deadlines, and failures return as errors. See
-// ARCHITECTURE.md for the architecture and the reproduced evaluation.
+// cancellation and deadlines, and failures return as errors. NewSimulator
+// steps one machine cycle by cycle.
+//
+// Sweeps that leave the process — sharded over worker processes,
+// checkpointed, queued and cache-served by a long-running service — are the
+// cmd/fdipd daemon's job; its contract is its command line and HTTP
+// protocol, not this package. ARCHITECTURE.md documents both, along with the
+// reproduced evaluation.
 package fdip
 
 import (
 	"context"
 	"io"
-	"time"
 
 	"fdip/internal/core"
-	"fdip/internal/dist"
 	"fdip/internal/engine"
 	"fdip/internal/oracle"
 	"fdip/internal/prefetch"
 	"fdip/internal/program"
-	"fdip/internal/stats"
-	"fdip/internal/svc"
 	"fdip/internal/workloads"
 )
 
@@ -199,8 +169,7 @@ func NewImageCache() *ImageCache { return engine.NewImageCache() }
 // enumerate it with Plan.Jobs.
 func NewPlan(base Config) *Plan { return engine.NewPlan(base) }
 
-// FromJobs wraps an explicit job slice as a Plan — the bridge from the v2
-// slice-of-jobs surface to Stream.
+// FromJobs wraps an explicit job slice as a Plan, so Stream can run it.
 func FromJobs(jobs ...Job) *Plan { return engine.FromJobs(jobs...) }
 
 // Vary builds a plan axis that sweeps one configuration knob over vals,
@@ -224,125 +193,6 @@ func WriteResultJSON(w io.Writer, res Result) error { return engine.WriteResultJ
 func WriteOutcomesJSON(w io.Writer, outs []RunOutcome) error {
 	return engine.WriteOutcomesJSON(w, outs)
 }
-
-// Distributed-sweep API (the dist subsystem; cmd/fdipd is its daemon).
-type (
-	// DistCoordinator shards Plans across worker sessions and merges the
-	// shard streams back into the engine.Stream contract.
-	DistCoordinator = dist.Coordinator
-	// DistOptions configures a coordinator (dialer, shard count, the
-	// journaled range size ChunkPoints, journal path, retry budget). A
-	// range is journaled and yielded whole but dispatched as up to Shards
-	// pieces, each at least one worker's slots wide, so idle shards share a
-	// slow range.
-	DistOptions = dist.Options
-	// DistDialer mints worker sessions; DistSession is one live worker.
-	DistDialer  = dist.Dialer
-	DistSession = dist.Session
-	// DistAssignment is one worker request: some points of a plan, shipped
-	// as resolved jobs with their enumeration indices — a coordinator sends
-	// pieces of a journaled range.
-	DistAssignment = dist.Assignment
-	// DistWorker is the execution side of a shard (what fdipd wraps).
-	DistWorker = dist.Worker
-	// DistLoopback dials in-process workers (tests, single-machine use);
-	// DistHTTP talks to a running fdipd -listen worker.
-	DistLoopback = dist.Loopback
-	DistHTTP     = dist.HTTP
-	// DistMetric projects an outcome to the scalar a DistSummary reduces.
-	DistMetric = dist.Metric
-	// DistSummary is the mergeable sweep reduction: online moments, a
-	// fixed-bucket histogram sketch (its p50/p90 are exact nearest-rank
-	// quantiles at bucket resolution), and fixed-memory top-k/bottom-k
-	// extremes, shard-mergeable with results identical to a single
-	// sequential pass in any arrival order.
-	DistSummary = dist.Summary
-	// DistRegistry is the dynamic session pool: workers self-register (and
-	// heartbeat) instead of arriving via static dialer lists; dead workers
-	// are evicted so retries land elsewhere.
-	DistRegistry = dist.Registry
-	// DistWorkerInfo describes one registered worker.
-	DistWorkerInfo = dist.WorkerInfo
-	// DistCache is the cross-sweep result cache (DistOptions.Cache): a
-	// keep-first JobKey -> Result store, ready to use as new(DistCache),
-	// that sweeps sharing it use to serve each other's completed points.
-	DistCache = engine.ResultCache
-	// JobKey is a job's exported simulation identity — equal keys are
-	// bit-identical results (the memo/cache/fingerprint key).
-	JobKey = engine.JobKey
-	// Moments is the mergeable online mean/variance accumulator.
-	Moments = stats.Moments
-	// HistogramSketch is the mergeable fixed-bucket histogram reducer,
-	// with exact nearest-rank quantiles at bucket resolution.
-	HistogramSketch = stats.HistogramSketch
-	// JobTopK retains the k best (or worst) scored jobs of a stream in
-	// O(k) memory, mergeable across shards; ScoredJob is one entry.
-	JobTopK   = stats.TopK[engine.Job]
-	ScoredJob = stats.ScoredItem[engine.Job]
-)
-
-// ErrDistQuiesced wraps the terminal stream error after a graceful
-// coordinator drain (DistOptions.Quiesce).
-var ErrDistQuiesced = dist.ErrQuiesced
-
-// ResolveJob resolves a job exactly as the engine would (name, seed, config
-// defaults, optional instruction-budget override) and returns its JobKey.
-func ResolveJob(job Job, instrs uint64) (Job, JobKey, error) {
-	return engine.ResolveJob(job, instrs)
-}
-
-// NewDistRegistry builds a worker registry whose registrations expire ttl
-// after their last heartbeat (0 = 15s).
-func NewDistRegistry(ttl time.Duration) *DistRegistry { return dist.NewRegistry(ttl) }
-
-// Sweep-service API (the svc subsystem; fdipd -serve/-register/-submit/-watch
-// are its daemon and clients).
-type (
-	// SweepServer is the service: persistent priority queue, shared result
-	// cache, streaming endpoints, self-registering workers.
-	SweepServer = svc.Server
-	// SweepServerOptions configures New: state directory, shard fan-out,
-	// queue bound, worker TTL.
-	SweepServerOptions = svc.Options
-	// SweepRequest describes one submission (workloads x named configs).
-	SweepRequest = svc.SubmitRequest
-	// SweepConfigPoint is one named machine configuration of a request.
-	SweepConfigPoint = svc.ConfigPoint
-	// SweepJobStatus is a submission's externally visible state, including
-	// the cache-served point accounting.
-	SweepJobStatus = svc.JobStatus
-	// SweepStreamFrame is one NDJSON stream record (outcome/done/error),
-	// carrying the reconnect cursor.
-	SweepStreamFrame = svc.StreamFrame
-	// SweepClient talks to a sweep service over HTTP: submit, status,
-	// stream (with cursor resume), and worker registration/heartbeat.
-	SweepClient = svc.Client
-)
-
-// ErrSweepQueueFull reports submission backpressure (HTTP 429).
-var ErrSweepQueueFull = svc.ErrQueueFull
-
-// NewSweepServer opens (or restores) service state under opts.StateDir and
-// starts the scheduler; mount Handler on an HTTP server and Shutdown to
-// drain gracefully.
-func NewSweepServer(opts SweepServerOptions) (*SweepServer, error) { return svc.New(opts) }
-
-// NewDistCoordinator builds a sharding coordinator; zero options default
-// (1 shard, 32-point chunks, 2 retries, no journal).
-func NewDistCoordinator(opts DistOptions) *DistCoordinator { return dist.New(opts) }
-
-// NewDistWorker builds a worker whose engines run at most workers concurrent
-// simulations (0 = GOMAXPROCS).
-func NewDistWorker(workers int) *DistWorker { return dist.NewWorker(workers) }
-
-// NewDistSummary builds a mergeable summary over metric, retaining k
-// extremes each way; DistIPC is the canonical metric.
-func NewDistSummary(name string, k int, metric DistMetric) *DistSummary {
-	return dist.NewSummary(name, k, metric)
-}
-
-// DistIPC reduces an outcome to its instructions-per-cycle.
-func DistIPC(out RunOutcome) float64 { return dist.IPC(out) }
 
 // Prefetch scheme names.
 const (
@@ -419,4 +269,4 @@ func (s *Simulator) RunContext(ctx context.Context) (Result, error) { return s.p
 func (s *Simulator) Snapshot() Result { return s.p.Finalize() }
 
 // Version identifies the library release.
-const Version = "4.0.0"
+const Version = "5.0.0"

@@ -9,12 +9,17 @@ import (
 	"time"
 )
 
-func smallImage(t testing.TB) *Image {
-	t.Helper()
+// smallParams describes the small synthetic program the facade tests run.
+func smallParams() ProgramParams {
 	p := DefaultProgramParams()
 	p.NumFuncs = 80
 	p.Seed = 21
-	im, err := GenerateProgram(p)
+	return p
+}
+
+func smallImage(t testing.TB) *Image {
+	t.Helper()
+	im, err := GenerateProgram(smallParams())
 	if err != nil {
 		t.Fatalf("GenerateProgram: %v", err)
 	}
@@ -22,10 +27,10 @@ func smallImage(t testing.TB) *Image {
 }
 
 func TestRunFacade(t *testing.T) {
-	im := smallImage(t)
+	p := smallParams()
 	cfg := DefaultConfig()
 	cfg.MaxInstrs = 50_000
-	res, err := NewEngine().RunImage(context.Background(), cfg, im, 3)
+	res, err := NewEngine().Run(context.Background(), Job{Params: &p, Seed: 3, Config: cfg})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -92,15 +97,18 @@ func TestSimulatorStepping(t *testing.T) {
 	}
 }
 
+// TestSimulatorMatchesRun: a pre-generated image stepped through
+// NewSimulator and the same program named by its params in a Job are one
+// simulation.
 func TestSimulatorMatchesRun(t *testing.T) {
-	im := smallImage(t)
+	p := smallParams()
 	cfg := DefaultConfig()
 	cfg.MaxInstrs = 40_000
-	direct, err := NewEngine().RunImage(context.Background(), cfg, im, 9)
+	direct, err := NewEngine().Run(context.Background(), Job{Params: &p, Seed: 9, Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := NewSimulator(cfg, im, 9)
+	sim, err := NewSimulator(cfg, smallImage(t), 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,13 +119,13 @@ func TestSimulatorMatchesRun(t *testing.T) {
 }
 
 func TestConfigErrorsSurface(t *testing.T) {
-	im := smallImage(t)
+	p := smallParams()
 	cfg := DefaultConfig()
 	cfg.Prefetch.Kind = "hexray"
-	if _, err := NewEngine().RunImage(context.Background(), cfg, im, 1); err == nil {
+	if _, err := NewEngine().Run(context.Background(), Job{Params: &p, Seed: 1, Config: cfg}); err == nil {
 		t.Error("bad prefetcher accepted")
 	}
-	if _, err := NewSimulator(cfg, im, 1); err == nil {
+	if _, err := NewSimulator(cfg, smallImage(t), 1); err == nil {
 		t.Error("bad prefetcher accepted by NewSimulator")
 	}
 }
@@ -180,29 +188,6 @@ func TestEngineHonorsCancellation(t *testing.T) {
 	}
 }
 
-// TestRunImageMatchesRun: a pre-generated image run through RunImage and the
-// same program named by its params in a Job are one simulation (separate
-// engines, so no memo hit can stand in for the second run).
-func TestRunImageMatchesRun(t *testing.T) {
-	im := smallImage(t)
-	cfg := DefaultConfig()
-	cfg.MaxInstrs = 30_000
-	viaImage, err := NewEngine().RunImage(context.Background(), cfg, im, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := DefaultProgramParams()
-	p.NumFuncs = 80
-	p.Seed = 21 // same params as smallImage
-	viaJob, err := NewEngine().Run(context.Background(), Job{Params: &p, Seed: 3, Config: cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if viaImage != viaJob {
-		t.Error("Engine.RunImage and Engine.Run diverge for the same machine and seed")
-	}
-}
-
 func TestPlanStreamFacade(t *testing.T) {
 	w, ok := WorkloadByName("deltablue")
 	if !ok {
@@ -251,11 +236,11 @@ func TestPlanStreamFacade(t *testing.T) {
 	}
 }
 
-func TestVersionIsV4(t *testing.T) {
+func TestVersionIsV5(t *testing.T) {
 	if Version == "" {
 		t.Error("empty Version")
 	}
-	if !strings.HasPrefix(Version, "4.") {
-		t.Errorf("Version = %q, want a 4.x release (no trace replay)", Version)
+	if !strings.HasPrefix(Version, "5.") {
+		t.Errorf("Version = %q, want a 5.x release (no distributed or service names in the facade)", Version)
 	}
 }

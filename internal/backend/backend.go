@@ -194,9 +194,6 @@ func (b *Backend) schedReset() {
 	b.wakeBound = math.MaxInt64
 }
 
-// Config returns the normalised configuration.
-func (b *Backend) Config() Config { return b.cfg }
-
 // Arena returns the uop arena the fetch engine allocates into. It is sized
 // to the maximum in-flight uop count (decode pipe capacity + ROB size +
 // slack), which the backend's own backpressure (Accept) enforces.

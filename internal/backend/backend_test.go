@@ -195,7 +195,7 @@ func TestSquashClearsYoungerWorkEverywhere(t *testing.T) {
 	if b.Squashed != 2 {
 		t.Errorf("Squashed = %d", b.Squashed)
 	}
-	if b.Accept() != b.Config().PipeCap {
+	if b.Accept() != b.cfg.PipeCap {
 		t.Errorf("decode pipe not cleared: Accept = %d", b.Accept())
 	}
 	if b.Committed != 1 {
@@ -274,11 +274,11 @@ func TestDefaultsApplied(t *testing.T) {
 	// DecodeLatency 0 is a legal explicit value, so "use the default" is
 	// spelled -1 for that field and 0 for the others.
 	b := New(Config{DecodeLatency: -1})
-	if b.Config() != DefaultConfig() {
-		t.Errorf("defaults not applied: %+v", b.Config())
+	if b.cfg != DefaultConfig() {
+		t.Errorf("defaults not applied: %+v", b.cfg)
 	}
 	b2 := New(Config{})
-	if b2.Config().DecodeLatency != 0 {
-		t.Errorf("explicit zero DecodeLatency overridden: %+v", b2.Config())
+	if b2.cfg.DecodeLatency != 0 {
+		t.Errorf("explicit zero DecodeLatency overridden: %+v", b2.cfg)
 	}
 }

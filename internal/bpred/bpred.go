@@ -40,8 +40,6 @@ type Predictor interface {
 	// initial counter values, history cleared — retaining backing storage
 	// (the layer-wide Reset contract; see ARCHITECTURE.md).
 	Reset()
-	// StorageBits reports the predictor's table storage in bits.
-	StorageBits() int
 }
 
 // counter is a 2-bit saturating counter helper.
@@ -108,9 +106,6 @@ func (b *Bimodal) Reset() {
 		b.table[i] = 2
 	}
 }
-
-// StorageBits implements Predictor.
-func (b *Bimodal) StorageBits() int { return 2 * len(b.table) }
 
 // Gshare XORs global history with the PC to index a shared counter table.
 type Gshare struct {
@@ -180,9 +175,6 @@ func (g *Gshare) Reset() {
 	}
 	g.ghr = 0
 }
-
-// StorageBits implements Predictor.
-func (g *Gshare) StorageBits() int { return 2 * len(g.table) }
 
 // Hybrid is a McFarling-style combining predictor: bimodal + gshare with a
 // PC-indexed meta chooser, the configuration the original paper's simulated
@@ -254,11 +246,6 @@ func (h *Hybrid) Reset() {
 	}
 }
 
-// StorageBits implements Predictor.
-func (h *Hybrid) StorageBits() int {
-	return h.bim.StorageBits() + h.gsh.StorageBits() + 2*len(h.meta)
-}
-
 // Static predicts a fixed direction; useful as an experimental floor.
 type Static struct {
 	// Taken is the direction predicted for every branch.
@@ -290,9 +277,6 @@ func (s *Static) Commit(uint64, uint64, bool) {}
 
 // Reset implements Predictor; static predictors have no state.
 func (s *Static) Reset() {}
-
-// StorageBits implements Predictor.
-func (s *Static) StorageBits() int { return 0 }
 
 // New constructs a predictor by name: "bimodal", "gshare", "local",
 // "hybrid", "static-taken", "static-nottaken".

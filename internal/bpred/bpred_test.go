@@ -136,9 +136,6 @@ func TestStaticPredictor(t *testing.T) {
 	if snt.Predict(0x1000) {
 		t.Error("static-nottaken predicted taken")
 	}
-	if st.StorageBits() != 0 {
-		t.Error("static storage non-zero")
-	}
 }
 
 func TestNewByName(t *testing.T) {
@@ -156,15 +153,17 @@ func TestNewByName(t *testing.T) {
 	}
 }
 
+// TestStorageBits pins each predictor's table storage: 2-bit counters, so
+// twice the counter count in bits.
 func TestStorageBits(t *testing.T) {
-	if got := NewBimodal(1024).StorageBits(); got != 2048 {
+	if got := 2 * len(NewBimodal(1024).table); got != 2048 {
 		t.Errorf("bimodal bits = %d", got)
 	}
-	if got := NewGshare(1024, 10).StorageBits(); got != 2048 {
+	if got := 2 * len(NewGshare(1024, 10).table); got != 2048 {
 		t.Errorf("gshare bits = %d", got)
 	}
 	h := NewHybrid(1024, 10)
-	if got := h.StorageBits(); got != 3*2048 {
+	if got := 2 * (len(h.bim.table) + len(h.gsh.table) + len(h.meta)); got != 3*2048 {
 		t.Errorf("hybrid bits = %d", got)
 	}
 }
@@ -229,8 +228,9 @@ func TestLocalLearnsPerBranchPattern(t *testing.T) {
 
 func TestLocalStorageAndName(t *testing.T) {
 	l := NewLocal(1024, 10)
-	if l.StorageBits() != 1024*10+2*1024 {
-		t.Errorf("StorageBits = %d", l.StorageBits())
+	// 10-bit histories plus 2-bit counters.
+	if got := len(l.bht)*int(l.histBits) + 2*len(l.pht); got != 1024*10+2*1024 {
+		t.Errorf("storage bits = %d", got)
 	}
 	if l.Name() == "" {
 		t.Error("empty name")

@@ -83,6 +83,3 @@ func (l *Local) Reset() {
 		l.pht[i] = 2
 	}
 }
-
-// StorageBits implements Predictor: 16-bit histories plus 2-bit counters.
-func (l *Local) StorageBits() int { return len(l.bht)*int(l.histBits) + 2*len(l.pht) }

@@ -27,12 +27,6 @@ func NewRAS(capacity int) *RAS {
 	return &RAS{buf: make([]uint64, capacity), sp: -1}
 }
 
-// Capacity returns the stack capacity in entries.
-func (r *RAS) Capacity() int { return len(r.buf) }
-
-// Depth returns the current number of live entries.
-func (r *RAS) Depth() int { return r.len }
-
 // Push records a return address (on a predicted call).
 func (r *RAS) Push(addr uint64) {
 	r.Pushes++
@@ -58,14 +52,6 @@ func (r *RAS) Pop() (addr uint64, ok bool) {
 	}
 	r.len--
 	return addr, true
-}
-
-// Top returns the current top without popping.
-func (r *RAS) Top() (addr uint64, ok bool) {
-	if r.len == 0 {
-		return 0, false
-	}
-	return r.buf[r.sp], true
 }
 
 // Checkpoint captures repair state. Take it *before* the push/pop performed
@@ -96,6 +82,3 @@ func (r *RAS) Reset() {
 	r.len = 0
 	r.Pushes, r.Pops, r.Underflows = 0, 0, 0
 }
-
-// StorageBits reports the stack storage cost assuming 48-bit addresses.
-func (r *RAS) StorageBits() int { return 48 * len(r.buf) }

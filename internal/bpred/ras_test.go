@@ -37,8 +37,8 @@ func TestRASOverflowWraps(t *testing.T) {
 		}
 	}
 	// After wrap, the remaining "entries" are stale; depth must be 0.
-	if r.Depth() != 0 {
-		t.Errorf("Depth = %d after draining", r.Depth())
+	if r.len != 0 {
+		t.Errorf("Depth = %d after draining", r.len)
 	}
 }
 
@@ -52,7 +52,7 @@ func TestRASCheckpointRestore(t *testing.T) {
 	r.Pop()
 	r.Push(0xdead)
 	r.Restore(cp)
-	if got, ok := r.Top(); !ok || got != 0x200 {
+	if got, ok := r.top(); !ok || got != 0x200 {
 		t.Errorf("after restore Top = %#x,%v", got, ok)
 	}
 	if got, ok := r.Pop(); !ok || got != 0x200 {
@@ -65,8 +65,8 @@ func TestRASCheckpointRestore(t *testing.T) {
 	if _, ok := r.Pop(); !ok {
 		t.Error("after restore stack depth wrong")
 	}
-	if r.Depth() != 0 {
-		t.Errorf("after draining Depth = %d", r.Depth())
+	if r.len != 0 {
+		t.Errorf("after draining Depth = %d", r.len)
 	}
 }
 
@@ -79,7 +79,7 @@ func TestRASCheckpointRepairsClobberedTop(t *testing.T) {
 	r.Push(0xbad)
 	r.Pop()
 	r.Restore(cp)
-	if got, ok := r.Top(); !ok || got != 0x100 {
+	if got, ok := r.top(); !ok || got != 0x100 {
 		t.Errorf("clobbered top not repaired: %#x,%v", got, ok)
 	}
 }
@@ -90,10 +90,10 @@ func TestRASEmptyCheckpoint(t *testing.T) {
 	r.Push(0x1)
 	r.Push(0x2)
 	r.Restore(cp)
-	if r.Depth() != 0 {
-		t.Errorf("Depth = %d, want 0", r.Depth())
+	if r.len != 0 {
+		t.Errorf("Depth = %d, want 0", r.len)
 	}
-	if _, ok := r.Top(); ok {
+	if _, ok := r.top(); ok {
 		t.Error("Top on restored-empty stack succeeded")
 	}
 }
@@ -126,11 +126,19 @@ func TestRASRandomizedAgainstModel(t *testing.T) {
 	}
 }
 
-func TestRASStorage(t *testing.T) {
-	if got := NewRAS(32).StorageBits(); got != 32*48 {
-		t.Errorf("StorageBits = %d", got)
+// top returns r's current top without popping.
+func (r *RAS) top() (addr uint64, ok bool) {
+	if r.len == 0 {
+		return 0, false
 	}
-	if NewRAS(0).Capacity() != 1 {
+	return r.buf[r.sp], true
+}
+
+func TestRASStorage(t *testing.T) {
+	if got := len(NewRAS(32).buf); got != 32 {
+		t.Errorf("capacity = %d", got)
+	}
+	if len(NewRAS(0).buf) != 1 {
 		t.Error("zero capacity not clamped")
 	}
 }

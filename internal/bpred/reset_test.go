@@ -79,10 +79,10 @@ func rasTrace(r *RAS, seed int64) []uint64 {
 				cps = cps[:len(cps)-1]
 			}
 		}
-		if a, ok := r.Top(); ok {
+		if a, ok := r.top(); ok {
 			out = append(out, a)
 		}
-		out = append(out, uint64(r.Depth()))
+		out = append(out, uint64(r.len))
 	}
 	return append(out, r.Pushes, r.Pops, r.Underflows)
 }

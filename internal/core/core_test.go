@@ -31,6 +31,15 @@ func runWith(tb testing.TB, cfg Config, seed int64, funcs int) Result {
 	return pr.Run()
 }
 
+// MustNew is New for known-good configurations.
+func MustNew(cfg Config, im *program.Image, walker *oracle.Walker) *Processor {
+	p, err := New(cfg, im, walker)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
 func TestRunCompletesAndCommits(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxInstrs = 200_000
@@ -182,7 +191,8 @@ func TestCommittedMatchesOracleStream(t *testing.T) {
 	raw := oracle.NewWalker(im, 42)
 	var want []uint64
 	for i := 0; i < n; i++ {
-		rec := raw.Next()
+		var rec oracle.Record
+		raw.NextInto(&rec)
 		want = append(want, rec.PC)
 	}
 

@@ -33,7 +33,10 @@ func TestMachineFootprint(t *testing.T) {
 	if !ok {
 		t.Fatal("no workload gcc")
 	}
-	im := program.MustGenerate(wl.Params)
+	im, err := program.Generate(wl.Params)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg := core.DefaultConfig()
 	cfg.Prefetch.Kind = core.PrefetchFDP
 	cfg.Prefetch.FDP.CPF = prefetch.CPFConservative

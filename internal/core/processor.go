@@ -162,18 +162,6 @@ func (p *Processor) Reset(im *program.Image, walker *oracle.Walker) {
 	p.lastProgressCycle, p.lastProgressCount = 0, 0
 }
 
-// MustNew is New for known-good configurations.
-func MustNew(cfg Config, im *program.Image, walker *oracle.Walker) *Processor {
-	p, err := New(cfg, im, walker)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
-// Config returns the validated configuration.
-func (p *Processor) Config() Config { return p.cfg }
-
 // Now returns the current cycle.
 func (p *Processor) Now() int64 { return p.now }
 

@@ -71,7 +71,8 @@ func TestQuickRandomConfigsHoldInvariants(t *testing.T) {
 		pr.be.OnCommitRange = func(first uint32, cnt int) {
 			ai := first
 			for i := 0; i < cnt; i++ {
-				rec := ref.Next()
+				var rec oracle.Record
+				ref.NextInto(&rec)
 				if ar.At(ai).PC != rec.PC {
 					mismatch = true
 				}

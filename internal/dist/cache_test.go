@@ -99,7 +99,7 @@ func TestPieceLandingDuringUnwindIsCached(t *testing.T) {
 	ref := reference(t, p)
 	cache := new(engine.ResultCache)
 	c := New(Options{Dialer: &unwindDialer{inner: Loopback{Workers: 3}, running: make(chan struct{})}, Shards: 2, ChunkPoints: 6, MaxRetries: -1, Cache: cache})
-	if _, err := c.Sweep(context.Background(), p); err == nil {
+	if _, err := collect(context.Background(), c, p); err == nil {
 		t.Fatal("sweep succeeded; want the lost piece's error")
 	}
 	i := 0
@@ -151,7 +151,7 @@ func TestCacheFullyServesRepeatSweep(t *testing.T) {
 
 	first := &countingDialer{inner: Loopback{Workers: 2}}
 	c1 := New(Options{Dialer: first, Shards: 2, ChunkPoints: 2, Cache: cache})
-	outs, err := c1.Sweep(context.Background(), p)
+	outs, err := collect(context.Background(), c1, p)
 	if err != nil {
 		t.Fatalf("first sweep: %v", err)
 	}
@@ -166,7 +166,7 @@ func TestCacheFullyServesRepeatSweep(t *testing.T) {
 	// Second run: zero live workers. Every range is fully cached, so the
 	// coordinator must never dial.
 	c2 := New(Options{Dialer: deadDialer{}, Shards: 2, ChunkPoints: 2, Cache: cache})
-	again, err := c2.Sweep(context.Background(), p)
+	again, err := collect(context.Background(), c2, p)
 	if err != nil {
 		t.Fatalf("repeat sweep over a dead dialer: %v", err)
 	}
@@ -198,13 +198,13 @@ func TestCacheServesOverlapSparsely(t *testing.T) {
 	for _, chunk := range []int{3, 6} {
 		cache := new(engine.ResultCache)
 		warm := New(Options{Dialer: Loopback{Workers: 2}, Shards: 2, ChunkPoints: 2, Cache: cache})
-		if _, err := warm.Sweep(context.Background(), pA); err != nil {
+		if _, err := collect(context.Background(), warm, pA); err != nil {
 			t.Fatalf("chunk=%d: warm sweep: %v", chunk, err)
 		}
 
 		second := &countingDialer{inner: Loopback{Workers: 1}}
 		c := New(Options{Dialer: second, Shards: 2, ChunkPoints: chunk, Cache: cache})
-		outs, err := c.Sweep(context.Background(), pB)
+		outs, err := collect(context.Background(), c, pB)
 		if err != nil {
 			t.Fatalf("chunk=%d: overlap sweep: %v", chunk, err)
 		}
@@ -237,7 +237,7 @@ func TestJournalReplayPrimesCache(t *testing.T) {
 
 	// Run 1: journaled, no cache.
 	c1 := New(Options{Dialer: Loopback{Workers: 2}, Shards: 1, ChunkPoints: 2, Journal: journal})
-	if _, err := c1.Sweep(context.Background(), p); err != nil {
+	if _, err := collect(context.Background(), c1, p); err != nil {
 		t.Fatalf("journaled sweep: %v", err)
 	}
 
@@ -245,7 +245,7 @@ func TestJournalReplayPrimesCache(t *testing.T) {
 	// the outcomes and prime the cache.
 	cache := new(engine.ResultCache)
 	c2 := New(Options{Dialer: deadDialer{}, Shards: 1, ChunkPoints: 2, Journal: journal, Cache: cache})
-	outs, err := c2.Sweep(context.Background(), p)
+	outs, err := collect(context.Background(), c2, p)
 	if err != nil {
 		t.Fatalf("replay sweep: %v", err)
 	}
@@ -256,7 +256,7 @@ func TestJournalReplayPrimesCache(t *testing.T) {
 
 	// Run 3: the primed cache alone (no journal) serves the whole plan.
 	c3 := New(Options{Dialer: deadDialer{}, Shards: 1, ChunkPoints: 2, Cache: cache})
-	again, err := c3.Sweep(context.Background(), p)
+	again, err := collect(context.Background(), c3, p)
 	if err != nil {
 		t.Fatalf("cache-only sweep: %v", err)
 	}
@@ -429,7 +429,7 @@ func TestJournalSyncsOnlyExecutedRanges(t *testing.T) {
 		journal := filepath.Join(dir, tc.name+".journal")
 		before := syncs.Load()
 		c := New(Options{Dialer: tc.dialer, Shards: 2, ChunkPoints: tc.chunk, Journal: journal, Cache: cache})
-		if _, err := c.Sweep(context.Background(), tc.plan); err != nil {
+		if _, err := collect(context.Background(), c, tc.plan); err != nil {
 			t.Fatalf("%s sweep: %v", tc.name, err)
 		}
 		if got := syncs.Load() - before; got != tc.syncs {

@@ -319,19 +319,6 @@ func (c *Coordinator) Stream(ctx context.Context, p *engine.Plan) iter.Seq2[engi
 	}
 }
 
-// Sweep is the ordered collector over Stream: one outcome per plan point, in
-// enumeration order.
-func (c *Coordinator) Sweep(ctx context.Context, p *engine.Plan) ([]engine.RunOutcome, error) {
-	outs := make([]engine.RunOutcome, p.Points())
-	for out, err := range c.Stream(ctx, p) {
-		if err != nil {
-			return outs, err
-		}
-		outs[out.Index] = out
-	}
-	return outs, nil
-}
-
 // dispatch walks the plan's enumeration exactly once (O(points) total,
 // O(chunk) live), skipping journaled ranges. Every other range is split on
 // the cache: a fully cached range goes straight to the consumer loop and

@@ -108,7 +108,7 @@ func TestShardedMergeMatchesSingleProcess(t *testing.T) {
 			Shards:      shards,
 			ChunkPoints: 2,
 		})
-		outs, err := c.Sweep(context.Background(), p)
+		outs, err := collect(context.Background(), c, p)
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
@@ -195,7 +195,7 @@ func TestShardedMergeSurvivesWorkerKills(t *testing.T) {
 	ref := reference(t, p)
 	chaos := newChaosDialer(Loopback{Workers: 2}, 1)
 	c := New(Options{Dialer: chaos, Shards: 2, ChunkPoints: 2})
-	outs, err := c.Sweep(context.Background(), p)
+	outs, err := collect(context.Background(), c, p)
 	if err != nil {
 		t.Fatalf("sweep under kills: %v", err)
 	}
@@ -311,12 +311,12 @@ func TestStreamEarlyBreakUnwinds(t *testing.T) {
 	}
 }
 
-// TestSummaryShardMergeMatchesSequential pins the mergeable-reducer
-// contract on real outcomes: per-shard summaries merged in any order, and a
-// fold over a shuffled arrival order, agree with one sequential fold —
-// exactly for the histogram, its quantiles, the top-k/bottom-k retained
-// sets, the count and the failures, and to float tolerance for the moments.
-func TestSummaryShardMergeMatchesSequential(t *testing.T) {
+// TestSummaryFoldOrderIndependent pins the reducer contract on real
+// outcomes: folding them in shuffled arrival orders agrees with one
+// in-order fold — exactly for the histogram, its quantiles, the
+// top-k/bottom-k retained sets, the count and the failures, and to float
+// tolerance for the moments.
+func TestSummaryFoldOrderIndependent(t *testing.T) {
 	// A failed outcome rides along so the failure count is pinned too.
 	ref := reference(t, testPlan())
 	outs := append(ref, engine.RunOutcome{Index: len(ref), Err: errors.New("boom")})
@@ -324,59 +324,41 @@ func TestSummaryShardMergeMatchesSequential(t *testing.T) {
 	for _, out := range outs {
 		seq.Observe(out)
 	}
-	inOrder := make([]int, len(outs))
-	for i := range inOrder {
-		inOrder[i] = i
-	}
 	rng := rand.New(rand.NewSource(20))
-	for _, tc := range []struct {
-		name   string
-		shards int
-		order  []int // arrival order of outs
-	}{
-		{"shards=1", 1, inOrder},
-		{"shards=2", 2, inOrder},
-		{"shards=8", 8, inOrder},
-		{"shuffled", 1, rng.Perm(len(outs))},
-		{"shuffled/shards=2", 2, rng.Perm(len(outs))},
-	} {
-		parts := make([]*Summary, tc.shards)
-		for i := range parts {
-			parts[i] = NewSummary("IPC", 3, IPC)
+	for trial := 0; trial < 4; trial++ {
+		got := NewSummary("IPC", 3, IPC)
+		for _, j := range rng.Perm(len(outs)) {
+			got.Observe(outs[j])
 		}
-		for i, j := range tc.order {
-			parts[i%tc.shards].Observe(outs[j])
+		if got.Moments.Count != seq.Moments.Count || got.Failures != seq.Failures {
+			t.Fatalf("trial %d: count/failures %d/%d, want %d/%d",
+				trial, got.Moments.Count, got.Failures, seq.Moments.Count, seq.Failures)
 		}
-		merged := NewSummary("IPC", 3, IPC)
-		for i := tc.shards - 1; i >= 0; i-- {
-			merged.Merge(parts[i])
+		if d := got.Moments.Mean - seq.Moments.Mean; math.Abs(d) > 1e-12 {
+			t.Errorf("trial %d: shuffled mean drifts by %g", trial, d)
 		}
-		if merged.Moments.Count != seq.Moments.Count || merged.Failures != seq.Failures {
-			t.Fatalf("%s: count/failures %d/%d, want %d/%d",
-				tc.name, merged.Moments.Count, merged.Failures, seq.Moments.Count, seq.Failures)
+		if d := got.Moments.Variance() - seq.Moments.Variance(); math.Abs(d) > 1e-12 {
+			t.Errorf("trial %d: shuffled variance drifts by %g", trial, d)
 		}
-		if d := merged.Moments.Mean - seq.Moments.Mean; math.Abs(d) > 1e-12 {
-			t.Errorf("%s: merged mean drifts by %g", tc.name, d)
-		}
-		if d := merged.Moments.Variance() - seq.Moments.Variance(); math.Abs(d) > 1e-12 {
-			t.Errorf("%s: merged variance drifts by %g", tc.name, d)
-		}
-		// Integer counts over a fixed geometry merge exactly, so the sketch
-		// and every quantile read from it match the sequential pass.
-		if !reflect.DeepEqual(merged.Hist, seq.Hist) {
-			t.Errorf("%s: merged histogram diverges from sequential pass:\n%v\nwant\n%v",
-				tc.name, merged.Hist, seq.Hist)
+		// Integer counts over a fixed geometry, so the sketch and every
+		// quantile read from it match the in-order fold.
+		if !reflect.DeepEqual(got.Hist, seq.Hist) {
+			t.Errorf("trial %d: histogram diverges from the in-order fold:\n%v\nwant\n%v",
+				trial, got.Hist, seq.Hist)
 		}
 		for _, q := range []float64{0.5, 0.9} {
-			if got, want := merged.Hist.Quantile(q), seq.Hist.Quantile(q); got != want {
-				t.Errorf("%s: p%g = %v, want sequential %v", tc.name, 100*q, got, want)
+			if g, w := got.Hist.Quantile(q), seq.Hist.Quantile(q); g != w {
+				t.Errorf("trial %d: p%g = %v, want %v", trial, 100*q, g, w)
 			}
 		}
-		if got, want := merged.Top.Items(), seq.Top.Items(); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: top %v, want sequential %v", tc.name, got, want)
+		if g, w := got.Top.Items(), seq.Top.Items(); !reflect.DeepEqual(g, w) {
+			t.Errorf("trial %d: top %v, want %v", trial, g, w)
 		}
-		if got, want := merged.Bottom.Items(), seq.Bottom.Items(); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: bottom %v, want sequential %v", tc.name, got, want)
+		if g, w := got.Bottom.Items(), seq.Bottom.Items(); !reflect.DeepEqual(g, w) {
+			t.Errorf("trial %d: bottom %v, want %v", trial, g, w)
+		}
+		if got.String() != seq.String() {
+			t.Errorf("trial %d: report differs from the in-order fold:\n%s\nwant\n%s", trial, got, seq)
 		}
 	}
 }
@@ -453,7 +435,7 @@ func TestRangeSpreadsAcrossShards(t *testing.T) {
 	journal := filepath.Join(t.TempDir(), "sweep.journal")
 	d := newRendezvousDialer(Loopback{Workers: 2})
 	c := New(Options{Dialer: d, Shards: 2, ChunkPoints: 6, Journal: journal})
-	outs, err := c.Sweep(context.Background(), p)
+	outs, err := collect(context.Background(), c, p)
 	if err != nil {
 		t.Fatalf("sweep: %v", err)
 	}
@@ -492,7 +474,7 @@ func TestFailedPieceRetriesAlone(t *testing.T) {
 	ref := reference(t, p)
 	counter := &countingDialer{inner: newChaosDialer(Loopback{Workers: 2}, 1)}
 	c := New(Options{Dialer: counter, Shards: 2, ChunkPoints: 6})
-	outs, err := c.Sweep(context.Background(), p)
+	outs, err := collect(context.Background(), c, p)
 	if err != nil {
 		t.Fatalf("sweep under a kill: %v", err)
 	}
@@ -524,7 +506,7 @@ func TestPiecesFillWorkerSlots(t *testing.T) {
 	} {
 		counter := &countingDialer{inner: tc.dialer}
 		c := New(Options{Dialer: counter, Shards: 4, ChunkPoints: 6})
-		outs, err := c.Sweep(context.Background(), p)
+		outs, err := collect(context.Background(), c, p)
 		if err != nil {
 			t.Fatalf("%s: sweep: %v", tc.name, err)
 		}

@@ -13,15 +13,14 @@
 // fixed by the Plan, and outcomes carry their enumeration index, so an N-way
 // sharded sweep — including one interrupted by worker kills and coordinator
 // restarts — reassembles into exactly the outcomes a single process would
-// have produced. Reducers that summarise instead of collecting (stats.Moments,
-// stats.TopK via Summary) merge shard-locally with the same guarantee.
+// have produced. A Summary folds the stream instead of collecting it, and
+// everything it reports but the moments' last float bits is independent of
+// arrival order.
 package dist
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"runtime"
 
 	"fdip/internal/engine"
 )
@@ -102,57 +101,3 @@ func dialerSlots(d Dialer) int {
 	}
 	return 0
 }
-
-// Loopback is the in-process Dialer: every Dial builds a fresh Worker with
-// its own engine, memo cache, and machine pools, so shards are genuinely
-// isolated (no cross-shard memoisation) and tests exercise the real merge
-// semantics without spawning processes. Every assignment and outcome
-// round-trips through its JSON wire form, so in-process runs exercise the
-// same (lossless) encoding as cross-process ones.
-type Loopback struct {
-	// Workers bounds each dialed worker's simulation concurrency
-	// (0 = GOMAXPROCS).
-	Workers int
-}
-
-// Slots reports each dialed worker's simulation concurrency, resolving
-// Workers the way the engine does.
-func (l Loopback) Slots() int {
-	if l.Workers > 0 {
-		return l.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// Dial builds a fresh in-process worker session.
-func (l Loopback) Dial(ctx context.Context) (Session, error) {
-	return &loopbackSession{wk: NewWorker(l.Workers)}, nil
-}
-
-type loopbackSession struct {
-	wk *Worker
-}
-
-func (s *loopbackSession) Run(ctx context.Context, a Assignment, emit func(engine.RunOutcome) error) error {
-	b, err := json.Marshal(a)
-	if err != nil {
-		return err
-	}
-	a = Assignment{}
-	if err := json.Unmarshal(b, &a); err != nil {
-		return err
-	}
-	return s.wk.Run(ctx, a, func(out engine.RunOutcome) error {
-		b, err := json.Marshal(out.Wire())
-		if err != nil {
-			return err
-		}
-		var back engine.WireOutcome
-		if err := json.Unmarshal(b, &back); err != nil {
-			return err
-		}
-		return emit(back.Outcome())
-	})
-}
-
-func (s *loopbackSession) Close() error { return nil }

@@ -316,7 +316,7 @@ func TestJournalOutOfPlanIndicesNotReplayed(t *testing.T) {
 	forged[0].Index, forged[1].Index = 70, 71
 	journalPlanRange(t, c, p, 0, forged)
 
-	outs, err := c.Sweep(context.Background(), p)
+	outs, err := collect(context.Background(), c, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +343,7 @@ func TestJournalForeignJobNotReplayed(t *testing.T) {
 	journalPlanRange(t, c, p, 0, foreign)
 	journalPlanRange(t, c, p, 4, ref[4:6])
 
-	outs, err := c.Sweep(context.Background(), p)
+	outs, err := collect(context.Background(), c, p)
 	if err != nil {
 		t.Fatal(err)
 	}

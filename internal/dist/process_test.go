@@ -131,7 +131,7 @@ func TestExecShardedMatchesSingleProcess(t *testing.T) {
 		reg.Register(fmt.Sprintf("w%d", i), startWorker(t, bin, 2).url, 0)
 	}
 	p := processPlan()
-	outs, err := New(Options{Dialer: reg, Shards: 2, ChunkPoints: 2}).Sweep(context.Background(), p)
+	outs, err := collect(context.Background(), New(Options{Dialer: reg, Shards: 2, ChunkPoints: 2}), p)
 	if err != nil {
 		t.Fatalf("sweep over worker processes: %v", err)
 	}
@@ -148,7 +148,7 @@ func TestExecWorkerKillMidRangeRecovers(t *testing.T) {
 	victim, survivor := startWorker(t, bin, 1), startWorker(t, bin, 1)
 	kd := &killFirstDialer{victim: victim, survivor: HTTP{URL: survivor.url}}
 	p := processPlan()
-	outs, err := New(Options{Dialer: kd, Shards: 1, ChunkPoints: 2}).Sweep(context.Background(), p)
+	outs, err := collect(context.Background(), New(Options{Dialer: kd, Shards: 1, ChunkPoints: 2}), p)
 	if err != nil {
 		t.Fatalf("sweep across a killed worker process: %v", err)
 	}

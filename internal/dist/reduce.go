@@ -13,15 +13,14 @@ type Metric func(engine.RunOutcome) float64
 // IPC is the canonical metric: the point's instructions per cycle.
 func IPC(out engine.RunOutcome) float64 { return out.Result.IPC }
 
-// Summary is the mergeable reduction of a sweep over one metric: online
-// mean/variance (stats.Moments), a fixed-bucket value histogram with exact
-// quantiles at bucket resolution (stats.HistogramSketch), the k best and k
-// worst points (stats.TopK, tie-broken by enumeration index) and a failure
-// count. Each shard can fold its own ranges into a private Summary and Merge
-// them — the result is identical (histogram, quantiles and TopK sets exactly,
-// moments up to float associativity) to observing the whole stream in one
-// process, in any order, which is what lets million-point sweeps report
-// without anyone holding the result set.
+// Summary is the reduction of a sweep over one metric: online mean/variance
+// (stats.Moments), a fixed-bucket value histogram with exact quantiles at
+// bucket resolution (stats.HistogramSketch), the k best and k worst points
+// (stats.TopK, tie-broken by enumeration index) and a failure count. It
+// folds outcomes in arrival order, and the result does not depend on that
+// order (the histogram, quantiles and TopK sets exactly, the moments up to
+// float rounding), which is what lets a sweep report without anyone holding
+// the result set.
 type Summary struct {
 	// MetricName labels the reduced metric in reports.
 	MetricName string
@@ -31,9 +30,8 @@ type Summary struct {
 	Top, Bottom *stats.TopK[engine.Job]
 	// Hist is the metric's fixed-bucket value distribution
 	// (stats.HistogramSketch). Integer counts over a geometry fixed at
-	// construction merge exactly, so the sharded histogram is bit-identical
-	// to the sequential pass, and so are the quantiles String reports from
-	// it. The default geometry (histBuckets buckets over [0, histHi)) suits
+	// construction do not depend on arrival order, and neither do the
+	// quantiles String reports from it. The default geometry (histBuckets buckets over [0, histHi)) suits
 	// IPC-scaled metrics; out-of-range values land in the under/overflow
 	// counters rather than being lost.
 	Hist *stats.HistogramSketch
@@ -44,8 +42,8 @@ type Summary struct {
 	metric Metric
 }
 
-// Default histogram geometry: every shard of one reduction must build the
-// same sketch, so NewSummary fixes it rather than inferring it from data.
+// Default histogram geometry, fixed rather than inferred from data so that
+// the buckets do not depend on which outcomes arrive first.
 const (
 	histHi      = 8.0
 	histBuckets = 32
@@ -73,15 +71,6 @@ func (s *Summary) Observe(out engine.RunOutcome) {
 	s.Top.Add(v, int64(out.Index), out.Job)
 	s.Bottom.Add(v, int64(out.Index), out.Job)
 	s.Hist.Add(v)
-}
-
-// Merge folds another shard's summary into s.
-func (s *Summary) Merge(o *Summary) {
-	s.Moments.Merge(o.Moments)
-	s.Top.Merge(o.Top)
-	s.Bottom.Merge(o.Bottom)
-	s.Hist.Merge(o.Hist)
-	s.Failures += o.Failures
 }
 
 // String renders the summary in report form. p50 and p90 are nearest-rank

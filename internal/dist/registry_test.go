@@ -129,7 +129,7 @@ func TestRegistrySweepWithSelfRegisteredWorkers(t *testing.T) {
 		t.Errorf("Slots before any run = %d, want 0 (unknown)", s)
 	}
 	c := New(Options{Dialer: r, Shards: 2, ChunkPoints: 2})
-	outs, err := c.Sweep(context.Background(), p)
+	outs, err := collect(context.Background(), c, p)
 	if err != nil {
 		t.Fatalf("sweep over registry: %v", err)
 	}
@@ -164,7 +164,7 @@ func TestRegistryEvictsDeadWorker(t *testing.T) {
 	r.Register("dead", dead.URL, 0)
 
 	c := New(Options{Dialer: r, Shards: 2, ChunkPoints: 2, MaxRetries: 4})
-	outs, err := c.Sweep(context.Background(), p)
+	outs, err := collect(context.Background(), c, p)
 	if err != nil {
 		t.Fatalf("sweep with a dead registered worker: %v", err)
 	}

@@ -8,8 +8,7 @@ import (
 )
 
 // The wire protocol is newline-delimited JSON frames over HTTP (one POST
-// per assignment, NDJSON response); the in-process Loopback round-trips the
-// same JSON forms. A conversation is:
+// per assignment, NDJSON response). A conversation is:
 //
 //	coordinator -> worker:  {"type":"assign","assign":{...}}
 //	worker -> coordinator:  {"type":"outcome","outcome":{...}}   (per job, completion order)

@@ -229,29 +229,6 @@ func (e *Engine) Sweep(ctx context.Context, jobs []Job) ([]RunOutcome, error) {
 	return outs, nil
 }
 
-// RunImage simulates cfg over an already-generated image. It takes a worker
-// slot and honours ctx but is not memoised (an arbitrary image has no cache
-// key). Machines still come from the per-configuration pool.
-func (e *Engine) RunImage(ctx context.Context, cfg core.Config, im *program.Image, seed int64) (core.Result, error) {
-	cfg = WithBudget(cfg, e.instrs)
-	if err := cfg.Validate(); err != nil {
-		return core.Result{}, err
-	}
-	mp := e.machinePoolFor(cfg)
-	if err := e.acquire(ctx); err != nil {
-		return core.Result{}, err
-	}
-	defer e.release()
-	m, fresh, err := mp.get(im, seed)
-	if err != nil {
-		return core.Result{}, err
-	}
-	e.noteMachine(fresh)
-	res, err := m.proc.RunContext(ctx)
-	mp.put(m)
-	return res, err
-}
-
 // resolve fills in a job's program params, seed, and display name.
 func resolve(job Job) (Job, program.Params, error) {
 	var params program.Params

@@ -210,30 +210,6 @@ func TestJobValidation(t *testing.T) {
 	}
 }
 
-func TestRunImageMatchesParamsJob(t *testing.T) {
-	params := program.DefaultParams()
-	params.NumFuncs = 80
-	params.Seed = 21
-	im, err := program.Generate(params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := core.DefaultConfig()
-	cfg.MaxInstrs = 25_000
-	e := New(WithWorkers(2))
-	direct, err := e.RunImage(context.Background(), cfg, im, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaJob, err := e.Run(context.Background(), Job{Params: &params, Seed: 7, Config: cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if direct != viaJob {
-		t.Error("RunImage and params-job results diverge for the same machine and seed")
-	}
-}
-
 func TestProgressEvents(t *testing.T) {
 	var mu sync.Mutex
 	counts := map[EventKind]int{}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"net/http/httptest"
 	"os"
 	"strings"
 	"sync"
@@ -30,9 +31,18 @@ func renderSuiteWith(t *testing.T, opts Options) string {
 	return sb.String()
 }
 
-// TestDistributedSuiteMatchesGolden is the tentpole's suite-level proof: the
-// full experiment suite, sharded N ways across wire-round-tripped workers
-// with no cross-shard or cross-experiment memoisation, must render tables
+// httpWorker starts an in-process HTTP worker — the handler fdipd -listen
+// serves — and returns a dialer for it. The server closes when the test
+// ends.
+func httpWorker(t *testing.T) dist.HTTP {
+	srv := httptest.NewServer(dist.NewWorker(2).Handler())
+	t.Cleanup(srv.Close)
+	return dist.HTTP{URL: srv.URL}
+}
+
+// TestDistributedSuiteMatchesGolden is the suite-level proof of the
+// distributed path: the full experiment suite, sharded N ways over the HTTP
+// wire to a worker that starts cold for each N, must render tables
 // byte-identical to the pinned single-process golden, N in {1, 2, 8}.
 func TestDistributedSuiteMatchesGolden(t *testing.T) {
 	if testing.Short() {
@@ -45,7 +55,7 @@ func TestDistributedSuiteMatchesGolden(t *testing.T) {
 	for _, shards := range []int{1, 2, 8} {
 		opts := goldenOpts()
 		opts.Streamer = dist.New(dist.Options{
-			Dialer:      dist.Loopback{Workers: 2},
+			Dialer:      httpWorker(t),
 			Shards:      shards,
 			ChunkPoints: 2,
 			Instrs:      opts.Instrs, // plans don't bake the budget; the coordinator must apply it
@@ -70,7 +80,7 @@ func TestDistributedSuiteSurvivesWorkerKills(t *testing.T) {
 		t.Fatalf("missing pinned tables: %v", err)
 	}
 	opts := goldenOpts()
-	kd := &killingDialer{inner: dist.Loopback{Workers: 2}}
+	kd := &killingDialer{inner: httpWorker(t)}
 	opts.Streamer = dist.New(dist.Options{
 		Dialer:      kd,
 		Shards:      2,

@@ -93,33 +93,13 @@ func NewRunner(opts Options) *Runner {
 	return r
 }
 
-// Options returns the normalised options.
-func (r *Runner) Options() Options { return r.opts }
-
 // Engine exposes the underlying engine (for sharing caches or inspecting
 // counters).
 func (r *Runner) Engine() *engine.Engine { return r.eng }
 
-// Simulations counts actual (non-memoised) simulations so far.
-func (r *Runner) Simulations() int { return r.eng.Stats().Simulations }
-
 // Image returns (generating once) the program image for a workload.
 func (r *Runner) Image(ctx context.Context, w workloads.Workload) (*program.Image, error) {
 	return r.eng.Images().Get(ctx, w.Params)
-}
-
-// job names the simulation point for workload w under cfg. Jobs carry the
-// workload's params directly so runners built over custom (off-registry)
-// workload definitions behave identically to named ones.
-func job(w workloads.Workload, cfg core.Config) engine.Job {
-	params := w.Params
-	return engine.Job{Name: w.Name, Config: cfg, Params: &params, Seed: w.Seed}
-}
-
-// Run simulates workload w under cfg (with the runner's instruction budget),
-// memoised on (workload, config).
-func (r *Runner) Run(ctx context.Context, w workloads.Workload, cfg core.Config) (core.Result, error) {
-	return r.eng.Run(ctx, job(w, cfg))
 }
 
 // Collect streams every point of the plan through the engine and gathers the
@@ -162,11 +142,6 @@ func baselineConfig(l1iBytes int) core.Config {
 	cfg.L1ISizeBytes = l1iBytes
 	cfg.Prefetch.Kind = core.PrefetchNone
 	return cfg
-}
-
-// Baseline runs the no-prefetch machine for w at the given L1-I size.
-func (r *Runner) Baseline(ctx context.Context, w workloads.Workload, l1iBytes int) (core.Result, error) {
-	return r.Run(ctx, w, baselineConfig(l1iBytes))
 }
 
 // schemeConfigs returns the four schemes the headline comparison runs.
@@ -497,11 +472,6 @@ func RunExperiments(ctx context.Context, r *Runner, exps []Experiment) ([]*stats
 		return nil, err
 	}
 	return tables, nil
-}
-
-// All runs the reconstructed evaluation (E1..E11) in parallel.
-func All(ctx context.Context, r *Runner) ([]*stats.Table, error) {
-	return RunExperiments(ctx, r, Suite())
 }
 
 func intHeaders(vals []int) []string {

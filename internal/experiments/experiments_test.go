@@ -17,21 +17,30 @@ func quickOpts() Options {
 	return Options{Instrs: 40_000, Workloads: []workloads.Workload{gcc, db}}
 }
 
+// run simulates workload w under cfg on the runner's engine (with its
+// instruction budget), memoised on (workload, config).
+func run(ctx context.Context, r *Runner, w workloads.Workload, cfg core.Config) (core.Result, error) {
+	return r.Engine().Run(ctx, engine.Job{Workload: w.Name, Config: cfg})
+}
+
+// simulations counts the runner's actual (non-memoised) simulations.
+func simulations(r *Runner) int { return r.Engine().Stats().Simulations }
+
 func TestRunnerMemoises(t *testing.T) {
 	ctx := context.Background()
 	r := NewRunner(quickOpts())
-	w := r.Options().Workloads[0]
+	w := quickOpts().Workloads[0]
 	cfg := core.DefaultConfig()
-	a, err := r.Run(ctx, w, cfg)
+	a, err := run(ctx, r, w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := r.Simulations()
-	b, err := r.Run(ctx, w, cfg)
+	n := simulations(r)
+	b, err := run(ctx, r, w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Simulations() != n {
+	if simulations(r) != n {
 		t.Error("identical run re-simulated")
 	}
 	if a != b {
@@ -40,10 +49,10 @@ func TestRunnerMemoises(t *testing.T) {
 	// A different config is a different run.
 	cfg2 := cfg
 	cfg2.FTQEntries = 8
-	if _, err := r.Run(ctx, w, cfg2); err != nil {
+	if _, err := run(ctx, r, w, cfg2); err != nil {
 		t.Fatal(err)
 	}
-	if r.Simulations() != n+1 {
+	if simulations(r) != n+1 {
 		t.Error("distinct config not simulated")
 	}
 }
@@ -51,7 +60,7 @@ func TestRunnerMemoises(t *testing.T) {
 func TestRunnerImageCached(t *testing.T) {
 	ctx := context.Background()
 	r := NewRunner(quickOpts())
-	w := r.Options().Workloads[0]
+	w := quickOpts().Workloads[0]
 	a, err := r.Image(ctx, w)
 	if err != nil {
 		t.Fatal(err)
@@ -67,10 +76,10 @@ func TestRunnerImageCached(t *testing.T) {
 
 func TestRunPropagatesConfigError(t *testing.T) {
 	r := NewRunner(quickOpts())
-	w := r.Options().Workloads[0]
+	w := quickOpts().Workloads[0]
 	cfg := core.DefaultConfig()
 	cfg.Prefetch.Kind = "hexray"
-	if _, err := r.Run(context.Background(), w, cfg); err == nil {
+	if _, err := run(context.Background(), r, w, cfg); err == nil {
 		t.Error("bad config did not surface as an error")
 	}
 }
@@ -146,7 +155,7 @@ func TestAllProducesElevenTables(t *testing.T) {
 		}
 	}
 	r := NewRunner(opts)
-	tables, err := All(context.Background(), r)
+	tables, err := RunExperiments(context.Background(), r, Suite())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,10 +167,10 @@ func TestAllProducesElevenTables(t *testing.T) {
 			t.Errorf("table %d (%s) empty", i, tab.Title)
 		}
 	}
-	if done != r.Simulations() {
-		t.Errorf("done events %d != simulations %d", done, r.Simulations())
+	if done != simulations(r) {
+		t.Errorf("done events %d != simulations %d", done, simulations(r))
 	}
-	if r.Simulations() == 0 {
+	if simulations(r) == 0 {
 		t.Error("no simulations ran")
 	}
 }
@@ -196,7 +205,7 @@ func TestRunExperimentsPropagatesErrors(t *testing.T) {
 	// Cancelled context: every experiment must fail, not hang or panic.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := All(ctx, r); err == nil {
+	if _, err := RunExperiments(ctx, r, Suite()); err == nil {
 		t.Error("cancelled suite returned no error")
 	}
 }
@@ -207,16 +216,16 @@ func TestSpeedupTableOrderingHolds(t *testing.T) {
 	ctx := context.Background()
 	gcc, _ := workloads.ByName("gcc")
 	r := NewRunner(Options{Instrs: 150_000, Workloads: []workloads.Workload{gcc}})
-	base, err := r.Baseline(ctx, gcc, 16*1024)
+	base, err := run(ctx, r, gcc, baselineConfig(16*1024))
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfgs := schemeConfigs(16 * 1024)
-	nlpRes, err := r.Run(ctx, gcc, cfgs[0])
+	nlpRes, err := run(ctx, r, gcc, cfgs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	fdpRes, err := r.Run(ctx, gcc, cfgs[2])
+	fdpRes, err := run(ctx, r, gcc, cfgs[2])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,9 +48,6 @@ func NewBPU(ftb *btb.TargetBuffer, dir bpred.Predictor, ras *bpred.RAS, q *ftq.Q
 	return &BPU{ftb: ftb, dir: dir, ras: ras, q: q, pc: entryPC, maxBlock: maxBlock}
 }
 
-// PC returns the BPU's next prediction address.
-func (b *BPU) PC() uint64 { return b.pc }
-
 // NextWork returns the earliest cycle, at or after now, at which Tick could
 // change machine state: the redirect resume cycle while the BPU is quiesced
 // (before it, Tick is a pure no-op), now while the FTQ has room, and

@@ -112,9 +112,6 @@ func (f *FetchEngine) StallEvent() (until int64, stalled bool) {
 	return f.stallUntil, f.stalled
 }
 
-// Seq returns the next uop sequence number.
-func (f *FetchEngine) Seq() uint64 { return f.seq }
-
 // Redirect clears misprediction state after a resolve: the wrong path ends,
 // any demand-miss stall belongs to squashed work, and fetch resumes at the
 // new FTQ content. (An in-flight wrong-path transfer still completes and

@@ -78,6 +78,17 @@ func newBPURig(entry uint64, ftqCap int) *bpuRig {
 	return r
 }
 
+// rasHolds reports whether ras holds exactly addrs, oldest first: its repair
+// checkpoint (top index, depth, top value) equals that of a fresh stack of
+// the rig's capacity that pushed them.
+func rasHolds(ras *bpred.RAS, addrs ...uint64) bool {
+	ref := bpred.NewRAS(8)
+	for _, a := range addrs {
+		ref.Push(a)
+	}
+	return ras.Checkpoint() == ref.Checkpoint()
+}
+
 func TestBPUSequentialOnFTBMiss(t *testing.T) {
 	r := newBPURig(0x1000, 4)
 	r.bpu.Tick(0)
@@ -106,8 +117,8 @@ func TestBPUFollowsTakenPrediction(t *testing.T) {
 	if !b.EndsInCTI || b.CTIKind != isa.Jump || !b.PredTaken || b.PredTarget != 0x2000 {
 		t.Fatalf("block = %+v", b)
 	}
-	if r.bpu.PC() != 0x2000 {
-		t.Errorf("BPU PC = %#x, want 0x2000", r.bpu.PC())
+	if r.bpu.pc != 0x2000 {
+		t.Errorf("BPU PC = %#x, want 0x2000", r.bpu.pc)
 	}
 }
 
@@ -123,8 +134,8 @@ func TestBPUConditionalUsesDirectionPredictor(t *testing.T) {
 	if b.PredTaken {
 		t.Fatal("predicted taken against trained bias")
 	}
-	if r.bpu.PC() != 0x1008 {
-		t.Errorf("fall-through PC = %#x", r.bpu.PC())
+	if r.bpu.pc != 0x1008 {
+		t.Errorf("fall-through PC = %#x", r.bpu.pc)
 	}
 }
 
@@ -135,16 +146,19 @@ func TestBPUCallPushesAndReturnPops(t *testing.T) {
 	// Return block at 0x5000, 1 instr.
 	r.ftb.TrainBlock(0x5000, 1, isa.Ret, 0)
 	r.bpu.Tick(0)
-	if r.ras.Depth() != 1 {
-		t.Fatalf("RAS depth = %d after call", r.ras.Depth())
+	if !rasHolds(r.ras, 0x1008) {
+		t.Fatalf("RAS %+v after call, want just 0x1008", r.ras.Checkpoint())
 	}
 	r.bpu.Tick(1)
 	b := r.q.At(1)
 	if b.CTIKind != isa.Ret || b.PredTarget != 0x1008 {
 		t.Fatalf("return block = %+v (want target 0x1008)", b)
 	}
-	if r.ras.Depth() != 0 {
-		t.Errorf("RAS depth = %d after return", r.ras.Depth())
+	popped := bpred.NewRAS(8)
+	popped.Push(0x1008)
+	popped.Pop()
+	if r.ras.Checkpoint() != popped.Checkpoint() {
+		t.Errorf("RAS %+v after return, want the call's entry popped", r.ras.Checkpoint())
 	}
 }
 
@@ -197,11 +211,8 @@ func TestBPURepairAfterMispredict(t *testing.T) {
 	r.ras.Push(0xbad4)
 	// Repair for a mispredicted call at 0x2000.
 	r.bpu.RepairAfterMispredict(isa.Call, histBefore, rasBefore, 0x2000, true)
-	if r.ras.Depth() != 1 {
-		t.Fatalf("RAS depth = %d, want 1 (repaired + call push)", r.ras.Depth())
-	}
-	if top, _ := r.ras.Top(); top != 0x2004 {
-		t.Errorf("RAS top = %#x, want 0x2004", top)
+	if !rasHolds(r.ras, 0x2004) {
+		t.Fatalf("RAS %+v, want just 0x2004 (repaired + call push)", r.ras.Checkpoint())
 	}
 	// Repair for a mispredicted conditional shifts actual outcome in.
 	r.bpu.RepairAfterMispredict(isa.CondBranch, 0, bpred.RASCheckpoint{}, 0x3000, true)
@@ -305,7 +316,8 @@ func TestFetchDeliversOracleOrder(t *testing.T) {
 		if !u.correct {
 			t.Fatalf("uop %d wrong-path before first mispredict", i)
 		}
-		rec := ref.Next()
+		var rec oracle.Record
+		ref.NextInto(&rec)
 		if u.pc != rec.PC {
 			t.Fatalf("uop %d: pc %#x, oracle %#x", i, u.pc, rec.PC)
 		}

@@ -111,7 +111,7 @@ type Queue struct {
 	// tail block through the ring every cycle.
 	newestSeq uint64
 
-	// Pushed and Squashes count queue traffic; FullStalls counts Push
+	// Pushed and Squashes count queue traffic; FullStalls counts PushSlot
 	// rejections due to a full queue.
 	Pushed, Squashes, FullStalls uint64
 }
@@ -140,27 +140,8 @@ func (q *Queue) wrap(i int) int {
 // Len returns the number of queued blocks.
 func (q *Queue) Len() int { return q.count }
 
-// Empty reports whether the queue is empty.
-func (q *Queue) Empty() bool { return q.count == 0 }
-
 // Full reports whether the queue is full.
 func (q *Queue) Full() bool { return q.count == len(q.entries) }
-
-// Push appends a block, computing its line decomposition. It returns false
-// (and counts a stall) when the queue is full. The slot's previous line
-// buffer is reused, so steady-state pushes do not allocate. Hot callers that
-// want to avoid copying the block twice should use PushSlot/CommitPush.
-func (q *Queue) Push(b Block) bool {
-	s := q.PushSlot()
-	if s == nil {
-		return false
-	}
-	lines := s.Lines
-	*s = b
-	s.Lines = lines
-	q.CommitPush()
-	return true
-}
 
 // PushSlot begins an in-place push: it reserves the next queue slot and
 // returns it, or nil — counting a stall — when the queue is full. The
@@ -213,7 +194,7 @@ func (q *Queue) Head() *Block {
 }
 
 // At returns the i-th block from the head (At(0) == Head()), or nil when out
-// of range. The pointer is valid until the next Push/Pop/Squash.
+// of range. The pointer is valid until the next PushSlot/PopHead/Squash.
 func (q *Queue) At(i int) *Block {
 	if i < 0 || i >= q.count {
 		return nil
@@ -245,15 +226,4 @@ func (q *Queue) Reset() {
 	q.head = 0
 	q.count = 0
 	q.Pushed, q.Squashes, q.FullStalls = 0, 0, 0
-}
-
-// Scan calls fn for blocks starting at index from (0 == head) until fn
-// returns false or the queue is exhausted. It is the prefetch engine's view
-// of upcoming fetch addresses.
-func (q *Queue) Scan(from int, fn func(idx int, b *Block) bool) {
-	for i := from; i < q.count; i++ {
-		if !fn(i, q.At(i)) {
-			return
-		}
-	}
 }

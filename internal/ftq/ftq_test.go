@@ -7,6 +7,35 @@ import (
 	"fdip/internal/isa"
 )
 
+// Empty reports whether the queue is empty.
+func (q *Queue) Empty() bool { return q.count == 0 }
+
+// Push appends a block, computing its line decomposition. It returns false
+// (and counts a stall) when the queue is full. The slot's previous line
+// buffer is reused, so steady-state pushes do not allocate. The machine
+// pushes in place with PushSlot/CommitPush; this copying form is for tests.
+func (q *Queue) Push(b Block) bool {
+	s := q.PushSlot()
+	if s == nil {
+		return false
+	}
+	lines := s.Lines
+	*s = b
+	s.Lines = lines
+	q.CommitPush()
+	return true
+}
+
+// Scan calls fn for blocks starting at index from (0 == head) until fn
+// returns false or the queue is exhausted.
+func (q *Queue) Scan(from int, fn func(idx int, b *Block) bool) {
+	for i := from; i < q.count; i++ {
+		if !fn(i, q.At(i)) {
+			return
+		}
+	}
+}
+
 func TestPushPopFIFO(t *testing.T) {
 	q := New(4, 32)
 	for i := 0; i < 4; i++ {

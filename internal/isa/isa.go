@@ -78,12 +78,6 @@ func (k Kind) IsCTI() bool {
 	return false
 }
 
-// IsConditional reports whether k transfers control only when taken.
-func (k Kind) IsConditional() bool { return k == CondBranch }
-
-// IsUnconditional reports whether k always transfers control.
-func (k Kind) IsUnconditional() bool { return k.IsCTI() && k != CondBranch }
-
 // IsCall reports whether k pushes a return address.
 func (k Kind) IsCall() bool { return k == Call || k == IndirectCall }
 
@@ -113,10 +107,12 @@ func (k Kind) Latency() int {
 // latTable is Latency in table form: one unconditional load where the
 // switch would cost data-dependent branches — the difference matters on the
 // scheduler pack path, which runs once per fetched instruction.
-var latTable = [NumKinds]uint8{
-	Nop: 1, ALU: 1, Mul: 4, Load: 2, Store: 1, FPU: 3,
-	CondBranch: 1, Jump: 1, Call: 1, Ret: 1, IndirectJump: 1, IndirectCall: 1,
-}
+var latTable = func() (t [NumKinds]uint8) {
+	for k := range t {
+		t[k] = uint8(Kind(k).Latency())
+	}
+	return t
+}()
 
 // SchedPack packs everything the backend's wakeup scheduler needs from the
 // instruction — sources, destination, latency — into one word:
@@ -168,9 +164,6 @@ func (i Instr) String() string {
 	}
 	return i.Kind.String()
 }
-
-// Align returns addr rounded down to instruction alignment.
-func Align(addr uint64) uint64 { return addr &^ uint64(InstrBytes-1) }
 
 // NextPC returns the fall-through address of the instruction at pc.
 func NextPC(pc uint64) uint64 { return pc + InstrBytes }

@@ -2,6 +2,15 @@ package isa
 
 import "testing"
 
+// IsConditional reports whether k transfers control only when taken.
+func (k Kind) IsConditional() bool { return k == CondBranch }
+
+// IsUnconditional reports whether k always transfers control.
+func (k Kind) IsUnconditional() bool { return k.IsCTI() && k != CondBranch }
+
+// Align returns addr rounded down to instruction alignment.
+func Align(addr uint64) uint64 { return addr &^ uint64(InstrBytes-1) }
+
 func TestKindClassification(t *testing.T) {
 	ctis := []Kind{CondBranch, Jump, Call, Ret, IndirectJump, IndirectCall}
 	nonCTIs := []Kind{Nop, ALU, Mul, Load, Store, FPU}

@@ -184,12 +184,6 @@ func (c Config) Check() error {
 	return nil
 }
 
-// Config returns the (normalised) configuration.
-func (h *Hierarchy) Config() Config { return h.cfg }
-
-// L2 exposes the unified L2 for statistics.
-func (h *Hierarchy) L2() *cache.Cache { return h.l2 }
-
 // BusIdle reports whether a new transfer could start immediately at cycle
 // now. Prefetchers must check this before issuing.
 func (h *Hierarchy) BusIdle(now int64) bool { return h.busFreeAt <= now }
@@ -355,9 +349,6 @@ func (h *Hierarchy) Reset() {
 // or math.MaxInt64 when nothing is in flight — the memory system's
 // contribution to the core's next-interesting-cycle schedule.
 func (h *Hierarchy) NextCompletion() int64 { return h.nextDone }
-
-// PendingCount returns the number of in-flight transfers.
-func (h *Hierarchy) PendingCount() int { return h.lanes[laneHit].n + h.lanes[laneMiss].n }
 
 // BusUtilization returns the fraction of the first totalCycles the bus was
 // busy.

@@ -15,6 +15,9 @@ func hier() *Hierarchy {
 	})
 }
 
+// PendingCount returns the number of in-flight transfers.
+func (h *Hierarchy) PendingCount() int { return h.lanes[laneHit].n + h.lanes[laneMiss].n }
+
 func TestColdMissLatency(t *testing.T) {
 	h := hier()
 	tr := h.Request(0x1000, false, 100)
@@ -191,7 +194,7 @@ func TestBusUtilization(t *testing.T) {
 
 func TestDefaultsApplied(t *testing.T) {
 	h := New(Config{})
-	c := h.Config()
+	c := h.cfg
 	d := DefaultConfig()
 	if c != d {
 		t.Errorf("defaults not applied: %+v", c)

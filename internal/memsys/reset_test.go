@@ -45,7 +45,7 @@ func memTrace(h *Hierarchy, seed int64) []uint64 {
 	return append(out, h.BusBusyCycles, h.DemandRequests, h.PrefetchRequests,
 		h.DemandMerges, h.PrefetchMerges, h.DemandBusWait,
 		h.L2DemandHits, h.L2DemandMisses, h.L2PrefetchHits, h.L2PrefetchMisses,
-		h.L2().Accesses, h.L2().Hits, h.L2().Misses, h.L2().Fills, h.L2().Evictions)
+		h.l2.Accesses, h.l2.Hits, h.l2.Misses, h.l2.Fills, h.l2.Evictions)
 }
 
 // TestHierarchyResetEqualsFresh dirties the hierarchy (in-flight transfers

@@ -100,16 +100,6 @@ func (w *Walker) Reset(im *program.Image, seed int64) {
 	w.Executed = 0
 }
 
-// PC returns the address of the next instruction the walker will execute.
-func (w *Walker) PC() uint64 { return w.pc }
-
-// Next executes one instruction and returns its record.
-func (w *Walker) Next() Record {
-	var rec Record
-	w.NextInto(&rec)
-	return rec
-}
-
 // NextInto executes one instruction, filling rec in place — the fetch
 // engine's per-instruction hot path copies nothing. The walker never runs
 // out: the program's outermost return restarts it at the entry point.

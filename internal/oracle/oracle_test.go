@@ -7,6 +7,13 @@ import (
 	"fdip/internal/program"
 )
 
+// Next executes one instruction and returns its record.
+func (w *Walker) Next() Record {
+	var rec Record
+	w.NextInto(&rec)
+	return rec
+}
+
 func testImage(t testing.TB, seed int64, funcs int) *program.Image {
 	t.Helper()
 	p := program.DefaultParams()
@@ -229,8 +236,8 @@ func TestWalkerReset(t *testing.T) {
 		w.Next()
 	}
 	w.Reset(im, 5)
-	if w.PC() != im.Entry {
-		t.Errorf("after Reset, PC = %#x, want entry %#x", w.PC(), im.Entry)
+	if w.pc != im.Entry {
+		t.Errorf("after Reset, PC = %#x, want entry %#x", w.pc, im.Entry)
 	}
 	if w.Executed != 0 {
 		t.Errorf("after Reset, Executed = %d", w.Executed)

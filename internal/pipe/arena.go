@@ -43,9 +43,6 @@ func NewArena(capacity int) *Arena {
 	return &Arena{buf: make([]Uop, n), mask: uint32(n - 1)}
 }
 
-// Cap returns the slot count.
-func (a *Arena) Cap() int { return len(a.buf) }
-
 // Len returns the number of live (allocated, unfreed) slots.
 func (a *Arena) Len() int { return int(a.tail - a.head) }
 

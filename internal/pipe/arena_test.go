@@ -54,8 +54,8 @@ func TestArenaRandomizedRecycle(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		a := NewArena(40) // rounds up to 64
-		if a.Cap() != 64 {
-			t.Fatalf("Cap() = %d, want 64", a.Cap())
+		if len(a.buf) != 64 {
+			t.Fatalf("Cap() = %d, want 64", len(a.buf))
 		}
 		var sh arenaShadow
 		var nextSerial uint64
@@ -63,7 +63,7 @@ func TestArenaRandomizedRecycle(t *testing.T) {
 			switch op := rng.Intn(10); {
 			case op < 5: // allocate a burst, as fetch does
 				n := rng.Intn(4) + 1
-				for j := 0; j < n && a.Len() < a.Cap(); j++ {
+				for j := 0; j < n && a.Len() < len(a.buf); j++ {
 					nextSerial++
 					i, u := a.Alloc()
 					*u = Uop{Seq: nextSerial, PC: uint64(i)}
@@ -126,7 +126,7 @@ func TestArenaAllocFullPanics(t *testing.T) {
 		}
 	}()
 	a := NewArena(4)
-	for i := 0; i < a.Cap()+1; i++ {
+	for i := 0; i < len(a.buf)+1; i++ {
 		a.Alloc()
 	}
 }

@@ -120,12 +120,6 @@ func (f *FDP) Name() string {
 	return n
 }
 
-// Config returns the active configuration.
-func (f *FDP) Config() FDPConfig { return f.cfg }
-
-// PIQOccupancy returns the current PIQ depth.
-func (f *FDP) PIQOccupancy() int { return len(f.piq) }
-
 // Tick implements Prefetcher: scan, filter, then issue.
 func (f *FDP) Tick(now int64) {
 	f.scan(now)

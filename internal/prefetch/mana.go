@@ -121,12 +121,6 @@ func NewMANA(env Env, cfg MANAConfig) *MANA {
 // Name implements Prefetcher.
 func (m *MANA) Name() string { return "mana" }
 
-// Config returns the active (normalised) configuration.
-func (m *MANA) Config() MANAConfig { return m.cfg }
-
-// Records returns the table's record capacity under the budget.
-func (m *MANA) Records() int { return len(m.sets) * len(m.sets[0]) }
-
 func (m *MANA) setAndTag(ln uint64) (int, uint64) {
 	return int(ln & uint64(len(m.sets)-1)), ln >> m.setShift
 }

@@ -46,6 +46,9 @@ func testModernEnv() Env {
 	return env
 }
 
+// Records returns the table's record capacity under the budget.
+func (m *MANA) Records() int { return len(m.sets) * len(m.sets[0]) }
+
 func TestMANATrainsAndReplays(t *testing.T) {
 	env := testEnv()
 	m := NewMANA(env, MANAConfig{BudgetBytes: 512, RegionLines: 8, QueueSize: 8})

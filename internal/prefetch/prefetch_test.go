@@ -30,6 +30,17 @@ func drain(env Env, now int64) {
 	})
 }
 
+// ActiveStreams reports how many streams are live.
+func (s *StreamBuffers) ActiveStreams() int {
+	n := 0
+	for i := range s.streams {
+		if s.streams[i].valid {
+			n++
+		}
+	}
+	return n
+}
+
 func TestNonePrefetcherIsInert(t *testing.T) {
 	env := testEnv()
 	n := NewNone()
@@ -175,8 +186,15 @@ func TestStreamBufferReallocatesLRU(t *testing.T) {
 	}
 }
 
+// pushBlock appends a predicted block of n instructions the way the BPU
+// does, in place.
 func pushBlock(q *ftq.Queue, seq uint64, start uint64, n int) {
-	q.Push(ftq.Block{Seq: seq, Start: start, NumInstrs: n})
+	s := q.PushSlot()
+	if s == nil {
+		return
+	}
+	*s = ftq.Block{Seq: seq, Start: start, NumInstrs: n, Lines: s.Lines}
+	q.CommitPush()
 }
 
 func TestFDPScansBeyondHead(t *testing.T) {
@@ -288,8 +306,8 @@ func TestFDPRemoveCPFDropsLateHits(t *testing.T) {
 	// Keep the bus busy so the candidate stays queued.
 	env.Hier.Request(0x9000, false, 0)
 	f.Tick(0)
-	if f.PIQOccupancy() != 1 {
-		t.Fatalf("PIQ = %d", f.PIQOccupancy())
+	if len(f.piq) != 1 {
+		t.Fatalf("PIQ = %d", len(f.piq))
 	}
 	// The line lands in the cache (e.g. demand fetch took it).
 	env.L1I.Fill(0x2000, false)
@@ -298,8 +316,8 @@ func TestFDPRemoveCPFDropsLateHits(t *testing.T) {
 	if f.RemovedProbe != 1 {
 		t.Errorf("RemovedProbe = %d", f.RemovedProbe)
 	}
-	if f.PIQOccupancy() != 0 {
-		t.Errorf("PIQ after remove = %d", f.PIQOccupancy())
+	if len(f.piq) != 0 {
+		t.Errorf("PIQ after remove = %d", len(f.piq))
 	}
 }
 
@@ -311,13 +329,13 @@ func TestFDPSquashClearsPIQ(t *testing.T) {
 	pushBlock(env.FTQ, 2, 0x3000, 4)
 	env.Hier.Request(0x9000, false, 0) // bus busy: nothing issues
 	f.Tick(0)
-	if f.PIQOccupancy() != 2 {
-		t.Fatalf("PIQ = %d", f.PIQOccupancy())
+	if len(f.piq) != 2 {
+		t.Fatalf("PIQ = %d", len(f.piq))
 	}
 	env.FTQ.Squash()
 	f.OnSquash()
-	if f.PIQOccupancy() != 0 || f.SquashDrops != 2 {
-		t.Errorf("piq=%d drops=%d", f.PIQOccupancy(), f.SquashDrops)
+	if len(f.piq) != 0 || f.SquashDrops != 2 {
+		t.Errorf("piq=%d drops=%d", len(f.piq), f.SquashDrops)
 	}
 	// New blocks after redirect are scanned normally.
 	pushBlock(env.FTQ, 3, 0x4000, 4)
@@ -337,8 +355,8 @@ func TestFDPPIQCapacity(t *testing.T) {
 		pushBlock(env.FTQ, uint64(i), uint64(0x2000+i*0x100), 4)
 	}
 	f.Tick(0)
-	if f.PIQOccupancy() != 2 {
-		t.Errorf("PIQ exceeded capacity: %d", f.PIQOccupancy())
+	if len(f.piq) != 2 {
+		t.Errorf("PIQ exceeded capacity: %d", len(f.piq))
 	}
 }
 
@@ -416,13 +434,13 @@ func TestFDPKeepPIQOnSquash(t *testing.T) {
 	pushBlock(env.FTQ, 1, 0x2000, 4)
 	env.Hier.Request(0x9000, false, 0) // bus busy: candidate stays queued
 	f.Tick(0)
-	if f.PIQOccupancy() != 1 {
-		t.Fatalf("PIQ = %d", f.PIQOccupancy())
+	if len(f.piq) != 1 {
+		t.Fatalf("PIQ = %d", len(f.piq))
 	}
 	env.FTQ.Squash()
 	f.OnSquash()
-	if f.PIQOccupancy() != 1 || f.SquashDrops != 0 {
-		t.Errorf("keep-on-squash dropped entries: piq=%d drops=%d", f.PIQOccupancy(), f.SquashDrops)
+	if len(f.piq) != 1 || f.SquashDrops != 0 {
+		t.Errorf("keep-on-squash dropped entries: piq=%d drops=%d", len(f.piq), f.SquashDrops)
 	}
 	if f.Name() != "fdp+keep-wrongpath" {
 		t.Errorf("Name = %q", f.Name())
@@ -449,8 +467,8 @@ func TestFDPNextEventPIQFull(t *testing.T) {
 	pushBlock(env.FTQ, 2, 0x3000, 4)
 	pushBlock(env.FTQ, 3, 0x4000, 4) // stays unscanned: PIQ fills first
 	f.Tick(0)
-	if f.PIQOccupancy() != 2 {
-		t.Fatalf("PIQ = %d, want 2", f.PIQOccupancy())
+	if len(f.piq) != 2 {
+		t.Fatalf("PIQ = %d, want 2", len(f.piq))
 	}
 	if f.Idle() {
 		t.Error("FDP with a populated PIQ claims idle")
@@ -466,7 +484,7 @@ func TestFDPNextEventPIQFull(t *testing.T) {
 	}
 	take := func() snap {
 		return snap{f.Enqueued, f.FilteredProbe, f.DupInPIQ, f.ConservativeStalls,
-			f.port.stats, f.PIQOccupancy(), f.nextSeq, f.nextLine}
+			f.port.stats, len(f.piq), f.nextSeq, f.nextLine}
 	}
 	before := take()
 	f.Tick(1)
@@ -489,7 +507,7 @@ func TestFDPNextEventPIQFull(t *testing.T) {
 		f.Tick(now)
 	}
 	if !f.Idle() {
-		t.Fatalf("FDP still busy at cycle %d (PIQ %d)", now, f.PIQOccupancy())
+		t.Fatalf("FDP still busy at cycle %d (PIQ %d)", now, len(f.piq))
 	}
 	before = take()
 	f.Tick(now)
@@ -509,8 +527,8 @@ func TestFDPNextEventRemoveCPFStaysActive(t *testing.T) {
 	pushBlock(env.FTQ, 1, 0x2000, 4)
 	pushBlock(env.FTQ, 2, 0x3000, 4)
 	f.Tick(0)
-	if f.PIQOccupancy() != 2 {
-		t.Fatalf("PIQ = %d", f.PIQOccupancy())
+	if len(f.piq) != 2 {
+		t.Fatalf("PIQ = %d", len(f.piq))
 	}
 	if f.Idle() {
 		t.Error("RemoveCPF FDP with a populated PIQ claims idle")

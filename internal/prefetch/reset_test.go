@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"fdip/internal/ftq"
 	"fdip/internal/memsys"
 )
 
@@ -43,7 +42,7 @@ func pfTrace(env Env, p Prefetcher, seed int64) []uint64 {
 			p.OnDemandAccess(line, l1Hit, pfbHit, now)
 		case 2: // a BPU prediction lands in the FTQ
 			if !env.FTQ.Full() {
-				env.FTQ.Push(ftq.Block{Seq: seq, Start: uint64(rng.Intn(1<<9)) * 32, NumInstrs: 1 + rng.Intn(8)})
+				pushBlock(env.FTQ, seq, uint64(rng.Intn(1<<9))*32, 1+rng.Intn(8))
 				seq++
 			}
 		case 3: // occasional redirect

@@ -79,9 +79,6 @@ func NewShadow(env Env, cfg ShadowConfig) *Shadow {
 // Name implements Prefetcher.
 func (s *Shadow) Name() string { return "shadow" }
 
-// Config returns the active (normalised) configuration.
-func (s *Shadow) Config() ShadowConfig { return s.cfg }
-
 // OnDemandAccess implements Prefetcher: a line arriving at the L1-I side (a
 // full miss being fetched, or a prefetched line's first use) has shadow
 // bytes worth decoding; resident-line hits were decoded when they arrived.

@@ -142,14 +142,3 @@ func (s *StreamBuffers) Reset() {
 
 // IssueStats implements Prefetcher.
 func (s *StreamBuffers) IssueStats() PortStats { return s.port.stats }
-
-// ActiveStreams reports how many streams are live (for tests/reports).
-func (s *StreamBuffers) ActiveStreams() int {
-	n := 0
-	for i := range s.streams {
-		if s.streams[i].valid {
-			n++
-		}
-	}
-	return n
-}

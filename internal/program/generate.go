@@ -255,15 +255,6 @@ func Generate(p Params) (*Image, error) {
 	return im, nil
 }
 
-// MustGenerate is Generate for tests and examples with known-good params.
-func MustGenerate(p Params) *Image {
-	im, err := Generate(p)
-	if err != nil {
-		panic(err)
-	}
-	return im
-}
-
 // planFunc decides the control-flow skeleton of one function.
 func planFunc(rng *rand.Rand, p Params, fi int) funcPlan {
 	isEntry := fi == 0

@@ -11,6 +11,15 @@ import (
 	"fdip/internal/isa"
 )
 
+// MustGenerate is Generate for known-good params.
+func MustGenerate(p Params) *Image {
+	im, err := Generate(p)
+	if err != nil {
+		panic(err)
+	}
+	return im
+}
+
 func TestGenerateDefaultValidates(t *testing.T) {
 	im, err := Generate(DefaultParams())
 	if err != nil {

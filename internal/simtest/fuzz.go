@@ -8,9 +8,11 @@
 //     abandoned mid-flight) and then Reset must reproduce a fresh machine;
 //  3. workers-1-vs-8 — an engine Sweep's outcomes must be independent of the
 //     worker count;
-//  4. dist-vs-single — a loopback-sharded distributed sweep (wire-encoded
-//     assignments, shards in {1, 4}) must merge back to the single-process
-//     outcomes.
+//  4. dist-vs-single — a distributed sweep over in-process HTTP workers
+//     (shards in {1, 4}) must merge back to the single-process outcomes.
+//
+// The reference Result must also satisfy the accounting identities of
+// checkIdentities.
 //
 // The config space deliberately covers every prefetcher kind and the corners
 // where the scheduler contract is easiest to get wrong: tiny queues (heads
@@ -21,9 +23,12 @@ package simtest
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"net/http/httptest"
 	"reflect"
 	"testing"
+	"time"
 
 	"fdip/internal/core"
 	"fdip/internal/dist"
@@ -122,6 +127,16 @@ func fuzzParams(rng *rand.Rand) program.Params {
 	return p
 }
 
+// newMachine builds a machine from a config Fuzz has already validated.
+func newMachine(tb testing.TB, cfg core.Config, im *program.Image, w *oracle.Walker) *core.Processor {
+	tb.Helper()
+	p, err := core.New(cfg, im, w)
+	if err != nil {
+		tb.Fatalf("core.New: %v", err)
+	}
+	return p
+}
+
 // Fuzz expands seed into one (config, program) pair and fails tb if any
 // differential oracle is violated. It is the body of the native fuzz target
 // FuzzKernelDifferential and is equally callable from plain tests.
@@ -141,9 +156,10 @@ func Fuzz(tb testing.TB, seed int64) {
 
 	// Oracle 1: the event-scheduled kernel against naive per-cycle stepping.
 	schedWalker := oracle.NewWalker(im, wseed)
-	sched := core.MustNew(cfg, im, schedWalker)
+	sched := newMachine(tb, cfg, im, schedWalker)
 	want := sched.Run()
-	naive := core.MustNew(cfg, im, oracle.NewWalker(im, wseed)).RunNaive()
+	checkIdentities(tb, cfg, want)
+	naive := newMachine(tb, cfg, im, oracle.NewWalker(im, wseed)).RunNaive()
 	if !reflect.DeepEqual(want, naive) {
 		tb.Fatalf("fuzz seed %d (%s): scheduled kernel diverged from naive stepping\nscheduled: %+v\nnaive:     %+v",
 			seed, cfg.Prefetch.Kind, want, naive)
@@ -163,7 +179,7 @@ func Fuzz(tb testing.TB, seed int64) {
 	// and its walker mid-flight on a different walker seed, then reset both
 	// and rerun.
 	dirtyWalker := oracle.NewWalker(im, wseed+1)
-	dirty := core.MustNew(cfg, im, dirtyWalker)
+	dirty := newMachine(tb, cfg, im, dirtyWalker)
 	for steps := 200 + rng.Intn(800); steps > 0; steps-- {
 		dirty.Step()
 	}
@@ -206,19 +222,14 @@ func Fuzz(tb testing.TB, seed int64) {
 	}
 
 	// Oracle 4: a distributed sweep merges back to the single-process
-	// outcomes, shard count notwithstanding. Loopback dials give every
-	// shard its own engine and memo cache (no cross-shard coalescing to
-	// hide behind) and round-trip each assignment and outcome through the
-	// JSON wire form, and ChunkPoints 1 splits the three-job plan into three
-	// ranges so shards=4 genuinely interleaves completion order.
+	// outcomes, shard count notwithstanding. Each shard has its own HTTP
+	// worker, with its own engine and memo cache (no cross-shard coalescing
+	// to hide behind), every assignment and outcome crosses the JSON wire,
+	// and ChunkPoints 1 splits the three-job plan into three ranges so
+	// shards=4 genuinely interleaves completion order.
 	plan := engine.FromJobs(jobs...)
 	for _, shards := range []int{1, 4} {
-		co := dist.New(dist.Options{
-			Dialer:      dist.Loopback{Workers: 2},
-			Shards:      shards,
-			ChunkPoints: 1,
-		})
-		outs, err := co.Sweep(ctx, plan)
+		outs, err := distSweep(ctx, plan, shards)
 		if err != nil {
 			tb.Fatalf("fuzz seed %d: dist shards=%d sweep: %v", seed, shards, err)
 		}
@@ -232,4 +243,26 @@ func Fuzz(tb testing.TB, seed int64) {
 			}
 		}
 	}
+}
+
+// distSweep runs p on a coordinator with the given shard count over as many
+// in-process HTTP workers (the handler fdipd -listen serves), and collects
+// the outcomes in enumeration order.
+func distSweep(ctx context.Context, p *engine.Plan, shards int) ([]engine.RunOutcome, error) {
+	reg := dist.NewRegistry(0)
+	defer reg.Close()
+	for i := 0; i < shards; i++ {
+		srv := httptest.NewServer(dist.NewWorker(2).Handler())
+		defer srv.Close()
+		reg.Register(fmt.Sprintf("w%d", i), srv.URL, time.Hour)
+	}
+	co := dist.New(dist.Options{Dialer: reg, Shards: shards, ChunkPoints: 1})
+	outs := make([]engine.RunOutcome, p.Points())
+	for out, err := range co.Stream(ctx, p) {
+		if err != nil {
+			return nil, err
+		}
+		outs[out.Index] = out
+	}
+	return outs, nil
 }

@@ -74,7 +74,8 @@ func resolve(tb testing.TB, tr Triple) (core.Config, *program.Image, int64) {
 }
 
 // FreshResult runs the triple on a newly constructed machine — the reference
-// semantics Reset must reproduce.
+// semantics Reset must reproduce — and checks the Result's accounting
+// identities.
 func FreshResult(tb testing.TB, tr Triple) core.Result {
 	tb.Helper()
 	cfg, im, seed := resolve(tb, tr)
@@ -82,7 +83,9 @@ func FreshResult(tb testing.TB, tr Triple) core.Result {
 	if err != nil {
 		tb.Fatalf("simtest: %s: %v", tr.Name, err)
 	}
-	return p.Run()
+	res := p.Run()
+	checkIdentities(tb, cfg, res)
+	return res
 }
 
 // ResetResult runs the triple on a machine that first ran the dirty triple

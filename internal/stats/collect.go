@@ -34,9 +34,8 @@ func NewCollector[T any](rows, cols []string) *Collector[T] {
 	}
 }
 
-// NumRows and NumCols report the grid dimensions.
+// NumRows reports the grid's row count.
 func (c *Collector[T]) NumRows() int { return len(c.rows) }
-func (c *Collector[T]) NumCols() int { return len(c.cols) }
 
 // RowLabel returns row r's label.
 func (c *Collector[T]) RowLabel(r int) string { return c.rows[r] }

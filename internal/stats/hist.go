@@ -9,15 +9,9 @@ import (
 // HistogramSketch is the simulator's one histogram: n equal buckets over
 // [Lo, Hi), under- and overflow counters, and the exact maximum. Because the
 // geometry is fixed at construction and the state is integer counts plus a
-// max, Merge is exact — a sharded reduction's histogram is bit-identical to a
-// single sequential pass over the concatenated stream, in any merge order.
-// That is the same discipline as Moments/TopK, and what lets dist.Summary
-// carry a value distribution (and its quantiles) per shard without anyone
-// holding the sample set.
-//
-// All shards of one reduction must construct the sketch with identical
-// (Lo, Hi, buckets); Merge panics on a geometry mismatch rather than
-// silently mixing incompatible bucketings. NaN observations are ignored.
+// max, the sketch is the same whatever order the observations arrive in —
+// what lets dist.Summary carry a value distribution (and its quantiles)
+// without anyone holding the sample set. NaN observations are ignored.
 type HistogramSketch struct {
 	// Lo (inclusive) and Hi (exclusive) bound the bucketed range.
 	Lo, Hi float64
@@ -95,7 +89,7 @@ func (h *HistogramSketch) BucketBounds(i int) (lo, hi float64) {
 // the nearest-rank observation, rank ceil(q·Count) (at least 1), reported as
 // its bucket's upper edge — Lo for an underflow rank, the exact Max for an
 // overflow one. An empty sketch reports 0. The result depends only on the
-// counts, so merged shards report exactly the sequential pass's quantiles.
+// counts, so not on the order of the observations.
 func (h *HistogramSketch) Quantile(q float64) float64 {
 	n := h.Count()
 	if n == 0 {
@@ -114,24 +108,6 @@ func (h *HistogramSketch) Quantile(q float64) float64 {
 		}
 	}
 	return h.Max
-}
-
-// Merge folds another shard's sketch into h, as if every observation o saw
-// had been Added to h. The geometries must match exactly.
-func (h *HistogramSketch) Merge(o *HistogramSketch) {
-	if o == nil {
-		return
-	}
-	if o.Lo != h.Lo || o.Hi != h.Hi || len(o.Counts) != len(h.Counts) {
-		panic(fmt.Sprintf("stats: merging HistogramSketch [%g,%g)/%d into [%g,%g)/%d",
-			o.Lo, o.Hi, len(o.Counts), h.Lo, h.Hi, len(h.Counts)))
-	}
-	h.Under += o.Under
-	h.Over += o.Over
-	h.Max = max(h.Max, o.Max)
-	for i, c := range o.Counts {
-		h.Counts[i] += c
-	}
 }
 
 // String renders the non-empty buckets compactly:

@@ -9,7 +9,7 @@ import (
 )
 
 // exactBuckets computes the sketch a sequential pass over xs must produce,
-// by the bucket formula and a running max directly — the pin every shard-merge is held to.
+// by the bucket formula and a running max directly.
 func exactBuckets(lo, hi float64, n int, xs []float64) *HistogramSketch {
 	h := NewHistogramSketch(lo, hi, n)
 	for _, x := range xs {
@@ -33,10 +33,10 @@ func exactBuckets(lo, hi float64, n int, xs []float64) *HistogramSketch {
 	return h
 }
 
-// TestHistogramSketchShardMergeExact pins shard merging against exact
-// collection on small grids: any sharding, merged in any order, must equal
-// the sequential pass bit-for-bit.
-func TestHistogramSketchShardMergeExact(t *testing.T) {
+// TestHistogramSketchMatchesExactBuckets pins the sketch against the exact
+// bucket formula on small grids: folding the observations in order, or in
+// any shuffled order, must equal it bit-for-bit.
+func TestHistogramSketchMatchesExactBuckets(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 50; trial++ {
 		n := 1 + rng.Intn(64)
@@ -55,22 +55,12 @@ func TestHistogramSketchShardMergeExact(t *testing.T) {
 			t.Fatalf("trial %d: sequential Add disagrees with the exact bucket formula:\n%v\nwant\n%v", trial, seq, want)
 		}
 
-		shards := 1 + rng.Intn(5)
-		parts := make([]*HistogramSketch, shards)
-		for i := range parts {
-			parts[i] = NewHistogramSketch(0, 8, 16)
+		shuffled := NewHistogramSketch(0, 8, 16)
+		for _, i := range rng.Perm(n) {
+			shuffled.Add(xs[i])
 		}
-		for i, x := range xs {
-			parts[rng.Intn(shards)%shards].Add(x)
-			_ = i
-		}
-		// Merge in a random order.
-		merged := NewHistogramSketch(0, 8, 16)
-		for _, i := range rng.Perm(shards) {
-			merged.Merge(parts[i])
-		}
-		if !reflect.DeepEqual(merged, want) {
-			t.Fatalf("trial %d (%d shards): merged sketch diverges from sequential pass:\n%v\nwant\n%v", trial, shards, merged, want)
+		if !reflect.DeepEqual(shuffled, want) {
+			t.Fatalf("trial %d: shuffled fold diverges from the exact bucket formula:\n%v\nwant\n%v", trial, shuffled, want)
 		}
 	}
 }
@@ -95,36 +85,6 @@ func TestHistogramSketchBoundaries(t *testing.T) {
 	}
 	if got := h.Count(); got != 4 {
 		t.Errorf("Count()=%d, want 4 (NaN dropped)", got)
-	}
-}
-
-// TestHistogramSketchMergeGeometryMismatchPanics: silently mixing
-// incompatible bucketings would corrupt the reduction, so it must refuse.
-func TestHistogramSketchMergeGeometryMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("geometry-mismatched Merge did not panic")
-		}
-	}()
-	NewHistogramSketch(0, 8, 16).Merge(NewHistogramSketch(0, 8, 8))
-}
-
-// TestHistogramSketchMergeAfterMerge: a merged sketch stays a live
-// accumulator (add more, merge more) with the same exactness.
-func TestHistogramSketchMergeAfterMerge(t *testing.T) {
-	a := NewHistogramSketch(0, 1, 10)
-	b := NewHistogramSketch(0, 1, 10)
-	for i := 0; i < 10; i++ {
-		a.Add(float64(i) / 10)
-	}
-	b.Merge(a)
-	b.Add(0.55)
-	c := NewHistogramSketch(0, 1, 10)
-	c.Add(0.95)
-	b.Merge(c)
-	want := exactBuckets(0, 1, 10, []float64{0, .1, .2, .3, .4, .5, .6, .7, .8, .9, .55, .95})
-	if !reflect.DeepEqual(b, want) {
-		t.Fatalf("merge-then-add-then-merge diverged:\n%v\nwant\n%v", b, want)
 	}
 }
 
@@ -201,7 +161,7 @@ func TestHistogramMeanQuantile(t *testing.T) {
 }
 
 // TestHistogramQuantileMonotonic: quantiles never decrease in q, and a
-// sketch merged from random splits reports exactly the sequential pass's
+// sketch folded in a shuffled order reports exactly the in-order pass's
 // quantiles at every q.
 func TestHistogramQuantileMonotonic(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
@@ -225,21 +185,13 @@ func TestHistogramQuantileMonotonic(t *testing.T) {
 	}
 
 	for trial := 0; trial < 20; trial++ {
-		shards := 1 + rng.Intn(8)
-		parts := make([]*HistogramSketch, shards)
-		for i := range parts {
-			parts[i] = NewHistogramSketch(0, 128, 32)
-		}
-		for _, x := range xs {
-			parts[rng.Intn(shards)].Add(x)
-		}
-		merged := NewHistogramSketch(0, 128, 32)
-		for _, i := range rng.Perm(shards) {
-			merged.Merge(parts[i])
+		shuffled := NewHistogramSketch(0, 128, 32)
+		for _, i := range rng.Perm(len(xs)) {
+			shuffled.Add(xs[i])
 		}
 		for q := 0.0; q <= 1; q += 0.01 {
-			if got, want := merged.Quantile(q), h.Quantile(q); got != want {
-				t.Fatalf("trial %d (%d shards): Quantile(%v) = %v, want sequential %v", trial, shards, q, got, want)
+			if got, want := shuffled.Quantile(q), h.Quantile(q); got != want {
+				t.Fatalf("trial %d: Quantile(%v) = %v, want in-order %v", trial, q, got, want)
 			}
 		}
 	}

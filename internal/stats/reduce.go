@@ -5,18 +5,12 @@ import (
 	"sort"
 )
 
-// This file holds the mergeable reducers: summaries that can be accumulated
-// independently on disjoint shards of a sweep and then combined into exactly
-// the summary a single pass over the whole stream would have produced. They
-// are the reduction side of distributed sweeps — each worker folds its index
-// range locally and ships a fixed-size state, so a million-point sweep's
-// summary costs O(shards) merge work instead of O(points) result shipping.
+// This file holds the streaming reducers: fixed-memory summaries of a
+// sweep that fold its outcomes in arrival order, and whose result does not
+// depend on that order (Moments up to float rounding).
 
 // Moments accumulates count, mean, and variance of a scalar stream in O(1)
-// memory using Welford's online update, with an exact pairwise merge (Chan,
-// Golub & LeVeque's parallel formula). Add and Merge commute up to floating
-// point: merging shard moments is algebraically identical to folding the
-// concatenated stream.
+// memory using Welford's online update.
 //
 // The zero Moments is an empty accumulator ready for use.
 type Moments struct {
@@ -31,23 +25,6 @@ func (m *Moments) Add(x float64) {
 	d := x - m.Mean
 	m.Mean += d / float64(m.Count)
 	m.M2 += d * (x - m.Mean)
-}
-
-// Merge folds another accumulator's state into m, as if every observation o
-// saw had been Added to m.
-func (m *Moments) Merge(o Moments) {
-	if o.Count == 0 {
-		return
-	}
-	if m.Count == 0 {
-		*m = o
-		return
-	}
-	n := m.Count + o.Count
-	d := o.Mean - m.Mean
-	m.M2 += o.M2 + d*d*float64(m.Count)*float64(o.Count)/float64(n)
-	m.Mean += d * float64(o.Count) / float64(n)
-	m.Count = n
 }
 
 // Variance returns the population variance (0 when fewer than 2 samples).
@@ -70,12 +47,11 @@ type ScoredItem[T any] struct {
 	Value T
 }
 
-// TopK keeps the k best-scoring items of a stream in O(k) memory, mergeable
-// across shards. Ties on score break toward the lower Seq, which makes the
-// retained set a deterministic function of the observation multiset: a
-// sharded run merged in any order keeps exactly the items a sequential pass
-// would, so distributed top-k summaries are bit-identical to single-process
-// ones.
+// TopK keeps the k best-scoring items of a stream in O(k) memory. Ties on
+// score break toward the lower Seq, which makes the retained set a
+// deterministic function of the observation multiset: a stream folded in any
+// order keeps exactly the items an in-order pass would, so a sweep's top-k
+// does not depend on which worker finishes first.
 //
 // Direction is fixed at construction: NewTopK retains the highest scores,
 // NewBottomK the lowest.
@@ -148,14 +124,6 @@ func (t *TopK[T]) Add(score float64, seq int64, v T) {
 		}
 		t.heap[i], t.heap[worst] = t.heap[worst], t.heap[i]
 		i = worst
-	}
-}
-
-// Merge folds another TopK's retained items into t. The other accumulator
-// must have the same direction and bound for shard/sequential equivalence.
-func (t *TopK[T]) Merge(o *TopK[T]) {
-	for _, it := range o.heap {
-		t.Add(it.Score, it.Seq, it.Value)
 	}
 }
 

@@ -1,5 +1,5 @@
 // Package stats provides the measurement plumbing shared by the simulator:
-// mergeable reducers (a histogram, moments, top-k), rate helpers, geometric
+// streaming reducers (a histogram, moments, top-k), rate helpers, geometric
 // means, and fixed-width text tables in the style of the paper's result
 // presentation.
 package stats

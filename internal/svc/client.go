@@ -11,8 +11,6 @@ import (
 	"net/url"
 	"strconv"
 	"time"
-
-	"fdip/internal/dist"
 )
 
 // ErrSweepFailed wraps a stream's terminal error frame — the sweep itself
@@ -88,20 +86,6 @@ func (c *Client) Job(ctx context.Context, id string) (JobStatus, error) {
 	var st JobStatus
 	err := c.do(ctx, http.MethodGet, "/v1/jobs/"+url.PathEscape(id), nil, &st)
 	return st, err
-}
-
-// Jobs lists every sweep the service knows, in submission order.
-func (c *Client) Jobs(ctx context.Context) ([]JobStatus, error) {
-	var sts []JobStatus
-	err := c.do(ctx, http.MethodGet, "/v1/jobs", nil, &sts)
-	return sts, err
-}
-
-// Workers snapshots the live worker pool.
-func (c *Client) Workers(ctx context.Context) ([]dist.WorkerInfo, error) {
-	var ws []dist.WorkerInfo
-	err := c.do(ctx, http.MethodGet, "/v1/workers", nil, &ws)
-	return ws, err
 }
 
 // Register announces (or heartbeats) a worker.

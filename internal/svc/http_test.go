@@ -75,7 +75,7 @@ func TestRequestBodiesBounded(t *testing.T) {
 	if code := post("/v1/workers/deregister", hog); code != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized deregistration answered %d, want 413", code)
 	}
-	if live := s.Registry().Live(); len(live) != 0 {
+	if live := s.reg.Live(); len(live) != 0 {
 		t.Errorf("oversized registration joined the pool: %+v", live)
 	}
 }

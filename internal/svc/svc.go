@@ -226,10 +226,6 @@ func New(opts Options) (*Server, error) {
 	return s, nil
 }
 
-// Registry exposes the worker pool (the HTTP layer's register endpoint, and
-// tests).
-func (s *Server) Registry() *dist.Registry { return s.reg }
-
 // restore replays the queue journal into server state, then replays the
 // dist journals of every sweep that did not fail, which re-warms the shared
 // cache. Finished sweeps go first, in completion order (the order of their

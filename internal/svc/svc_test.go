@@ -180,6 +180,13 @@ func collect(t *testing.T, c *Client, id string, points int) []engine.RunOutcome
 	return outs
 }
 
+// Workers snapshots the live worker pool.
+func (c *Client) Workers(ctx context.Context) ([]dist.WorkerInfo, error) {
+	var ws []dist.WorkerInfo
+	err := c.do(ctx, http.MethodGet, "/v1/workers", nil, &ws)
+	return ws, err
+}
+
 // TestServiceStreamsGolden is the tentpole happy path: two self-registered
 // workers, one HTTP submission, one streamed result set — bit-identical to
 // the single-process engine, golden checksum included.
