@@ -2,11 +2,11 @@ package dist
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"iter"
-	"reflect"
 	"sort"
 	"sync"
 
@@ -88,9 +88,12 @@ func New(opts Options) *Coordinator {
 }
 
 // fingerprint binds a journal to one sweep identity: the plan's shape (point
-// count, row/col labels) plus the chunking and budget that determine range
-// boundaries and results. Two sweeps with the same fingerprint produce
-// interchangeable journals; anything else must be rejected at open.
+// count, row/col labels), the chunking and budget that determine range
+// boundaries and results, and every point's resolved job, streamed into the
+// hash one at a time. Journal records carry no jobs, so this is what makes a
+// replayed result the result of the plan's own point: two sweeps with the
+// same fingerprint produce interchangeable journals, and anything else is
+// rejected at open.
 func (c *Coordinator) fingerprint(p *engine.Plan) uint64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "points=%d chunk=%d instrs=%d", p.Points(), c.opts.ChunkPoints, c.opts.Instrs)
@@ -100,16 +103,25 @@ func (c *Coordinator) fingerprint(p *engine.Plan) uint64 {
 	for _, col := range p.Cols() {
 		fmt.Fprintf(h, "|c:%s", col)
 	}
+	enc := json.NewEncoder(h)
+	for _, job := range p.Jobs() {
+		rj, _, _ := engine.ResolveJob(job, c.opts.Instrs)
+		// A hash never fails a write, and a job fails to encode only with a
+		// NaN or infinite Params float; such a job is left out of the hash.
+		_ = enc.Encode(rj)
+	}
 	return h.Sum64()
 }
 
 // pendingRange is one journal range between dispatch and delivery. The
-// dispatcher fills its cache hits, keys and piece count before the first
-// piece leaves; from then on keys and keyed are read-only (shard loops read
-// them to cache what their pieces ran), and only the consumer loop writes,
-// filling each piece's outcomes into its slots as the piece lands.
+// dispatcher fills its jobs, cache hits, keys and piece count before the
+// first piece leaves; from then on jobs, keys and keyed are read-only (shard
+// loops read keys to cache what their pieces ran), and only the consumer loop
+// writes, filling each piece's outcomes into its slots — stamped with their
+// slots' jobs — as the piece lands.
 type pendingRange struct {
 	start   int
+	jobs    []engine.Job        // slot i's resolved job, the only job its outcome carries
 	outs    []engine.RunOutcome // slot i holds enumeration index start+i
 	keys    []engine.JobKey     // per-slot cache key (nil without a cache)
 	keyed   []bool              // keys[i] is valid (the job resolved)
@@ -169,25 +181,23 @@ func (c *Coordinator) Stream(ctx context.Context, p *engine.Plan) iter.Seq2[engi
 			defer jr.Close()
 		}
 
-		// A replayed outcome must be the plan's own point: a record whose
-		// job differs from the plan's at its index (a journal written under
-		// another plan with the same fingerprint) becomes the tear point,
-		// and it and every later record execute again.
-		if bad := c.firstForeign(p, jr, completed); bad >= 0 {
-			if err := jr.tear(bad, completed); err != nil {
-				yield(engine.RunOutcome{}, err)
-				return
-			}
-		}
-
-		// A journal primes the shared result cache before anything replays:
-		// ranges completed by a previous run are proven results for their
-		// simulation identities, and a service restart re-warms its cache
-		// from them.
-		if c.opts.Cache != nil {
-			for _, outs := range completed {
-				for _, out := range outs {
-					c.primeCache(out)
+		// Journal records carry no jobs: the fingerprint proved the journal
+		// is this plan's, so each replayed outcome is stamped with the
+		// plan's resolved job at its index. Before anything replays, the
+		// journal also primes the shared result cache: ranges completed by
+		// a previous run are proven results for their simulation
+		// identities, and a service restart re-warms its cache from them.
+		if len(completed) > 0 {
+			for i, job := range p.Jobs() {
+				outs, ok := completed[i-i%chunk]
+				if !ok {
+					continue
+				}
+				out := &outs[i%chunk]
+				rj, key, err := engine.ResolveJob(job, c.opts.Instrs)
+				out.Job = rj
+				if c.opts.Cache != nil && err == nil && out.Err == nil {
+					c.opts.Cache.Put(key, out.Result)
 				}
 			}
 		}
@@ -278,8 +288,12 @@ func (c *Coordinator) Stream(ctx context.Context, p *engine.Plan) iter.Seq2[engi
 			}
 			r := d.rng
 			if len(d.outs) > 0 { // a piece landed; a fully cached range has none
+				// A worker's outcome is trusted for its result only: the
+				// job is the plan's.
 				for _, out := range d.outs {
-					r.outs[out.Index-r.start] = out
+					slot := out.Index - r.start
+					out.Job = r.jobs[slot]
+					r.outs[slot] = out
 				}
 				if r.left--; r.left > 0 {
 					continue
@@ -382,14 +396,15 @@ func (c *Coordinator) dispatch(ctx context.Context, p *engine.Plan, completed ma
 	}
 }
 
-// split builds one range's pending state and pieces. With a cache, hits fill
-// their slots directly (tagged with this sweep's index and display name);
-// the misses — every job, without a cache — are cut into pieceCount sparse
-// pieces of near-equal size in enumeration order. A fully cached range gets
-// no pieces, which is what lets an overlapping sweep complete with zero live
-// workers.
+// split builds one range's pending state and pieces. Every job is resolved
+// and kept as its slot's job (jobs[i] becomes slot i's resolved job). With a
+// cache, hits fill their slots directly (tagged with this sweep's index and
+// display name); the misses — every job, without a cache — travel as the
+// plan wrote them, cut into pieceCount sparse pieces of near-equal size in
+// enumeration order. A fully cached range gets no pieces, which is what lets
+// an overlapping sweep complete with zero live workers.
 func (c *Coordinator) split(start int, jobs []engine.Job) (*pendingRange, []piece) {
-	r := &pendingRange{start: start, outs: make([]engine.RunOutcome, len(jobs))}
+	r := &pendingRange{start: start, jobs: jobs, outs: make([]engine.RunOutcome, len(jobs))}
 	if c.opts.Cache != nil {
 		r.keys = make([]engine.JobKey, len(jobs))
 		r.keyed = make([]bool, len(jobs))
@@ -397,14 +412,13 @@ func (c *Coordinator) split(start int, jobs []engine.Job) (*pendingRange, []piec
 	var missJobs []engine.Job
 	var missIdx []int
 	for i, job := range jobs {
-		if c.opts.Cache != nil {
-			rj, key, err := engine.ResolveJob(job, c.opts.Instrs)
-			if err == nil {
-				r.keys[i], r.keyed[i] = key, true
-				if res, ok := c.opts.Cache.Get(key); ok {
-					r.outs[i] = engine.RunOutcome{Job: rj, Index: start + i, Result: res, Cached: true}
-					continue
-				}
+		rj, key, err := engine.ResolveJob(job, c.opts.Instrs)
+		jobs[i] = rj
+		if c.opts.Cache != nil && err == nil {
+			r.keys[i], r.keyed[i] = key, true
+			if res, ok := c.opts.Cache.Get(key); ok {
+				r.outs[i] = engine.RunOutcome{Job: rj, Index: start + i, Result: res, Cached: true}
+				continue
 			}
 		}
 		// Unresolvable jobs travel too, so their failure outcomes are
@@ -495,39 +509,6 @@ func quiesced(ch <-chan struct{}) bool {
 		return true
 	default:
 		return false
-	}
-}
-
-// firstForeign returns the start of the replayed range, earliest in the
-// journal, holding an outcome whose job is not the plan's resolved job at
-// its index, or -1 when every replayed outcome is the plan's.
-func (c *Coordinator) firstForeign(p *engine.Plan, jr *Journal, completed map[int][]engine.RunOutcome) int {
-	bad := -1
-	if len(completed) == 0 {
-		return bad
-	}
-	chunk := c.opts.ChunkPoints
-	for i, job := range p.Jobs() {
-		start := i - i%chunk
-		outs, ok := completed[start]
-		if !ok || bad >= 0 && jr.order[start] >= jr.order[bad] {
-			continue
-		}
-		if rj, _, _ := engine.ResolveJob(job, c.opts.Instrs); !reflect.DeepEqual(outs[i-start].Job, rj) {
-			bad = start
-		}
-	}
-	return bad
-}
-
-// primeCache writes one journal-replayed outcome into the shared result
-// cache (successes only; an unresolvable job is simply not cacheable).
-func (c *Coordinator) primeCache(out engine.RunOutcome) {
-	if out.Err != nil {
-		return
-	}
-	if _, key, err := engine.ResolveJob(out.Job, c.opts.Instrs); err == nil {
-		c.opts.Cache.Put(key, out.Result)
 	}
 }
 

@@ -1,7 +1,9 @@
 package dist
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -17,6 +19,7 @@ import (
 	"fdip/internal/core"
 	"fdip/internal/engine"
 	"fdip/internal/prefetch"
+	"fdip/internal/workloads"
 )
 
 // goldenChecksum mirrors internal/engine's pinned constant: the FNV-64a
@@ -37,17 +40,25 @@ func goldenCfg() core.Config {
 // baked in. Index 1 (gcc x golden) is exactly the engine's pinned golden
 // triple.
 func testPlan() *engine.Plan {
+	gcc, _ := workloads.ByName("gcc")
+	return testPlanOf(gcc, goldenCfg())
+}
+
+// testPlanOf is testPlan's shape and labels over first and deltablue, with
+// golden as the "golden" column's config.
+func testPlanOf(first workloads.Workload, golden core.Config) *engine.Plan {
 	mk := func(kind core.PrefetcherKind) core.Config {
 		c := core.DefaultConfig()
 		c.MaxInstrs = 30_000
 		c.Prefetch.Kind = kind
 		return c
 	}
+	deltablue, _ := workloads.ByName("deltablue")
 	return engine.NewPlan(core.DefaultConfig()).
-		OverNames("gcc", "deltablue").
+		Over(first, deltablue).
 		Axes(engine.Configs(
 			engine.Named("base", mk(core.PrefetchNone)),
-			engine.Named("golden", goldenCfg()),
+			engine.Named("golden", golden),
 			engine.Named("nextline", mk(core.PrefetchNextLine)),
 		))
 }
@@ -513,6 +524,73 @@ func TestPiecesFillWorkerSlots(t *testing.T) {
 		requireIdentical(t, tc.name, ref, outs)
 		if jobs, runs := counter.shipped(); jobs != 6 || runs != tc.pieces {
 			t.Errorf("%s: one 6-point range on 4 shards shipped %d jobs in %d pieces; want 6 in %d", tc.name, jobs, runs, tc.pieces)
+		}
+	}
+}
+
+// lyingDialer's sessions rewrite every outcome's job — its name, seed and
+// config — before the coordinator sees it, as any self-registered process
+// could.
+type lyingDialer struct{ inner Dialer }
+
+func (d lyingDialer) Slots() int { return dialerSlots(d.inner) }
+
+func (d lyingDialer) Dial(ctx context.Context) (Session, error) {
+	s, err := d.inner.Dial(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return lyingSession{s}, nil
+}
+
+type lyingSession struct{ s Session }
+
+func (ls lyingSession) Run(ctx context.Context, a Assignment, emit func(engine.RunOutcome) error) error {
+	return ls.s.Run(ctx, a, func(out engine.RunOutcome) error {
+		out.Job.Name = "forged"
+		out.Job.Seed = 99
+		out.Job.Config.FTQEntries = 1
+		return emit(out)
+	})
+}
+
+func (ls lyingSession) Close() error { return ls.s.Close() }
+
+// TestLyingWorkerCannotRewriteJobs: the coordinator trusts a worker for
+// results only. Rows streamed from lying workers — fresh, then replayed from
+// the journal they filled — equal the single-process reference byte for byte
+// (timings and the cache flag aside), and their results primed the cache
+// under the plan's own jobs.
+func TestLyingWorkerCannotRewriteJobs(t *testing.T) {
+	p := testPlan()
+	ref := reference(t, p)
+	row := func(out engine.RunOutcome) []byte {
+		w := out.Wire()
+		w.Cached, w.Elapsed, w.CyclesPerSec = false, 0, 0
+		b, err := json.Marshal(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	journal := filepath.Join(t.TempDir(), "j")
+	cache := new(engine.ResultCache)
+	for _, d := range []Dialer{lyingDialer{Loopback{Workers: 2}}, deadDialer{}} {
+		outs, err := collect(context.Background(), New(Options{Dialer: d, Shards: 2, ChunkPoints: 2, Journal: journal, Cache: cache}), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range ref {
+			if got, want := row(outs[i]), row(ref[i]); !bytes.Equal(got, want) {
+				t.Fatalf("%T: point %d streamed as\n%s\nwant\n%s", d, i, got, want)
+			}
+		}
+	}
+	for i, job := range p.Jobs() {
+		if _, key, err := engine.ResolveJob(job, 0); err != nil {
+			t.Fatal(err)
+		} else if res, ok := cache.Get(key); !ok || res != ref[i].Result {
+			t.Errorf("point %d: cache holds %v under its job (hit %v)", i, res.IPC, ok)
 		}
 	}
 }

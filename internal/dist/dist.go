@@ -8,6 +8,11 @@
 // replayed instead of re-executed after a coordinator restart, and a dead
 // worker's piece is re-dialed and re-run on a fresh session.
 //
+// The coordinator owns job identity. Its plan fixes the job at every index,
+// so outcome frames and journal records carry an index and a result but no
+// job, and the coordinator stamps each outcome — fresh or replayed — with
+// the plan's resolved job; the journal's fingerprint covers every job.
+//
 // The invariant the whole package is built around is bit-identity: every job
 // is deterministic in its (params, config, seed) key, enumeration order is
 // fixed by the Plan, and outcomes carry their enumeration index, so an N-way
@@ -26,12 +31,13 @@ import (
 )
 
 // Assignment is one worker request: jobs from a plan's enumeration order,
-// shipped resolved (a Plan itself — closures over axes — cannot cross a
-// process boundary). In the dense form Jobs[i] is enumeration index
-// Start+i; a sparse assignment (Indices set) carries an explicit global
-// index per job. A Coordinator always ships sparse pieces: some of one
-// journaled range's cache misses, with Start naming the range. Workers
-// re-tag outcome indices into the global space either way.
+// shipped as the plan enumerates them (a Plan itself — closures over axes —
+// cannot cross a process boundary). In the dense form Jobs[i] is
+// enumeration index Start+i; a sparse assignment (Indices set) carries an
+// explicit global index per job. A Coordinator always ships sparse pieces:
+// some of one journaled range's cache misses, with Start naming the range.
+// Workers re-tag outcome indices into the global space either way, and
+// answer with outcomes that carry no job: the jobs travel one way only.
 type Assignment struct {
 	// Start is the enumeration index of Jobs[0] (dense form); in a
 	// coordinator's sparse piece it is the start of the journaled range the

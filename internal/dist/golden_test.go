@@ -71,9 +71,39 @@ func requireSameWire(t *testing.T, label string, got, want []engine.RunOutcome) 
 	}
 }
 
+// withoutJobs returns outs with every job zeroed: what frames and journal
+// records carry.
+func withoutJobs(outs []engine.RunOutcome) []engine.RunOutcome {
+	outs = append([]engine.RunOutcome(nil), outs...)
+	for i := range outs {
+		outs[i].Job = engine.Job{}
+	}
+	return outs
+}
+
+// requireNoJobKey fails if an outcome in the NDJSON lines of b — a frame's
+// "outcome" or a journal record's "outcomes" — has a "job" key.
+func requireNoJobKey(t *testing.T, b []byte) {
+	t.Helper()
+	for _, line := range bytes.Split(bytes.TrimSpace(b), []byte("\n")) {
+		var rec struct {
+			Outcome  map[string]json.RawMessage   `json:"outcome"`
+			Outcomes []map[string]json.RawMessage `json:"outcomes"`
+		}
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatal(err)
+		}
+		for _, out := range append(rec.Outcomes, rec.Outcome) {
+			if _, ok := out["job"]; ok {
+				t.Errorf("an outcome carries its job: %s", line)
+			}
+		}
+	}
+}
+
 // TestOutcomeFrameGolden pins the bytes a worker streams for each wire
-// variant and its done terminator, and that readOutcomes decodes them back
-// to the same outcomes.
+// variant and its done terminator — no frame carries a job — and that
+// readOutcomes decodes them back to the same outcomes without their jobs.
 func TestOutcomeFrameGolden(t *testing.T) {
 	outs := wireVariants(t)
 	var buf bytes.Buffer
@@ -87,6 +117,7 @@ func TestOutcomeFrameGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGolden(t, "outcome_frames.ndjson", buf.Bytes())
+	requireNoJobKey(t, buf.Bytes())
 
 	var got []engine.RunOutcome
 	if err := readOutcomes(json.NewDecoder(&buf), func(out engine.RunOutcome) error {
@@ -95,12 +126,12 @@ func TestOutcomeFrameGolden(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	requireSameWire(t, "decoded frames", got, outs)
+	requireSameWire(t, "decoded frames", got, withoutJobs(outs))
 }
 
 // TestJournalGolden pins the bytes of a checkpoint journal holding its
-// header and one range record of every wire variant, and that reopening it
-// replays the same outcomes.
+// header and one range record of every wire variant — no record carries a
+// job — and that reopening it replays the same outcomes without their jobs.
 func TestJournalGolden(t *testing.T) {
 	outs := wireVariants(t)
 	path := filepath.Join(t.TempDir(), "journal")
@@ -119,13 +150,14 @@ func TestJournalGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGolden(t, "journal.ndjson", b)
+	requireNoJobKey(t, b)
 
 	j, completed, err := OpenJournal(path, 0xfd1b, len(outs), len(outs))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	requireSameWire(t, "replayed range", completed[0], outs)
+	requireSameWire(t, "replayed range", completed[0], withoutJobs(outs))
 }
 
 // BenchmarkOutcomeFrame measures one outcome frame through the worker's

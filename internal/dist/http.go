@@ -74,7 +74,8 @@ func (s *httpSession) Run(ctx context.Context, a Assignment, emit func(engine.Ru
 	if n, err := strconv.Atoi(resp.Header.Get(slotsHeader)); err == nil && n > 0 {
 		s.slots = n
 	}
-	return readOutcomes(json.NewDecoder(resp.Body), emit)
+	// A body past the bound ends before its terminator: a dead worker.
+	return readOutcomes(json.NewDecoder(io.LimitReader(resp.Body, int64(len(a.Jobs)+1)*maxFrameBytes)), emit)
 }
 
 func (s *httpSession) Close() error { return nil }

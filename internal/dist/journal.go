@@ -8,13 +8,16 @@ import (
 )
 
 // The journal is the coordinator's checkpoint: an append-only NDJSON file
-// whose first record is a header binding it to one (plan, chunking, budget)
-// fingerprint, followed by one record per completed range carrying the
-// range's outcomes. A range is journaled only after every one of its
-// outcomes arrived and validated, so the journal never contains partial
-// ranges — resume replays completed ranges verbatim and re-executes
-// everything else, which is exactly the at-least-once-per-range /
-// exactly-once-per-delivered-outcome semantics the merge contract needs.
+// whose first record is a header binding it to one sweep fingerprint (the
+// plan's shape and every point's resolved job, the chunking and the budget),
+// followed by one record per completed range carrying the range's outcomes.
+// A range's outcomes carry no jobs: the fingerprint fixes the job at every
+// index, and the coordinator stamps each replayed outcome from its plan. A
+// range is journaled only after every one of its outcomes arrived and
+// validated, so the journal never contains partial ranges — resume replays
+// completed ranges verbatim and re-executes everything else, which is exactly
+// the at-least-once-per-range / exactly-once-per-delivered-outcome semantics
+// the merge contract needs.
 //
 // Durability: only a range that a worker executed is fsynced (Commit), and
 // before the consumer sees it — losing it would lose work. The header and a
@@ -40,7 +43,7 @@ type journalRecord struct {
 	Points      int    `json:"points,omitempty"`
 	Chunk       int    `json:"chunk,omitempty"`
 
-	// Range fields.
+	// Range fields: the range's outcomes, each without its job.
 	Start    int                  `json:"start"`
 	Count    int                  `json:"count"`
 	Outcomes []engine.WireOutcome `json:"outcomes,omitempty"`
@@ -48,17 +51,16 @@ type journalRecord struct {
 
 // Journal is an open checkpoint file positioned for appends.
 type Journal struct {
-	log   *durable.Log[journalRecord]
-	order map[int]int // replayed range start → its record's ordinal in the log
+	log *durable.Log[journalRecord]
 }
 
 // OpenJournal opens (creating if absent) the journal at path for a sweep
 // with the given identity, returning the completed ranges it already holds,
-// keyed by range start. A journal written by a different plan, chunking, or
-// budget is rejected — replaying someone else's outcomes would silently
-// corrupt the sweep. A torn tail (crash mid-append) is truncated away.
+// keyed by range start; their outcomes carry no jobs. A journal written by a
+// different plan, chunking, or budget is rejected — replaying someone else's
+// outcomes would silently corrupt the sweep. A torn tail (crash mid-append)
+// is truncated away.
 func OpenJournal(path string, fingerprint uint64, points, chunk int) (*Journal, map[int][]engine.RunOutcome, error) {
-	j := &Journal{order: make(map[int]int)}
 	completed := make(map[int][]engine.RunOutcome)
 	log, recs, err := durable.Open(path, func(i int, rec *journalRecord) (bool, error) {
 		if i == 0 {
@@ -79,23 +81,21 @@ func OpenJournal(path string, fingerprint uint64, points, chunk int) (*Journal, 
 			outs[k] = rec.Outcomes[k].Outcome()
 		}
 		completed[rec.Start] = outs
-		j.order[rec.Start] = i
 		return true, nil
 	})
 	if err != nil {
 		return nil, nil, fmt.Errorf("dist: journal: %w", err)
 	}
-	j.log = log
 	// An empty prefix is a fresh journal or a torn header (it is written
 	// unsynced, so a power loss before the first range commit can tear it):
 	// either way no range can follow, so stamp the header and start over.
 	if len(recs) == 0 {
-		if err := j.log.Append(journalRecord{Type: "header", Fingerprint: fingerprint, Points: points, Chunk: chunk}, false); err != nil {
-			j.log.Close(false)
+		if err := log.Append(journalRecord{Type: "header", Fingerprint: fingerprint, Points: points, Chunk: chunk}, false); err != nil {
+			log.Close(false)
 			return nil, nil, fmt.Errorf("dist: journal: %w", err)
 		}
 	}
-	return j, completed, nil
+	return &Journal{log: log}, completed, nil
 }
 
 // replayable reports whether rec is a range record a sweep of points points
@@ -118,20 +118,6 @@ func (rec *journalRecord) replayable(points, chunk int, completed map[int][]engi
 	return true
 }
 
-// tear makes the record of replayed range start the tear point: the file
-// is truncated before it, and it and every range recorded after it leave
-// completed, to be executed again.
-func (j *Journal) tear(start int, completed map[int][]engine.RunOutcome) error {
-	cut := j.order[start]
-	for s, i := range j.order {
-		if i >= cut {
-			delete(completed, s)
-			delete(j.order, s)
-		}
-	}
-	return j.log.Cut(cut)
-}
-
 // Commit durably records one completed range. The fsync is what upgrades
 // "yielded to the consumer" into "survives a power loss": an executed range
 // is only journaled (and only skipped on resume) once its bytes are on disk.
@@ -149,6 +135,7 @@ func (j *Journal) note(start int, outs []engine.RunOutcome) error {
 func (j *Journal) append(start int, outs []engine.RunOutcome, sync bool) error {
 	wire := make([]engine.WireOutcome, len(outs))
 	for i, out := range outs {
+		out.Job = engine.Job{} // the fingerprint fixes it
 		wire[i] = out.Wire()
 	}
 	return j.log.Append(journalRecord{Type: "range", Start: start, Count: len(outs), Outcomes: wire}, sync)

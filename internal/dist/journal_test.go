@@ -15,15 +15,15 @@ import (
 	"fdip/internal/core"
 	"fdip/internal/durable"
 	"fdip/internal/engine"
+	"fdip/internal/workloads"
 )
 
 // synthRange fabricates a committed range's outcomes (no simulation needed
-// to test journal mechanics).
+// to test journal mechanics). They carry no job, as a journal's do.
 func synthRange(start, count int) []engine.RunOutcome {
 	outs := make([]engine.RunOutcome, count)
 	for i := range outs {
 		outs[i] = engine.RunOutcome{
-			Job:    engine.Job{Name: "synth", Workload: "gcc", Seed: int64(start + i)},
 			Index:  start + i,
 			Result: core.Result{Prefetcher: "none", Cycles: int64(1000 + start + i), IPC: 1.5},
 		}
@@ -323,56 +323,51 @@ func TestJournalOutOfPlanIndicesNotReplayed(t *testing.T) {
 	requireIdentical(t, "out-of-plan journal", ref, outs)
 }
 
-// TestJournalForeignJobNotReplayed: a structurally valid record whose jobs
-// are not the plan's (a journal of another plan whose shape and labels
-// fingerprint the same) is neither replayed nor allowed to prime the shared
-// result cache. It becomes the tear point: the record before it replays, it
-// and the record after it execute again, and the rewritten journal replays
-// cleanly.
+// TestJournalForeignJobNotReplayed: a journal written under a plan with the
+// same labels and shape whose jobs differ — one config field, or one
+// workload's seed — is refused at open. Its records carry no jobs, so the
+// fingerprint over every point's resolved job is what tells the plans apart:
+// nothing replays from it, nothing from it primes the shared result cache,
+// and the sweep fails with the journal's "different sweep" error.
 func TestJournalForeignJobNotReplayed(t *testing.T) {
 	p := testPlan()
-	ref := reference(t, p)
-	journal := filepath.Join(t.TempDir(), "j")
-	cache := new(engine.ResultCache)
-	d := newChaosDialer(Loopback{Workers: 2}, 0)
-	c := New(Options{Dialer: d, Shards: 1, ChunkPoints: 2, Journal: journal, Cache: cache})
-	foreign := append([]engine.RunOutcome(nil), ref[0:2]...)
-	foreign[0].Job.Seed, foreign[1].Job.Seed = 99, 98
-	foreign[0].Result.Cycles++
-	journalPlanRange(t, c, p, 2, ref[2:4])
-	journalPlanRange(t, c, p, 0, foreign)
-	journalPlanRange(t, c, p, 4, ref[4:6])
-
-	outs, err := collect(context.Background(), c, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireIdentical(t, "foreign journal", ref, outs)
-	executed := d.executedStarts()
-	slices.Sort(executed)
-	if !slices.Equal(executed, []int{0, 4}) {
-		t.Errorf("executed ranges %v; want [0 4] (range 2 replays, the foreign range and everything after it execute)", executed)
-	}
-	if _, key, err := engine.ResolveJob(foreign[0].Job, 0); err == nil {
-		if _, ok := cache.Get(key); ok {
-			t.Error("the foreign record primed the shared cache")
-		}
-	}
-
-	j, completed, err := OpenJournal(journal, c.fingerprint(p), p.Points(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.Close()
-	if len(completed) != 3 {
-		t.Fatalf("rewritten journal replays %d ranges, want 3", len(completed))
-	}
-	for start, outs := range completed {
-		for i, out := range outs {
-			if !reflect.DeepEqual(out.Job, ref[start+i].Job) {
-				t.Errorf("rewritten journal point %d holds job %+v", start+i, out.Job)
+	gcc, _ := workloads.ByName("gcc")
+	seeded := gcc
+	seeded.Seed++
+	ftq := goldenCfg()
+	ftq.FTQEntries++
+	for name, foreign := range map[string]*engine.Plan{
+		"config": testPlanOf(gcc, ftq),
+		"seed":   testPlanOf(seeded, goldenCfg()),
+	} {
+		t.Run(name, func(t *testing.T) {
+			if !slices.Equal(foreign.Rows(), p.Rows()) || !slices.Equal(foreign.Cols(), p.Cols()) || foreign.Points() != p.Points() {
+				t.Fatal("the foreign plan's labels or shape differ from the plan's")
 			}
-		}
+			opts := Options{Dialer: deadDialer{}, Shards: 1, ChunkPoints: 2, Journal: filepath.Join(t.TempDir(), "j")}
+			for start := 0; start < p.Points(); start += 2 {
+				journalPlanRange(t, New(opts), foreign, start, synthRange(start, 2))
+			}
+			if _, _, err := OpenJournal(opts.Journal, New(opts).fingerprint(p), p.Points(), 2); err == nil || !strings.Contains(err.Error(), "different sweep") {
+				t.Fatalf("the foreign journal opened under the plan: err = %v", err)
+			}
+			opts.Cache = new(engine.ResultCache)
+			n := 0
+			var streamErr error
+			for _, err := range New(opts).Stream(context.Background(), p) {
+				if err != nil {
+					streamErr = err
+					break
+				}
+				n++
+			}
+			if n != 0 || streamErr == nil || !strings.Contains(streamErr.Error(), "different sweep") {
+				t.Errorf("the foreign journal replayed %d outcomes, stream error %v", n, streamErr)
+			}
+			if opts.Cache.Len() != 0 {
+				t.Errorf("the foreign journal primed %d cache entries", opts.Cache.Len())
+			}
+		})
 	}
 }
 
@@ -384,9 +379,10 @@ func TestJournalForeignJobNotReplayed(t *testing.T) {
 // records — the header and one line per distinct start — so a second open
 // returns the same ranges, and a range committed after it round-trips. The
 // seed corpus (testdata/fuzz/FuzzJournalReopen) holds a whole journal, a
-// torn tail, a record missing its newline, a foreign header and the two
-// replay probes: a misaligned start, and a start-0 record carrying indices
-// 70 and 71.
+// torn tail, a record missing its newline, a foreign header, a range of two
+// golden outcomes as Commit writes them (without jobs) and the two replay
+// probes: a misaligned start, and a start-0 record carrying indices 70 and
+// 71.
 func FuzzJournalReopen(f *testing.F) {
 	const fp, points, chunk = 1, 7, 2
 	header, err := json.Marshal(journalRecord{Type: "header", Fingerprint: fp, Points: points, Chunk: chunk})

@@ -25,8 +25,9 @@ func collect(ctx context.Context, c *Coordinator, p *engine.Plan) ([]engine.RunO
 // its own engine, memo cache, and machine pools, so shards are genuinely
 // isolated (no cross-shard memoisation) and tests exercise the real merge
 // semantics without spawning processes. Every assignment and outcome
-// round-trips through its JSON wire form, so in-process runs exercise the
-// same (lossless) encoding as cross-process ones.
+// round-trips through its JSON wire form (an outcome without its job, as a
+// frame carries it), so in-process runs exercise the same encoding as
+// cross-process ones.
 type Loopback struct {
 	// Workers bounds each dialed worker's simulation concurrency
 	// (0 = GOMAXPROCS).
@@ -61,7 +62,7 @@ func (s *loopbackSession) Run(ctx context.Context, a Assignment, emit func(engin
 		return err
 	}
 	return s.wk.Run(ctx, a, func(out engine.RunOutcome) error {
-		b, err := json.Marshal(out.Wire())
+		b, err := json.Marshal(outcomeFrame(out).Outcome)
 		if err != nil {
 			return err
 		}

@@ -17,11 +17,12 @@ import (
 //	                        {"type":"error","error":"..."}
 //
 // An outcome is an engine.WireOutcome (errors flattened to strings), the one
-// JSON form of an outcome, so the distributed wire is the same schema
-// single-process tooling already consumes, and a frame encodes or decodes in
-// one pass. Per-job failures are outcome frames with "error" set inside the
-// outcome; a frame of type "error" is assignment-terminal and triggers the
-// coordinator's retry-on-a-fresh-session path.
+// JSON form of an outcome, so a frame encodes or decodes in one pass. It
+// travels without its job: the coordinator's plan fixes the job at every
+// index, and the coordinator stamps each outcome from it, so a worker is
+// trusted for results only. Per-job failures are outcome frames with "error"
+// set inside the outcome; a frame of type "error" is assignment-terminal and
+// triggers the coordinator's retry-on-a-fresh-session path.
 type frame struct {
 	Type    string              `json:"type"`
 	Assign  *Assignment         `json:"assign,omitempty"`
@@ -29,8 +30,10 @@ type frame struct {
 	Error   string              `json:"error,omitempty"`
 }
 
-// outcomeFrame is the frame a worker sends for one outcome.
+// outcomeFrame is the frame a worker sends for one outcome: its wire form
+// without the job.
 func outcomeFrame(out engine.RunOutcome) frame {
+	out.Job = engine.Job{}
 	w := out.Wire()
 	return frame{Type: "outcome", Outcome: &w}
 }

@@ -2,12 +2,15 @@ package dist
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -22,7 +25,8 @@ import (
 // consumed, and it may return nil only right after consuming a done frame.
 // Each consumed frame is cut out of the input at the decoder's positions and
 // checked on its own. The seed corpus (testdata/fuzz/FuzzReadOutcomes)
-// covers done, error, outcome, torn and unknown frames;
+// covers done, error, outcome, torn and unknown frames, and two golden
+// outcome frames without jobs, as a worker sends them;
 // TestReadOutcomesCorpus pins its known answers.
 func FuzzReadOutcomes(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -83,6 +87,7 @@ func TestReadOutcomesCorpus(t *testing.T) {
 		"error":    {0, false}, // an error terminator fails the run
 		"mistyped": {0, false}, // a done frame that does not decode is no done frame
 		"outcome":  {2, true},
+		"nojob":    {2, true},  // two outcome frames as a worker sends them: without jobs
 		"torn":     {1, false}, // the stream ends inside its second frame
 		"unknown":  {1, false}, // an assign frame cannot come back from a worker
 	}
@@ -214,5 +219,41 @@ func TestWorkerAssignCorpus(t *testing.T) {
 		if (err == nil) != w.ok || (err == nil && len(a.Jobs) != w.jobs) {
 			t.Errorf("seed %s: %d jobs, err %v; want %d jobs, accepted %v", name, len(a.Jobs), err, w.jobs, w.ok)
 		}
+	}
+}
+
+// TestCoordinatorBoundsWorkerResponse: a worker that streams one 64 MiB
+// frame fails its piece once the response passes the piece's bound — the
+// stream ends before its terminator, a dead worker — and the coordinator's
+// heap grows by a small fraction of the frame. Without the bound the decoder
+// buffered the whole frame.
+func TestCoordinatorBoundsWorkerResponse(t *testing.T) {
+	const frameBytes = 64 << 20
+	srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
+		chunk := bytes.Repeat([]byte("x"), 64<<10)
+		if _, err := io.WriteString(rw, `{"type":"outcome","outcome":{"index":0,"error":"`); err != nil {
+			return
+		}
+		for n := 0; n < frameBytes; n += len(chunk) {
+			if _, err := rw.Write(chunk); err != nil {
+				return
+			}
+		}
+		io.WriteString(rw, "\"}}\n{\"type\":\"done\"}\n")
+	}))
+	defer srv.Close()
+	p := engine.FromJobs(engine.Job{Workload: "gcc", Config: core.DefaultConfig()})
+	c := New(Options{Dialer: HTTP{URL: srv.URL}, MaxRetries: -1})
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	_, err := collect(context.Background(), c, p)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "before its terminator") {
+		t.Fatalf("a 64 MiB frame: err = %v, want a stream that ended before its terminator", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 8<<20 {
+		t.Errorf("reading the frame allocated %d MiB", grew>>20)
 	}
 }

@@ -41,7 +41,8 @@ func (w *Worker) Slots() int { return w.eng.Workers() }
 //
 // The assignment's budget is applied to a copy of each job's config, so one
 // engine serves every budget (the budget is part of the memo identity
-// either way), and each outcome carries the job's config as shipped.
+// either way). An outcome's job is the one the engine ran; its frame drops
+// it, and the coordinator stamps each outcome from its plan.
 func (w *Worker) Run(ctx context.Context, a Assignment, emit func(engine.RunOutcome) error) error {
 	if err := a.check(); err != nil {
 		return fmt.Errorf("dist: worker: %w", err)
@@ -54,7 +55,6 @@ func (w *Worker) Run(ctx context.Context, a Assignment, emit func(engine.RunOutc
 		if err != nil {
 			return err
 		}
-		out.Job.Config = a.Jobs[out.Index].Config
 		out.Index = a.globalIndex(out.Index)
 		if err := emit(out); err != nil {
 			return err
@@ -68,6 +68,13 @@ func (w *Worker) Run(ctx context.Context, a Assignment, emit func(engine.RunOutc
 // job is about 0.9 KB of JSON, so 32 MiB holds more than 35k jobs while
 // keeping a hostile body from growing the worker's memory without limit.
 const maxAssignBytes = 32 << 20
+
+// maxFrameBytes bounds the average response frame a coordinator reads from a
+// worker: a piece's response may hold at most one frame per job plus its
+// terminator at this size each. An outcome frame is about 1.1 KB of JSON, so
+// the bound only stops a hostile worker from growing the coordinator's memory
+// without limit.
+const maxFrameBytes = 64 << 10
 
 // Handler returns the HTTP transport: POST one assign frame, receive the
 // assignment's NDJSON outcome frames (flushed per frame, so the coordinator

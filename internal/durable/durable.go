@@ -30,7 +30,6 @@ var Sync = (*os.File).Sync
 type Log[R any] struct {
 	mu sync.Mutex
 	f  *os.File
-	at []int64 // file position of each record Open returned
 }
 
 // Open opens (creating if absent) the log at path and returns its valid
@@ -71,7 +70,6 @@ func Open[R any](path string, keep func(i int, rec *R) (bool, error)) (*Log[R], 
 			}
 		}
 		recs = append(recs, rec)
-		l.at = append(l.at, end)
 		end += int64(len(line))
 	}
 	// An intact file is left alone: on ext4, truncating even an empty file
@@ -97,16 +95,6 @@ func (l *Log[R]) Append(rec R, sync bool) error {
 		return err
 	}
 	return Sync(l.f)
-}
-
-// Cut makes the i-th record Open returned the tear point after the fact: the
-// file is truncated before it, dropping it and every record after it.
-func (l *Log[R]) Cut(i int) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	end := l.at[i]
-	l.at = l.at[:i]
-	return l.f.Truncate(end)
 }
 
 // Close closes the log, first flushing every unsynced record if sync is set.

@@ -11,7 +11,10 @@ import (
 // WireOutcome is the one JSON form of a RunOutcome: the dist outcome frame,
 // the dist checkpoint journal, the svc result stream, WriteOutcomesJSON and
 // fdipd's output all carry exactly these bytes. The error flattens to a
-// string, so downstream tooling gets machine-readable failures.
+// string, so downstream tooling gets machine-readable failures. The job is
+// omitted when zero: dist frames and journal records zero it, because the
+// coordinator's plan fixes every index's job, and every other form carries
+// it.
 //
 // Codecs that embed outcomes in a larger record (frames, journal records)
 // hold WireOutcome fields rather than RunOutcome ones, so encoding/json makes
@@ -19,7 +22,7 @@ import (
 // through its Marshaler methods, whose output json compacts (on encode) and
 // whose input it scans again (on decode).
 type WireOutcome struct {
-	Job          Job         `json:"job"`
+	Job          Job         `json:"job,omitzero"`
 	Index        int         `json:"index"`
 	Result       core.Result `json:"result"`
 	Error        string      `json:"error,omitempty"`
