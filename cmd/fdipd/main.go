@@ -22,14 +22,16 @@
 //	                                   plan on the in-process engine and prints
 //	                                   one NDJSON row per point (sorted by
 //	                                   index, deterministic fields only) on
-//	                                   stdout, with an order-independent summary
-//	                                   on stderr. Every -submit of the same
-//	                                   plan must byte-diff clean against it.
+//	                                   stdout, and on stderr an IPC summary
+//	                                   computed from those sorted rows, so
+//	                                   it does not depend on -workers. Every
+//	                                   -submit of the same plan must byte-diff
+//	                                   clean against it.
 //
 // With no mode flag fdipd prints its usage and exits 2.
 //
 // Plan flags: -instrs (per-point budget, baked into the demo plan's configs),
-// -chunk (points per journaled range), -topk (extremes retained in the
+// -chunk (points per journaled range), -topk (points listed per side in the
 // -coordinate summary). -shards sets the service's concurrent worker
 // sessions per sweep.
 //
@@ -50,10 +52,12 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"sort"
 	"syscall"
 	"time"
@@ -61,6 +65,7 @@ import (
 	"fdip/internal/core"
 	"fdip/internal/dist"
 	"fdip/internal/engine"
+	"fdip/internal/stats"
 	"fdip/internal/svc"
 )
 
@@ -87,7 +92,7 @@ func main() {
 		shards     = flag.Int("shards", 2, "service: concurrent worker sessions per sweep")
 		chunk      = flag.Int("chunk", 2, "service/submit: plan points per journaled range")
 		instrs     = flag.Uint64("instrs", 50_000, "committed-instruction budget per demo-plan point")
-		topk       = flag.Int("topk", 3, "coordinate: extremes retained per side in the IPC summary")
+		topk       = flag.Int("topk", 3, "coordinate: points listed per side in the IPC summary")
 	)
 	flag.Parse()
 
@@ -206,7 +211,10 @@ func runWorker(ctx context.Context, listen, register, advertise, id string, ttl 
 }
 
 // demoRequest is the built-in smoke sweep as a service submission: two
-// workloads by three prefetch schemes.
+// workloads by three prefetch schemes. The budget is baked into every config
+// (rather than applied by a coordinator), and -coordinate builds its plan
+// with the service's own SubmitRequest.Plan, so the reference and every
+// service sweep execute literally identical jobs.
 func demoRequest(label string, priority int, instrs uint64, chunk int) svc.SubmitRequest {
 	mk := func(kind core.PrefetcherKind) core.Config {
 		c := core.DefaultConfig()
@@ -242,13 +250,8 @@ func runSubmit(ctx context.Context, base, label string, priority int, instrs uin
 	cursor := 0
 	for attempt := 0; ; attempt++ {
 		err := cl.Stream(ctx, st.ID, cursor, func(f svc.StreamFrame) error {
-			out := f.Outcome
 			cursor = f.Seq + 1
-			r := row{Index: out.Index, Name: out.Job.Name, Result: out.Result}
-			if out.Err != nil {
-				r.Error = out.Err.Error()
-			}
-			rows = append(rows, r)
+			rows = append(rows, rowOf(*f.Outcome))
 			return nil
 		})
 		if err == nil {
@@ -260,12 +263,8 @@ func runSubmit(ctx context.Context, base, label string, priority int, instrs uin
 		log.Printf("stream dropped at frame %d (%v); resuming", cursor, err)
 		time.Sleep(200 * time.Millisecond)
 	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Index < rows[j].Index })
-	enc := json.NewEncoder(os.Stdout)
-	for _, r := range rows {
-		if err := enc.Encode(r); err != nil {
-			return err
-		}
+	if err := printRows(rows); err != nil {
+		return err
 	}
 	final, err := cl.Job(ctx, st.ID)
 	if err != nil {
@@ -287,21 +286,6 @@ func runWatch(ctx context.Context, base, id string, from int) error {
 	})
 }
 
-// demoPlan is demoRequest as an in-process plan, built the way the service
-// builds a submission's. The budget is baked into every config (rather than
-// applied by a coordinator), so the -coordinate reference and every service
-// sweep execute literally identical jobs.
-func demoPlan(instrs uint64) *engine.Plan {
-	req := demoRequest("", 0, instrs, 0)
-	pts := make([]engine.NamedConfig, len(req.Configs))
-	for i, c := range req.Configs {
-		pts[i] = engine.Named(c.Name, c.Config)
-	}
-	return engine.NewPlan(core.DefaultConfig()).
-		OverNames(req.Workloads...).
-		Axes(engine.Configs(pts...))
-}
-
 // row is one output line: only fields that are deterministic functions of
 // the plan point (no wall times, no cache flags), so two runs of the same
 // plan — single-process or service-streamed, resumed or cache-served — diff
@@ -313,31 +297,93 @@ type row struct {
 	Error  string      `json:"error,omitempty"`
 }
 
-// runCoordinator runs the demo plan through the in-process engine (no wire,
-// no workers) and prints its rows and summary: the single-process reference.
-func runCoordinator(ctx context.Context, instrs uint64, workers, topk int) error {
-	p := demoPlan(instrs)
-	summary := dist.NewSummary("IPC", topk, dist.IPC)
-	rows := make([]row, 0, p.Points())
-	for out, err := range engine.New(engine.WithWorkers(workers)).Stream(ctx, p) {
-		if err != nil {
-			return err
-		}
-		summary.Observe(out)
-		r := row{Index: out.Index, Name: out.Job.Name, Result: out.Result}
-		if out.Err != nil {
-			r.Error = out.Err.Error()
-		}
-		rows = append(rows, r)
+// rowOf keeps an outcome's deterministic fields.
+func rowOf(out engine.RunOutcome) row {
+	r := row{Index: out.Index, Name: out.Job.Name, Result: out.Result}
+	if out.Err != nil {
+		r.Error = out.Err.Error()
 	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Index < rows[j].Index })
+	return r
+}
 
+// printRows sorts rows by index, in place, and writes them to stdout.
+func printRows(rows []row) error {
+	sort.Slice(rows, func(i, j int) bool { return rows[i].Index < rows[j].Index })
 	enc := json.NewEncoder(os.Stdout)
 	for _, r := range rows {
 		if err := enc.Encode(r); err != nil {
 			return err
 		}
 	}
-	fmt.Fprintln(os.Stderr, summary.String())
 	return nil
+}
+
+// runCoordinator runs the demo plan through the in-process engine (no wire,
+// no workers) and prints its rows and summary: the single-process reference.
+func runCoordinator(ctx context.Context, instrs uint64, workers, topk int) error {
+	p, err := demoRequest("", 0, instrs, 0).Plan()
+	if err != nil {
+		return err
+	}
+	rows := make([]row, 0, p.Points())
+	for out, err := range engine.New(engine.WithWorkers(workers)).Stream(ctx, p) {
+		if err != nil {
+			return err
+		}
+		rows = append(rows, rowOf(out))
+	}
+	if err := printRows(rows); err != nil {
+		return err
+	}
+	fmt.Fprintln(os.Stderr, summarize(rows, topk))
+	return nil
+}
+
+// summarize renders the IPC summary of index-sorted rows: count, mean and
+// population stddev over the successful rows (Welford's update, in index
+// order), p50 and p90 from a histogram of 32 buckets over [0, 8) — each
+// quantile is its bucket's upper bound, or the exact maximum when the rank
+// lands in overflow — the topk highest and lowest rows with ties broken
+// toward the lower index on both ends, the failure count and the bucket
+// line. It reads only the rows, so it does not depend on the order the
+// engine finished them in.
+func summarize(rows []row, topk int) string {
+	hist := stats.NewHistogramSketch(0, 8, 32)
+	var ok []row
+	for _, r := range rows {
+		if r.Error == "" {
+			ok = append(ok, r)
+			hist.Add(r.Result.IPC)
+		}
+	}
+	mean, stddev := moments(ok)
+	out := fmt.Sprintf("IPC: n=%d mean=%.4f stddev=%.4f p50=%.4f p90=%.4f failures=%d",
+		len(ok), mean, stddev, hist.Quantile(0.5), hist.Quantile(0.9), len(rows)-len(ok))
+	// Stable sorts of index-ordered rows keep ties in index order.
+	top, bottom := slices.Clone(ok), slices.Clone(ok)
+	sort.SliceStable(top, func(i, j int) bool { return top[i].Result.IPC > top[j].Result.IPC })
+	sort.SliceStable(bottom, func(i, j int) bool { return bottom[i].Result.IPC < bottom[j].Result.IPC })
+	k := max(0, min(topk, len(ok)))
+	for _, r := range top[:k] {
+		out += fmt.Sprintf("\n  top    %-40s %.4f", r.Name, r.Result.IPC)
+	}
+	for _, r := range bottom[:k] {
+		out += fmt.Sprintf("\n  bottom %-40s %.4f", r.Name, r.Result.IPC)
+	}
+	return out + "\n  " + hist.String()
+}
+
+// moments returns the rows' IPC mean and population stddev by Welford's
+// update, in row order.
+func moments(rows []row) (mean, stddev float64) {
+	var m2 float64
+	for i, r := range rows {
+		d := r.Result.IPC - mean
+		mean += d / float64(i+1)
+		m2 += d * (r.Result.IPC - mean)
+	}
+	if len(rows) > 1 {
+		stddev = math.Sqrt(m2 / float64(len(rows)))
+	}
+	return mean, stddev
 }

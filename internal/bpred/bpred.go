@@ -8,7 +8,10 @@
 // that branch resolves wrong.
 package bpred
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Predictor is a conditional-branch direction predictor.
 //
@@ -298,13 +301,5 @@ func New(name string, size int, histBits uint) (Predictor, error) {
 	return nil, fmt.Errorf("bpred: unknown predictor %q", name)
 }
 
-func ceilPow2(v int) int {
-	if v < 2 {
-		return 2
-	}
-	n := 1
-	for n < v {
-		n <<= 1
-	}
-	return n
-}
+// ceilPow2 rounds v up to a power of two, at least 2.
+func ceilPow2(v int) int { return 1 << bits.Len(uint(max(v, 2)-1)) }

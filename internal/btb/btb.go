@@ -358,13 +358,5 @@ func (t *TargetBuffer) String() string {
 		kind, t.cfg.Sets, t.cfg.Ways, t.Entries(), t.StorageBytes())
 }
 
-func ceilPow2(v int) int {
-	if v < 1 {
-		return 1
-	}
-	n := 1
-	for n < v {
-		n <<= 1
-	}
-	return n
-}
+// ceilPow2 rounds v up to a power of two, at least 1.
+func ceilPow2(v int) int { return 1 << bits.Len(uint(max(v, 1)-1)) }

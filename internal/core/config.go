@@ -7,6 +7,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"fdip/internal/backend"
 	"fdip/internal/btb"
@@ -92,7 +93,7 @@ type Config struct {
 	Prefetch PrefetchConfig
 	// MaxInstrs stops the run after this many committed instructions.
 	MaxInstrs uint64
-	// MaxCycles is a safety cap (0 = 100x MaxInstrs).
+	// MaxCycles is a safety cap (0 = 100x MaxInstrs, saturating).
 	MaxCycles int64
 }
 
@@ -141,9 +142,17 @@ func (c *Config) l1i() cache.Config {
 	}
 }
 
+// maxTableEntries bounds every count that sizes one of the machine's tables:
+// queue depths, predictor and FTB entries, cache lines, the ROB. It is far
+// above any machine the paper or its successors model, and low enough that a
+// hostile count is refused before a table is allocated: at 2^36 entries a
+// make exhausts memory, and past 2^62 the power-of-two round-ups overflow.
+const maxTableEntries = 1 << 20
+
 // Validate normalises and checks the configuration. A cache geometry
-// cache.New would refuse is an error here, so a bad config fails its own
-// run rather than panicking the machine build.
+// cache.New would refuse, or a table count above maxTableEntries, is an
+// error here, so a bad config fails its own run rather than panicking, or
+// exhausting memory in, the machine build.
 func (c *Config) Validate() error {
 	d := DefaultConfig()
 	if c.L1ISizeBytes <= 0 {
@@ -208,11 +217,46 @@ func (c *Config) Validate() error {
 	if c.Prefetch.StreamDepth <= 0 {
 		c.Prefetch.StreamDepth = d.Prefetch.StreamDepth
 	}
+	for _, t := range []struct {
+		name string
+		n    int
+	}{
+		{"L1-I lines", c.L1ISizeBytes / c.LineBytes},
+		{"L2 lines", c.Mem.L2SizeBytes / c.LineBytes},
+		{"PrefetchBufferEntries", c.PrefetchBufferEntries},
+		{"FTQEntries", c.FTQEntries},
+		{"FTB.Sets", c.FTB.Sets},
+		{"FTB.Ways", c.FTB.Ways},
+		{"PredictorSize", c.PredictorSize},
+		{"RASEntries", c.RASEntries},
+		{"Backend.ROBSize", c.Backend.ROBSize},
+		{"Backend.PipeCap", c.Backend.PipeCap},
+		{"Prefetch.NextLinePending", c.Prefetch.NextLinePending},
+		{"Prefetch.Streams", c.Prefetch.Streams},
+		{"Prefetch.StreamDepth", c.Prefetch.StreamDepth},
+		{"Prefetch.FDP.PIQSize", c.Prefetch.FDP.PIQSize},
+		{"Prefetch.MANA.BudgetBytes", c.Prefetch.MANA.BudgetBytes},
+		{"Prefetch.MANA.QueueSize", c.Prefetch.MANA.QueueSize},
+		{"Prefetch.Shadow.DecodeQueue", c.Prefetch.Shadow.DecodeQueue},
+		{"Prefetch.Shadow.TargetQueue", c.Prefetch.Shadow.TargetQueue},
+	} {
+		if t.n > maxTableEntries {
+			return fmt.Errorf("core: %s %d is above the %d-entry table ceiling", t.name, t.n, maxTableEntries)
+		}
+	}
+	// Both FTB factors are bounded, so their product cannot overflow.
+	if n := c.FTB.Sets * c.FTB.Ways; n > maxTableEntries {
+		return fmt.Errorf("core: FTB %d sets x %d ways is above the %d-entry table ceiling", c.FTB.Sets, c.FTB.Ways, maxTableEntries)
+	}
 	if c.MaxInstrs == 0 {
 		c.MaxInstrs = d.MaxInstrs
 	}
 	if c.MaxCycles <= 0 {
-		c.MaxCycles = int64(c.MaxInstrs) * 100
+		// Saturate: past MaxInt64/100 the product wraps, to 0 at 2^62.
+		c.MaxCycles = math.MaxInt64
+		if c.MaxInstrs <= math.MaxInt64/100 {
+			c.MaxCycles = int64(c.MaxInstrs) * 100
+		}
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"fdip/internal/oracle"
@@ -270,6 +271,69 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if cfg.MaxCycles == 0 || cfg.Prefetch.Kind != PrefetchNone {
 		t.Error("defaults not filled")
+	}
+}
+
+// TestValidateTableCeiling: every count that sizes a table is accepted at
+// maxTableEntries and refused one above it, by Validate alone.
+func TestValidateTableCeiling(t *testing.T) {
+	fields := map[string]func(*Config, int){
+		"l1i-lines":      func(c *Config, n int) { c.L1ISizeBytes = n * c.LineBytes },
+		"l2-lines":       func(c *Config, n int) { c.Mem.L2SizeBytes = n * c.LineBytes },
+		"pfb":            func(c *Config, n int) { c.PrefetchBufferEntries = n },
+		"ftq":            func(c *Config, n int) { c.FTQEntries = n },
+		"ftb-sets":       func(c *Config, n int) { c.FTB.Sets, c.FTB.Ways = n, 1 },
+		"ftb-ways":       func(c *Config, n int) { c.FTB.Sets, c.FTB.Ways = 1, n },
+		"predictor":      func(c *Config, n int) { c.PredictorSize = n },
+		"ras":            func(c *Config, n int) { c.RASEntries = n },
+		"rob":            func(c *Config, n int) { c.Backend.ROBSize = n },
+		"pipe-cap":       func(c *Config, n int) { c.Backend.PipeCap = n },
+		"nextline":       func(c *Config, n int) { c.Prefetch.NextLinePending = n },
+		"streams":        func(c *Config, n int) { c.Prefetch.Streams = n },
+		"stream-depth":   func(c *Config, n int) { c.Prefetch.StreamDepth = n },
+		"piq":            func(c *Config, n int) { c.Prefetch.FDP.PIQSize = n },
+		"mana-budget":    func(c *Config, n int) { c.Prefetch.MANA.BudgetBytes = n },
+		"mana-queue":     func(c *Config, n int) { c.Prefetch.MANA.QueueSize = n },
+		"shadow-decode":  func(c *Config, n int) { c.Prefetch.Shadow.DecodeQueue = n },
+		"shadow-targets": func(c *Config, n int) { c.Prefetch.Shadow.TargetQueue = n },
+	}
+	for name, set := range fields {
+		for _, n := range []int{maxTableEntries, maxTableEntries + 1} {
+			cfg := DefaultConfig()
+			set(&cfg, n)
+			if err := cfg.Validate(); (err == nil) != (n == maxTableEntries) {
+				t.Errorf("%s = %d: Validate error %v", name, n, err)
+			}
+		}
+	}
+	cfg := DefaultConfig()
+	cfg.FTB.Sets, cfg.FTB.Ways = maxTableEntries/2, 4
+	if err := cfg.Validate(); err == nil {
+		t.Error("FTB of 2x the ceiling accepted")
+	}
+}
+
+// TestValidateCycleCapSaturates: the default cycle cap, 100x MaxInstrs,
+// saturates instead of wrapping. At MaxInstrs 2^62 the product wrapped to 0,
+// a cap that ended every Run at once and kept skipIdle from ever jumping.
+func TestValidateCycleCapSaturates(t *testing.T) {
+	for _, tc := range []struct {
+		instrs uint64
+		cycles int64
+	}{
+		{math.MaxInt64 / 100, math.MaxInt64 / 100 * 100},
+		{math.MaxInt64/100 + 1, math.MaxInt64},
+		{1 << 62, math.MaxInt64},
+		{math.MaxUint64, math.MaxInt64},
+	} {
+		cfg := DefaultConfig()
+		cfg.MaxInstrs = tc.instrs
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("MaxInstrs %d: %v", tc.instrs, err)
+		}
+		if cfg.MaxCycles != tc.cycles {
+			t.Errorf("MaxInstrs %d: MaxCycles %d, want %d", tc.instrs, cfg.MaxCycles, tc.cycles)
+		}
 	}
 }
 

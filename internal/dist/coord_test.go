@@ -7,10 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"math"
-	"math/rand"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -319,58 +316,6 @@ func TestStreamEarlyBreakUnwinds(t *testing.T) {
 	}
 	if got != 1 {
 		t.Fatalf("delivered %d before break", got)
-	}
-}
-
-// TestSummaryFoldOrderIndependent pins the reducer contract on real
-// outcomes: folding them in shuffled arrival orders agrees with one
-// in-order fold — exactly for the histogram, its quantiles, the
-// top-k/bottom-k retained sets, the count and the failures, and to float
-// tolerance for the moments.
-func TestSummaryFoldOrderIndependent(t *testing.T) {
-	// A failed outcome rides along so the failure count is pinned too.
-	ref := reference(t, testPlan())
-	outs := append(ref, engine.RunOutcome{Index: len(ref), Err: errors.New("boom")})
-	seq := NewSummary("IPC", 3, IPC)
-	for _, out := range outs {
-		seq.Observe(out)
-	}
-	rng := rand.New(rand.NewSource(20))
-	for trial := 0; trial < 4; trial++ {
-		got := NewSummary("IPC", 3, IPC)
-		for _, j := range rng.Perm(len(outs)) {
-			got.Observe(outs[j])
-		}
-		if got.Moments.Count != seq.Moments.Count || got.Failures != seq.Failures {
-			t.Fatalf("trial %d: count/failures %d/%d, want %d/%d",
-				trial, got.Moments.Count, got.Failures, seq.Moments.Count, seq.Failures)
-		}
-		if d := got.Moments.Mean - seq.Moments.Mean; math.Abs(d) > 1e-12 {
-			t.Errorf("trial %d: shuffled mean drifts by %g", trial, d)
-		}
-		if d := got.Moments.Variance() - seq.Moments.Variance(); math.Abs(d) > 1e-12 {
-			t.Errorf("trial %d: shuffled variance drifts by %g", trial, d)
-		}
-		// Integer counts over a fixed geometry, so the sketch and every
-		// quantile read from it match the in-order fold.
-		if !reflect.DeepEqual(got.Hist, seq.Hist) {
-			t.Errorf("trial %d: histogram diverges from the in-order fold:\n%v\nwant\n%v",
-				trial, got.Hist, seq.Hist)
-		}
-		for _, q := range []float64{0.5, 0.9} {
-			if g, w := got.Hist.Quantile(q), seq.Hist.Quantile(q); g != w {
-				t.Errorf("trial %d: p%g = %v, want %v", trial, 100*q, g, w)
-			}
-		}
-		if g, w := got.Top.Items(), seq.Top.Items(); !reflect.DeepEqual(g, w) {
-			t.Errorf("trial %d: top %v, want %v", trial, g, w)
-		}
-		if g, w := got.Bottom.Items(), seq.Bottom.Items(); !reflect.DeepEqual(g, w) {
-			t.Errorf("trial %d: bottom %v, want %v", trial, g, w)
-		}
-		if got.String() != seq.String() {
-			t.Errorf("trial %d: report differs from the in-order fold:\n%s\nwant\n%s", trial, got, seq)
-		}
 	}
 }
 

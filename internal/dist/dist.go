@@ -18,9 +18,7 @@
 // fixed by the Plan, and outcomes carry their enumeration index, so an N-way
 // sharded sweep — including one interrupted by worker kills and coordinator
 // restarts — reassembles into exactly the outcomes a single process would
-// have produced. A Summary folds the stream instead of collecting it, and
-// everything it reports but the moments' last float bits is independent of
-// arrival order.
+// have produced.
 package dist
 
 import (

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -258,6 +259,53 @@ func TestBadCacheGeometryFailsItsOwnJob(t *testing.T) {
 			}
 			if got[1].Err == nil {
 				t.Error("the bad column did not fail")
+			}
+		})
+	}
+}
+
+// TestHostileSizesRefused: a config whose table counts no machine could
+// hold is refused by Validate before anything is built. The first probe hung
+// in the FTB's power-of-two round-up (n <<= 1 overflows to 0), the 2^36
+// probes exhausted memory in a make, and FTQEntries at 2^62 panicked in
+// makeslice. Each must now fail its Run within a second, allocating well
+// under one table's worth of heap.
+func TestHostileSizesRefused(t *testing.T) {
+	cases := []struct {
+		name   string
+		mutate func(*core.Config)
+	}{
+		{"ftb-sets-2^62+1", func(c *core.Config) { c.FTB.Sets, c.FTB.Ways = 1<<62+1, 1 }},
+		{"ftq-2^36", func(c *core.Config) { c.FTQEntries = 1 << 36 }},
+		{"predictor-2^36", func(c *core.Config) { c.PredictorSize = 1 << 36 }},
+		{"ras-2^36", func(c *core.Config) { c.RASEntries = 1 << 36 }},
+		{"ftq-2^62", func(c *core.Config) { c.FTQEntries = 1 << 62 }},
+		{"predictor-2^62+1", func(c *core.Config) { c.PredictorSize = 1<<62 + 1 }},
+		{"ftb-sets-x-ways", func(c *core.Config) { c.FTB.Sets, c.FTB.Ways = 1<<20, 1<<20 }},
+	}
+	e := New(WithWorkers(1))
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := core.DefaultConfig()
+			tc.mutate(&cfg)
+			done := make(chan error, 1)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			go func() {
+				_, err := e.Run(context.Background(), Job{Workload: "gcc", Config: cfg})
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err == nil {
+					t.Fatal("Run accepted the config")
+				}
+			case <-time.After(time.Second):
+				t.Fatal("Run did not return within a second")
+			}
+			runtime.ReadMemStats(&after)
+			if d := after.TotalAlloc - before.TotalAlloc; d > 1<<20 {
+				t.Errorf("refusal allocated %d bytes", d)
 			}
 		})
 	}

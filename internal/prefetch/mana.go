@@ -267,13 +267,5 @@ func (m *MANA) Reset() {
 // IssueStats implements Prefetcher.
 func (m *MANA) IssueStats() PortStats { return m.port.stats }
 
-func ceilPow2(v int) int {
-	if v < 1 {
-		return 1
-	}
-	n := 1
-	for n < v {
-		n <<= 1
-	}
-	return n
-}
+// ceilPow2 rounds v up to a power of two, at least 1.
+func ceilPow2(v int) int { return 1 << bits.Len(uint(max(v, 1)-1)) }

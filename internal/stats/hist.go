@@ -9,9 +9,9 @@ import (
 // HistogramSketch is the simulator's one histogram: n equal buckets over
 // [Lo, Hi), under- and overflow counters, and the exact maximum. Because the
 // geometry is fixed at construction and the state is integer counts plus a
-// max, the sketch is the same whatever order the observations arrive in —
-// what lets dist.Summary carry a value distribution (and its quantiles)
-// without anyone holding the sample set. NaN observations are ignored.
+// max, the sketch is the same whatever order the observations arrive in, so
+// the kernel can sample FTQ occupancy into one every cycle without holding
+// the samples. NaN observations are ignored.
 type HistogramSketch struct {
 	// Lo (inclusive) and Hi (exclusive) bound the bucketed range.
 	Lo, Hi float64

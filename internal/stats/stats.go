@@ -1,6 +1,6 @@
 // Package stats provides the measurement plumbing shared by the simulator:
-// streaming reducers (a histogram, moments, top-k), rate helpers, geometric
-// means, and fixed-width text tables in the style of the paper's result
+// a fixed-geometry histogram, the sweep grid collector, rate helpers,
+// geometric means, and fixed-width text tables in the style of the paper's result
 // presentation.
 package stats
 

@@ -52,9 +52,6 @@ type Options struct {
 	// MaxQueued bounds queued+running sweeps; further submissions fail with
 	// ErrQueueFull (HTTP 429) until the backlog drains (default 16).
 	MaxQueued int
-	// MaxRetries is each range's re-dial budget (default 4 — a service pool
-	// churns more than a static dialer list).
-	MaxRetries int
 	// WorkerTTL is the registry heartbeat budget (default 15s).
 	WorkerTTL time.Duration
 }
@@ -96,8 +93,9 @@ type ConfigPoint struct {
 	Config core.Config `json:"config"`
 }
 
-// plan rebuilds the engine Plan a request describes.
-func (r SubmitRequest) plan() (*engine.Plan, error) {
+// Plan rebuilds the engine Plan a request describes: the one plan rule the
+// service and fdipd's single-process reference share.
+func (r SubmitRequest) Plan() (*engine.Plan, error) {
 	if len(r.Workloads) == 0 || len(r.Configs) == 0 {
 		return nil, fmt.Errorf("svc: a submission needs at least one workload and one config")
 	}
@@ -201,9 +199,6 @@ func New(opts Options) (*Server, error) {
 	if opts.MaxQueued <= 0 {
 		opts.MaxQueued = 16
 	}
-	if opts.MaxRetries == 0 {
-		opts.MaxRetries = 4
-	}
 	if err := os.MkdirAll(opts.StateDir, 0o755); err != nil {
 		return nil, fmt.Errorf("svc: state dir: %w", err)
 	}
@@ -254,7 +249,7 @@ func (s *Server) restore(records []queueRecord) {
 			if rec.Req == nil {
 				continue
 			}
-			p, err := rec.Req.plan()
+			p, err := rec.Req.Plan()
 			if err != nil {
 				continue // a poisoned historic submission must not brick restart
 			}
@@ -351,7 +346,7 @@ func (s *Server) chunkFor(sw *sweep) int {
 // Submit validates, journals, and enqueues one sweep. The returned status is
 // the accepted job (state queued); ErrQueueFull reports backpressure.
 func (s *Server) Submit(req SubmitRequest) (JobStatus, error) {
-	p, err := req.plan()
+	p, err := req.Plan()
 	if err != nil {
 		return JobStatus{}, err
 	}
@@ -452,6 +447,10 @@ func (s *Server) nextRunnable() *sweep {
 	}
 }
 
+// maxRetries is each range's re-dial budget: above dist's default of 2,
+// because a service pool churns more than a static dialer list.
+const maxRetries = 4
+
 // runSweep executes one sweep under its checkpoint journal, streaming
 // outcomes into its buffer (waking stream watchers per range) and recording
 // the terminal state in the queue journal. A quiesce mid-sweep re-queues the
@@ -464,7 +463,7 @@ func (s *Server) runSweep(sw *sweep) {
 		ChunkPoints: s.chunkFor(sw),
 		Instrs:      sw.req.Instrs,
 		Journal:     s.journalPath(sw.id),
-		MaxRetries:  s.opts.MaxRetries,
+		MaxRetries:  maxRetries,
 		Cache:       s.cache,
 		Quiesce:     s.quiesce,
 	})

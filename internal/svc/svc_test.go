@@ -67,7 +67,7 @@ func resultChecksum(res core.Result) uint64 {
 // reference is the single-process truth for a request.
 func reference(t *testing.T, req SubmitRequest) []engine.RunOutcome {
 	t.Helper()
-	p, err := req.plan()
+	p, err := req.Plan()
 	if err != nil {
 		t.Fatalf("reference plan: %v", err)
 	}
@@ -224,6 +224,48 @@ func TestServiceStreamsGolden(t *testing.T) {
 	final, err := c.Job(ctx, st.ID)
 	if err != nil || final.State != StateDone || final.Completed != len(ref) {
 		t.Fatalf("final status %+v / %v", final, err)
+	}
+}
+
+// TestServiceHostileConfigFailsFast: a submitted config with a table count
+// no machine could hold (an FTB of 2^62+1 sets, whose power-of-two round-up
+// once spun forever inside the worker) fails its own points at validation,
+// and the service finishes the sweep and runs the next one.
+func TestServiceHostileConfigFailsFast(t *testing.T) {
+	_, c, done := service(t, t.TempDir(), Options{Shards: 1})
+	defer done()
+	w := httptest.NewServer(dist.NewWorker(1).Handler())
+	defer w.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := c.Register(ctx, "w", w.URL, time.Minute); err != nil {
+		t.Fatalf("register: %v", err)
+	}
+	hostile := testCfg(core.PrefetchNone)
+	hostile.FTB.Sets = 1<<62 + 1
+	for _, req := range []SubmitRequest{
+		{Workloads: []string{"gcc"}, Configs: []ConfigPoint{{Name: "hostile", Config: hostile}, {Name: "base", Config: testCfg(core.PrefetchNone)}}},
+		{Workloads: []string{"deltablue"}, Configs: []ConfigPoint{{Name: "base", Config: testCfg(core.PrefetchNone)}}},
+	} {
+		st, err := c.Submit(ctx, req)
+		if err != nil {
+			t.Fatalf("submit: %v", err)
+		}
+		var outs []engine.RunOutcome
+		if err := c.Stream(ctx, st.ID, 0, func(f StreamFrame) error {
+			outs = append(outs, *f.Outcome)
+			return nil
+		}); err != nil {
+			t.Fatalf("stream %s: %v", st.ID, err)
+		}
+		for _, out := range outs {
+			if hostileRow := out.Job.Name == "gcc/hostile"; (out.Err != nil) != hostileRow {
+				t.Errorf("%s: %s error %v", st.ID, out.Job.Name, out.Err)
+			}
+		}
+		if len(outs) != st.Points {
+			t.Fatalf("%s: %d outcomes, want %d", st.ID, len(outs), st.Points)
+		}
 	}
 }
 
