@@ -94,24 +94,19 @@ func main() {
 		base.Config = baseCfg
 		jobs = append(jobs, base)
 	}
-	// The jobs run as a streamed plan of named points: outcomes arrive in
-	// completion order and are re-ordered by Index, so the report below is
-	// deterministic whichever machine finishes first.
-	outs := make([]fdip.RunOutcome, len(jobs))
-	for out, err := range eng.Stream(ctx, fdip.FromJobs(jobs...)) {
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fdipsim: %v\n", err)
-			os.Exit(1)
-		}
+	outs, err := eng.Sweep(ctx, jobs)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "fdipsim: %v\n", err)
+		os.Exit(1)
+	}
+	for _, out := range outs {
 		if out.Err != nil {
 			fmt.Fprintf(os.Stderr, "fdipsim: %s: %v\n", out.Job.Name, out.Err)
 			os.Exit(1)
 		}
-		outs[out.Index] = out
 	}
 
 	if *jsonOut {
-		var err error
 		if *compare {
 			err = fdip.WriteOutcomesJSON(os.Stdout, outs)
 		} else {

@@ -12,7 +12,6 @@
 package btb
 
 import (
-	"fmt"
 	"math/bits"
 
 	"fdip/internal/isa"
@@ -346,16 +345,6 @@ func (t *TargetBuffer) HitRate() float64 {
 		return 0
 	}
 	return float64(t.Hits) / float64(t.Lookups)
-}
-
-// String summarises the buffer geometry.
-func (t *TargetBuffer) String() string {
-	kind := "BTB"
-	if t.cfg.BlockOriented {
-		kind = "FTB"
-	}
-	return fmt.Sprintf("%s %d sets x %d ways (%d entries, %d bytes)",
-		kind, t.cfg.Sets, t.cfg.Ways, t.Entries(), t.StorageBytes())
 }
 
 // ceilPow2 rounds v up to a power of two, at least 1.

@@ -8,35 +8,9 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"math/rand"
 )
 
-// Policy selects the replacement policy.
-type Policy uint8
-
-const (
-	// LRU replaces the least recently used way.
-	LRU Policy = iota
-	// FIFO replaces ways in allocation order.
-	FIFO
-	// Random replaces a pseudo-randomly chosen way.
-	Random
-)
-
-// String names the policy.
-func (p Policy) String() string {
-	switch p {
-	case LRU:
-		return "lru"
-	case FIFO:
-		return "fifo"
-	case Random:
-		return "random"
-	}
-	return fmt.Sprintf("policy(%d)", uint8(p))
-}
-
-// Config sizes a cache.
+// Config sizes a cache. Replacement is least-recently-used.
 type Config struct {
 	// SizeBytes is the total capacity. SizeBytes / (Ways*LineBytes) is the
 	// set count, which must be a positive power of two (see Check).
@@ -45,13 +19,9 @@ type Config struct {
 	Ways int
 	// LineBytes is the cache line size; must be a power of two.
 	LineBytes int
-	// Repl selects the replacement policy.
-	Repl Policy
 	// TagPorts is the number of tag-array ports available per cycle.
 	// Demand accesses and cache-probe filtering share them.
 	TagPorts int
-	// Seed drives the Random replacement policy.
-	Seed int64
 }
 
 // Check reports whether New accepts the geometry: a power-of-two line size,
@@ -106,9 +76,6 @@ type Cache struct {
 	setBits   uint
 	setMask   uint64
 	clock     uint64
-	// rng drives the Random policy; nil under every other policy, which
-	// never draws.
-	rng *rand.Rand
 
 	portCycle int64
 	portsUsed int
@@ -167,9 +134,6 @@ func New(cfg Config) *Cache {
 	} else {
 		c.slot = make([]uint32, numSets)
 		c.chunkShift = uint(bits.TrailingZeros(uint(min(chunkSets, numSets))))
-	}
-	if cfg.Repl == Random {
-		c.rng = rand.New(rand.NewSource(cfg.Seed + 1))
 	}
 	return c
 }
@@ -243,7 +207,7 @@ func (c *Cache) IdlePorts(now int64) int {
 	return c.cfg.TagPorts - c.portsUsed
 }
 
-// Access performs a demand lookup, updating replacement state on a hit.
+// Access performs a demand lookup, making a hit line the most recently used.
 func (c *Cache) Access(addr uint64) bool {
 	c.Accesses++
 	si, key := c.locate(addr)
@@ -257,10 +221,8 @@ func (c *Cache) Access(addr uint64) bool {
 		c.PrefetchedHits++
 		w.key = key
 	}
-	if c.cfg.Repl == LRU {
-		c.clock++
-		w.stamp = c.clock
-	}
+	c.clock++
+	w.stamp = c.clock
 	return true
 }
 
@@ -293,9 +255,7 @@ func (c *Cache) Fill(addr uint64, prefetched bool) (evicted uint64, didEvict boo
 	c.clock++
 	// Already present: refresh only.
 	if w := find(set, key); w != nil {
-		if c.cfg.Repl == LRU {
-			w.stamp = c.clock
-		}
+		w.stamp = c.clock
 		return 0, false
 	}
 	victim := -1
@@ -306,15 +266,10 @@ func (c *Cache) Fill(addr uint64, prefetched bool) (evicted uint64, didEvict boo
 		}
 	}
 	if victim < 0 {
-		switch c.cfg.Repl {
-		case Random:
-			victim = c.rng.Intn(len(set))
-		default: // LRU and FIFO both evict the minimum stamp
-			victim = 0
-			for i := 1; i < len(set); i++ {
-				if set[i].stamp < set[victim].stamp {
-					victim = i
-				}
+		victim = 0
+		for i := 1; i < len(set); i++ {
+			if set[i].stamp < set[victim].stamp {
+				victim = i
 			}
 		}
 		didEvict = true
@@ -355,18 +310,14 @@ func (c *Cache) InvalidateAll() {
 }
 
 // Reset restores the pristine just-constructed state: every line invalid,
-// replacement clock and port state rewound, counters zeroed, and the Random
-// policy's RNG reseeded to its initial stream. A flat cache zeroes its tag
-// array; a lazy cache (the megabyte-class L2) unbacks its sets and rewinds
-// its carve position, exactly reproducing a fresh machine's cold tag array.
-// Chunks are cleared as Fill reuses them, so a reset never zeroes the whole
-// capacity, and a recycled cache refills without allocating.
+// replacement clock and port state rewound, counters zeroed. A flat cache
+// zeroes its tag array; a lazy cache (the megabyte-class L2) unbacks its sets
+// and rewinds its carve position, exactly reproducing a fresh machine's cold
+// tag array. Chunks are cleared as Fill reuses them, so a reset never zeroes
+// the whole capacity, and a recycled cache refills without allocating.
 func (c *Cache) Reset() {
 	c.InvalidateAll()
 	c.clock = 0
-	if c.rng != nil {
-		c.rng.Seed(c.cfg.Seed + 1)
-	}
 	c.portCycle = -1
 	c.portsUsed = 0
 	c.Accesses, c.Hits, c.Misses = 0, 0, 0
@@ -374,10 +325,4 @@ func (c *Cache) Reset() {
 	c.Fills, c.Evictions = 0, 0
 	c.PrefetchedHits = 0
 	c.PortGrants, c.PortRejections = 0, 0
-}
-
-// String describes the geometry.
-func (c *Cache) String() string {
-	return fmt.Sprintf("%dKB %d-way %dB-line %s",
-		c.cfg.SizeBytes/1024, c.cfg.Ways, c.cfg.LineBytes, c.cfg.Repl)
 }

@@ -1,9 +1,6 @@
 package cache
 
-import (
-	"math/rand"
-	"testing"
-)
+import "testing"
 
 // refCache is the reference model FuzzCacheReference checks Cache against: a
 // stamp-LRU set-associative cache whose lines keep valid and prefetched as
@@ -18,7 +15,6 @@ type refCache struct {
 	setBits   uint
 	setMask   uint64
 	clock     uint64
-	rng       *rand.Rand
 
 	Accesses, Hits, Misses uint64
 	Probes, ProbeHits      uint64
@@ -46,9 +42,6 @@ func newRefCache(cfg Config) *refCache {
 	for 1<<c.setBits < numSets {
 		c.setBits++
 	}
-	if cfg.Repl == Random {
-		c.rng = rand.New(rand.NewSource(cfg.Seed + 1))
-	}
 	return c
 }
 
@@ -68,10 +61,8 @@ func (c *refCache) Access(addr uint64) bool {
 				c.PrefetchedHits++
 				ln.prefetched = false
 			}
-			if c.cfg.Repl == LRU {
-				c.clock++
-				ln.stamp = c.clock
-			}
+			c.clock++
+			ln.stamp = c.clock
 			return true
 		}
 	}
@@ -104,9 +95,7 @@ func (c *refCache) Fill(addr uint64, prefetched bool) (evicted uint64, didEvict 
 	c.clock++
 	for i := range set {
 		if set[i].valid && set[i].tag == tag {
-			if c.cfg.Repl == LRU {
-				set[i].stamp = c.clock
-			}
+			set[i].stamp = c.clock
 			return 0, false
 		}
 	}
@@ -118,14 +107,10 @@ func (c *refCache) Fill(addr uint64, prefetched bool) (evicted uint64, didEvict 
 		}
 	}
 	if victim < 0 {
-		if c.cfg.Repl == Random {
-			victim = c.rng.Intn(len(set))
-		} else {
-			victim = 0
-			for i := 1; i < len(set); i++ {
-				if set[i].stamp < set[victim].stamp {
-					victim = i
-				}
+		victim = 0
+		for i := 1; i < len(set); i++ {
+			if set[i].stamp < set[victim].stamp {
+				victim = i
 			}
 		}
 		didEvict = true
@@ -156,16 +141,14 @@ func (c *refCache) InvalidateAll() {
 
 func (c *refCache) Reset() { *c = *newRefCache(c.cfg) }
 
-// fuzzCacheConfig derives a geometry from two bytes: the replacement
-// policy, the associativity (1 to 128 ways), the line size (16 or 32 bytes)
-// and either a flat store of 1 to 32 sets or a lazy store of 16384 lines.
+// fuzzCacheConfig derives a geometry from two bytes: the associativity (1 to
+// 128 ways), the line size (16 or 32 bytes) and either a flat store of 1 to
+// 32 sets or a lazy store of 16384 lines. g's low two bits are unused.
 func fuzzCacheConfig(g, s byte) Config {
 	cfg := Config{
-		Repl:      Policy(g&3) % 3,
 		Ways:      1 << (g >> 3 & 7),
 		LineBytes: 16 << (g >> 6 & 1),
 		TagPorts:  1,
-		Seed:      int64(s),
 	}
 	sets := 1 << (s % 6)
 	if g&4 != 0 {
@@ -183,7 +166,7 @@ func fuzzCacheConfig(g, s byte) Config {
 // spread over the whole set range, and a tag byte whose low four bits are
 // the tag and whose fifth sets the top bit of a 48-bit address. The
 // committed corpus (testdata/fuzz/FuzzCacheReference) covers flat and lazy
-// stores under LRU, FIFO and Random.
+// stores.
 func FuzzCacheReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {

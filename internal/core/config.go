@@ -137,7 +137,6 @@ func (c *Config) l1i() cache.Config {
 		SizeBytes: c.L1ISizeBytes,
 		Ways:      c.L1IWays,
 		LineBytes: c.LineBytes,
-		Repl:      cache.LRU,
 		TagPorts:  c.L1ITagPorts,
 	}
 }

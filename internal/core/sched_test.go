@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"fdip/internal/oracle"
@@ -173,6 +174,41 @@ func TestStepAllocFreeSteadyState(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(2000, func() { p.Step() }); avg != 0 {
 		t.Fatalf("Processor.Step allocates %.2f times per cycle in steady state; want 0", avg)
+	}
+}
+
+// TestStepZeroMallocEveryPrefetcher runs each prefetch scheme's machine for
+// a million steps after a two-million-step warm-up and requires the exact
+// heap-object count to stay put. testing.AllocsPerRun rounds to a whole
+// number per run, so a queue that re-allocates once every few hundred
+// thousand cycles reads as 0 there; the MemStats delta does not round.
+func TestStepZeroMallocEveryPrefetcher(t *testing.T) {
+	if testing.Short() {
+		t.Skip("3M steps per prefetcher")
+	}
+	im := testImage(t, 9, 60)
+	for _, kind := range []PrefetcherKind{
+		PrefetchNone, PrefetchNextLine, PrefetchStream, PrefetchFDP, PrefetchMANA, PrefetchShadow,
+	} {
+		t.Run(string(kind), func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Prefetch.Kind = kind
+			cfg.MaxInstrs = 1 << 62
+			p := MustNew(cfg, im, oracle.NewWalker(im, 17))
+			for i := 0; i < 2_000_000; i++ {
+				p.Step()
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < 1_000_000; i++ {
+				p.Step()
+			}
+			runtime.ReadMemStats(&after)
+			if n := after.Mallocs - before.Mallocs; n != 0 {
+				t.Fatalf("%s machine malloced %d times (%d bytes) in 1M warmed-up steps; want 0",
+					kind, n, after.TotalAlloc-before.TotalAlloc)
+			}
+		})
 	}
 }
 

@@ -98,7 +98,7 @@ func TestPieceLandingDuringUnwindIsCached(t *testing.T) {
 	p := testPlan()
 	ref := reference(t, p)
 	cache := new(engine.ResultCache)
-	c := New(Options{Dialer: &unwindDialer{inner: Loopback{Workers: 3}, running: make(chan struct{})}, Shards: 2, ChunkPoints: 6, MaxRetries: -1, Cache: cache})
+	c := New(Options{Dialer: &unwindDialer{inner: Loopback{Workers: 3}, running: make(chan struct{})}, Shards: 2, ChunkPoints: 6, Cache: cache})
 	if _, err := collect(context.Background(), c, p); err == nil {
 		t.Fatal("sweep succeeded; want the lost piece's error")
 	}

@@ -35,9 +35,6 @@ type Options struct {
 	Instrs uint64
 	// Journal is the checkpoint file path; "" disables checkpointing.
 	Journal string
-	// MaxRetries bounds how many times a piece is re-dialed and re-run
-	// after its session fails (0 = default 2; negative = never retry).
-	MaxRetries int
 	// Cache, when non-nil, is a cross-sweep result cache (shared across
 	// sweeps and, behind a service, across clients). Before a range is
 	// dispatched, each of its jobs is looked up; hits are served without
@@ -77,12 +74,6 @@ func New(opts Options) *Coordinator {
 	}
 	if opts.ChunkPoints <= 0 {
 		opts.ChunkPoints = 32
-	}
-	switch {
-	case opts.MaxRetries == 0:
-		opts.MaxRetries = 2
-	case opts.MaxRetries < 0:
-		opts.MaxRetries = 0
 	}
 	return &Coordinator{opts: opts}
 }
@@ -512,6 +503,11 @@ func quiesced(ch <-chan struct{}) bool {
 	}
 }
 
+// maxRetries is how many times a piece is re-dialed and re-run after its
+// session fails: a service's worker pool churns, so a piece outlives a few
+// dead workers before its sweep fails.
+const maxRetries = 4
+
 // execPiece executes one piece on a worker, re-dialing and re-running it on
 // a fresh session after failures (a dead worker's piece is reassigned whole,
 // and only that piece: its range's other pieces are untouched — a piece
@@ -521,7 +517,7 @@ func quiesced(ch <-chan struct{}) bool {
 // nilled so the next attempt (or piece) starts clean.
 func (c *Coordinator) execPiece(ctx context.Context, sess *Session, a Assignment) ([]engine.RunOutcome, error) {
 	var lastErr error
-	for attempt := 0; attempt <= c.opts.MaxRetries; attempt++ {
+	for attempt := 0; attempt <= maxRetries; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -541,7 +537,7 @@ func (c *Coordinator) execPiece(ctx context.Context, sess *Session, a Assignment
 		(*sess).Close()
 		*sess = nil
 	}
-	return nil, fmt.Errorf("dist: piece of range %d (%d jobs) failed %d attempts: %w", a.Start, len(a.Jobs), c.opts.MaxRetries+1, lastErr)
+	return nil, fmt.Errorf("dist: piece of range %d (%d jobs) failed %d attempts: %w", a.Start, len(a.Jobs), maxRetries+1, lastErr)
 }
 
 // runOnce runs one piece on one session, buffering and validating it: every

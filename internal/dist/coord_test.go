@@ -275,7 +275,7 @@ func TestKillAndResumeReproducesGolden(t *testing.T) {
 // produces a working session must end the stream with one terminal error
 // (not a hang, not silence).
 func TestRangeOutOfRetriesIsTerminal(t *testing.T) {
-	c := New(Options{Dialer: deadDialer{}, Shards: 2, ChunkPoints: 2, MaxRetries: 1})
+	c := New(Options{Dialer: deadDialer{}, Shards: 2, ChunkPoints: 2})
 	var terminal error
 	n := 0
 	for _, err := range c.Stream(context.Background(), testPlan()) {

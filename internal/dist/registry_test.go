@@ -163,7 +163,7 @@ func TestRegistryEvictsDeadWorker(t *testing.T) {
 	r.Register("alive", alive.URL, 0)
 	r.Register("dead", dead.URL, 0)
 
-	c := New(Options{Dialer: r, Shards: 2, ChunkPoints: 2, MaxRetries: 4})
+	c := New(Options{Dialer: r, Shards: 2, ChunkPoints: 2})
 	outs, err := collect(context.Background(), c, p)
 	if err != nil {
 		t.Fatalf("sweep with a dead registered worker: %v", err)

@@ -243,7 +243,7 @@ func TestCoordinatorBoundsWorkerResponse(t *testing.T) {
 	}))
 	defer srv.Close()
 	p := engine.FromJobs(engine.Job{Workload: "gcc", Config: core.DefaultConfig()})
-	c := New(Options{Dialer: HTTP{URL: srv.URL}, MaxRetries: -1})
+	c := New(Options{Dialer: HTTP{URL: srv.URL}})
 
 	var before, after runtime.MemStats
 	runtime.GC()

@@ -16,9 +16,10 @@ import (
 // given streamer. Sequential (unlike RunExperiments' concurrent goroutines)
 // so each plan's distributed stream runs alone — the point here is merge
 // correctness, not suite wall time.
-func renderSuiteWith(t *testing.T, opts Options) string {
+func renderSuiteWith(t *testing.T, opts Options, s Streamer) string {
 	t.Helper()
 	r := NewRunner(opts)
+	r.streamer = s
 	var sb strings.Builder
 	for _, ex := range ExtendedSuite() {
 		tab, err := ex.Run(context.Background(), r)
@@ -54,13 +55,12 @@ func TestDistributedSuiteMatchesGolden(t *testing.T) {
 	}
 	for _, shards := range []int{1, 2, 8} {
 		opts := goldenOpts()
-		opts.Streamer = dist.New(dist.Options{
+		got := renderSuiteWith(t, opts, dist.New(dist.Options{
 			Dialer:      httpWorker(t),
 			Shards:      shards,
 			ChunkPoints: 2,
 			Instrs:      opts.Instrs, // plans don't bake the budget; the coordinator must apply it
-		})
-		got := renderSuiteWith(t, opts)
+		}))
 		if got != string(want) {
 			t.Errorf("shards=%d: distributed suite drifted from the pinned single-process tables (first divergence around byte %d)",
 				shards, firstDiff(got, string(want)))
@@ -81,13 +81,12 @@ func TestDistributedSuiteSurvivesWorkerKills(t *testing.T) {
 	}
 	opts := goldenOpts()
 	kd := &killingDialer{inner: httpWorker(t)}
-	opts.Streamer = dist.New(dist.Options{
+	got := renderSuiteWith(t, opts, dist.New(dist.Options{
 		Dialer:      kd,
 		Shards:      2,
 		ChunkPoints: 2,
 		Instrs:      opts.Instrs,
-	})
-	got := renderSuiteWith(t, opts)
+	}))
 	if got != string(want) {
 		t.Errorf("suite under worker kills drifted from the pinned tables (first divergence around byte %d)",
 			firstDiff(got, string(want)))

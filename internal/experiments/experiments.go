@@ -49,12 +49,6 @@ type Options struct {
 	// Progress, when non-nil, receives the engine's typed progress
 	// events (delivery is serialised by the engine).
 	Progress func(engine.Event)
-	// Streamer, when non-nil, executes plans instead of the runner's own
-	// engine — the distributed-sweeps hook. The streamer must apply the
-	// same per-job instruction budget as Instrs (e.g. dist.Options.Instrs),
-	// because plans do not bake the budget into their configs; Run and
-	// Baseline (single points) still use the built-in engine either way.
-	Streamer Streamer
 }
 
 func (o *Options) setDefaults() {
@@ -66,12 +60,14 @@ func (o *Options) setDefaults() {
 	}
 }
 
-// Runner executes experiment plans on a shared memoising engine (or, when
-// Options.Streamer is set, through an external streamer such as a
-// distributed coordinator).
+// Runner executes experiment plans on a shared memoising engine.
 type Runner struct {
-	opts     Options
-	eng      *engine.Engine
+	opts Options
+	eng  *engine.Engine
+	// streamer executes Collect's plans: the runner's own engine, or in
+	// tests a distributed coordinator, which must apply the same per-job
+	// instruction budget as Options.Instrs (plans do not bake the budget
+	// into their configs).
 	streamer Streamer
 }
 
@@ -86,10 +82,7 @@ func NewRunner(opts Options) *Runner {
 			engine.WithProgress(opts.Progress),
 		),
 	}
-	r.streamer = opts.Streamer
-	if r.streamer == nil {
-		r.streamer = r.eng
-	}
+	r.streamer = r.eng
 	return r
 }
 

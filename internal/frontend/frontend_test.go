@@ -235,7 +235,7 @@ type fetchRig struct {
 
 func newFetchRig(t testing.TB, im *program.Image, pred bpred.Predictor) *fetchRig {
 	r := &fetchRig{im: im}
-	r.l1i = cache.New(cache.Config{SizeBytes: 2048, Ways: 2, LineBytes: 32, Repl: cache.LRU, TagPorts: 2})
+	r.l1i = cache.New(cache.Config{SizeBytes: 2048, Ways: 2, LineBytes: 32, TagPorts: 2})
 	r.pfb = cache.NewPrefetchBuffer(8, 32)
 	r.hier = memsys.New(memsys.Config{LineBytes: 32, L2SizeBytes: 1 << 16, L2Ways: 4, L2HitLatency: 6, MemLatency: 20, BusCyclesPerLine: 2})
 	r.ar = pipe.NewArena(64)

@@ -24,7 +24,7 @@ func newFERig(t testing.TB, seed int64) *feRig {
 	im := loopImage(t)
 	r := &feRig{
 		bpuRig: newBPURig(im.Entry, 8),
-		l1i:    cache.New(cache.Config{SizeBytes: 1024, Ways: 2, LineBytes: 32, Repl: cache.LRU, TagPorts: 2}),
+		l1i:    cache.New(cache.Config{SizeBytes: 1024, Ways: 2, LineBytes: 32, TagPorts: 2}),
 		pfb:    cache.NewPrefetchBuffer(8, 32),
 		hier: memsys.New(memsys.Config{
 			LineBytes: 32, L2SizeBytes: 1 << 16, L2Ways: 4,

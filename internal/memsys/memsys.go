@@ -169,7 +169,6 @@ func (c Config) l2() cache.Config {
 		SizeBytes: c.L2SizeBytes,
 		Ways:      c.L2Ways,
 		LineBytes: c.LineBytes,
-		Repl:      cache.LRU,
 		TagPorts:  4,
 	}
 }
@@ -361,10 +360,4 @@ func (h *Hierarchy) BusUtilization(totalCycles int64) float64 {
 		u = 1
 	}
 	return u
-}
-
-// String describes the hierarchy.
-func (h *Hierarchy) String() string {
-	return fmt.Sprintf("L2 %s, %d-cycle hit, +%d to memory, %d-cycle bus/line",
-		h.l2, h.cfg.L2HitLatency, h.cfg.MemLatency, h.cfg.BusCyclesPerLine)
 }

@@ -199,7 +199,4 @@ func TestDefaultsApplied(t *testing.T) {
 	if c != d {
 		t.Errorf("defaults not applied: %+v", c)
 	}
-	if h.String() == "" {
-		t.Error("String empty")
-	}
 }

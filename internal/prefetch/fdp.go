@@ -80,7 +80,7 @@ type FDP struct {
 	port port
 	cfg  FDPConfig
 
-	piq []uint64
+	piq lineQueue
 
 	// Scan cursor: the next (block sequence, line index) to consider.
 	nextSeq  uint64
@@ -102,7 +102,7 @@ func NewFDP(env Env, cfg FDPConfig) *FDP {
 	if env.FTQ == nil {
 		panic("prefetch: FDP requires an FTQ")
 	}
-	return &FDP{port: port{env: env}, cfg: cfg, piq: make([]uint64, 0, cfg.PIQSize)}
+	return &FDP{port: port{env: env}, cfg: cfg, piq: make(lineQueue, 0, cfg.PIQSize)}
 }
 
 // Name implements Prefetcher.
@@ -157,7 +157,7 @@ func (f *FDP) scan(now int64) {
 			f.nextLine = 0
 		}
 		for f.nextLine < len(b.Lines) {
-			if len(f.piq) >= f.cfg.PIQSize {
+			if f.piq.full() {
 				return
 			}
 			ln := &b.Lines[f.nextLine]
@@ -165,7 +165,7 @@ func (f *FDP) scan(now int64) {
 				f.nextLine++
 				continue
 			}
-			if f.inPIQ(ln.Addr) {
+			if f.piq.has(ln.Addr) {
 				ln.State = ftq.LineEnqueued
 				f.DupInPIQ++
 				f.nextLine++
@@ -205,22 +205,12 @@ func (f *FDP) enqueue(ln *ftq.Line) {
 	f.Enqueued++
 }
 
-func (f *FDP) inPIQ(line uint64) bool {
-	for _, e := range f.piq {
-		if e == line {
-			return true
-		}
-	}
-	return false
-}
-
 // issue starts at most one prefetch from the PIQ head per idle bus slot.
 func (f *FDP) issue(now int64) {
 	for len(f.piq) > 0 {
 		switch f.port.tryIssue(f.piq[0], now) {
 		case issued, dropPresent, dropInflight:
-			n := copy(f.piq, f.piq[1:])
-			f.piq = f.piq[:n]
+			f.piq.pop()
 		case busBusy:
 			return
 		}

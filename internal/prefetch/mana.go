@@ -33,7 +33,7 @@ type MANA struct {
 	seenAny  bool
 
 	// pending is the replay queue feeding the issue port.
-	pending []uint64
+	pending lineQueue
 
 	// Triggers counts distinct-line demand events; RecordHits footprint
 	// replays; RegionsCommitted non-empty footprints written back;
@@ -114,7 +114,7 @@ func NewMANA(env Env, cfg MANAConfig) *MANA {
 		cfg:      cfg,
 		sets:     sets,
 		setShift: uint(bits.TrailingZeros(uint(numSets))),
-		pending:  make([]uint64, 0, cfg.QueueSize),
+		pending:  make(lineQueue, 0, cfg.QueueSize),
 	}
 }
 
@@ -146,7 +146,9 @@ func (m *MANA) OnDemandAccess(lineAddr uint64, l1Hit, pfbHit bool, now int64) {
 			for foot != 0 {
 				i := bits.TrailingZeros64(foot)
 				foot &^= 1 << i
-				m.enqueue((ln + uint64(i) + 1) * uint64(m.port.env.LineBytes))
+				if !m.pending.offer((ln + uint64(i) + 1) * uint64(m.port.env.LineBytes)) {
+					m.PendingDrops++
+				}
 			}
 		}
 	}
@@ -210,35 +212,9 @@ func (m *MANA) commit(ln, foot uint64) {
 	set[victim] = manaRecord{valid: true, tag: tag, foot: foot, stamp: m.clock}
 }
 
-func (m *MANA) enqueue(line uint64) {
-	for _, p := range m.pending {
-		if p == line {
-			return
-		}
-	}
-	if len(m.pending) >= m.cfg.QueueSize {
-		m.PendingDrops++
-		return
-	}
-	m.pending = append(m.pending, line)
-}
-
 // Tick implements Prefetcher: issue the oldest replayed line into an idle
-// bus slot (same loop shape as NextLine — one slot per cycle, dropped
-// candidates cost nothing).
-func (m *MANA) Tick(now int64) {
-	for len(m.pending) > 0 {
-		r := m.port.tryIssue(m.pending[0], now)
-		if r == busBusy {
-			return
-		}
-		n := copy(m.pending, m.pending[1:])
-		m.pending = m.pending[:n]
-		if r == issued {
-			return
-		}
-	}
-}
+// bus slot.
+func (m *MANA) Tick(now int64) { m.pending.drain(&m.port, now) }
 
 // Idle implements Prefetcher: an empty replay queue waits on demand
 // traffic.

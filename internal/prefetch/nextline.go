@@ -5,8 +5,7 @@ package prefetch
 // L+1. Triggers that find the bus busy wait in a small pending queue.
 type NextLine struct {
 	port    port
-	pending []uint64
-	cap     int
+	pending lineQueue
 
 	// Triggers counts miss/first-use events; PendingDrops counts triggers
 	// discarded because the pending queue was full.
@@ -19,7 +18,7 @@ func NewNextLine(env Env, pendCap int) *NextLine {
 	if pendCap < 1 {
 		pendCap = 4
 	}
-	return &NextLine{port: port{env: env}, cap: pendCap}
+	return &NextLine{port: port{env: env}, pending: make(lineQueue, 0, pendCap)}
 }
 
 // Name implements Prefetcher.
@@ -32,39 +31,14 @@ func (n *NextLine) OnDemandAccess(lineAddr uint64, l1Hit, pfbHit bool, now int64
 		return
 	}
 	n.Triggers++
-	next := lineAddr + uint64(n.port.env.LineBytes)
-	n.enqueue(next)
-}
-
-func (n *NextLine) enqueue(line uint64) {
-	for _, p := range n.pending {
-		if p == line {
-			return
-		}
-	}
-	if len(n.pending) >= n.cap {
+	if !n.pending.offer(lineAddr + uint64(n.port.env.LineBytes)) {
 		n.PendingDrops++
-		return
 	}
-	n.pending = append(n.pending, line)
 }
 
 // Tick implements Prefetcher: issue the oldest pending trigger into an idle
 // bus slot.
-func (n *NextLine) Tick(now int64) {
-	for len(n.pending) > 0 {
-		line := n.pending[0]
-		switch n.port.tryIssue(line, now) {
-		case issued:
-			n.pending = n.pending[1:]
-			return // one bus slot per cycle
-		case busBusy:
-			return // keep waiting
-		default: // present or inflight: discard and try the next
-			n.pending = n.pending[1:]
-		}
-	}
-}
+func (n *NextLine) Tick(now int64) { n.pending.drain(&n.port, now) }
 
 // Idle implements Prefetcher: an empty pending queue waits on demand
 // traffic.

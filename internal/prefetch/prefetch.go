@@ -3,11 +3,15 @@
 // prefetching and multi-way stream buffers (the baselines), and a null
 // prefetcher.
 //
-// All engines share the same issue discipline for a fair bandwidth
-// comparison: prefetches are issued only into idle L1↔L2 bus slots, at most
-// one per cycle, and land in the shared fully-associative prefetch buffer
-// probed alongside the L1-I. Lines already cached, buffered, or in flight
-// are never re-requested.
+// All engines share the same issue port for a fair bandwidth comparison:
+// prefetches are issued only into idle L1↔L2 bus slots, at most one per
+// cycle, and land in the shared fully-associative prefetch buffer probed
+// alongside the L1-I. Lines already buffered or in flight are dropped, never
+// re-requested. Next-line, MANA and shadow-target issue drain their line
+// queue: a dropped head is popped and the next one tried, until one issues or
+// the bus is busy. FDP stops at a busy bus even after dropping a stale PIQ
+// head: it checks the bus after every pop and leaves the rest of the PIQ for
+// a later cycle.
 package prefetch
 
 import (
@@ -110,6 +114,61 @@ func (p *port) tryIssue(line uint64, now int64) issueResult {
 	p.env.Hier.Request(line, true, now)
 	p.stats.Issued++
 	return issued
+}
+
+// lineQueue is a bounded FIFO of line addresses, oldest first. Its capacity
+// is fixed when it is made (make(lineQueue, 0, n)), so offers past it are
+// refused and no operation allocates.
+type lineQueue []uint64
+
+// has reports whether line is queued.
+func (q lineQueue) has(line uint64) bool {
+	for _, l := range q {
+		if l == line {
+			return true
+		}
+	}
+	return false
+}
+
+// full reports whether the queue is at capacity.
+func (q lineQueue) full() bool { return len(q) == cap(q) }
+
+// offer queues line unless it is already queued. It returns false, and
+// queues nothing, when the queue is full.
+func (q *lineQueue) offer(line uint64) bool {
+	if q.has(line) {
+		return true
+	}
+	if q.full() {
+		return false
+	}
+	*q = append(*q, line)
+	return true
+}
+
+// pop removes and returns the oldest line, shifting the rest down so the
+// capacity is kept. The queue must not be empty.
+func (q *lineQueue) pop() uint64 {
+	line := (*q)[0]
+	*q = (*q)[:copy(*q, (*q)[1:])]
+	return line
+}
+
+// drain issues the oldest queued line through p into an idle bus slot, one
+// per cycle: lines already buffered or in flight are popped and the next one
+// tried, and a busy bus leaves the head queued.
+func (q *lineQueue) drain(p *port, now int64) {
+	for len(*q) > 0 {
+		r := p.tryIssue((*q)[0], now)
+		if r == busBusy {
+			return
+		}
+		q.pop()
+		if r == issued {
+			return
+		}
+	}
 }
 
 // None is the no-prefetch baseline.

@@ -11,7 +11,7 @@ import (
 // testEnv builds a small but realistic environment: 1KB 2-way L1-I with 2
 // tag ports, 8-entry prefetch buffer, fast L2.
 func testEnv() Env {
-	l1 := cache.New(cache.Config{SizeBytes: 1024, Ways: 2, LineBytes: 32, Repl: cache.LRU, TagPorts: 2})
+	l1 := cache.New(cache.Config{SizeBytes: 1024, Ways: 2, LineBytes: 32, TagPorts: 2})
 	pfb := cache.NewPrefetchBuffer(8, 32)
 	h := memsys.New(memsys.Config{
 		LineBytes: 32, L2SizeBytes: 1 << 16, L2Ways: 4,

@@ -20,8 +20,8 @@ type Shadow struct {
 
 	// decode holds line addresses awaiting shadow decode; targets holds
 	// discovered target lines awaiting an idle bus slot.
-	decode  []uint64
-	targets []uint64
+	decode  lineQueue
+	targets lineQueue
 
 	// LinesDecoded counts lines fully scanned; DecodeDrops lines discarded
 	// on a full decode queue; Prefills FTB insertions; AlreadyKnown CTIs the
@@ -71,8 +71,8 @@ func NewShadow(env Env, cfg ShadowConfig) *Shadow {
 	return &Shadow{
 		port:    port{env: env},
 		cfg:     cfg,
-		decode:  make([]uint64, 0, cfg.DecodeQueue),
-		targets: make([]uint64, 0, cfg.TargetQueue),
+		decode:  make(lineQueue, 0, cfg.DecodeQueue),
+		targets: make(lineQueue, 0, cfg.TargetQueue),
 	}
 }
 
@@ -83,42 +83,19 @@ func (s *Shadow) Name() string { return "shadow" }
 // full miss being fetched, or a prefetched line's first use) has shadow
 // bytes worth decoding; resident-line hits were decoded when they arrived.
 func (s *Shadow) OnDemandAccess(lineAddr uint64, l1Hit, pfbHit bool, now int64) {
-	if l1Hit {
-		return
-	}
-	for _, d := range s.decode {
-		if d == lineAddr {
-			return
-		}
-	}
-	if len(s.decode) >= s.cfg.DecodeQueue {
+	if !l1Hit && !s.decode.offer(lineAddr) {
 		s.DecodeDrops++
-		return
 	}
-	s.decode = append(s.decode, lineAddr)
 }
 
 // Tick implements Prefetcher: decode one queued line, then issue at most one
 // discovered-target prefetch into an idle bus slot.
 func (s *Shadow) Tick(now int64) {
 	if len(s.decode) > 0 {
-		line := s.decode[0]
-		n := copy(s.decode, s.decode[1:])
-		s.decode = s.decode[:n]
-		s.decodeLine(line)
+		s.decodeLine(s.decode.pop())
 		s.LinesDecoded++
 	}
-	for len(s.targets) > 0 {
-		r := s.port.tryIssue(s.targets[0], now)
-		if r == busBusy {
-			return
-		}
-		n := copy(s.targets, s.targets[1:])
-		s.targets = s.targets[:n]
-		if r == issued {
-			return
-		}
-	}
+	s.targets.drain(&s.port, now)
 }
 
 // decodeLine scans one line's instructions for direct CTIs and prefills the
@@ -157,23 +134,10 @@ func (s *Shadow) decodeLine(line uint64) {
 		}
 		ftb.TrainBlock(start, int(pc-start)/isa.InstrBytes+1, ins.Kind, ins.Target)
 		s.Prefills++
-		if s.cfg.PrefetchTargets {
-			s.enqueueTarget(ins.Target &^ uint64(s.port.env.LineBytes-1))
+		if s.cfg.PrefetchTargets && !s.targets.offer(ins.Target&^uint64(s.port.env.LineBytes-1)) {
+			s.TargetDrops++
 		}
 	}
-}
-
-func (s *Shadow) enqueueTarget(line uint64) {
-	for _, t := range s.targets {
-		if t == line {
-			return
-		}
-	}
-	if len(s.targets) >= s.cfg.TargetQueue {
-		s.TargetDrops++
-		return
-	}
-	s.targets = append(s.targets, line)
 }
 
 // Idle implements Prefetcher: with no line to decode and no target to

@@ -307,7 +307,6 @@ func (s *Server) replay(sw *sweep) ([]engine.RunOutcome, int, error) {
 		ChunkPoints: s.chunkFor(sw),
 		Instrs:      sw.req.Instrs,
 		Journal:     journal,
-		MaxRetries:  -1,
 		Cache:       s.cache,
 	})
 	var buf []engine.RunOutcome
@@ -447,10 +446,6 @@ func (s *Server) nextRunnable() *sweep {
 	}
 }
 
-// maxRetries is each range's re-dial budget: above dist's default of 2,
-// because a service pool churns more than a static dialer list.
-const maxRetries = 4
-
 // runSweep executes one sweep under its checkpoint journal, streaming
 // outcomes into its buffer (waking stream watchers per range) and recording
 // the terminal state in the queue journal. A quiesce mid-sweep re-queues the
@@ -463,7 +458,6 @@ func (s *Server) runSweep(sw *sweep) {
 		ChunkPoints: s.chunkFor(sw),
 		Instrs:      sw.req.Instrs,
 		Journal:     s.journalPath(sw.id),
-		MaxRetries:  maxRetries,
 		Cache:       s.cache,
 		Quiesce:     s.quiesce,
 	})
