@@ -374,13 +374,14 @@ func summarize(rows []row, topk int) string {
 }
 
 // moments returns the rows' IPC mean and population stddev by Welford's
-// update, in row order.
+// update, in row order. The m2 product is rounded on its own (float64(...)),
+// so no architecture fuses it into a multiply-add.
 func moments(rows []row) (mean, stddev float64) {
 	var m2 float64
 	for i, r := range rows {
 		d := r.Result.IPC - mean
 		mean += d / float64(i+1)
-		m2 += d * (r.Result.IPC - mean)
+		m2 += float64(d * (r.Result.IPC - mean))
 	}
 	if len(rows) > 1 {
 		stddev = math.Sqrt(m2 / float64(len(rows)))

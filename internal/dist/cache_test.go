@@ -1,11 +1,15 @@
 package dist
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -444,5 +448,115 @@ func TestJournalSyncsOnlyExecutedRanges(t *testing.T) {
 		if len(completed) != tc.ranges {
 			t.Errorf("%s journal holds %d ranges, want %d", tc.name, len(completed), tc.ranges)
 		}
+	}
+}
+
+// TestNoDialerServesJournalAndCache: a coordinator without a dialer serves
+// only what its journal and its cache hold. Over a finished sweep's journal
+// it yields every row in range order; with one range record gone it serves
+// that range from a warm cache, and with a cold cache it yields every other
+// row once, primes the cache from the journal, and ends naming the range it
+// could not serve. It leaves no goroutine behind either way.
+func TestNoDialerServesJournalAndCache(t *testing.T) {
+	p := testPlan()
+	journal := filepath.Join(t.TempDir(), "sweep.journal")
+	warm := new(engine.ResultCache)
+	first, err := collect(context.Background(), New(Options{Dialer: Loopback{Workers: 2}, Shards: 2, ChunkPoints: 2, Journal: journal, Cache: warm}), p)
+	if err != nil {
+		t.Fatalf("first sweep: %v", err)
+	}
+
+	// stream runs a no-dialer coordinator over the journal and cache, and
+	// returns what it yields in order, its terminal error, and whether the
+	// goroutine count came back to where it started.
+	stream := func(cache *engine.ResultCache) (outs []engine.RunOutcome, terminal error, reaped bool) {
+		before := runtime.NumGoroutine()
+		for out, err := range New(Options{Shards: 2, ChunkPoints: 2, Journal: journal, Cache: cache}).Stream(context.Background(), p) {
+			if err != nil {
+				terminal = err
+				continue
+			}
+			outs = append(outs, out)
+		}
+		for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			if runtime.NumGoroutine() <= before {
+				return outs, terminal, true
+			}
+		}
+		return outs, terminal, false
+	}
+
+	outs, terminal, reaped := stream(new(engine.ResultCache))
+	if terminal != nil {
+		t.Fatalf("replay of a finished sweep: %v", terminal)
+	}
+	requireSameWire(t, "replay", outs, first)
+	if !reaped {
+		t.Error("replay left goroutines behind")
+	}
+
+	// Drop range 2's record. The rewritten journal is restored before each
+	// case: a cache-served range is noted back into it.
+	data, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var partial []byte
+	for _, line := range bytes.SplitAfter(data, []byte("\n")) {
+		var rec journalRecord
+		if json.Unmarshal(line, &rec) == nil && rec.Type == "range" && rec.Start == 2 {
+			continue
+		}
+		partial = append(partial, line...)
+	}
+	if len(partial) == len(data) {
+		t.Fatal("journal holds no record of range 2")
+	}
+
+	// Warm cache: range 2 is served from it, after the journaled ranges.
+	if err := os.WriteFile(journal, partial, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	outs, terminal, reaped = stream(warm)
+	if terminal != nil {
+		t.Fatalf("warm-cache replay: %v", terminal)
+	}
+	if !reaped {
+		t.Error("warm-cache replay left goroutines behind")
+	}
+	byIndex := make([]engine.RunOutcome, p.Points())
+	for _, out := range outs {
+		byIndex[out.Index] = out
+		if want := out.Index == 2 || out.Index == 3; out.Cached != want {
+			t.Errorf("warm-cache replay: point %d Cached=%v, want %v", out.Index, out.Cached, want)
+		}
+	}
+	requireIdentical(t, "warm-cache replay", first, byIndex)
+
+	// Cold cache: range 2 needs a worker, so the stream ends naming it,
+	// after every journaled row exactly once.
+	if err := os.WriteFile(journal, partial, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cold := new(engine.ResultCache)
+	outs, terminal, reaped = stream(cold)
+	if terminal == nil || !strings.Contains(terminal.Error(), "range 2 ") {
+		t.Errorf("cold-cache replay ended with %v, want an error naming range 2", terminal)
+	}
+	if !reaped {
+		t.Error("cold-cache replay left goroutines behind")
+	}
+	seen := map[int]bool{}
+	for _, out := range outs {
+		if seen[out.Index] {
+			t.Errorf("cold-cache replay yielded point %d twice", out.Index)
+		}
+		seen[out.Index] = true
+	}
+	if len(seen) != p.Points()-2 || seen[2] || seen[3] {
+		t.Errorf("cold-cache replay yielded points %v, want every point outside range 2", seen)
+	}
+	if cold.Len() != p.Points()-2 {
+		t.Errorf("cold-cache replay primed %d cache entries, want the journal's %d", cold.Len(), p.Points()-2)
 	}
 }

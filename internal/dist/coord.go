@@ -15,7 +15,9 @@ import (
 
 // Options configures a Coordinator.
 type Options struct {
-	// Dialer supplies worker sessions (required).
+	// Dialer supplies worker sessions. Without one the coordinator serves
+	// only what the journal and the cache hold: the first range that
+	// needs a worker ends the stream with a terminal error naming it.
 	Dialer Dialer
 	// Shards is the number of concurrent worker sessions (default 1), and
 	// the most pieces one range's cache misses are cut into.
@@ -139,9 +141,10 @@ type delivery struct {
 // and yields outcomes as ranges complete. The contract is engine.Stream's,
 // reassembled: completion order across ranges, enumeration order within one,
 // every outcome index-tagged; per-job failures ride inside outcomes; a
-// stream-level failure (context death, a piece out of retries, a journal
-// write error) yields once as a terminal (zero, error) pair. Breaking out of
-// the loop cancels outstanding pieces before the iterator returns.
+// stream-level failure (context death, a piece out of retries, a range that
+// needs a worker when there is no dialer, a journal write error) yields once
+// as a terminal (zero, error) pair. Breaking out of the loop cancels
+// outstanding pieces before the iterator returns.
 //
 // With a journal configured, ranges completed by a previous run replay from
 // disk first (no re-execution), then the remainder executes; a consumer that
@@ -151,10 +154,6 @@ func (c *Coordinator) Stream(ctx context.Context, p *engine.Plan) iter.Seq2[engi
 	return func(yield func(engine.RunOutcome, error) bool) {
 		if err := p.Err(); err != nil {
 			yield(engine.RunOutcome{}, err)
-			return
-		}
-		if c.opts.Dialer == nil {
-			yield(engine.RunOutcome{}, fmt.Errorf("dist: coordinator has no dialer"))
 			return
 		}
 		points := p.Points()
@@ -265,7 +264,7 @@ func (c *Coordinator) Stream(ctx context.Context, p *engine.Plan) iter.Seq2[engi
 				switch {
 				case parent.Err() != nil:
 					yield(engine.RunOutcome{}, parent.Err())
-				case quiesced(c.opts.Quiesce):
+				case Quiesced(c.opts.Quiesce):
 					yield(engine.RunOutcome{}, fmt.Errorf("%w: %d ranges not dispatched", ErrQuiesced, remaining))
 				default:
 					yield(engine.RunOutcome{}, fmt.Errorf("dist: shards exited with %d ranges outstanding", remaining))
@@ -329,9 +328,11 @@ func (c *Coordinator) Stream(ctx context.Context, p *engine.Plan) iter.Seq2[engi
 // the cache: a fully cached range goes straight to the consumer loop and
 // never dials, and the misses of the rest leave as pieces the shard loops
 // take first-in first-out, so a shard that finishes early can take a piece
-// of a range another shard is still running instead of idling. Quiesce is
-// honoured only before a range's first piece: a started range is dispatched
-// whole, so it still completes, journals and yields.
+// of a range another shard is still running instead of idling. Without a
+// dialer, the first range with misses is delivered as a terminal error and
+// dispatch stops. Quiesce is honoured only before a range's first piece: a
+// started range is dispatched whole, so it still completes, journals and
+// yields.
 func (c *Coordinator) dispatch(ctx context.Context, p *engine.Plan, completed map[int][]engine.RunOutcome, work chan<- piece, deliveries chan<- delivery) {
 	next, stop := iter.Pull2(p.Jobs())
 	defer stop()
@@ -357,10 +358,19 @@ func (c *Coordinator) dispatch(ctx context.Context, p *engine.Plan, completed ma
 		}
 		// Checked before the selects below too, which pick at random when a
 		// shard is ready as well: a closed quiesce must win.
-		if quiesced(c.opts.Quiesce) {
+		if Quiesced(c.opts.Quiesce) {
 			return
 		}
 		r, pieces := c.split(start, jobs)
+		if len(pieces) > 0 && c.opts.Dialer == nil {
+			// Behind every cache-served range before it: a deterministic end.
+			err := fmt.Errorf("dist: range %d needs a worker and the coordinator has no dialer", start)
+			select {
+			case deliveries <- delivery{rng: r, err: err}:
+			case <-ctx.Done():
+			}
+			return
+		}
 		if len(pieces) == 0 {
 			select {
 			case deliveries <- delivery{rng: r}:
@@ -490,11 +500,8 @@ func (c *Coordinator) shardLoop(ctx context.Context, work <-chan piece, deliveri
 	}
 }
 
-// quiesced reports whether a (possibly nil) quiesce channel has fired.
-func quiesced(ch <-chan struct{}) bool {
-	if ch == nil {
-		return false
-	}
+// Quiesced reports whether a quiesce channel has fired; a nil one never does.
+func Quiesced(ch <-chan struct{}) bool {
 	select {
 	case <-ch:
 		return true

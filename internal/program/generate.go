@@ -442,16 +442,18 @@ func pickCallee(rng *rand.Rand, p Params, fi int, skew float64) int {
 // most branches are strongly biased one way, a small minority is mixed.
 // Because the walker draws outcomes independently per instance, a branch's
 // entropy here is a *floor* on its mispredict rate, so the biased modes are
-// kept tight to match the predictability of real integer codes.
+// kept tight to match the predictability of real integer codes. Each product
+// is rounded on its own (float64(...)), so no architecture fuses it into a
+// multiply-add and every GOARCH generates the same image.
 func sampleBias(rng *rand.Rand) float64 {
 	r := rng.Float64()
 	switch {
 	case r < 0.47: // mostly not taken
-		return 0.01 + 0.09*rng.Float64()
+		return 0.01 + float64(0.09*rng.Float64())
 	case r < 0.90: // mostly taken
-		return 0.90 + 0.09*rng.Float64()
+		return 0.90 + float64(0.09*rng.Float64())
 	default: // mixed, hard to predict
-		return 0.30 + 0.40*rng.Float64()
+		return 0.30 + float64(0.40*rng.Float64())
 	}
 }
 

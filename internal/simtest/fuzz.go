@@ -109,7 +109,9 @@ func seedKind(seed int64) core.PrefetcherKind {
 
 // fuzzParams derives a random small program: big enough to have interesting
 // control flow, small enough that one fuzz iteration generates it in
-// milliseconds.
+// milliseconds. Each product is rounded on its own (float64(...)), so no
+// architecture fuses it into a multiply-add and a corpus entry derives the
+// same program on every GOARCH.
 func fuzzParams(rng *rand.Rand) program.Params {
 	p := program.DefaultParams()
 	p.Seed = rng.Int63()
@@ -118,8 +120,8 @@ func fuzzParams(rng *rand.Rand) program.Params {
 	p.MeanBlockLen = 2 + rng.Intn(6)
 	p.MaxLoopsPerFunc = rng.Intn(3)
 	p.MeanLoopTrip = 2 + rng.Intn(10)
-	p.CallFrac = 0.05 + 0.20*rng.Float64()
-	p.CondFrac = 0.15 + 0.25*rng.Float64()
+	p.CallFrac = 0.05 + float64(0.20*rng.Float64())
+	p.CondFrac = 0.15 + float64(0.25*rng.Float64())
 	p.JumpFrac = 0.15 * rng.Float64()
 	p.IndirectFrac = 0.20 * rng.Float64()
 	p.DispatchFanout = 4 + rng.Intn(16)

@@ -79,10 +79,11 @@ func (h *HistogramSketch) Count() uint64 {
 	return n
 }
 
-// BucketBounds returns bucket i's [lo, hi) range.
+// BucketBounds returns bucket i's [lo, hi) range. Each product is rounded on
+// its own (float64(...)), so no architecture fuses it into a multiply-add.
 func (h *HistogramSketch) BucketBounds(i int) (lo, hi float64) {
 	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + float64(i)*w, h.Lo + float64(i+1)*w
+	return h.Lo + float64(float64(i)*w), h.Lo + float64(float64(i+1)*w)
 }
 
 // Quantile returns an upper bound of the q-quantile (q clamped to [0, 1]):

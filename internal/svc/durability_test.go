@@ -262,6 +262,43 @@ func TestServiceRequeuesUnreplayableSweep(t *testing.T) {
 	}
 }
 
+// TestServiceRequeuesPartlyJournaledSweep: a finished sweep whose journal
+// lost one executed range, and whose points no other journal holds, keeps
+// its done record but cannot replay. It must go back to queued and ship
+// exactly that range's job, and its stream must still match the reference.
+func TestServiceRequeuesPartlyJournaledSweep(t *testing.T) {
+	req := testReq("partial-journal")
+	ref := reference(t, req)
+	dir := t.TempDir()
+	wc := &workerCounter{}
+	w := countingWorker(wc)
+	defer w.Close()
+	ctx := context.Background()
+
+	_, c1, done1 := service(t, dir, Options{Shards: 2})
+	c1.Register(ctx, "w", w.URL, time.Minute)
+	st, err := c1.Submit(ctx, req)
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	collect(t, c1, st.ID, len(ref))
+	done1()
+	dropRecords(t, filepath.Join(dir, st.ID+".journal"), func(rec map[string]any) bool {
+		return rec["type"] == "range" && rec["start"] == float64(3)
+	})
+
+	_, c2, done2 := service(t, dir, Options{Shards: 2})
+	defer done2()
+	c2.Register(ctx, "w", w.URL, time.Minute)
+	requireIdentical(t, "re-run", ref, collect(t, c2, st.ID, len(ref)))
+	if n := wc.shipped(); n != len(ref)+1 {
+		t.Errorf("restart shipped %d jobs, want 1 (the range the journal lost)", n-len(ref))
+	}
+	if got, err := c2.Job(ctx, st.ID); err != nil || got.State != StateDone {
+		t.Errorf("sweep after restart: %+v / %v; want done", got, err)
+	}
+}
+
 // FuzzQueueRestore feeds arbitrary bytes to a restarting service as its
 // queue journal, then submits once and shuts down, with no workers. Restore
 // must not panic and must restore each id once; the Submit must issue an id

@@ -123,10 +123,6 @@ type JobStatus struct {
 	Completed int    `json:"completed"`
 	Cached    int    `json:"cached"`
 	Error     string `json:"error,omitempty"`
-	// CompletedSeq is the service-wide finish ordinal (1 = first sweep to
-	// finish since this server started; 0 = not finished) — how tests pin
-	// priority scheduling without timing.
-	CompletedSeq int `json:"completed_seq,omitempty"`
 }
 
 // sweep is one submission's full server-side state.
@@ -136,11 +132,10 @@ type sweep struct {
 	req  SubmitRequest
 	plan *engine.Plan
 
-	state        string
-	errMsg       string
-	buf          []engine.RunOutcome // completion-order outcomes, the stream source
-	cached       int
-	completedSeq int
+	state  string
+	errMsg string
+	buf    []engine.RunOutcome // completion-order outcomes, the stream source
+	cached int
 }
 
 func (sw *sweep) status() JobStatus {
@@ -157,8 +152,6 @@ func (sw *sweep) status() JobStatus {
 		Completed: len(sw.buf),
 		Cached:    sw.cached,
 		Error:     sw.errMsg,
-
-		CompletedSeq: sw.completedSeq,
 	}
 }
 
@@ -175,7 +168,6 @@ type Server struct {
 	jobs  map[string]*sweep
 	order []*sweep // submission order
 	seq   int      // last assigned submission ordinal
-	fin   int      // last assigned completion ordinal
 
 	quiesce   chan struct{}
 	quiesceFn sync.Once
@@ -291,27 +283,17 @@ func (s *Server) restore(records []queueRecord) {
 	}
 }
 
-// replay rebuilds one sweep's stream from its dist journal without executing
-// anything, priming the shared cache as a side effect (the coordinator pushes
-// every journal-replayed outcome through its Options.Cache, and serves ranges
-// the journal lacks from the cache where it can). It reports the outcomes,
-// how many were cache-served, and an error if any range needed a worker.
+// replay rebuilds one sweep's stream through its own coordinator with no
+// dialer, which serves only what the journal and the shared cache hold and
+// primes the cache from the journal. It reports the outcomes, how many were
+// cache-served, and an error if the journal is gone or a range needs a worker.
 func (s *Server) replay(sw *sweep) ([]engine.RunOutcome, int, error) {
-	journal := s.journalPath(sw.id)
-	if _, err := os.Stat(journal); err != nil {
+	if _, err := os.Stat(s.journalPath(sw.id)); err != nil {
 		return nil, 0, err
 	}
-	c := dist.New(dist.Options{
-		Dialer:      noDialer{},
-		Shards:      1,
-		ChunkPoints: s.chunkFor(sw),
-		Instrs:      sw.req.Instrs,
-		Journal:     journal,
-		Cache:       s.cache,
-	})
 	var buf []engine.RunOutcome
 	cached := 0
-	for out, err := range c.Stream(context.Background(), sw.plan) {
+	for out, err := range s.coordinator(sw, nil).Stream(context.Background(), sw.plan) {
 		if err != nil {
 			return nil, 0, err
 		}
@@ -323,23 +305,26 @@ func (s *Server) replay(sw *sweep) ([]engine.RunOutcome, int, error) {
 	return buf, cached, nil
 }
 
-// noDialer keeps a replay from executing: a range that neither the journal
-// nor the cache can serve fails the replay instead of reaching a worker.
-type noDialer struct{}
-
-func (noDialer) Dial(ctx context.Context) (dist.Session, error) {
-	return nil, fmt.Errorf("svc: replay needs a worker")
-}
-
 func (s *Server) journalPath(id string) string {
 	return filepath.Join(s.opts.StateDir, id+".journal")
 }
 
-func (s *Server) chunkFor(sw *sweep) int {
-	if sw.req.ChunkPoints > 0 {
-		return sw.req.ChunkPoints
+// coordinator is sw's dist coordinator over dialer: the registry to run the
+// sweep, nil to replay it from its journal and the shared cache.
+func (s *Server) coordinator(sw *sweep, dialer dist.Dialer) *dist.Coordinator {
+	chunk := sw.req.ChunkPoints
+	if chunk <= 0 {
+		chunk = s.opts.ChunkPoints
 	}
-	return s.opts.ChunkPoints
+	return dist.New(dist.Options{
+		Dialer:      dialer,
+		Shards:      s.opts.Shards,
+		ChunkPoints: chunk,
+		Instrs:      sw.req.Instrs,
+		Journal:     s.journalPath(sw.id),
+		Cache:       s.cache,
+		Quiesce:     s.quiesce,
+	})
 }
 
 // Submit validates, journals, and enqueues one sweep. The returned status is
@@ -412,7 +397,7 @@ func (s *Server) scheduler() {
 			return // quiesced
 		}
 		s.runSweep(sw)
-		if quiesced(s.quiesce) {
+		if dist.Quiesced(s.quiesce) {
 			return
 		}
 	}
@@ -424,7 +409,7 @@ func (s *Server) nextRunnable() *sweep {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
-		if quiesced(s.quiesce) {
+		if dist.Quiesced(s.quiesce) {
 			return nil
 		}
 		var best *sweep
@@ -452,17 +437,8 @@ func (s *Server) nextRunnable() *sweep {
 // sweep instead of failing it: the drained ranges are journaled, so the next
 // run — after restart — resumes behind them.
 func (s *Server) runSweep(sw *sweep) {
-	c := dist.New(dist.Options{
-		Dialer:      s.reg,
-		Shards:      s.opts.Shards,
-		ChunkPoints: s.chunkFor(sw),
-		Instrs:      sw.req.Instrs,
-		Journal:     s.journalPath(sw.id),
-		Cache:       s.cache,
-		Quiesce:     s.quiesce,
-	})
 	var terminal error
-	for out, err := range c.Stream(context.Background(), sw.plan) {
+	for out, err := range s.coordinator(sw, s.reg).Stream(context.Background(), sw.plan) {
 		if err != nil {
 			terminal = err
 			break
@@ -484,10 +460,8 @@ func (s *Server) runSweep(sw *sweep) {
 	switch {
 	case terminal == nil:
 		sw.state = StateDone
-		s.fin++
-		sw.completedSeq = s.fin
 		rec = &queueRecord{Op: "done", ID: sw.id}
-	case errors.Is(terminal, dist.ErrQuiesced) || quiesced(s.quiesce):
+	case errors.Is(terminal, dist.ErrQuiesced) || dist.Quiesced(s.quiesce):
 		// Graceful drain (or a dial aborted by shutdown): back to queued,
 		// progress parked in the journal. No queue record — the journal's
 		// last word on this sweep is still its submission.
@@ -507,16 +481,6 @@ func (s *Server) runSweep(sw *sweep) {
 		// dist journal without executing anything. Only a failed record is
 		// synced (see queueRecord).
 		_ = s.queue.Append(*rec, rec.Op == "failed")
-	}
-}
-
-// quiesced reports whether ch has fired.
-func quiesced(ch <-chan struct{}) bool {
-	select {
-	case <-ch:
-		return true
-	default:
-		return false
 	}
 }
 
@@ -566,7 +530,7 @@ func (s *Server) Stream(ctx context.Context, id string, from int, fn func(Stream
 	next := from
 	for {
 		s.mu.Lock()
-		for ctx.Err() == nil && next >= len(sw.buf) && sw.state != StateDone && sw.state != StateFailed && !quiesced(s.quiesce) {
+		for ctx.Err() == nil && next >= len(sw.buf) && sw.state != StateDone && sw.state != StateFailed && !dist.Quiesced(s.quiesce) {
 			s.cond.Wait()
 		}
 		var batch []engine.RunOutcome
@@ -592,7 +556,7 @@ func (s *Server) Stream(ctx context.Context, id string, from int, fn func(Stream
 		case StateFailed:
 			return fn(StreamFrame{Type: "error", Seq: next, Error: errMsg})
 		}
-		if quiesced(s.quiesce) {
+		if dist.Quiesced(s.quiesce) {
 			return fn(StreamFrame{Type: "error", Seq: next, Error: dist.ErrQuiesced.Error()})
 		}
 	}

@@ -13,6 +13,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -478,9 +479,10 @@ func TestServiceBackpressure(t *testing.T) {
 }
 
 // TestServicePriorityOrder pins the queue discipline with the completion
-// ordinal: among sweeps queued behind a parked one, the high-priority
-// latecomer finishes before the earlier low-priority submission, which still
-// beats its same-priority successor (FIFO within a level).
+// order of the queue journal's done records: among sweeps queued behind a
+// parked one, the high-priority latecomer finishes before the earlier
+// low-priority submission, which still beats its same-priority successor
+// (FIFO within a level).
 func TestServicePriorityOrder(t *testing.T) {
 	small := func(label string, prio int) SubmitRequest {
 		return SubmitRequest{
@@ -490,8 +492,8 @@ func TestServicePriorityOrder(t *testing.T) {
 			Configs:   []ConfigPoint{{Name: "base", Config: testCfg(core.PrefetchNone)}},
 		}
 	}
-	_, c, done := service(t, t.TempDir(), Options{Shards: 1})
-	defer done()
+	dir := t.TempDir()
+	_, c, done := service(t, dir, Options{Shards: 1})
 	ctx := context.Background()
 
 	// No workers yet: first submission parks in "running", the rest queue.
@@ -504,19 +506,28 @@ func TestServicePriorityOrder(t *testing.T) {
 	defer w.Close()
 	c.Register(ctx, "w", w.URL, time.Minute)
 
-	order := map[string]int{}
+	labels := map[string]string{}
 	for _, st := range []JobStatus{first, lowA, lowB, high} {
 		if err := c.Stream(ctx, st.ID, 0, func(StreamFrame) error { return nil }); err != nil {
 			t.Fatalf("stream %s: %v", st.Label, err)
 		}
-		got, err := c.Job(ctx, st.ID)
-		if err != nil || got.CompletedSeq == 0 {
-			t.Fatalf("status %s: %+v / %v", st.Label, got, err)
-		}
-		order[st.Label] = got.CompletedSeq
+		labels[st.ID] = st.Label
 	}
-	if !(order["high"] < order["low-a"] && order["low-a"] < order["low-b"]) {
-		t.Errorf("completion order %v; want high before low-a before low-b", order)
+	done()
+
+	q, records, err := durable.Open[queueRecord](filepath.Join(dir, "queue.journal"), nil)
+	if err != nil {
+		t.Fatalf("reopen queue journal: %v", err)
+	}
+	q.Close(false)
+	var order []string
+	for _, rec := range records {
+		if rec.Op == "done" {
+			order = append(order, labels[rec.ID])
+		}
+	}
+	if want := []string{"first", "high", "low-a", "low-b"}; !slices.Equal(order, want) {
+		t.Errorf("completion order %v; want %v", order, want)
 	}
 }
 
