@@ -155,7 +155,8 @@ func run() int {
 		st.Simulations, st.CacheHits, r.Engine().Workers(), time.Since(start).Round(time.Millisecond))
 	// Kernel-speed aggregate: simulated cycles per second of in-simulation
 	// wall time, summed over every fresh simulation — the number performance
-	// work tracks across runs — plus the machine pool's recycling rate.
+	// work tracks across runs — plus how often a worker slot's machine had
+	// the next job's config and was reset instead of rebuilt.
 	fmt.Fprintf(os.Stderr, "fdipbench: kernel %.2fM cycles/s aggregate (%d simulated cycles in %.2fs sim time; machines built %d, reused %d)\n",
 		st.CyclesPerSec()/1e6, st.SimulatedCycles, st.SimSeconds, st.MachinesBuilt, st.MachinesReused)
 	return 0

@@ -29,7 +29,7 @@ func TestResetEqualsFreshAcrossPrefetchers(t *testing.T) {
 }
 
 // TestResetFromMidFlightRun proves Reset recovers from an abandoned run —
-// the state a cancelled job leaves in the machine pool: stalls outstanding,
+// the state a cancelled job leaves in its worker slot's machine: stalls outstanding,
 // transfers in flight, the ROB half full.
 func TestResetFromMidFlightRun(t *testing.T) {
 	for _, steps := range []int{1, 137, 5000} {

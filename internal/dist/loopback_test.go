@@ -22,7 +22,7 @@ func collect(ctx context.Context, c *Coordinator, p *engine.Plan) ([]engine.RunO
 }
 
 // Loopback is the in-process Dialer: every Dial builds a fresh Worker with
-// its own engine, memo cache, and machine pools, so shards are genuinely
+// its own engine, memo cache, and worker slots' machines, so shards are genuinely
 // isolated (no cross-shard memoisation) and tests exercise the real merge
 // semantics without spawning processes. Every assignment and outcome
 // round-trips through its JSON wire form (an outcome without its job, as a

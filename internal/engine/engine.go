@@ -2,12 +2,14 @@
 // API: a worker-pooled, memoising, context-aware executor for batches of
 // simulation jobs.
 //
-// An Engine owns a bounded worker pool (a semaphore over actual
-// simulations) and three memos, all one singleflight keep-first cache type
-// (memo.go): program images (each distinct program.Params generates once,
-// even under concurrent demand), machine pools (one per validated
-// configuration), and results, keyed on JobKey (program params, validated
-// config, oracle seed). Identical jobs therefore simulate exactly once
+// An Engine owns a bounded set of worker slots, each holding the machine
+// (processor and oracle walker) its last simulation ran on, and two memos
+// of one singleflight keep-first cache type (memo.go): program images (each
+// distinct program.Params generates once, even under concurrent demand) and
+// results, keyed on JobKey (program params, validated config, oracle seed).
+// A slot's machine is reset for a job of the same validated config and
+// rebuilt for any other, so an engine holds at most one machine per worker
+// whatever the config mix. Identical jobs therefore simulate exactly once
 // regardless of how many goroutines — or how many entries of one Sweep —
 // request them, and every simulation is deterministic in its key, so results
 // are bit-identical whether the pool runs one worker or many. The result
@@ -83,9 +85,10 @@ type Stats struct {
 	// Failures counts runs that returned an error.
 	Failures int `json:"failures"`
 	// MachinesBuilt counts processor constructions; MachinesReused counts
-	// checkouts served by the machine pool (a reset recycled machine). In a
-	// steady-state sweep MachinesBuilt stays at the distinct-configuration
-	// count while MachinesReused grows with the job count.
+	// simulations whose worker slot already held a machine of the job's
+	// exact validated config, which was reset instead of rebuilt. A sweep
+	// whose consecutive jobs share a config reuses; one that alternates
+	// configs across more than Workers slots rebuilds.
 	MachinesBuilt  int `json:"machines_built"`
 	MachinesReused int `json:"machines_reused"`
 	// SimulatedCycles and SimSeconds aggregate, over all fresh simulations,
@@ -114,13 +117,13 @@ type Engine struct {
 	progress func(Event)
 	images   *ImageCache
 
-	sem chan struct{}
+	// slots holds one entry per worker: the machine that worker's last
+	// simulation ran on, or nil (see machine.go). Taking an entry is taking
+	// a worker slot.
+	slots chan *machine
 
-	// results is the singleflight result memo; pools recycles processors
-	// and their oracle walkers per validated configuration (the machine
-	// pool; see pool.go).
+	// results is the singleflight result memo.
 	results ResultCache
-	pools   memo[core.Config, *machinePool]
 
 	mu    sync.Mutex
 	stats Stats
@@ -169,7 +172,10 @@ func New(opts ...Option) *Engine {
 	if e.workers <= 0 {
 		e.workers = runtime.GOMAXPROCS(0)
 	}
-	e.sem = make(chan struct{}, e.workers)
+	e.slots = make(chan *machine, e.workers)
+	for range e.workers {
+		e.slots <- nil
+	}
 	return e
 }
 
@@ -277,14 +283,10 @@ func (e *Engine) runJob(ctx context.Context, job Job) RunOutcome {
 	if err != nil {
 		return fail(err)
 	}
-	// Resolve the machine pool once per job, next to the memo key: the
-	// validated config is the configuration fingerprint, and hoisting the
-	// lookup here keeps the checkout inside simulate a single sync.Pool Get.
-	mp := e.machinePoolFor(key.cfg)
 
 	var simDur time.Duration
 	res, shared, err := e.results.do(ctx, key, func() (core.Result, error) {
-		res, d, err := e.simulate(ctx, job, key, mp)
+		res, d, err := e.simulate(ctx, job, key)
 		if err == nil {
 			simDur = d
 			e.mu.Lock()
@@ -313,45 +315,51 @@ func (e *Engine) runJob(ctx context.Context, job Job) RunOutcome {
 	return out
 }
 
-// simulate checks a machine out of the job's pool (resetting a recycled one,
-// constructing only on first use) and runs it under a worker slot. The
-// machine is returned to the pool whatever the outcome — Reset restores
-// pristine state even from a cancellation-abandoned run. The returned
-// duration covers only the simulation proper (machine checkout and run),
-// excluding the wait for a worker slot and image generation, so
-// CyclesPerSec reflects kernel speed even when a sweep queues jobs.
-func (e *Engine) simulate(ctx context.Context, job Job, key JobKey, mp *machinePool) (core.Result, time.Duration, error) {
-	if err := e.acquire(ctx); err != nil {
+// simulate runs the job under a worker slot, on the slot's machine reset
+// when it has the job's config and on a freshly built one otherwise. The
+// slot gets its machine back whatever the outcome, since Reset restores
+// pristine state even from a cancellation-abandoned run, except after a
+// panic: then the slot goes back empty, so a machine whose run panicked is
+// never reused. The returned duration covers only the simulation proper
+// (machine set-up and run), excluding the wait for a worker slot and image
+// generation, so CyclesPerSec reflects kernel speed even when a sweep
+// queues jobs.
+func (e *Engine) simulate(ctx context.Context, job Job, key JobKey) (core.Result, time.Duration, error) {
+	m, err := e.acquire(ctx)
+	if err != nil {
 		return core.Result{}, 0, err
 	}
-	defer e.release()
+	kept := m // what the slot gets back; nil while the machine is in use
+	defer func() { e.release(kept) }()
 	im, err := e.images.Get(ctx, key.params)
 	if err != nil {
 		return core.Result{}, 0, err
 	}
 	e.emit(Event{Kind: EventJobStarted, Job: job})
 	start := time.Now()
-	m, fresh, err := mp.get(im, job.Seed)
+	kept = nil
+	m, err = e.machineFor(m, key.cfg, im, job.Seed)
 	if err != nil {
 		return core.Result{}, 0, err
 	}
-	e.noteMachine(fresh)
 	res, err := m.proc.RunContext(ctx)
-	mp.put(m)
+	kept = m
 	return res, time.Since(start), err
 }
 
-// acquire takes a worker slot, abandoning the wait on cancellation.
-func (e *Engine) acquire(ctx context.Context) error {
+// acquire takes a worker slot and its machine, abandoning the wait on
+// cancellation.
+func (e *Engine) acquire(ctx context.Context) (*machine, error) {
 	select {
-	case e.sem <- struct{}{}:
-		return nil
+	case m := <-e.slots:
+		return m, nil
 	case <-ctx.Done():
-		return ctx.Err()
+		return nil, ctx.Err()
 	}
 }
 
-func (e *Engine) release() { <-e.sem }
+// release gives a worker slot back with the machine it now holds.
+func (e *Engine) release(m *machine) { e.slots <- m }
 
 // emit serialises progress-event delivery.
 func (e *Engine) emit(ev Event) {

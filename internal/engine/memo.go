@@ -7,10 +7,10 @@ import (
 )
 
 // memo is the engine's one keyed cache: a concurrency-safe, singleflight,
-// keep-first map. Program images, machine pools and simulation results are
-// all memos, and so is the cross-sweep ResultCache the dist coordinator and
-// the sweep service share. Every key fully determines its value, which is
-// what makes the three rules below sound:
+// keep-first map. Program images and simulation results are memos, and so
+// is the cross-sweep ResultCache the dist coordinator and the sweep service
+// share. Every key fully determines its value, which is what makes the three
+// rules below sound:
 //
 //   - do computes each key at most once at a time: concurrent callers of an
 //     in-flight key wait for its leader instead of duplicating the work.

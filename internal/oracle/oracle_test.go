@@ -302,7 +302,7 @@ func TestWalkerResetMatchesNew(t *testing.T) {
 }
 
 // TestWalkerResetZeroAlloc requires a warmed walker to recycle without
-// allocating: the machine pool resets one per point.
+// allocating: an engine worker slot resets one per point.
 func TestWalkerResetZeroAlloc(t *testing.T) {
 	small, large := testImage(t, 3, 20), testImage(t, 4, 120)
 	w := NewWalker(large, 1)

@@ -169,7 +169,7 @@ func Fuzz(tb testing.TB, seed int64) {
 
 	// Oracle 2a: pooled checkout after a completed job — the machine that just
 	// ran the scheduled pass is dirty, and so is its walker; resetting both,
-	// as the engine's machine pool does, must restore fresh semantics.
+	// as an engine worker slot does, must restore fresh semantics.
 	schedWalker.Reset(im, wseed)
 	sched.Reset(im, schedWalker)
 	if got := sched.Run(); !reflect.DeepEqual(want, got) {
