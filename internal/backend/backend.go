@@ -38,28 +38,6 @@ func DefaultConfig() Config {
 	return Config{ROBSize: 128, IssueWidth: 8, CommitWidth: 8, IssueWindow: 32, DecodeLatency: 3, PipeCap: 32}
 }
 
-func (c *Config) setDefaults() {
-	d := DefaultConfig()
-	if c.ROBSize <= 0 {
-		c.ROBSize = d.ROBSize
-	}
-	if c.IssueWidth <= 0 {
-		c.IssueWidth = d.IssueWidth
-	}
-	if c.CommitWidth <= 0 {
-		c.CommitWidth = d.CommitWidth
-	}
-	if c.IssueWindow <= 0 {
-		c.IssueWindow = d.IssueWindow
-	}
-	if c.DecodeLatency < 0 {
-		c.DecodeLatency = d.DecodeLatency
-	}
-	if c.PipeCap <= 0 {
-		c.PipeCap = d.PipeCap
-	}
-}
-
 // Backend is the execution model.
 type Backend struct {
 	cfg Config
@@ -166,9 +144,10 @@ type dpSeg struct {
 
 // New builds a backend, allocating the uop arena it shares with the fetch
 // engine (Arena). All backing arrays are fixed-size, so steady-state
-// delivery never allocates.
+// delivery never allocates. The configuration is taken as given: every
+// count positive, DecodeLatency at least 0 (core.Config.Validate ensures
+// it).
 func New(cfg Config) *Backend {
-	cfg.setDefaults()
 	b := &Backend{
 		cfg:       cfg,
 		ar:        pipe.NewArena(cfg.PipeCap + cfg.ROBSize + 8),

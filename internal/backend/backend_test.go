@@ -269,16 +269,3 @@ func TestRegisterZeroNeverBlocks(t *testing.T) {
 		t.Fatalf("Issued = %d; r0 dependence should not stall", b.Issued)
 	}
 }
-
-func TestDefaultsApplied(t *testing.T) {
-	// DecodeLatency 0 is a legal explicit value, so "use the default" is
-	// spelled -1 for that field and 0 for the others.
-	b := New(Config{DecodeLatency: -1})
-	if b.cfg != DefaultConfig() {
-		t.Errorf("defaults not applied: %+v", b.cfg)
-	}
-	b2 := New(Config{})
-	if b2.cfg.DecodeLatency != 0 {
-		t.Errorf("explicit zero DecodeLatency overridden: %+v", b2.cfg)
-	}
-}

@@ -8,10 +8,7 @@
 // that branch resolves wrong.
 package bpred
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
 // Predictor is a conditional-branch direction predictor.
 //
@@ -71,10 +68,9 @@ type Bimodal struct {
 	table []uint8
 }
 
-// NewBimodal creates a bimodal predictor with size counters (rounded up to a
-// power of two), initialised weakly taken.
+// NewBimodal creates a bimodal predictor with size counters, a power of two,
+// initialised weakly taken.
 func NewBimodal(size int) *Bimodal {
-	size = ceilPow2(size)
 	t := make([]uint8, size)
 	for i := range t {
 		t[i] = 2
@@ -117,16 +113,12 @@ type Gshare struct {
 	ghr      uint64
 }
 
-// NewGshare creates a gshare predictor with size counters and histBits of
-// global history.
+// NewGshare creates a gshare predictor with size counters, a power of two,
+// and histBits (at most 32) of global history.
 func NewGshare(size int, histBits uint) *Gshare {
-	size = ceilPow2(size)
 	t := make([]uint8, size)
 	for i := range t {
 		t[i] = 2
-	}
-	if histBits > 32 {
-		histBits = 32
 	}
 	return &Gshare{table: t, histBits: histBits}
 }
@@ -189,9 +181,8 @@ type Hybrid struct {
 }
 
 // NewHybrid creates a hybrid predictor; each component table gets size
-// counters.
+// counters, a power of two.
 func NewHybrid(size int, histBits uint) *Hybrid {
-	size = ceilPow2(size)
 	m := make([]uint8, size)
 	for i := range m {
 		m[i] = 2 // weakly prefer gshare
@@ -300,6 +291,3 @@ func New(name string, size int, histBits uint) (Predictor, error) {
 	}
 	return nil, fmt.Errorf("bpred: unknown predictor %q", name)
 }
-
-// ceilPow2 rounds v up to a power of two, at least 2.
-func ceilPow2(v int) int { return 1 << bits.Len(uint(max(v, 2)-1)) }

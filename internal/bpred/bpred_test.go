@@ -168,15 +168,6 @@ func TestStorageBits(t *testing.T) {
 	}
 }
 
-func TestCeilPow2(t *testing.T) {
-	cases := map[int]int{0: 2, 1: 2, 2: 2, 3: 4, 1024: 1024, 1025: 2048}
-	for in, want := range cases {
-		if got := ceilPow2(in); got != want {
-			t.Errorf("ceilPow2(%d) = %d, want %d", in, got, want)
-		}
-	}
-}
-
 // Property: Predict never panics and indexes stay in range for arbitrary
 // PCs, including unaligned and huge ones.
 func TestQuickPredictAnyPC(t *testing.T) {

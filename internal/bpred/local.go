@@ -17,16 +17,9 @@ type Local struct {
 	histBits uint
 }
 
-// NewLocal creates a local predictor with size entries in both levels and
-// histBits of per-branch history (max 16).
+// NewLocal creates a local predictor with size entries in both levels, a
+// power of two, and histBits of per-branch history (max 16).
 func NewLocal(size int, histBits uint) *Local {
-	size = ceilPow2(size)
-	if histBits > 16 {
-		histBits = 16
-	}
-	if histBits == 0 {
-		histBits = 10
-	}
 	pht := make([]uint8, size)
 	for i := range pht {
 		pht[i] = 2

@@ -19,11 +19,8 @@ type RASCheckpoint struct {
 	top uint64
 }
 
-// NewRAS creates a return address stack with the given capacity.
+// NewRAS creates a return address stack with the given capacity, at least 1.
 func NewRAS(capacity int) *RAS {
-	if capacity < 1 {
-		capacity = 1
-	}
 	return &RAS{buf: make([]uint64, capacity), sp: -1}
 }
 

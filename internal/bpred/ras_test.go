@@ -138,7 +138,4 @@ func TestRASStorage(t *testing.T) {
 	if got := len(NewRAS(32).buf); got != 32 {
 		t.Errorf("capacity = %d", got)
 	}
-	if len(NewRAS(0).buf) != 1 {
-		t.Error("zero capacity not clamped")
-	}
 }

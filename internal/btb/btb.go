@@ -19,7 +19,7 @@ import (
 
 // Config sizes a target buffer.
 type Config struct {
-	// Sets is the number of sets; rounded up to a power of two.
+	// Sets is the number of sets, a power of two.
 	Sets int
 	// Ways is the set associativity.
 	Ways int
@@ -27,7 +27,8 @@ type Config struct {
 	// conventional per-branch BTB (false).
 	BlockOriented bool
 	// MaxBlockInstrs caps predicted fetch-block length; it also bounds the
-	// probe loop in conventional mode. Must fit the entry's length field.
+	// probe loop in conventional mode. Must fit the entry's 5-bit length
+	// field: 1 to 31.
 	MaxBlockInstrs int
 	// AddrBits is the virtual address width used for storage accounting.
 	AddrBits int
@@ -37,26 +38,6 @@ type Config struct {
 // fetch blocks in a 48-bit address space.
 func DefaultConfig() Config {
 	return Config{Sets: 512, Ways: 4, BlockOriented: true, MaxBlockInstrs: 8, AddrBits: 48}
-}
-
-func (c *Config) setDefaults() {
-	d := DefaultConfig()
-	if c.Sets <= 0 {
-		c.Sets = d.Sets
-	}
-	c.Sets = ceilPow2(c.Sets)
-	if c.Ways <= 0 {
-		c.Ways = d.Ways
-	}
-	if c.MaxBlockInstrs <= 0 {
-		c.MaxBlockInstrs = d.MaxBlockInstrs
-	}
-	if c.MaxBlockInstrs > 31 {
-		c.MaxBlockInstrs = 31 // 5-bit length field, like the paper
-	}
-	if c.AddrBits <= 0 {
-		c.AddrBits = d.AddrBits
-	}
 }
 
 // Pred is a fetch-block prediction returned by PredictBlock.
@@ -144,9 +125,9 @@ type TargetBuffer struct {
 	Lookups, Hits, Misses, Inserts, Updates, Evictions uint64
 }
 
-// New creates a target buffer.
+// New creates a target buffer. The configuration is taken as given: every
+// field set, within its documented range (core.Config.Validate ensures it).
 func New(cfg Config) *TargetBuffer {
-	cfg.setDefaults()
 	t := &TargetBuffer{
 		cfg:      cfg,
 		entries:  make([]entry, cfg.Sets*cfg.Ways),
@@ -159,7 +140,7 @@ func New(cfg Config) *TargetBuffer {
 	return t
 }
 
-// Config returns the (normalised) configuration.
+// Config returns the configuration.
 func (t *TargetBuffer) Config() Config { return t.cfg }
 
 // Entries returns the total entry capacity.
@@ -346,6 +327,3 @@ func (t *TargetBuffer) HitRate() float64 {
 	}
 	return float64(t.Hits) / float64(t.Lookups)
 }
-
-// ceilPow2 rounds v up to a power of two, at least 1.
-func ceilPow2(v int) int { return 1 << bits.Len(uint(max(v, 1)-1)) }

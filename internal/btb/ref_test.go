@@ -42,7 +42,6 @@ type refProbeMemo struct {
 }
 
 func newRefTargetBuffer(cfg Config) *refTargetBuffer {
-	cfg.setDefaults()
 	t := &refTargetBuffer{cfg: cfg, sets: make([][]refEntry, cfg.Sets), setShift: uint(bits.TrailingZeros(uint(cfg.Sets))), gen: 1}
 	for i := range t.sets {
 		t.sets[i] = make([]refEntry, cfg.Ways)
@@ -181,12 +180,12 @@ func (t *refTargetBuffer) Reset() { *t = *newRefTargetBuffer(t.cfg) }
 // the same operation sequence and requires every return value, counter and
 // the LRU clock to agree after every step. data[0:2] picks the geometry: 1
 // to 16 sets, 1 to 4 ways, block-oriented or conventional (memoised), and a
-// MaxBlockInstrs of 1 to 40 (clamped to 31). Every further four bytes are one
-// operation: an opcode byte (low three bits the operation, the rest a block
-// length of 0 to 31), a pc byte over a 256-instruction window (high pcs
-// when the opcode's top bit is set), a kind byte and a target byte. The
-// committed corpus (testdata/fuzz/FuzzTargetBufferReference) covers both
-// organisations.
+// MaxBlockInstrs of 1 to 40, clamped to 31 as core.Config.Validate clamps
+// it. Every further four bytes are one operation: an opcode byte (low three
+// bits the operation, the rest a block length of 0 to 31), a pc byte over a
+// 256-instruction window (high pcs when the opcode's top bit is set), a kind
+// byte and a target byte. The committed corpus
+// (testdata/fuzz/FuzzTargetBufferReference) covers both organisations.
 func FuzzTargetBufferReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
@@ -196,7 +195,7 @@ func FuzzTargetBufferReference(f *testing.F) {
 			Sets:           1 << (data[0] % 5),
 			Ways:           1 + int(data[0]>>3&3),
 			BlockOriented:  data[0]&0x20 != 0,
-			MaxBlockInstrs: 1 + int(data[1]%40),
+			MaxBlockInstrs: min(1+int(data[1]%40), 31),
 			AddrBits:       48,
 		}
 		got, want := New(cfg), newRefTargetBuffer(cfg)

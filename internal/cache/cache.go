@@ -112,13 +112,11 @@ type Cache struct {
 }
 
 // New builds a cache. Invalid geometry panics: callers validate theirs with
-// Check first, and a silent fix-up would skew experiments.
+// Check first, and a silent fix-up would skew experiments. TagPorts is taken
+// as given.
 func New(cfg Config) *Cache {
 	if err := cfg.Check(); err != nil {
 		panic(err)
-	}
-	if cfg.TagPorts <= 0 {
-		cfg.TagPorts = 1
 	}
 	numSets := cfg.numSets()
 	c := &Cache{

@@ -8,10 +8,13 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"strings"
 
 	"fdip/internal/backend"
 	"fdip/internal/btb"
 	"fdip/internal/cache"
+	"fdip/internal/isa"
 	"fdip/internal/memsys"
 	"fdip/internal/prefetch"
 )
@@ -57,7 +60,10 @@ type PrefetchConfig struct {
 	Shadow prefetch.ShadowConfig
 }
 
-// Config is the full machine description.
+// Config is the full machine description. Validate is its one
+// normalisation rule: it defaults, rounds, clamps and bounds every field, and
+// the components the processor assembles trust the validated config as
+// given, with no defaulting of their own.
 type Config struct {
 	// L1ISizeBytes, L1IWays, LineBytes, L1ITagPorts size the instruction
 	// cache. LineBytes is shared with the bus/L2 transfer unit.
@@ -146,106 +152,158 @@ func (c *Config) l1i() cache.Config {
 // above any machine the paper or its successors model, and low enough that a
 // hostile count is refused before a table is allocated: at 2^36 entries a
 // make exhausts memory, and past 2^62 the power-of-two round-ups overflow.
+// Widths and other counts with no table behind them share it.
 const maxTableEntries = 1 << 20
 
-// Validate normalises and checks the configuration. A cache geometry
-// cache.New would refuse, or a table count above maxTableEntries, is an
-// error here, so a bad config fails its own run rather than panicking, or
-// exhausting memory in, the machine build.
+// maxLatency bounds every latency, in cycles. The longest the evaluation
+// models is a 300-cycle memory; near MaxInt64, now + latency wraps and the
+// run returns a plausible, wrong Result.
+const maxLatency = 1 << 20
+
+// noCeiling marks a byte size bounded through the line count it implies.
+const noCeiling = math.MaxInt
+
+// A fieldRule says what Validate does with a value above a field's ceiling.
+type fieldRule uint8
+
+const (
+	// refuse makes a value above the ceiling an error.
+	refuse fieldRule = iota
+	// clamp lowers a value above the ceiling to it.
+	clamp
+	// pow2 refuses a value above the (power-of-two) ceiling and rounds the
+	// rest up to a power of two, so the result stays within it.
+	pow2
+)
+
+// field is one integer of the machine description as Validate normalises
+// it. A negative value, or 0 when lo is positive, takes def; a value below
+// lo is raised to it; a value above hi is handled by rule.
+type field struct {
+	name   string
+	v      *int
+	def    int
+	lo, hi int
+	rule   fieldRule
+}
+
+// Validate is the one normalisation rule of the machine description: it
+// gives every unset field its default, rounds and clamps the fields whose
+// hardware demands it, and refuses anything out of bounds: a cache geometry
+// cache.New would refuse, a table count above maxTableEntries, a latency
+// above maxLatency. The components take the validated config as given, with
+// no defaulting of their own, so two descriptions of one machine validate
+// to one Config (and one engine JobKey), and Validate is idempotent. A bad
+// config fails its own run rather than panicking, or exhausting memory in,
+// the machine build.
 func (c *Config) Validate() error {
 	d := DefaultConfig()
-	if c.L1ISizeBytes <= 0 {
-		c.L1ISizeBytes = d.L1ISizeBytes
-	}
-	if c.L1IWays <= 0 {
-		c.L1IWays = d.L1IWays
-	}
-	if c.LineBytes <= 0 {
-		c.LineBytes = d.LineBytes
+	b, m, f := &c.Backend, &c.Mem, &c.Prefetch
+	for _, x := range []field{
+		{"L1ISizeBytes", &c.L1ISizeBytes, d.L1ISizeBytes, 1, noCeiling, refuse},
+		{"L1IWays", &c.L1IWays, d.L1IWays, 1, maxTableEntries, refuse},
+		// A line holds at least one instruction: the FTQ splits fetch
+		// blocks into lines of this size.
+		{"LineBytes", &c.LineBytes, d.LineBytes, isa.InstrBytes, maxTableEntries, refuse},
+		{"L1ITagPorts", &c.L1ITagPorts, d.L1ITagPorts, 1, maxTableEntries, refuse},
+		{"PrefetchBufferEntries", &c.PrefetchBufferEntries, 0, 0, maxTableEntries, refuse},
+		{"Mem.L2SizeBytes", &m.L2SizeBytes, d.Mem.L2SizeBytes, 1, noCeiling, refuse},
+		{"Mem.L2Ways", &m.L2Ways, d.Mem.L2Ways, 1, maxTableEntries, refuse},
+		{"Mem.L2HitLatency", &m.L2HitLatency, d.Mem.L2HitLatency, 1, maxLatency, refuse},
+		{"Mem.MemLatency", &m.MemLatency, d.Mem.MemLatency, 1, maxLatency, refuse},
+		{"Mem.BusCyclesPerLine", &m.BusCyclesPerLine, d.Mem.BusCyclesPerLine, 1, maxLatency, refuse},
+		{"FTQEntries", &c.FTQEntries, d.FTQEntries, 1, maxTableEntries, refuse},
+		{"FTB.Sets", &c.FTB.Sets, d.FTB.Sets, 1, maxTableEntries, pow2},
+		{"FTB.Ways", &c.FTB.Ways, d.FTB.Ways, 1, maxTableEntries, refuse},
+		// 31 fits the FTB entry's 5-bit length field, like the paper's.
+		{"FTB.MaxBlockInstrs", &c.FTB.MaxBlockInstrs, d.FTB.MaxBlockInstrs, 1, 31, clamp},
+		{"FTB.AddrBits", &c.FTB.AddrBits, d.FTB.AddrBits, 1, 64, refuse},
+		{"PredictorSize", &c.PredictorSize, d.PredictorSize, 2, maxTableEntries, pow2},
+		{"RASEntries", &c.RASEntries, d.RASEntries, 1, maxTableEntries, refuse},
+		{"FetchWidth", &c.FetchWidth, d.FetchWidth, 1, maxTableEntries, refuse},
+		{"RedirectLatency", &c.RedirectLatency, d.RedirectLatency, 0, maxLatency, refuse},
+		{"Backend.ROBSize", &b.ROBSize, d.Backend.ROBSize, 1, maxTableEntries, refuse},
+		{"Backend.IssueWidth", &b.IssueWidth, d.Backend.IssueWidth, 1, maxTableEntries, refuse},
+		{"Backend.CommitWidth", &b.CommitWidth, d.Backend.CommitWidth, 1, maxTableEntries, refuse},
+		{"Backend.IssueWindow", &b.IssueWindow, d.Backend.IssueWindow, 1, maxTableEntries, refuse},
+		{"Backend.DecodeLatency", &b.DecodeLatency, d.Backend.DecodeLatency, 0, maxLatency, refuse},
+		{"Backend.PipeCap", &b.PipeCap, d.Backend.PipeCap, 1, maxTableEntries, refuse},
+		{"Prefetch.NextLinePending", &f.NextLinePending, d.Prefetch.NextLinePending, 1, maxTableEntries, refuse},
+		{"Prefetch.Streams", &f.Streams, d.Prefetch.Streams, 1, maxTableEntries, refuse},
+		{"Prefetch.StreamDepth", &f.StreamDepth, d.Prefetch.StreamDepth, 1, maxTableEntries, refuse},
+		{"Prefetch.FDP.PIQSize", &f.FDP.PIQSize, d.Prefetch.FDP.PIQSize, 1, maxTableEntries, refuse},
+		// A negative skip means none, not the default's one entry.
+		{"Prefetch.FDP.SkipHead", &f.FDP.SkipHead, 0, 0, maxTableEntries, refuse},
+		{"Prefetch.MANA.BudgetBytes", &f.MANA.BudgetBytes, d.Prefetch.MANA.BudgetBytes, 1, maxTableEntries, refuse},
+		// A region spans its trigger and at most a 63-bit footprint.
+		{"Prefetch.MANA.RegionLines", &f.MANA.RegionLines, d.Prefetch.MANA.RegionLines, 2, 64, clamp},
+		{"Prefetch.MANA.QueueSize", &f.MANA.QueueSize, d.Prefetch.MANA.QueueSize, 1, maxTableEntries, refuse},
+		{"Prefetch.Shadow.DecodeQueue", &f.Shadow.DecodeQueue, d.Prefetch.Shadow.DecodeQueue, 1, maxTableEntries, refuse},
+		{"Prefetch.Shadow.TargetQueue", &f.Shadow.TargetQueue, d.Prefetch.Shadow.TargetQueue, 1, maxTableEntries, refuse},
+	} {
+		v := *x.v
+		if v < 0 || v == 0 && x.lo > 0 {
+			v = x.def
+		}
+		v = max(v, x.lo)
+		if v > x.hi {
+			if x.rule != clamp {
+				// The clone keeps the row, which points into c, from
+				// escaping: otherwise every caller's Config moves to the heap.
+				return fmt.Errorf("core: %s %d is above its ceiling %d", strings.Clone(x.name), v, x.hi)
+			}
+			v = x.hi
+		}
+		if x.rule == pow2 {
+			v = 1 << bits.Len(uint(v-1))
+		}
+		*x.v = v
 	}
 	if c.LineBytes&(c.LineBytes-1) != 0 {
 		return fmt.Errorf("core: LineBytes %d not a power of two", c.LineBytes)
 	}
-	if c.L1ITagPorts <= 0 {
-		c.L1ITagPorts = d.L1ITagPorts
-	}
-	if c.PrefetchBufferEntries < 0 {
-		c.PrefetchBufferEntries = 0
-	}
-	c.Mem.LineBytes = c.LineBytes
+	m.LineBytes = c.LineBytes
 	if err := c.l1i().Check(); err != nil {
 		return fmt.Errorf("core: L1-I: %w", err)
 	}
-	if err := c.Mem.Check(); err != nil {
+	if err := m.Check(); err != nil {
 		return fmt.Errorf("core: %w", err)
-	}
-	if c.FTQEntries <= 0 {
-		c.FTQEntries = d.FTQEntries
-	}
-	if c.PredictorName == "" {
-		c.PredictorName = d.PredictorName
-	}
-	if c.PredictorSize <= 0 {
-		c.PredictorSize = d.PredictorSize
-	}
-	if c.PredictorHistBits == 0 {
-		c.PredictorHistBits = d.PredictorHistBits
-	}
-	if c.RASEntries <= 0 {
-		c.RASEntries = d.RASEntries
-	}
-	if c.FetchWidth <= 0 {
-		c.FetchWidth = d.FetchWidth
-	}
-	if c.RedirectLatency < 0 {
-		c.RedirectLatency = d.RedirectLatency
-	}
-	switch c.Prefetch.Kind {
-	case "", PrefetchNone:
-		c.Prefetch.Kind = PrefetchNone
-	case PrefetchNextLine, PrefetchStream, PrefetchFDP, PrefetchMANA, PrefetchShadow:
-	default:
-		return fmt.Errorf("core: unknown prefetcher %q", c.Prefetch.Kind)
-	}
-	if c.Prefetch.NextLinePending <= 0 {
-		c.Prefetch.NextLinePending = d.Prefetch.NextLinePending
-	}
-	if c.Prefetch.Streams <= 0 {
-		c.Prefetch.Streams = d.Prefetch.Streams
-	}
-	if c.Prefetch.StreamDepth <= 0 {
-		c.Prefetch.StreamDepth = d.Prefetch.StreamDepth
 	}
 	for _, t := range []struct {
 		name string
 		n    int
 	}{
 		{"L1-I lines", c.L1ISizeBytes / c.LineBytes},
-		{"L2 lines", c.Mem.L2SizeBytes / c.LineBytes},
-		{"PrefetchBufferEntries", c.PrefetchBufferEntries},
-		{"FTQEntries", c.FTQEntries},
-		{"FTB.Sets", c.FTB.Sets},
-		{"FTB.Ways", c.FTB.Ways},
-		{"PredictorSize", c.PredictorSize},
-		{"RASEntries", c.RASEntries},
-		{"Backend.ROBSize", c.Backend.ROBSize},
-		{"Backend.PipeCap", c.Backend.PipeCap},
-		{"Prefetch.NextLinePending", c.Prefetch.NextLinePending},
-		{"Prefetch.Streams", c.Prefetch.Streams},
-		{"Prefetch.StreamDepth", c.Prefetch.StreamDepth},
-		{"Prefetch.FDP.PIQSize", c.Prefetch.FDP.PIQSize},
-		{"Prefetch.MANA.BudgetBytes", c.Prefetch.MANA.BudgetBytes},
-		{"Prefetch.MANA.QueueSize", c.Prefetch.MANA.QueueSize},
-		{"Prefetch.Shadow.DecodeQueue", c.Prefetch.Shadow.DecodeQueue},
-		{"Prefetch.Shadow.TargetQueue", c.Prefetch.Shadow.TargetQueue},
+		{"L2 lines", m.L2SizeBytes / c.LineBytes},
+		// Both FTB factors are bounded, so their product cannot overflow.
+		{"FTB sets x ways", c.FTB.Sets * c.FTB.Ways},
 	} {
 		if t.n > maxTableEntries {
 			return fmt.Errorf("core: %s %d is above the %d-entry table ceiling", t.name, t.n, maxTableEntries)
 		}
 	}
-	// Both FTB factors are bounded, so their product cannot overflow.
-	if n := c.FTB.Sets * c.FTB.Ways; n > maxTableEntries {
-		return fmt.Errorf("core: FTB %d sets x %d ways is above the %d-entry table ceiling", c.FTB.Sets, c.FTB.Ways, maxTableEntries)
+	if c.PredictorName == "" {
+		c.PredictorName = d.PredictorName
+	}
+	if c.PredictorHistBits == 0 {
+		c.PredictorHistBits = d.PredictorHistBits
+	}
+	// Gshare, alone or in the hybrid, keeps at most 32 bits of global
+	// history; a local predictor's history table holds 16 bits per branch.
+	maxHist := uint(32)
+	if c.PredictorName == "local" {
+		maxHist = 16
+	}
+	c.PredictorHistBits = min(c.PredictorHistBits, maxHist)
+	switch f.Kind {
+	case "", PrefetchNone:
+		f.Kind = PrefetchNone
+	case PrefetchNextLine, PrefetchStream, PrefetchFDP, PrefetchMANA, PrefetchShadow:
+	default:
+		return fmt.Errorf("core: unknown prefetcher %q", f.Kind)
+	}
+	if f.FDP.CPF > prefetch.CPFOptimistic {
+		return fmt.Errorf("core: unknown cache-probe-filtering mode %d", f.FDP.CPF)
 	}
 	if c.MaxInstrs == 0 {
 		c.MaxInstrs = d.MaxInstrs

@@ -313,6 +313,155 @@ func TestValidateTableCeiling(t *testing.T) {
 	}
 }
 
+// TestValidateLatencyCeiling: every latency is accepted at maxLatency and
+// refused one above it. Near MaxInt64, now + latency wrapped and a run
+// finished early with a plausible, wrong Result.
+func TestValidateLatencyCeiling(t *testing.T) {
+	fields := map[string]func(*Config, int){
+		"l2-hit":   func(c *Config, n int) { c.Mem.L2HitLatency = n },
+		"memory":   func(c *Config, n int) { c.Mem.MemLatency = n },
+		"bus":      func(c *Config, n int) { c.Mem.BusCyclesPerLine = n },
+		"redirect": func(c *Config, n int) { c.RedirectLatency = n },
+		"decode":   func(c *Config, n int) { c.Backend.DecodeLatency = n },
+	}
+	for name, set := range fields {
+		for _, n := range []int{maxLatency, maxLatency + 1, math.MaxInt} {
+			cfg := DefaultConfig()
+			set(&cfg, n)
+			if err := cfg.Validate(); (err == nil) != (n == maxLatency) {
+				t.Errorf("%s = %d: Validate error %v", name, n, err)
+			}
+		}
+	}
+}
+
+// TestValidateDefaultsApplied: a zero Config validates to DefaultConfig,
+// except where zero is itself a legal value (a latency or skip of 0, an
+// empty prefetch buffer, a false switch) and the derived cycle cap. The
+// components apply no defaults of their own, so this is the whole rule.
+func TestValidateDefaultsApplied(t *testing.T) {
+	var got Config
+	if err := got.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	want := DefaultConfig()
+	want.PrefetchBufferEntries = 0
+	want.RedirectLatency = 0
+	want.Backend.DecodeLatency = 0
+	want.Prefetch.FDP.SkipHead = 0
+	want.FTB.BlockOriented = false
+	want.Prefetch.Shadow.PrefetchTargets = false
+	want.MaxCycles = int64(want.MaxInstrs) * 100
+	if got != want {
+		t.Errorf("zero config validated to\n%+v\nwant\n%+v", got, want)
+	}
+
+	// A negative value takes the default even where zero is legal, except
+	// the skip and the buffer, where it means none.
+	neg := DefaultConfig()
+	neg.RedirectLatency, neg.Backend.DecodeLatency = -1, -1
+	neg.Prefetch.FDP.SkipHead, neg.PrefetchBufferEntries = -1, -1
+	if err := neg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	d := DefaultConfig()
+	if neg.RedirectLatency != d.RedirectLatency || neg.Backend.DecodeLatency != d.Backend.DecodeLatency ||
+		neg.Prefetch.FDP.SkipHead != 0 || neg.PrefetchBufferEntries != 0 {
+		t.Errorf("negative values normalised to %+v", neg)
+	}
+}
+
+// TestValidateRoundsAndClamps pins the special rules: the FTB's set count
+// rounds up to a power of two, the predictor's to one of at least 2; the
+// FTB block length clamps to its 5-bit field, MANA's region to [2, 64] and
+// the predictor history to what the named predictor keeps; a line holds at
+// least one instruction.
+func TestValidateRoundsAndClamps(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		in, out int
+		field   func(*Config) *int
+	}{
+		{"sets-1", 1, 1, func(c *Config) *int { return &c.FTB.Sets }},
+		{"sets-3", 3, 4, func(c *Config) *int { return &c.FTB.Sets }},
+		{"sets-500", 500, 512, func(c *Config) *int { return &c.FTB.Sets }},
+		{"sets-2^18-1", 1<<18 - 1, 1 << 18, func(c *Config) *int { return &c.FTB.Sets }},
+		{"predictor-0", 0, 4096, func(c *Config) *int { return &c.PredictorSize }},
+		{"predictor-1", 1, 2, func(c *Config) *int { return &c.PredictorSize }},
+		{"predictor-2", 2, 2, func(c *Config) *int { return &c.PredictorSize }},
+		{"predictor-3", 3, 4, func(c *Config) *int { return &c.PredictorSize }},
+		{"predictor-1024", 1024, 1024, func(c *Config) *int { return &c.PredictorSize }},
+		{"predictor-1025", 1025, 2048, func(c *Config) *int { return &c.PredictorSize }},
+		{"block-0", 0, 8, func(c *Config) *int { return &c.FTB.MaxBlockInstrs }},
+		{"block-31", 31, 31, func(c *Config) *int { return &c.FTB.MaxBlockInstrs }},
+		{"block-40", 40, 31, func(c *Config) *int { return &c.FTB.MaxBlockInstrs }},
+		{"region-0", 0, 8, func(c *Config) *int { return &c.Prefetch.MANA.RegionLines }},
+		{"region-1", 1, 2, func(c *Config) *int { return &c.Prefetch.MANA.RegionLines }},
+		{"region-64", 64, 64, func(c *Config) *int { return &c.Prefetch.MANA.RegionLines }},
+		{"region-100", 100, 64, func(c *Config) *int { return &c.Prefetch.MANA.RegionLines }},
+		{"line-2", 2, 4, func(c *Config) *int { return &c.LineBytes }},
+	} {
+		cfg := DefaultConfig()
+		*tc.field(&cfg) = tc.in
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		} else if got := *tc.field(&cfg); got != tc.out {
+			t.Errorf("%s: %d validated to %d, want %d", tc.name, tc.in, got, tc.out)
+		}
+	}
+	for _, tc := range []struct {
+		name     string
+		in, want uint
+	}{{"hybrid", 40, 32}, {"gshare", 32, 32}, {"local", 20, 16}, {"local", 0, 12}} {
+		cfg := DefaultConfig()
+		cfg.PredictorName, cfg.PredictorHistBits = tc.name, tc.in
+		if err := cfg.Validate(); err != nil || cfg.PredictorHistBits != tc.want {
+			t.Errorf("%s history %d validated to %d, want %d (%v)", tc.name, tc.in, cfg.PredictorHistBits, tc.want, err)
+		}
+	}
+	cfg := DefaultConfig()
+	cfg.Mem.LineBytes = 64
+	if err := cfg.Validate(); err != nil || cfg.Mem.LineBytes != cfg.LineBytes {
+		t.Errorf("Mem.LineBytes not forced to LineBytes: %d, %v", cfg.Mem.LineBytes, err)
+	}
+	cfg = DefaultConfig()
+	cfg.Prefetch.FDP.CPF = prefetch.CPFOptimistic + 1
+	if err := cfg.Validate(); err == nil {
+		t.Error("unknown cache-probe-filtering mode accepted")
+	}
+}
+
+// TestValidateIdempotent: a validated config is a fixed point, so validating
+// it again (as core.New does with a key's config) changes nothing.
+func TestValidateIdempotent(t *testing.T) {
+	mutations := map[string]func(*Config){
+		"default":   func(*Config) {},
+		"zero":      func(c *Config) { *c = Config{} },
+		"mem-zero":  func(c *Config) { c.Mem = Config{}.Mem },
+		"ftb-zero":  func(c *Config) { c.FTB = Config{}.FTB },
+		"sets-500":  func(c *Config) { c.FTB.Sets = 500 },
+		"pred-4000": func(c *Config) { c.PredictorSize = 4000 },
+		"block-40":  func(c *Config) { c.FTB.MaxBlockInstrs = 40 },
+		"region-1":  func(c *Config) { c.Prefetch.MANA.RegionLines = 1 },
+		"negatives": func(c *Config) {
+			c.RedirectLatency, c.Backend.DecodeLatency, c.Prefetch.FDP.SkipHead = -1, -1, -1
+			c.PrefetchBufferEntries, c.MaxCycles = -1, -1
+		},
+		"huge-instrs": func(c *Config) { c.MaxInstrs = math.MaxUint64 },
+	}
+	for name, mutate := range mutations {
+		cfg := DefaultConfig()
+		mutate(&cfg)
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		again := cfg
+		if err := again.Validate(); err != nil || again != cfg {
+			t.Errorf("%s: second Validate changed\n%+v\nto\n%+v (%v)", name, cfg, again, err)
+		}
+	}
+}
+
 // TestValidateCycleCapSaturates: the default cycle cap, 100x MaxInstrs,
 // saturates instead of wrapping. At MaxInstrs 2^62 the product wrapped to 0,
 // a cap that ended every Run at once and kept skipIdle from ever jumping.

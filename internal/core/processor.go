@@ -85,7 +85,7 @@ func New(cfg Config, im *program.Image, walker *oracle.Walker) (*Processor, erro
 	p.ftb = btb.New(cfg.FTB)
 	p.ras = bpred.NewRAS(cfg.RASEntries)
 	p.q = ftq.New(cfg.FTQEntries, cfg.LineBytes)
-	p.bpu = frontend.NewBPU(p.ftb, p.dir, p.ras, p.q, im.Entry, p.ftb.Config().MaxBlockInstrs)
+	p.bpu = frontend.NewBPU(p.ftb, p.dir, p.ras, p.q, im.Entry, cfg.FTB.MaxBlockInstrs)
 	p.be = backend.New(cfg.Backend)
 	p.be.OnCommitRange = p.onCommitRange
 
@@ -114,13 +114,8 @@ func New(cfg Config, im *program.Image, walker *oracle.Walker) (*Processor, erro
 	// The fetch engine writes each uop once, directly into the backend's
 	// arena; the backend sizes the arena to max in-flight and its own
 	// backpressure (Accept) bounds allocation.
-	if cfg.PerfectL1I {
-		p.fe = frontend.NewPerfectFetchEngine(im, walker, p.q, p.be.Arena(), p.l1i, p.pfb, p.hier,
-			cfg.FetchWidth, p.pf.OnDemandAccess)
-	} else {
-		p.fe = frontend.NewFetchEngine(im, walker, p.q, p.be.Arena(), p.l1i, p.pfb, p.hier,
-			cfg.FetchWidth, p.pf.OnDemandAccess)
-	}
+	p.fe = frontend.NewFetchEngine(im, walker, p.q, p.be.Arena(), p.l1i, p.pfb, p.hier,
+		cfg.FetchWidth, p.pf.OnDemandAccess, cfg.PerfectL1I)
 
 	// Width-1 integer buckets: every occupancy 0..FTQEntries has its own
 	// exactly representable bucket and upper edge.

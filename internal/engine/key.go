@@ -8,11 +8,15 @@ import (
 // JobKey is the engine's memo identity: an opaque, comparable value that is
 // equal for two jobs exactly when the engine would memoise them together.
 // The key covers the generated program's parameters (the workload identity,
-// not its display name), the fully validated machine configuration, and the
+// not its display name), the validated machine configuration, and the
 // oracle seed — and nothing else. Display names, plan labels, and
 // enumeration indices never participate, so two sweeps whose labels collide
 // cannot share entries unless their resolved simulation points are genuinely
 // identical, and two sweeps that label the same point differently always do.
+// core.Config.Validate is the one normalisation rule, so the validated
+// configuration is canonical: two descriptions of one machine (a zeroed
+// sub-config and its defaults, an FTB set count and its power-of-two
+// round-up) share a key too.
 //
 // JobKey keys every ResultCache: the engine's own memo, and the cross-sweep
 // cache the dist coordinator and the svc service share, so a layer above the
@@ -28,7 +32,8 @@ type JobKey struct {
 // normalised under the given engine-wide instruction budget (0 leaves the
 // job's own budget in place) and validated — and returns the resolved job
 // alongside its memo identity. The returned job carries the resolved Name
-// and Seed with the job's original Config; the key holds the validated
+// and Seed with the job's original Config (so journal fingerprints and wire
+// frames keep the job's own bytes); the key holds the validated, canonical
 // configuration the simulation would actually run.
 func ResolveJob(job Job, instrs uint64) (Job, JobKey, error) {
 	job, params, err := resolve(job)

@@ -39,12 +39,10 @@ type BPU struct {
 	Blocks, FTBMisses, FullStalls, RASUnderflows uint64
 }
 
-// NewBPU wires the branch-prediction unit. maxBlock bounds sequential blocks
-// predicted on FTB misses (the FTB's own length field bounds hits).
+// NewBPU wires the branch-prediction unit. maxBlock, at least 1, bounds
+// sequential blocks predicted on FTB misses (the FTB's own length field
+// bounds hits).
 func NewBPU(ftb *btb.TargetBuffer, dir bpred.Predictor, ras *bpred.RAS, q *ftq.Queue, entryPC uint64, maxBlock int) *BPU {
-	if maxBlock < 1 {
-		maxBlock = 8
-	}
 	return &BPU{ftb: ftb, dir: dir, ras: ras, q: q, pc: entryPC, maxBlock: maxBlock}
 }
 

@@ -53,26 +53,12 @@ type FetchEngine struct {
 	StallCycles, IdleNoFTQ, BackendFull                     uint64
 }
 
-// NewFetchEngine builds a fetch engine delivering up to width instructions
-// per cycle into arena ar (the backend's, see backend.Arena). notify may be
-// nil.
+// NewFetchEngine builds a fetch engine delivering up to width (at least 1)
+// instructions per cycle into arena ar (the backend's, see backend.Arena).
+// notify may be nil. A perfect engine hits on every demand access — the
+// no-front-end-stall upper bound used by the evaluation.
 func NewFetchEngine(im *program.Image, walker *oracle.Walker, q *ftq.Queue, ar *pipe.Arena, l1i *cache.Cache,
-	pfb *cache.PrefetchBuffer, hier *memsys.Hierarchy, width int, notify NotifyFunc) *FetchEngine {
-	return newFetchEngine(im, walker, q, ar, l1i, pfb, hier, width, notify, false)
-}
-
-// NewPerfectFetchEngine builds a fetch engine whose every demand access hits
-// — the no-front-end-stall upper bound used by the evaluation.
-func NewPerfectFetchEngine(im *program.Image, walker *oracle.Walker, q *ftq.Queue, ar *pipe.Arena, l1i *cache.Cache,
-	pfb *cache.PrefetchBuffer, hier *memsys.Hierarchy, width int, notify NotifyFunc) *FetchEngine {
-	return newFetchEngine(im, walker, q, ar, l1i, pfb, hier, width, notify, true)
-}
-
-func newFetchEngine(im *program.Image, walker *oracle.Walker, q *ftq.Queue, ar *pipe.Arena, l1i *cache.Cache,
 	pfb *cache.PrefetchBuffer, hier *memsys.Hierarchy, width int, notify NotifyFunc, perfect bool) *FetchEngine {
-	if width < 1 {
-		width = 4
-	}
 	f := &FetchEngine{
 		im: im, walker: walker, q: q, ar: ar, l1i: l1i, pfb: pfb, hier: hier,
 		width: width, notify: notify, perfect: perfect,
@@ -89,7 +75,7 @@ func (f *FetchEngine) advance() {
 // Reset restores the pristine just-constructed state over a (possibly
 // different) program image and oracle walker: no stall, no divergence,
 // sequence numbers and counters rewound, and the first oracle record pulled
-// — exactly what newFetchEngine leaves behind. The wired FTQ, caches, and
+// — exactly what NewFetchEngine leaves behind. The wired FTQ, caches, and
 // hierarchy are reset by their own owners; width, perfect mode, and the
 // prefetch notify hook are configuration, so they persist.
 func (f *FetchEngine) Reset(im *program.Image, walker *oracle.Walker) {

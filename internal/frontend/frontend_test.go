@@ -245,7 +245,7 @@ func newFetchRig(t testing.TB, im *program.Image, pred bpred.Predictor) *fetchRi
 		r.bpu.bpu = NewBPU(r.bpu.ftb, pred, r.bpu.ras, r.bpu.q, im.Entry, 8)
 	}
 	r.q = r.bpu.q
-	r.fe = NewFetchEngine(im, oracle.NewWalker(im, 3), r.q, r.ar, r.l1i, r.pfb, r.hier, 4, nil)
+	r.fe = NewFetchEngine(im, oracle.NewWalker(im, 3), r.q, r.ar, r.l1i, r.pfb, r.hier, 4, nil, false)
 	return r
 }
 

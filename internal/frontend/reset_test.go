@@ -32,7 +32,7 @@ func newFERig(t testing.TB, seed int64) *feRig {
 		}),
 		ar: pipe.NewArena(64),
 	}
-	r.fe = NewFetchEngine(im, oracle.NewWalker(im, seed), r.q, r.ar, r.l1i, r.pfb, r.hier, 4, nil)
+	r.fe = NewFetchEngine(im, oracle.NewWalker(im, seed), r.q, r.ar, r.l1i, r.pfb, r.hier, 4, nil, false)
 	return r
 }
 

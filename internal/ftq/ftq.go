@@ -116,15 +116,10 @@ type Queue struct {
 	Pushed, Squashes, FullStalls uint64
 }
 
-// New creates a queue of the given capacity (fetch blocks) for a cache with
-// the given line size.
+// New creates a queue of the given capacity (fetch blocks, at least 1) for
+// a cache with the given line size (a power of two, at least
+// isa.InstrBytes).
 func New(capacity, lineSize int) *Queue {
-	if capacity < 1 {
-		capacity = 1
-	}
-	if lineSize < isa.InstrBytes {
-		lineSize = isa.InstrBytes
-	}
 	return &Queue{lineSize: lineSize, entries: make([]Block, capacity)}
 }
 

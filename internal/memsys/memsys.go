@@ -46,28 +46,6 @@ func DefaultConfig() Config {
 	}
 }
 
-func (c *Config) setDefaults() {
-	d := DefaultConfig()
-	if c.LineBytes <= 0 {
-		c.LineBytes = d.LineBytes
-	}
-	if c.L2SizeBytes <= 0 {
-		c.L2SizeBytes = d.L2SizeBytes
-	}
-	if c.L2Ways <= 0 {
-		c.L2Ways = d.L2Ways
-	}
-	if c.L2HitLatency <= 0 {
-		c.L2HitLatency = d.L2HitLatency
-	}
-	if c.MemLatency <= 0 {
-		c.MemLatency = d.MemLatency
-	}
-	if c.BusCyclesPerLine <= 0 {
-		c.BusCyclesPerLine = d.BusCyclesPerLine
-	}
-}
-
 // Transfer is one in-flight line movement from L2/memory toward the L1 side.
 type Transfer struct {
 	// Line is the line-aligned address.
@@ -151,9 +129,10 @@ type Hierarchy struct {
 	L2PrefetchHits, L2PrefetchMisses uint64
 }
 
-// New builds the hierarchy.
+// New builds the hierarchy. The configuration is taken as given: every
+// field positive and the L2 geometry one Check accepts
+// (core.Config.Validate ensures it).
 func New(cfg Config) *Hierarchy {
-	cfg.setDefaults()
 	return &Hierarchy{
 		cfg:      cfg,
 		l2:       cache.New(cfg.l2()),
@@ -173,10 +152,9 @@ func (c Config) l2() cache.Config {
 	}
 }
 
-// Check reports whether New accepts the configuration: after defaults, the
-// L2 geometry must be one cache.New builds.
+// Check reports whether New accepts the configuration's L2 geometry: it
+// must be one cache.New builds.
 func (c Config) Check() error {
-	c.setDefaults()
 	if err := c.l2().Check(); err != nil {
 		return fmt.Errorf("memsys: L2: %w", err)
 	}

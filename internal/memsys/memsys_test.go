@@ -191,12 +191,3 @@ func TestBusUtilization(t *testing.T) {
 		t.Errorf("BusUtilization clamp = %v", got)
 	}
 }
-
-func TestDefaultsApplied(t *testing.T) {
-	h := New(Config{})
-	c := h.cfg
-	d := DefaultConfig()
-	if c != d {
-		t.Errorf("defaults not applied: %+v", c)
-	}
-}

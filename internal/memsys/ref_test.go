@@ -31,7 +31,6 @@ type refHierarchy struct {
 }
 
 func newRefHierarchy(cfg Config) *refHierarchy {
-	cfg.setDefaults()
 	return &refHierarchy{cfg: cfg, l2: cache.New(cfg.l2()), inflight: make(map[uint64]*Transfer)}
 }
 

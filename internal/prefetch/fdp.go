@@ -64,15 +64,6 @@ func DefaultFDPConfig() FDPConfig {
 	return FDPConfig{PIQSize: 16, SkipHead: 1}
 }
 
-func (c *FDPConfig) setDefaults() {
-	if c.PIQSize <= 0 {
-		c.PIQSize = 16
-	}
-	if c.SkipHead < 0 {
-		c.SkipHead = 0
-	}
-}
-
 // FDP is the fetch-directed prefetcher: it scans the fetch target queue
 // beyond the fetch point, decomposes predicted fetch blocks into cache-line
 // candidates, filters them, and issues them into idle bus slots.
@@ -96,9 +87,10 @@ type FDP struct {
 	RemovedProbe, SquashDrops           uint64
 }
 
-// NewFDP creates a fetch-directed prefetcher. env.FTQ must be non-nil.
+// NewFDP creates a fetch-directed prefetcher. env.FTQ must be non-nil. The
+// configuration is taken as given: PIQSize positive, SkipHead at least 0
+// (core.Config.Validate ensures it).
 func NewFDP(env Env, cfg FDPConfig) *FDP {
-	cfg.setDefaults()
 	if env.FTQ == nil {
 		panic("prefetch: FDP requires an FTQ")
 	}

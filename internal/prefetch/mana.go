@@ -67,25 +67,6 @@ func DefaultMANAConfig() MANAConfig {
 	return MANAConfig{BudgetBytes: 2048, RegionLines: 8, QueueSize: 16}
 }
 
-func (c *MANAConfig) setDefaults() {
-	d := DefaultMANAConfig()
-	if c.BudgetBytes <= 0 {
-		c.BudgetBytes = d.BudgetBytes
-	}
-	if c.RegionLines <= 0 {
-		c.RegionLines = d.RegionLines
-	}
-	if c.RegionLines < 2 {
-		c.RegionLines = 2
-	}
-	if c.RegionLines > 64 {
-		c.RegionLines = 64
-	}
-	if c.QueueSize <= 0 {
-		c.QueueSize = d.QueueSize
-	}
-}
-
 // manaTagBits approximates the stored trigger tag width for budget
 // accounting (a 48-bit line address less the set index, rounded the way the
 // paper's storage tables do).
@@ -95,9 +76,10 @@ const manaTagBits = 32
 // accounting: a trigger tag plus the RegionLines-1 footprint bits.
 func (c MANAConfig) RecordBits() int { return manaTagBits + c.RegionLines - 1 }
 
-// NewMANA creates a spatial-region prefetcher sized to cfg's budget.
+// NewMANA creates a spatial-region prefetcher sized to cfg's budget. The
+// configuration is taken as given: BudgetBytes and QueueSize positive,
+// RegionLines in [2, 64] (core.Config.Validate ensures it).
 func NewMANA(env Env, cfg MANAConfig) *MANA {
-	cfg.setDefaults()
 	entries := cfg.BudgetBytes * 8 / cfg.RecordBits()
 	ways := 4
 	if entries < ways {

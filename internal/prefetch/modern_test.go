@@ -266,7 +266,7 @@ func TestShadowRequiresFTBAndImage(t *testing.T) {
 				t.Error("Shadow without FTB did not panic")
 			}
 		}()
-		NewShadow(env, ShadowConfig{})
+		NewShadow(env, DefaultShadowConfig())
 	}()
 	env = testModernEnv()
 	env.Image = nil
@@ -275,5 +275,5 @@ func TestShadowRequiresFTBAndImage(t *testing.T) {
 			t.Error("Shadow without image provider did not panic")
 		}
 	}()
-	NewShadow(env, ShadowConfig{})
+	NewShadow(env, DefaultShadowConfig())
 }

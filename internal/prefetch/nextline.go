@@ -15,9 +15,6 @@ type NextLine struct {
 // NewNextLine creates a tagged next-line prefetcher with a pending queue of
 // pendCap triggers.
 func NewNextLine(env Env, pendCap int) *NextLine {
-	if pendCap < 1 {
-		pendCap = 4
-	}
 	return &NextLine{port: port{env: env}, pending: make(lineQueue, 0, pendCap)}
 }
 

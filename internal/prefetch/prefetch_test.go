@@ -382,13 +382,16 @@ func TestFDPDropsPresentAndDuplicate(t *testing.T) {
 
 func TestFDPNameVariants(t *testing.T) {
 	env := testEnv()
-	if got := NewFDP(env, FDPConfig{}).Name(); got != "fdp" {
+	cfg := DefaultFDPConfig()
+	if got := NewFDP(env, cfg).Name(); got != "fdp" {
 		t.Errorf("Name = %q", got)
 	}
-	if got := NewFDP(env, FDPConfig{CPF: CPFConservative}).Name(); got != "fdp+enqueue-conservative" {
+	cfg.CPF = CPFConservative
+	if got := NewFDP(env, cfg).Name(); got != "fdp+enqueue-conservative" {
 		t.Errorf("Name = %q", got)
 	}
-	if got := NewFDP(env, FDPConfig{CPF: CPFOptimistic, RemoveCPF: true}).Name(); got != "fdp+enqueue-optimistic+remove" {
+	cfg.CPF, cfg.RemoveCPF = CPFOptimistic, true
+	if got := NewFDP(env, cfg).Name(); got != "fdp+enqueue-optimistic+remove" {
 		t.Errorf("Name = %q", got)
 	}
 }
@@ -401,7 +404,7 @@ func TestFDPRequiresFTQ(t *testing.T) {
 			t.Error("FDP without FTQ did not panic")
 		}
 	}()
-	NewFDP(env, FDPConfig{})
+	NewFDP(env, DefaultFDPConfig())
 }
 
 func TestPortHygiene(t *testing.T) {

@@ -48,20 +48,10 @@ func DefaultShadowConfig() ShadowConfig {
 	return ShadowConfig{DecodeQueue: 4, TargetQueue: 8, PrefetchTargets: true}
 }
 
-func (c *ShadowConfig) setDefaults() {
-	d := DefaultShadowConfig()
-	if c.DecodeQueue <= 0 {
-		c.DecodeQueue = d.DecodeQueue
-	}
-	if c.TargetQueue <= 0 {
-		c.TargetQueue = d.TargetQueue
-	}
-}
-
 // NewShadow creates a shadow-branch decoder. env.FTB and env.Image must be
-// non-nil.
+// non-nil; both queue sizes are taken as given (core.Config.Validate makes
+// them positive).
 func NewShadow(env Env, cfg ShadowConfig) *Shadow {
-	cfg.setDefaults()
 	if env.FTB == nil {
 		panic("prefetch: Shadow requires an FTB")
 	}

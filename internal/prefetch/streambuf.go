@@ -27,12 +27,6 @@ type stream struct {
 
 // NewStreamBuffers creates numStreams stream buffers of the given depth.
 func NewStreamBuffers(env Env, numStreams, depth int) *StreamBuffers {
-	if numStreams < 1 {
-		numStreams = 1
-	}
-	if depth < 1 {
-		depth = 1
-	}
 	return &StreamBuffers{
 		port:    port{env: env},
 		streams: make([]stream, numStreams),

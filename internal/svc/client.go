@@ -20,18 +20,10 @@ var ErrSweepFailed = errors.New("svc: sweep failed")
 // Client talks to a sweep service over its HTTP API: submission, status,
 // streaming, and worker self-registration (the loop cmd/fdipd -register runs).
 type Client struct {
-	// Base is the service root ("http://host:9090").
+	// Base is the service root ("http://host:9090"). Every request goes
+	// through http.DefaultClient, which sets no response timeout: streams
+	// are long-lived.
 	Base string
-	// HTTPClient overrides the transport (nil = http.DefaultClient). Streams
-	// are long-lived; a client with a response timeout will kill them.
-	HTTPClient *http.Client
-}
-
-func (c *Client) http() *http.Client {
-	if c.HTTPClient != nil {
-		return c.HTTPClient
-	}
-	return http.DefaultClient
 }
 
 func (c *Client) url(path string) string {
@@ -55,7 +47,7 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	resp, err := c.http().Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return err
 	}
@@ -154,7 +146,7 @@ func (c *Client) Stream(ctx context.Context, id string, from int, fn func(Stream
 	if err != nil {
 		return err
 	}
-	resp, err := c.http().Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return err
 	}
