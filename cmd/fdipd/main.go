@@ -14,8 +14,11 @@
 //	                                   same -state resumes them.
 //	fdipd -submit URL [flags]          client: submit the built-in demo plan to
 //	                                   a service, stream its results (resuming
-//	                                   through transport drops), and print the
-//	                                   same sorted NDJSON rows as -coordinate.
+//	                                   from its frame cursor through transport
+//	                                   drops and service restarts: frames are
+//	                                   in plan order in every incarnation),
+//	                                   and print the same sorted NDJSON rows
+//	                                   as -coordinate.
 //	fdipd -watch URL -job ID [-from N] client: follow one sweep's raw stream
 //	                                   frames from cursor N.
 //	fdipd -coordinate [flags]          single-process reference: runs the demo
@@ -236,8 +239,10 @@ func demoRequest(label string, priority int, instrs uint64, chunk int) svc.Submi
 }
 
 // runSubmit submits the demo plan and streams it to completion, reconnecting
-// with the frame cursor through transport drops, then prints the sorted
-// deterministic rows (stdout) and the job accounting (stderr).
+// with the frame cursor through transport drops and through a restart of the
+// service (a drain ends the stream without a terminal frame; frame n is plan
+// index n in every incarnation), up to ten times 200 ms apart, then prints
+// the sorted deterministic rows (stdout) and the job accounting (stderr).
 func runSubmit(ctx context.Context, base, label string, priority int, instrs uint64, chunk int) error {
 	cl := &svc.Client{Base: base}
 	st, err := cl.Submit(ctx, demoRequest(label, priority, instrs, chunk))

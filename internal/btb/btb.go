@@ -81,27 +81,6 @@ func (e *entry) pred() Pred {
 	}
 }
 
-// probeMemoSize is the direct-mapped probe-memo table size (conventional
-// mode only); a power of two.
-const probeMemoSize = 2048
-
-// probeMemo caches the outcome of one conventional-mode sequential probe
-// walk from a given start pc: how many addresses missed before the
-// terminating-CTI entry hit (and where that entry lives), or that the whole
-// MaxBlockInstrs scan missed. An entry is valid only while its generation
-// matches the table's: any insert allocation (new entry or replacement) can
-// change which addresses hit, so it advances the generation and invalidates
-// the whole memo at once. In-place retrains (Updates) leave the hit/miss
-// pattern untouched — the tags don't move — and the replay re-reads CTI and
-// target live from the hit entry, so they do not invalidate.
-type probeMemo struct {
-	pc     uint64
-	gen    uint64
-	idx    int32 // the hit entry's index in entries
-	misses uint8
-	hit    bool
-}
-
 // TargetBuffer is a set-associative FTB/BTB with true-LRU replacement.
 type TargetBuffer struct {
 	cfg Config
@@ -109,14 +88,6 @@ type TargetBuffer struct {
 	entries  []entry
 	setShift uint
 	clock    uint64
-
-	// memo caches conventional-mode probe walks (nil in block-oriented
-	// mode); gen is the memo validity generation, advanced by insert
-	// allocations. Replayed walks reproduce the counters and LRU side
-	// effects of the probes they skip exactly, so statistics are identical
-	// with and without the memo.
-	memo []probeMemo
-	gen  uint64
 
 	// Lookups counts raw probes (conventional mode performs several per
 	// predicted block). Hits/Misses count probe outcomes. Inserts counts
@@ -128,16 +99,11 @@ type TargetBuffer struct {
 // New creates a target buffer. The configuration is taken as given: every
 // field set, within its documented range (core.Config.Validate ensures it).
 func New(cfg Config) *TargetBuffer {
-	t := &TargetBuffer{
+	return &TargetBuffer{
 		cfg:      cfg,
 		entries:  make([]entry, cfg.Sets*cfg.Ways),
 		setShift: uint(bits.TrailingZeros(uint(cfg.Sets))),
-		gen:      1,
 	}
-	if !cfg.BlockOriented {
-		t.memo = make([]probeMemo, probeMemoSize)
-	}
-	return t
 }
 
 // Config returns the configuration.
@@ -207,7 +173,6 @@ func (t *TargetBuffer) insert(pc uint64, length int, cti isa.Kind, target uint64
 fill:
 	set[victim] = entry{key: pc>>2>>t.setShift<<keyTagShift | meta | keyValid, target: target, stamp: t.clock}
 	t.Inserts++
-	t.gen++ // a new resident address: every memoised walk may now be stale
 }
 
 // PredictBlock returns the predicted fetch block starting at pc. In
@@ -216,14 +181,6 @@ fill:
 // entry hits or MaxBlockInstrs addresses have been scanned. ok reports
 // whether any prediction was found; on a miss the caller should assume a
 // maximal sequential block.
-//
-// The conventional-mode walk is memoised per start pc and table generation:
-// a loop re-predicting the same block (the common case — blocks repeat far
-// more often than the table changes) degenerates to one memo lookup. The
-// replay charges the exact probe counters the skipped walk would have
-// (Lookups still counts every raw probe) and applies the same LRU side
-// effect — only the hit probe touches the clock and a stamp — so every
-// statistic is identical with and without the memo.
 func (t *TargetBuffer) PredictBlock(pc uint64) (Pred, bool) {
 	if t.cfg.BlockOriented {
 		p, ok := t.lookup(pc)
@@ -232,43 +189,17 @@ func (t *TargetBuffer) PredictBlock(pc uint64) (Pred, bool) {
 		}
 		return p, ok
 	}
-	m := &t.memo[(pc>>2)&(probeMemoSize-1)]
-	if m.pc == pc && m.gen == t.gen {
-		if !m.hit {
-			t.Lookups += uint64(t.cfg.MaxBlockInstrs)
-			t.Misses += uint64(t.cfg.MaxBlockInstrs)
-			return Pred{}, false
-		}
-		t.Lookups += uint64(m.misses) + 1
-		t.Misses += uint64(m.misses)
-		t.Hits++
-		t.clock++
-		e := &t.entries[m.idx]
-		e.stamp = t.clock
-		p := e.pred()
-		p.NumInstrs = int(m.misses) + 1
-		return p, true
-	}
 	for i := 0; i < t.cfg.MaxBlockInstrs; i++ {
-		t.Lookups++
-		if idx, _ := t.find(pc + uint64(i)*isa.InstrBytes); idx >= 0 {
-			t.Hits++
-			t.clock++
-			e := &t.entries[idx]
-			e.stamp = t.clock
-			*m = probeMemo{pc: pc, gen: t.gen, idx: int32(idx), misses: uint8(i), hit: true}
-			p := e.pred()
+		if p, ok := t.lookup(pc + uint64(i)*isa.InstrBytes); ok {
 			p.NumInstrs = i + 1
 			return p, true
 		}
-		t.Misses++
 	}
-	*m = probeMemo{pc: pc, gen: t.gen}
 	return Pred{}, false
 }
 
 // Peek reports whether an entry for pc is resident without perturbing
-// predictor state: no probe counters, no LRU refresh, no memo traffic. The
+// predictor state: no probe counters, no LRU refresh. The
 // shadow-branch prefetcher uses it to skip prefilling blocks the buffer
 // already knows, and statistics must stay bit-identical whether or not it
 // runs.
@@ -294,8 +225,6 @@ func (t *TargetBuffer) TrainBlock(start uint64, numInstrs int, cti isa.Kind, tar
 func (t *TargetBuffer) Reset() {
 	clear(t.entries)
 	t.clock = 0
-	clear(t.memo) // gen rewinds to its fresh value, so stale entries must go
-	t.gen = 1
 	t.Lookups, t.Hits, t.Misses = 0, 0, 0
 	t.Inserts, t.Updates, t.Evictions = 0, 0, 0
 }

@@ -119,7 +119,6 @@ func TestStorageAccounting(t *testing.T) {
 // InvalidateAll clears the buffer.
 func (t *TargetBuffer) InvalidateAll() {
 	clear(t.entries)
-	t.gen++ // memoised hits now point at invalid entries
 }
 
 func TestInvalidateAll(t *testing.T) {
@@ -182,5 +181,35 @@ func TestQuickNoAliasing(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rng}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestProbeMemoReplaysRetrainedTarget: an in-place retrain changes the
+// entry's target, and the next conventional-mode walk from the same start
+// returns the fresh target.
+func TestProbeMemoReplaysRetrainedTarget(t *testing.T) {
+	tb := New(Config{Sets: 8, Ways: 2, BlockOriented: false, MaxBlockInstrs: 8, AddrBits: 48})
+	tb.TrainBlock(0x1000, 3, isa.Jump, 0x2000)
+	if p, ok := tb.PredictBlock(0x1000); !ok || p.Target != 0x2000 || p.NumInstrs != 3 {
+		t.Fatalf("first walk: %+v, %v", p, ok)
+	}
+	tb.TrainBlock(0x1000, 3, isa.Jump, 0x3000) // same branch pc: in-place update
+	if p, ok := tb.PredictBlock(0x1000); !ok || p.Target != 0x3000 {
+		t.Fatalf("walk after the retrain returned a stale target: %+v, %v", p, ok)
+	}
+}
+
+// TestProbeMemoInvalidatedByAllocation: an allocation that creates an earlier
+// terminating CTI within a walk already taken is honoured on the very next
+// prediction.
+func TestProbeMemoInvalidatedByAllocation(t *testing.T) {
+	tb := New(Config{Sets: 8, Ways: 2, BlockOriented: false, MaxBlockInstrs: 8, AddrBits: 48})
+	tb.TrainBlock(0x1000, 5, isa.Jump, 0x2000) // branch at 0x1010
+	if p, _ := tb.PredictBlock(0x1000); p.NumInstrs != 5 {
+		t.Fatalf("walk before allocation: %+v", p)
+	}
+	tb.TrainBlock(0x1000, 2, isa.CondBranch, 0x4000) // new branch at 0x1004
+	if p, _ := tb.PredictBlock(0x1000); p.NumInstrs != 2 || p.Target != 0x4000 {
+		t.Fatalf("walk after the allocation missed the earlier branch: %+v", p)
 	}
 }

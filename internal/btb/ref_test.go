@@ -9,16 +9,13 @@ import (
 
 // refTargetBuffer is the reference model FuzzTargetBufferReference checks
 // TargetBuffer against: the 40-byte entry with separate valid, length and
-// kind fields, stored per set, and the conventional-mode probe memo that
-// addresses a hit by set and way — the layout TargetBuffer used before its
+// kind fields, stored per set — the layout TargetBuffer used before its
 // metadata was folded into the tag word.
 type refTargetBuffer struct {
 	cfg      Config
 	sets     [][]refEntry
 	setShift uint
 	clock    uint64
-	memo     []refProbeMemo
-	gen      uint64
 
 	Lookups, Hits, Misses, Inserts, Updates, Evictions uint64
 }
@@ -32,22 +29,10 @@ type refEntry struct {
 	target uint64
 }
 
-type refProbeMemo struct {
-	pc     uint64
-	gen    uint64
-	si     int32
-	way    int32
-	misses uint8
-	hit    bool
-}
-
 func newRefTargetBuffer(cfg Config) *refTargetBuffer {
-	t := &refTargetBuffer{cfg: cfg, sets: make([][]refEntry, cfg.Sets), setShift: uint(bits.TrailingZeros(uint(cfg.Sets))), gen: 1}
+	t := &refTargetBuffer{cfg: cfg, sets: make([][]refEntry, cfg.Sets), setShift: uint(bits.TrailingZeros(uint(cfg.Sets)))}
 	for i := range t.sets {
 		t.sets[i] = make([]refEntry, cfg.Ways)
-	}
-	if !cfg.BlockOriented {
-		t.memo = make([]refProbeMemo, probeMemoSize)
 	}
 	return t
 }
@@ -104,7 +89,6 @@ func (t *refTargetBuffer) insert(pc uint64, length int, cti isa.Kind, target uin
 	}
 	set[victim] = refEntry{valid: true, tag: tag, stamp: t.clock, length: uint8(length), cti: cti, target: target}
 	t.Inserts++
-	t.gen++
 }
 
 func (t *refTargetBuffer) PredictBlock(pc uint64) (Pred, bool) {
@@ -115,21 +99,6 @@ func (t *refTargetBuffer) PredictBlock(pc uint64) (Pred, bool) {
 		}
 		return p, ok
 	}
-	m := &t.memo[(pc>>2)&(probeMemoSize-1)]
-	if m.pc == pc && m.gen == t.gen {
-		if !m.hit {
-			t.Lookups += uint64(t.cfg.MaxBlockInstrs)
-			t.Misses += uint64(t.cfg.MaxBlockInstrs)
-			return Pred{}, false
-		}
-		t.Lookups += uint64(m.misses) + 1
-		t.Misses += uint64(m.misses)
-		t.Hits++
-		t.clock++
-		e := &t.sets[m.si][m.way]
-		e.stamp = t.clock
-		return Pred{NumInstrs: int(m.misses) + 1, CTI: e.cti, Target: e.target}, true
-	}
 	for i := 0; i < t.cfg.MaxBlockInstrs; i++ {
 		t.Lookups++
 		si, tag := t.setAndTag(pc + uint64(i)*isa.InstrBytes)
@@ -139,13 +108,11 @@ func (t *refTargetBuffer) PredictBlock(pc uint64) (Pred, bool) {
 				t.Hits++
 				t.clock++
 				e.stamp = t.clock
-				*m = refProbeMemo{pc: pc, gen: t.gen, si: int32(si), way: int32(w), misses: uint8(i), hit: true}
 				return Pred{NumInstrs: i + 1, CTI: e.cti, Target: e.target}, true
 			}
 		}
 		t.Misses++
 	}
-	*m = refProbeMemo{pc: pc, gen: t.gen}
 	return Pred{}, false
 }
 
@@ -171,7 +138,6 @@ func (t *refTargetBuffer) InvalidateAll() {
 	for _, set := range t.sets {
 		clear(set)
 	}
-	t.gen++
 }
 
 func (t *refTargetBuffer) Reset() { *t = *newRefTargetBuffer(t.cfg) }
@@ -179,7 +145,7 @@ func (t *refTargetBuffer) Reset() { *t = *newRefTargetBuffer(t.cfg) }
 // FuzzTargetBufferReference drives TargetBuffer and refTargetBuffer through
 // the same operation sequence and requires every return value, counter and
 // the LRU clock to agree after every step. data[0:2] picks the geometry: 1
-// to 16 sets, 1 to 4 ways, block-oriented or conventional (memoised), and a
+// to 16 sets, 1 to 4 ways, block-oriented or conventional, and a
 // MaxBlockInstrs of 1 to 40, clamped to 31 as core.Config.Validate clamps
 // it. Every further four bytes are one operation: an opcode byte (low three
 // bits the operation, the rest a block length of 0 to 31), a pc byte over a
@@ -234,8 +200,8 @@ func FuzzTargetBufferReference(f *testing.F) {
 			if g != w || gok != wok {
 				t.Fatalf("%+v step %d: op %d at %#x returned %+v,%v; reference %+v,%v", cfg, step, op[0]&7, pc, g, gok, w, wok)
 			}
-			gc := [...]uint64{got.Lookups, got.Hits, got.Misses, got.Inserts, got.Updates, got.Evictions, got.clock, got.gen}
-			wc := [...]uint64{want.Lookups, want.Hits, want.Misses, want.Inserts, want.Updates, want.Evictions, want.clock, want.gen}
+			gc := [...]uint64{got.Lookups, got.Hits, got.Misses, got.Inserts, got.Updates, got.Evictions, got.clock}
+			wc := [...]uint64{want.Lookups, want.Hits, want.Misses, want.Inserts, want.Updates, want.Evictions, want.clock}
 			if gc != wc {
 				t.Fatalf("%+v step %d: counters %v; reference %v", cfg, step, gc, wc)
 			}

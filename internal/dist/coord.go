@@ -24,12 +24,13 @@ type Options struct {
 	Shards int
 	// ChunkPoints is the checkpoint granularity — how many consecutive
 	// enumeration points each journaled range carries (default 32). A range
-	// is journaled and yielded whole, but dispatched as up to Shards pieces,
-	// so several shards can work on one range — as many as keep every piece
-	// at least as large as one worker's slots (Slotted); a dialer that does
-	// not report slots gets whole ranges. Smaller chunks checkpoint finer
-	// and deliver first outcomes sooner; larger ones amortise journal
-	// records and worker requests.
+	// is journaled and yielded whole, in enumeration order, but dispatched
+	// as up to Shards pieces, so several shards can work on one range — as
+	// many as keep every piece at least as large as one worker's slots
+	// (Slotted); a dialer that does not report slots gets whole ranges.
+	// Smaller chunks checkpoint finer and deliver first outcomes sooner, and
+	// a slow range holds back less of the stream behind it; larger ones
+	// amortise journal records and worker requests.
 	ChunkPoints int
 	// Instrs, when non-zero, is the committed-instruction budget workers
 	// apply to every job — the distributed analogue of
@@ -107,19 +108,57 @@ func (c *Coordinator) fingerprint(p *engine.Plan) uint64 {
 }
 
 // pendingRange is one journal range between dispatch and delivery. The
-// dispatcher fills its jobs, cache hits, keys and piece count before the
-// first piece leaves; from then on jobs, keys and keyed are read-only (shard
-// loops read keys to cache what their pieces ran), and only the consumer loop
-// writes, filling each piece's outcomes into its slots — stamped with their
-// slots' jobs — as the piece lands.
+// dispatcher fills its jobs, cache hits, keys and piece count before handing
+// it to the consumer loop; from then on jobs, keys and keyed are read-only,
+// and each shard loop writes its piece's outcomes into their slots — stamped
+// with their slots' jobs — before it lands the piece. The last piece to land,
+// or the first to fail, closes done; the consumer loop reads outs and err
+// only after done is closed. A range that no piece will land (journaled,
+// fully cache-served, or failed before any piece left) shares the closed
+// channel.
 type pendingRange struct {
-	start   int
-	jobs    []engine.Job        // slot i's resolved job, the only job its outcome carries
-	outs    []engine.RunOutcome // slot i holds enumeration index start+i
-	keys    []engine.JobKey     // per-slot cache key (nil without a cache)
-	keyed   []bool              // keys[i] is valid (the job resolved)
-	shipped int                 // jobs shipped to workers (Cached cannot tell: worker memo hits set it too)
-	left    int                 // pieces not yet landed
+	start     int
+	jobs      []engine.Job        // slot i's resolved job, the only job its outcome carries
+	outs      []engine.RunOutcome // slot i holds enumeration index start+i
+	keys      []engine.JobKey     // per-slot cache key (nil without a cache)
+	keyed     []bool              // keys[i] is valid (the job resolved)
+	shipped   int                 // jobs shipped to workers (Cached cannot tell: worker memo hits set it too)
+	journaled bool                // replayed from the journal, so never journaled again
+	done      chan struct{}
+
+	mu   sync.Mutex
+	left int   // pieces not yet landed
+	err  error // terminal: why the stream ends at this range
+}
+
+// closed is the done channel of every range that reaches the consumer loop
+// already done.
+var closed = func() chan struct{} {
+	ch := make(chan struct{})
+	close(ch)
+	return ch
+}()
+
+// failed is a range at which the stream ends with err.
+func failed(start int, err error) *pendingRange {
+	return &pendingRange{start: start, err: err, done: closed}
+}
+
+// land records one piece's fate: err nil once its outcomes are in their
+// slots. Only the first failure counts; a piece that lands after it is moot.
+func (r *pendingRange) land(err error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	switch {
+	case r.err != nil:
+	case err != nil:
+		r.err = err
+		close(r.done)
+	default:
+		if r.left--; r.left == 0 {
+			close(r.done)
+		}
+	}
 }
 
 // piece is the dispatch unit: a sparse assignment of some of one range's
@@ -129,41 +168,34 @@ type piece struct {
 	a   Assignment
 }
 
-// delivery is one piece's fate, shard -> consumer loop. A fully cached range
-// arrives as a delivery without outcomes, straight from the dispatcher.
-type delivery struct {
-	rng  *pendingRange
-	outs []engine.RunOutcome
-	err  error // terminal: the piece exhausted its retries
-}
-
 // Stream executes every point of the plan across the coordinator's shards
-// and yields outcomes as ranges complete. The contract is engine.Stream's,
-// reassembled: completion order across ranges, enumeration order within one,
-// every outcome index-tagged; per-job failures ride inside outcomes; a
-// stream-level failure (context death, a piece out of retries, a range that
-// needs a worker when there is no dialer, a journal write error) yields once
-// as a terminal (zero, error) pair. Breaking out of the loop cancels
-// outstanding pieces before the iterator returns.
+// and yields outcomes in enumeration order, range by range: a range is
+// yielded once it and every range before it have completed, however they
+// were served — replayed from the journal, served from the cache, or run by
+// workers. So the stream is a function of the plan alone, and a consumer that
+// saw n outcomes of one run has seen exactly indices 0..n-1 of any other run
+// of the same plan, a resumed one included. Per-job failures ride inside
+// outcomes; a stream-level failure (context death, a piece out of retries, a
+// range that needs a worker when there is no dialer, a journal write error)
+// yields once as a terminal (zero, error) pair, after every range before the
+// one that failed. Breaking out of the loop cancels outstanding pieces before
+// the iterator returns.
 //
 // With a journal configured, ranges completed by a previous run replay from
-// disk first (no re-execution), then the remainder executes; a consumer that
-// needs the full stream — a stats.Collector — sees every outcome exactly
-// once either way.
+// disk in their place in the order (no re-execution) and the remainder
+// executes; a consumer that needs the full stream — a stats.Collector — sees
+// every outcome exactly once either way.
 func (c *Coordinator) Stream(ctx context.Context, p *engine.Plan) iter.Seq2[engine.RunOutcome, error] {
 	return func(yield func(engine.RunOutcome, error) bool) {
 		if err := p.Err(); err != nil {
 			yield(engine.RunOutcome{}, err)
 			return
 		}
-		points := p.Points()
-		chunk := c.opts.ChunkPoints
-
 		var jr *Journal
 		completed := map[int][]engine.RunOutcome{}
 		if c.opts.Journal != "" {
 			var err error
-			jr, completed, err = OpenJournal(c.opts.Journal, c.fingerprint(p), points, chunk)
+			jr, completed, err = OpenJournal(c.opts.Journal, c.fingerprint(p), p.Points(), c.opts.ChunkPoints)
 			if err != nil {
 				yield(engine.RunOutcome{}, err)
 				return
@@ -173,11 +205,12 @@ func (c *Coordinator) Stream(ctx context.Context, p *engine.Plan) iter.Seq2[engi
 
 		// Journal records carry no jobs: the fingerprint proved the journal
 		// is this plan's, so each replayed outcome is stamped with the
-		// plan's resolved job at its index. Before anything replays, the
-		// journal also primes the shared result cache: ranges completed by
-		// a previous run are proven results for their simulation
+		// plan's resolved job at its index. Before anything is dispatched,
+		// the journal also primes the shared result cache: ranges completed
+		// by a previous run are proven results for their simulation
 		// identities, and a service restart re-warms its cache from them.
 		if len(completed) > 0 {
+			chunk := c.opts.ChunkPoints
 			for i, job := range p.Jobs() {
 				outs, ok := completed[i-i%chunk]
 				if !ok {
@@ -192,131 +225,86 @@ func (c *Coordinator) Stream(ctx context.Context, p *engine.Plan) iter.Seq2[engi
 			}
 		}
 
-		// Replay journaled ranges before executing anything: the resumed
-		// stream is indistinguishable from a slow first run.
-		starts := make([]int, 0, len(completed))
-		for s := range completed {
-			starts = append(starts, s)
-		}
-		sort.Ints(starts)
-		for _, s := range starts {
-			for _, out := range completed[s] {
-				if !yield(out, nil) {
-					return
-				}
-			}
-		}
-
-		remaining := 0
-		for start := 0; start < points; start += chunk {
-			if _, ok := completed[start]; !ok {
-				remaining++
-			}
-		}
-		if remaining == 0 {
-			if err := ctx.Err(); err != nil {
-				yield(engine.RunOutcome{}, err)
-			}
-			return
-		}
-
 		parent := ctx
 		ctx, cancel := context.WithCancel(ctx)
+		// Cancelling outstanding work and reaping every goroutine before the
+		// iterator returns is the same no-leak guarantee engine.Stream gives
+		// on early break.
+		var wg sync.WaitGroup
+		defer wg.Wait()
 		defer cancel()
 
-		// The dispatcher and every shard loop deliver to the consumer loop;
-		// deliveries closes once all of them have exited.
+		// The dispatcher hands every range to the consumer loop in
+		// enumeration order, ending with a failed one if it stops early.
 		work := make(chan piece)
-		deliveries := make(chan delivery)
-		var wg sync.WaitGroup
+		ranges := make(chan *pendingRange)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			defer close(work)
-			c.dispatch(ctx, p, completed, work, deliveries)
+			defer close(ranges)
+			c.dispatch(ctx, p, completed, work, ranges)
 		}()
 		for i := 0; i < c.opts.Shards; i++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				c.shardLoop(ctx, work, deliveries)
+				c.shardLoop(ctx, work)
 			}()
 		}
-		go func() {
-			wg.Wait()
-			close(deliveries)
-		}()
-		// drain cancels outstanding work and reaps every shard goroutine
-		// before the iterator returns — the same no-leak guarantee
-		// engine.Stream gives on early break.
-		drain := func() {
-			cancel()
-			for range deliveries {
-			}
-		}
 
-		for remaining > 0 {
-			d, ok := <-deliveries
-			if !ok {
-				// Every shard exited with ranges outstanding: the context
-				// died, or a graceful drain stopped dispatch (shards report
-				// their own terminal errors otherwise).
-				switch {
-				case parent.Err() != nil:
-					yield(engine.RunOutcome{}, parent.Err())
-				case Quiesced(c.opts.Quiesce):
-					yield(engine.RunOutcome{}, fmt.Errorf("%w: %d ranges not dispatched", ErrQuiesced, remaining))
-				default:
-					yield(engine.RunOutcome{}, fmt.Errorf("dist: shards exited with %d ranges outstanding", remaining))
+		// The consumer keeps the ranges it has been handed, oldest first, so
+		// dispatch never waits on a slow range at the head.
+		var fifo []*pendingRange
+		for handed := ranges; len(fifo) > 0 || handed != nil; {
+			var head <-chan struct{}
+			if len(fifo) > 0 {
+				head = fifo[0].done
+			}
+			select {
+			case r, ok := <-handed:
+				if ok {
+					fifo = append(fifo, r)
+				} else {
+					handed = nil
 				}
+				continue
+			case <-head:
+			case <-ctx.Done():
+				// Only the parent cancels ctx while the loop runs; the shards
+				// abandon their pieces without landing them.
+				yield(engine.RunOutcome{}, parent.Err())
 				return
 			}
-			if d.err != nil {
-				drain()
-				yield(engine.RunOutcome{}, d.err)
+			r := fifo[0]
+			fifo[0] = nil
+			fifo = fifo[1:]
+			if r.err != nil {
+				yield(engine.RunOutcome{}, r.err)
 				return
-			}
-			r := d.rng
-			if len(d.outs) > 0 { // a piece landed; a fully cached range has none
-				// A worker's outcome is trusted for its result only: the
-				// job is the plan's.
-				for _, out := range d.outs {
-					slot := out.Index - r.start
-					out.Job = r.jobs[slot]
-					r.outs[slot] = out
-				}
-				if r.left--; r.left > 0 {
-					continue
-				}
 			}
 			// An executed range is journaled durably before it is yielded:
 			// once the consumer has seen it, it must never replay
 			// differently. A range no worker ran replays identically from
-			// the cache, so it is journaled after delivery, unsynced, off
-			// the consumer's path.
+			// the cache, so it is journaled after delivery, unsynced.
 			if jr != nil && r.shipped > 0 {
 				if err := jr.Commit(r.start, r.outs); err != nil {
-					drain()
 					yield(engine.RunOutcome{}, err)
 					return
 				}
 			}
 			for _, out := range r.outs {
 				if !yield(out, nil) {
-					drain()
 					return
 				}
 			}
-			if jr != nil && r.shipped == 0 {
+			if jr != nil && r.shipped == 0 && !r.journaled {
 				if err := jr.note(r.start, r.outs); err != nil {
-					drain()
 					yield(engine.RunOutcome{}, err)
 					return
 				}
 			}
-			remaining--
 		}
-		drain()
 		if err := parent.Err(); err != nil {
 			yield(engine.RunOutcome{}, err)
 		}
@@ -324,62 +312,65 @@ func (c *Coordinator) Stream(ctx context.Context, p *engine.Plan) iter.Seq2[engi
 }
 
 // dispatch walks the plan's enumeration exactly once (O(points) total,
-// O(chunk) live), skipping journaled ranges. Every other range is split on
-// the cache: a fully cached range goes straight to the consumer loop and
+// O(chunk) live) and hands every range to the consumer loop in enumeration
+// order, each as soon as it is split. A journaled range is handed over done.
+// Every other range is split on the cache: a fully cached range is done and
 // never dials, and the misses of the rest leave as pieces the shard loops
-// take first-in first-out, so a shard that finishes early can take a piece
-// of a range another shard is still running instead of idling. Without a
-// dialer, the first range with misses is delivered as a terminal error and
-// dispatch stops. Quiesce is honoured only before a range's first piece: a
-// started range is dispatched whole, so it still completes, journals and
-// yields.
-func (c *Coordinator) dispatch(ctx context.Context, p *engine.Plan, completed map[int][]engine.RunOutcome, work chan<- piece, deliveries chan<- delivery) {
+// take first-in first-out, so a shard that finishes early can take a piece of
+// a range another shard is still running instead of idling. Dispatch stops
+// at the first range it cannot start — one with misses and no dialer, or any
+// range once Quiesce is closed — which it hands over failed, so the stream
+// ends there, after every range before it. Quiesce is honoured only before a
+// range's first piece: a started range is dispatched whole, so it still
+// completes, journals and yields.
+func (c *Coordinator) dispatch(ctx context.Context, p *engine.Plan, completed map[int][]engine.RunOutcome, work chan<- piece, ranges chan<- *pendingRange) {
 	next, stop := iter.Pull2(p.Jobs())
 	defer stop()
 	points, chunk := p.Points(), c.opts.ChunkPoints
+	drained := func(start int) error {
+		return fmt.Errorf("%w: %d ranges not dispatched", ErrQuiesced, (points-start+chunk-1)/chunk)
+	}
 	for start := 0; start < points; start += chunk {
 		count := min(chunk, points-start)
-		_, done := completed[start]
+		outs, journaled := completed[start]
 		var jobs []engine.Job
-		if !done {
+		if !journaled {
 			jobs = make([]engine.Job, 0, count)
 		}
-		for j := 0; j < count; j++ {
+		n := 0
+		for ; n < count; n++ {
 			_, job, ok := next()
 			if !ok {
-				return // plan shorter than Points() promised; shard validation catches it
+				break
 			}
-			if !done {
+			if !journaled {
 				jobs = append(jobs, job)
 			}
 		}
-		if done {
-			continue
+		var r *pendingRange
+		var pieces []piece
+		switch {
+		case n < count:
+			r = failed(start, fmt.Errorf("dist: plan enumerated %d of its %d points", start+n, points))
+		case journaled:
+			r = &pendingRange{start: start, outs: outs, journaled: true, done: closed}
+		case Quiesced(c.opts.Quiesce):
+			// Checked here too, as the select below picks at random when a
+			// shard is ready as well: a closed quiesce must win.
+			r = failed(start, drained(start))
+		default:
+			r, pieces = c.split(start, jobs)
+			if len(pieces) > 0 && c.opts.Dialer == nil {
+				r, pieces = failed(start, fmt.Errorf("dist: range %d needs a worker and the coordinator has no dialer", start)), nil
+			}
 		}
-		// Checked before the selects below too, which pick at random when a
-		// shard is ready as well: a closed quiesce must win.
-		if Quiesced(c.opts.Quiesce) {
+		select {
+		case ranges <- r:
+		case <-ctx.Done():
 			return
 		}
-		r, pieces := c.split(start, jobs)
-		if len(pieces) > 0 && c.opts.Dialer == nil {
-			// Behind every cache-served range before it: a deterministic end.
-			err := fmt.Errorf("dist: range %d needs a worker and the coordinator has no dialer", start)
-			select {
-			case deliveries <- delivery{rng: r, err: err}:
-			case <-ctx.Done():
-			}
+		if r.err != nil {
 			return
-		}
-		if len(pieces) == 0 {
-			select {
-			case deliveries <- delivery{rng: r}:
-			case <-ctx.Done():
-				return
-			case <-c.opts.Quiesce:
-				return
-			}
-			continue
 		}
 		quiesce := c.opts.Quiesce
 		for _, pc := range pieces {
@@ -388,8 +379,10 @@ func (c *Coordinator) dispatch(ctx context.Context, p *engine.Plan, completed ma
 			case <-ctx.Done():
 				return
 			case <-quiesce:
-				// Graceful drain: stop handing out ranges; closing work
-				// lets the shard loops finish what they hold and exit.
+				// Graceful drain before the range started: it ends the
+				// stream, and closing work lets the shard loops finish what
+				// they hold and exit.
+				r.land(drained(start))
 				return
 			}
 			quiesce = nil // the range has started: dispatch it whole
@@ -405,7 +398,7 @@ func (c *Coordinator) dispatch(ctx context.Context, p *engine.Plan, completed ma
 // enumeration order. A fully cached range gets no pieces, which is what lets
 // an overlapping sweep complete with zero live workers.
 func (c *Coordinator) split(start int, jobs []engine.Job) (*pendingRange, []piece) {
-	r := &pendingRange{start: start, jobs: jobs, outs: make([]engine.RunOutcome, len(jobs))}
+	r := &pendingRange{start: start, jobs: jobs, outs: make([]engine.RunOutcome, len(jobs)), done: closed}
 	if c.opts.Cache != nil {
 		r.keys = make([]engine.JobKey, len(jobs))
 		r.keyed = make([]bool, len(jobs))
@@ -429,6 +422,9 @@ func (c *Coordinator) split(start int, jobs []engine.Job) (*pendingRange, []piec
 	}
 	n := pieceCount(len(missJobs), c.opts.Shards, dialerSlots(c.opts.Dialer))
 	r.shipped, r.left = len(missJobs), n
+	if n > 0 {
+		r.done = make(chan struct{})
+	}
 	pieces := make([]piece, n)
 	for k := range pieces {
 		lo, hi := k*len(missJobs)/n, (k+1)*len(missJobs)/n
@@ -454,10 +450,11 @@ func pieceCount(misses, shards, slots int) int {
 }
 
 // shardLoop is one shard slot: it keeps (at most) one live session, pulls
-// pieces, caches each piece's fresh results, and delivers its buffered
-// outcomes. Session failures are retried on fresh dials inside execPiece; a
-// piece that exhausts its retries is delivered as a terminal error.
-func (c *Coordinator) shardLoop(ctx context.Context, work <-chan piece, deliveries chan<- delivery) {
+// pieces, caches each piece's fresh results, and writes its buffered
+// outcomes into their range's slots before landing the piece. Session
+// failures are retried on fresh dials inside execPiece; a piece that exhausts
+// its retries fails its range, and the shard exits.
+func (c *Coordinator) shardLoop(ctx context.Context, work <-chan piece) {
 	var sess Session
 	defer func() {
 		if sess != nil {
@@ -476,24 +473,23 @@ func (c *Coordinator) shardLoop(ctx context.Context, work <-chan piece, deliveri
 			return
 		}
 		outs, err := c.execPiece(ctx, &sess, pc.a)
-		if err == nil && pc.rng.keys != nil {
-			// Cached here rather than at delivery, so a piece that lands
-			// while the stream unwinds still serves later sweeps.
-			r := pc.rng
-			for _, out := range outs {
-				if slot := out.Index - r.start; r.keyed[slot] && out.Err == nil {
-					c.opts.Cache.Put(r.keys[slot], out.Result)
-				}
-			}
-		}
 		if err != nil && ctx.Err() != nil {
 			return // the stream is unwinding; its own terminal error wins
 		}
-		select {
-		case deliveries <- delivery{rng: pc.rng, outs: outs, err: err}:
-		case <-ctx.Done():
-			return
+		r := pc.rng
+		for _, out := range outs {
+			slot := out.Index - r.start
+			// Cached here rather than at delivery, so a piece that lands
+			// while the stream unwinds still serves later sweeps.
+			if r.keys != nil && r.keyed[slot] && out.Err == nil {
+				c.opts.Cache.Put(r.keys[slot], out.Result)
+			}
+			// A worker's outcome is trusted for its result only: the job is
+			// the plan's.
+			out.Job = r.jobs[slot]
+			r.outs[slot] = out
 		}
+		r.land(err)
 		if err != nil {
 			return
 		}

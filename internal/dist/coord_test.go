@@ -7,7 +7,9 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -537,5 +539,125 @@ func TestLyingWorkerCannotRewriteJobs(t *testing.T) {
 		} else if res, ok := cache.Get(key); !ok || res != ref[i].Result {
 			t.Errorf("point %d: cache holds %v under its job (hit %v)", i, res.IPC, ok)
 		}
+	}
+}
+
+// orderGate's sessions hold the piece carrying index hold until some other
+// piece has run, so a later range completes before an earlier one.
+type orderGate struct {
+	inner  Dialer
+	hold   int
+	landed chan struct{}
+	once   sync.Once
+
+	mu       sync.Mutex
+	timedOut bool
+}
+
+func newOrderGate(inner Dialer, hold int) *orderGate {
+	return &orderGate{inner: inner, hold: hold, landed: make(chan struct{})}
+}
+
+func (g *orderGate) Slots() int { return dialerSlots(g.inner) }
+
+func (g *orderGate) Dial(ctx context.Context) (Session, error) {
+	s, err := g.inner.Dial(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return orderSession{g, s}, nil
+}
+
+type orderSession struct {
+	g *orderGate
+	s Session
+}
+
+func (o orderSession) Run(ctx context.Context, a Assignment, emit func(engine.RunOutcome) error) error {
+	g := o.g
+	if !slices.Contains(a.Indices, g.hold) {
+		err := o.s.Run(ctx, a, emit)
+		g.once.Do(func() { close(g.landed) })
+		return err
+	}
+	// Bounded: a sweep in which no other piece runs fails the test's
+	// timedOut check instead of hanging it.
+	select {
+	case <-g.landed:
+	case <-time.After(10 * time.Second):
+		g.mu.Lock()
+		g.timedOut = true
+		g.mu.Unlock()
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+	return o.s.Run(ctx, a, emit)
+}
+
+func (o orderSession) Close() error { return o.s.Close() }
+
+// TestStreamYieldsPlanOrder: whatever finishes first, a coordinator yields
+// indices 0..n-1 in increasing order. In each run the piece of an early range
+// is held until a later range has landed: a fresh run; a run whose cache
+// serves the ranges between the held one and a later executed one; and a
+// run resumed over a journal that holds only a middle range.
+func TestStreamYieldsPlanOrder(t *testing.T) {
+	ordered := func(label string, c *Coordinator, gate *orderGate, p *engine.Plan, ref []engine.RunOutcome) {
+		t.Helper()
+		outs := make([]engine.RunOutcome, 0, p.Points())
+		for out, err := range c.Stream(context.Background(), p) {
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if out.Index != len(outs) {
+				t.Fatalf("%s: outcome %d carries index %d; want plan order", label, len(outs), out.Index)
+			}
+			outs = append(outs, out)
+		}
+		requireIdentical(t, label, ref, outs)
+		gate.mu.Lock()
+		defer gate.mu.Unlock()
+		if gate.timedOut {
+			t.Errorf("%s: the held piece was released by its timeout; no later range ran", label)
+		}
+	}
+	p := testPlan()
+	ref := reference(t, p)
+	cache := new(engine.ResultCache)
+	journal := filepath.Join(t.TempDir(), "sweep.journal")
+
+	// Fresh: range 0 waits for range 2.
+	gate := newOrderGate(Loopback{Workers: 2}, 0)
+	ordered("fresh", New(Options{Dialer: gate, Shards: 2, ChunkPoints: 2, Journal: journal, Cache: cache}), gate, p, ref)
+
+	// Cached: every point of testPlan is cached, so overlapPlan misses only
+	// indices 2 and 5. In ranges of one point, range 2 waits for range 5
+	// while ranges 3 and 4 are served from the cache.
+	po := overlapPlan()
+	gate = newOrderGate(Loopback{Workers: 2}, 2)
+	ordered("cached", New(Options{Dialer: gate, Shards: 2, ChunkPoints: 1, Cache: cache}), gate, po, reference(t, po))
+
+	// Journal-resumed: drop ranges 0 and 4 from the fresh run's journal.
+	// Range 0 waits for range 4 while range 2 replays from the journal.
+	data, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kept []byte
+	for _, line := range bytes.SplitAfter(data, []byte("\n")) {
+		var rec journalRecord
+		if json.Unmarshal(line, &rec) == nil && rec.Type == "range" && rec.Start != 2 {
+			continue
+		}
+		kept = append(kept, line...)
+	}
+	if err := os.WriteFile(journal, kept, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	gate = newOrderGate(Loopback{Workers: 2}, 0)
+	counter := &countingDialer{inner: gate}
+	ordered("resumed", New(Options{Dialer: counter, Shards: 2, ChunkPoints: 2, Journal: journal}), gate, p, ref)
+	if jobs, _ := counter.shipped(); jobs != 4 {
+		t.Errorf("resumed run shipped %d jobs, want the 4 of ranges 0 and 4", jobs)
 	}
 }

@@ -228,7 +228,7 @@ func Fuzz(tb testing.TB, seed int64) {
 	// worker, with its own engine and memo cache (no cross-shard coalescing
 	// to hide behind), every assignment and outcome crosses the JSON wire,
 	// and ChunkPoints 1 splits the three-job plan into three ranges so
-	// shards=4 genuinely interleaves completion order.
+	// shards=4 genuinely runs ranges at once, finishing in any order.
 	plan := engine.FromJobs(jobs...)
 	for _, shards := range []int{1, 4} {
 		outs, err := distSweep(ctx, plan, shards)

@@ -148,8 +148,10 @@ func (s *Server) Handler() http.Handler {
 			}
 			return nil
 		})
-		// The stream body already carried its terminal frame (or the client
-		// went away); status is committed, nothing useful left to send.
+		// The stream body already carried its terminal frame, the client
+		// went away, or the service is draining (dist.ErrQuiesced) and the
+		// body ends without a terminator, which a client reads as a dropped
+		// connection. Status is committed, nothing useful left to send.
 		_ = err
 	})
 

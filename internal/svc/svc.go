@@ -134,7 +134,7 @@ type sweep struct {
 
 	state  string
 	errMsg string
-	buf    []engine.RunOutcome // completion-order outcomes, the stream source
+	buf    []engine.RunOutcome // plan-order outcomes (buf[i].Index == i), the stream source
 	cached int
 }
 
@@ -502,13 +502,14 @@ func (s *Server) Shutdown() error {
 	return s.closeErr
 }
 
-// Stream copies one sweep's completion-order outcomes to fn, starting at
-// frame index from (the reconnect cursor: a client that saw n frames resumes
-// with from=n and misses nothing). It blocks over live sweeps — following the
-// buffer as ranges land — and returns once the sweep's terminal state has
-// been delivered, ctx ends, or fn errs. Frames after a restart replay in the
-// journal's deterministic range order, which may differ from the original
-// completion order; cursors do not transfer across restarts.
+// Stream copies one sweep's outcomes to fn in plan order, starting at frame
+// index from (the reconnect cursor: a client that saw n frames resumes with
+// from=n and misses nothing). Frame n carries the outcome of plan index n in
+// every incarnation of the service, so a cursor transfers across restarts. It
+// blocks over live sweeps — following the buffer as ranges land — and returns
+// once the sweep's terminal state has been delivered, ctx ends, or fn errs.
+// A drain ends it with dist.ErrQuiesced and no terminal frame: the sweep is
+// not over, and resumes after the restart.
 func (s *Server) Stream(ctx context.Context, id string, from int, fn func(StreamFrame) error) error {
 	s.mu.Lock()
 	sw, ok := s.jobs[id]
@@ -557,14 +558,16 @@ func (s *Server) Stream(ctx context.Context, id string, from int, fn func(Stream
 			return fn(StreamFrame{Type: "error", Seq: next, Error: errMsg})
 		}
 		if dist.Quiesced(s.quiesce) {
-			return fn(StreamFrame{Type: "error", Seq: next, Error: dist.ErrQuiesced.Error()})
+			return dist.ErrQuiesced
 		}
 	}
 }
 
 // StreamFrame is one NDJSON stream record. Seq is the frame's index in the
-// sweep's completion order — the cursor a reconnecting client passes back as
-// from. The terminal done/error frame carries Seq = total outcome count.
+// sweep's stream, which is plan order, so an outcome frame's Seq equals its
+// outcome's Index — the cursor a reconnecting client passes back as from, in
+// this incarnation of the service or the next. The terminal done/error frame
+// carries Seq = total outcome count.
 type StreamFrame struct {
 	Type    string             `json:"type"` // "outcome" | "done" | "error"
 	Seq     int                `json:"seq"`

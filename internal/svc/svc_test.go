@@ -107,9 +107,12 @@ func requireIdentical(t *testing.T, label string, ref, got []engine.RunOutcome) 
 
 // workerCounter tallies jobs actually shipped to a worker process — the
 // accounting that proves cache hits and journal replays never re-execute.
+// hold, when set, is called with each assign's indices before the worker
+// runs it, and may block.
 type workerCounter struct {
 	mu   sync.Mutex
 	jobs int
+	hold func(indices []int)
 }
 
 func (wc *workerCounter) shipped() int {
@@ -126,10 +129,14 @@ func countingWorker(wc *workerCounter) *httptest.Server {
 		body, _ := io.ReadAll(r.Body)
 		var fr struct {
 			Assign struct {
-				Jobs []json.RawMessage `json:"jobs"`
+				Jobs    []json.RawMessage `json:"jobs"`
+				Indices []int             `json:"indices"`
 			} `json:"assign"`
 		}
 		_ = json.Unmarshal(body, &fr)
+		if wc.hold != nil {
+			wc.hold(fr.Assign.Indices)
+		}
 		wc.mu.Lock()
 		wc.jobs += len(fr.Assign.Jobs)
 		wc.mu.Unlock()
@@ -535,46 +542,93 @@ func TestServicePriorityOrder(t *testing.T) {
 // server mid-sweep, boot a second one over the same state dir, and the sweep
 // must finish with no point executed twice (worker-side job accounting);
 // an identical resubmission is then served wholly from the journal-primed
-// cache — zero new worker jobs — and both streams are bit-identical.
+// cache — zero new worker jobs — and both streams are bit-identical. A
+// client's cursor survives the restart: it reads part of the stream from the
+// first incarnation, whose drain ends the stream as a dropped connection, not
+// a failed sweep, and resumes from its cursor on the second, receiving every
+// remaining row once. Every frame's Seq is its outcome's Index.
 func TestServiceRestartResumes(t *testing.T) {
 	req := testReq("restart-run")
 	ref := reference(t, req)
 	dir := t.TempDir()
-	wc := &workerCounter{}
+	// Ranges 3 and up wait for the release, which follows the drain: points
+	// 0-2 finish in incarnation 1 whichever shard is faster, and the two
+	// shards then hold ranges 3 and 4, so range 5 is never dispatched there.
+	release := make(chan struct{})
+	var once sync.Once
+	open := func() { once.Do(func() { close(release) }) }
+	wc := &workerCounter{hold: func(indices []int) {
+		if len(indices) > 0 && indices[len(indices)-1] >= 3 {
+			<-release
+		}
+	}}
 	w := countingWorker(wc)
 	defer w.Close()
+	defer open() // a failing test must not strand the held requests
 	ctx := context.Background()
 
-	// Incarnation 1: run to >= 2 completed points, then drain.
-	s1, c1, _ := service(t, dir, Options{Shards: 1})
+	got := make([]engine.RunOutcome, len(ref))
+	seen := make([]bool, len(ref))
+	cursor := 0
+	record := func(f StreamFrame) error {
+		out := *f.Outcome
+		switch {
+		case f.Seq != cursor:
+			return fmt.Errorf("frame seq %d, want cursor %d", f.Seq, cursor)
+		case out.Index != f.Seq:
+			return fmt.Errorf("frame %d carries point %d; want plan order", f.Seq, out.Index)
+		case seen[out.Index]:
+			return fmt.Errorf("point %d delivered twice", out.Index)
+		}
+		seen[out.Index] = true
+		got[out.Index] = out
+		cursor++
+		return nil
+	}
+
+	// Incarnation 1: read three frames, then drain.
+	s1, c1, _ := service(t, dir, Options{Shards: 2})
 	c1.Register(ctx, "w", w.URL, time.Minute)
 	st, err := c1.Submit(ctx, req)
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		got, err := c1.Job(ctx, st.ID)
-		if err != nil {
-			t.Fatalf("status: %v", err)
+	shut := make(chan error, 1)
+	err = c1.Stream(ctx, st.ID, 0, func(f StreamFrame) error {
+		if err := record(f); err != nil {
+			return err
 		}
-		if got.Completed >= 2 {
-			break
+		if cursor == 3 {
+			go func() { shut <- s1.Shutdown() }()
+			for !dist.Quiesced(s1.quiesce) {
+				time.Sleep(time.Millisecond)
+			}
+			open()
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("sweep never progressed; status %+v", got)
-		}
-		time.Sleep(5 * time.Millisecond)
+		return nil
+	})
+	if err == nil || errors.Is(err, ErrSweepFailed) {
+		t.Fatalf("incarnation 1 stream ended with %v after %d frames; want a dropped connection", err, cursor)
 	}
-	if err := s1.Shutdown(); err != nil {
+	if cursor < 3 {
+		t.Fatalf("incarnation 1 stream ended after %d frames (%v), before the drain", cursor, err)
+	}
+	if err := <-shut; err != nil {
 		t.Fatalf("shutdown 1: %v", err)
 	}
 
 	// Incarnation 2: same state dir, same worker. The sweep must resume and
 	// finish; across both incarnations every point ships at most once.
-	_, c2, done2 := service(t, dir, Options{Shards: 1})
+	_, c2, done2 := service(t, dir, Options{Shards: 2})
 	defer done2()
 	c2.Register(ctx, "w", w.URL, time.Minute)
+	if err := c2.Stream(ctx, st.ID, cursor, record); err != nil {
+		t.Fatalf("stream resumed from cursor %d: %v", cursor, err)
+	}
+	if cursor != len(ref) {
+		t.Fatalf("cursor ends at %d, want %d", cursor, len(ref))
+	}
+	requireIdentical(t, "cursor", ref, got)
 	outs := collect(t, c2, st.ID, len(ref))
 	requireIdentical(t, "restart", ref, outs)
 	if n := wc.shipped(); n != len(ref) {
