@@ -236,11 +236,11 @@ func TestPlanStreamFacade(t *testing.T) {
 	}
 }
 
-func TestVersionIsV5(t *testing.T) {
+func TestVersionIsV6(t *testing.T) {
 	if Version == "" {
 		t.Error("empty Version")
 	}
-	if !strings.HasPrefix(Version, "5.") {
-		t.Errorf("Version = %q, want a 5.x release (no distributed or service names in the facade)", Version)
+	if !strings.HasPrefix(Version, "6.") {
+		t.Errorf("Version = %q, want a 6.x release (images expose instructions through InstrAt, not a Code slice)", Version)
 	}
 }

@@ -98,7 +98,6 @@ func (b *BPU) Tick(now int64) {
 	blk := b.q.PushSlot() // non-nil: fullness checked above
 	blk.Seq = b.seq
 	blk.Start = b.pc
-	blk.FTBHit = hit
 	blk.HistCP = histCP
 	blk.RASCP = rasCP
 	b.seq++

@@ -184,7 +184,6 @@ func (f *FetchEngine) Tick(now int64, accept int) (first uint32, n int) {
 	// locals: b is one live register across the loop's calls where the
 	// locals were five, and the spill/reload traffic around the oracle
 	// advance measurably outweighed the re-loads they saved.
-	sched := f.im.SchedWords()
 	blockLen := b.FetchedInstrs
 	termLen := b.NumInstrs // the terminator is the block's last instruction
 	takenTerm := b.EndsInCTI && b.PredTaken
@@ -198,11 +197,9 @@ func (f *FetchEngine) Tick(now int64, accept int) (first uint32, n int) {
 		}
 		u.Seq = f.seq
 		u.PC = pc
-		u.FetchCycle = now
 		u.BlockStart = b.Start
 		blockLen++
 		u.BlockLen = blockLen
-		u.FTBHit = b.FTBHit
 		u.HistCP = b.HistCP
 		u.RASCP = b.RASCP
 		isTerminator := blockLen == termLen
@@ -219,11 +216,9 @@ func (f *FetchEngine) Tick(now int64, accept int) (first uint32, n int) {
 			// cold cases (wrong path, image end) share one out-of-line
 			// call below.
 			u.Instr = rec.Instr
-			// Correct-path PCs are always in-image, so the image's
-			// packed-scheduler-word table covers them: the pack is a pure
-			// function of the static instruction, derived once per image
-			// rather than once per dynamic instance.
-			u.Sched = sched[isa.WordIndex(pc, f.im.Base)]
+			// The scheduler word packs the record's operands, already in
+			// cache: no table is read.
+			u.Sched = rec.Instr.SchedPack()
 			u.OnCorrectPath = true
 			u.ActualTaken = rec.Taken
 			u.ActualNextPC = rec.NextPC

@@ -18,18 +18,14 @@ import (
 // mkImage hand-builds a validated image at base 0x1000.
 func mkImage(t testing.TB, code []isa.Instr, behav map[int]program.Behavior) *program.Image {
 	t.Helper()
-	im := &program.Image{
-		Base:  0x1000,
-		Code:  code,
-		Funcs: []program.Func{{Name: "f0000", Entry: 0x1000, NumInstrs: len(code)}},
-		Entry: 0x1000,
-	}
+	var records []program.Branch
 	for i := range code {
 		if b, ok := behav[i]; ok {
-			im.Behav = append(im.Behav, program.Branch{Word: i, Behavior: b})
+			records = append(records, program.Branch{Word: int32(i), Behavior: b})
 		}
 	}
-	if err := im.Validate(); err != nil {
+	im, err := program.New(0x1000, 0x1000, code, records, []program.Func{{Name: "f0000", Entry: 0x1000, NumInstrs: len(code)}})
+	if err != nil {
 		t.Fatalf("hand-built image invalid: %v", err)
 	}
 	return im

@@ -73,8 +73,6 @@ type Block struct {
 	PredTaken bool
 	// PredTarget is the predicted target when PredTaken.
 	PredTarget uint64
-	// FTBHit records whether the FTB supplied this block.
-	FTBHit bool
 	// HistCP is the direction-predictor history checkpoint taken before
 	// this block's terminator predicted.
 	HistCP uint64
@@ -143,7 +141,7 @@ func (q *Queue) Full() bool { return q.count == len(q.entries) }
 // reusable line buffer is retained (reset to length zero) and only the
 // fields an in-place builder may leave unset — EndsInCTI, CTIKind,
 // PredTaken, PredTarget, FetchedInstrs — are cleared; the caller must
-// assign Seq, Start, NumInstrs, FTBHit, HistCP, and RASCP (zeroing the
+// assign Seq, Start, NumInstrs, HistCP, and RASCP (zeroing the
 // whole ~100-byte block per push was measurable in the prediction hot
 // path). The caller must then call CommitPush, which derives the slot's
 // cache-line decomposition and makes it visible. Nothing else may touch

@@ -43,11 +43,9 @@ type Walker struct {
 
 	stack []uint64
 	// state holds one record per stateful branch (loop and pattern
-	// conditionals, indirect jumps and calls), reached through the image's
-	// BehaviorIndex. Only a few percent of instructions carry state, so a
+	// conditionals, indirect jumps and calls), at the slot the image's
+	// Record gives it. Only a few percent of instructions carry state, so a
 	// reset costs O(stateful branches), not O(image).
-	ord   []uint32
-	slot  []uint32
 	state []branchState
 
 	// Executed counts records produced.
@@ -89,8 +87,7 @@ func (w *Walker) Reset(im *program.Image, seed int64) {
 	}
 	w.pc = im.Entry
 	w.stack = w.stack[:0]
-	var n int
-	w.ord, w.slot, n = im.BehaviorIndex()
+	n := im.StatefulBranches()
 	if cap(w.state) < n {
 		w.state = make([]branchState, n)
 	} else {
@@ -106,8 +103,8 @@ func (w *Walker) Reset(im *program.Image, seed int64) {
 func (w *Walker) NextInto(rec *Record) {
 	ins, ok := w.im.InstrAt(w.pc)
 	if !ok {
-		// The generator and Validate make this unreachable; crash loudly
-		// rather than emit garbage.
+		// program.New makes this unreachable; crash loudly rather than
+		// emit garbage.
 		panic(fmt.Sprintf("oracle: correct path left the image at %#x", w.pc))
 	}
 	rec.PC = w.pc
@@ -156,21 +153,14 @@ func (w *Walker) push(ret uint64) {
 	w.stack = append(w.stack, ret)
 }
 
-// record returns the branch at pc's behaviour record, read in place (copying
-// its two slice headers out cost a duffcopy per branch), and its position.
-// Validate gives every conditional and indirect jump and call a record; a
-// word without one (NoBehavior) panics on the bounds check.
-func (w *Walker) record(pc uint64) (*program.Branch, uint32) {
-	r := w.ord[isa.WordIndex(pc, w.im.Base)]
-	return &w.im.Behav[r], r
-}
-
 // condOutcome resolves a conditional branch per its behaviour model.
 func (w *Walker) condOutcome(pc uint64) bool {
-	b, r := w.record(pc)
+	// The record is read in place: copying its two slice headers out cost
+	// a duffcopy per branch.
+	b, slot := w.im.Record(pc)
 	switch b.Model {
 	case program.ModelLoop:
-		st := &w.state[w.slot[r]]
+		st := &w.state[slot]
 		left := st.loopLeft - 1
 		if left < 0 {
 			// Entering the loop: draw a fresh trip count. Zero trips
@@ -186,7 +176,7 @@ func (w *Walker) condOutcome(pc uint64) bool {
 	case program.ModelBiased:
 		return w.rng.Float64() < b.TakenProb
 	case program.ModelPattern:
-		st := &w.state[w.slot[r]]
+		st := &w.state[slot]
 		pos := st.patPos
 		taken := b.Pattern>>pos&1 == 1
 		pos++
@@ -196,8 +186,8 @@ func (w *Walker) condOutcome(pc uint64) bool {
 		st.patPos = pos
 		return taken
 	default:
-		// Validate makes this unreachable; drawing an outcome here would
-		// silently perturb the RNG stream.
+		// program.New makes this unreachable; drawing an outcome here
+		// would silently perturb the RNG stream.
 		panic(fmt.Sprintf("oracle: conditional at %#x has behaviour %v", pc, b.Model))
 	}
 }
@@ -219,11 +209,8 @@ func (w *Walker) drawTrip(mean int) int {
 // indirectTarget picks a dynamic target from the instruction's target set,
 // repeating the previous target with probability Sticky (bursty dispatch).
 func (w *Walker) indirectTarget(pc uint64) uint64 {
-	b, r := w.record(pc)
-	if len(b.Targets) == 0 {
-		panic(fmt.Sprintf("oracle: indirect CTI at %#x has no targets", pc))
-	}
-	st := &w.state[w.slot[r]]
+	b, slot := w.im.Record(pc)
+	st := &w.state[slot]
 	if st.hasLast && b.Sticky > 0 && w.rng.Float64() < b.Sticky {
 		return st.lastTarget
 	}

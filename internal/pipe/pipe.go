@@ -62,13 +62,10 @@ type Uop struct {
 	// the FTB when the instruction is a CTI.
 	BlockStart uint64
 	BlockLen   int
-	// FTBHit records whether the enclosing block came from an FTB hit.
-	FTBHit bool
 	// Sched is Instr's packed scheduler word (isa.Instr.SchedPack), assigned
 	// by whoever writes Instr — the backend's wakeup scheduler consumes it at
 	// ROB fill without re-deriving operands or latency from the arena. It
-	// sits in what was alignment padding, keeping the record at two cache
-	// lines.
+	// sits in what was alignment padding.
 	Sched uint32
 	// HistCP is the direction-history checkpoint taken before this
 	// block's terminator predicted.
@@ -89,7 +86,4 @@ type Uop struct {
 	Mispredicted bool
 	// MissKind classifies the misprediction.
 	MissKind MispredictKind
-
-	// FetchCycle is when the fetch engine produced the uop.
-	FetchCycle int64
 }

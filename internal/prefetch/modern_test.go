@@ -20,7 +20,7 @@ func testDecodeImage() *program.Image {
 		switch i % 7 {
 		case 2:
 			code[i] = isa.Instr{Kind: isa.CondBranch, Target: uint64((i*37)%n) * isa.InstrBytes}
-			behav = append(behav, program.Branch{Word: i, Behavior: program.Behavior{Model: program.ModelBiased, TakenProb: 0.5}})
+			behav = append(behav, program.Branch{Word: int32(i), Behavior: program.Behavior{Model: program.ModelBiased, TakenProb: 0.5}})
 		case 5:
 			code[i] = isa.Instr{Kind: isa.Jump, Target: uint64((i*53+9)%n) * isa.InstrBytes}
 		case 6:
@@ -33,7 +33,11 @@ func testDecodeImage() *program.Image {
 			code[i] = isa.Instr{Kind: isa.ALU}
 		}
 	}
-	return &program.Image{Base: 0, Code: code, Behav: behav, Entry: 0}
+	im, err := program.New(0, 0, code, behav, nil)
+	if err != nil {
+		panic(err)
+	}
+	return im
 }
 
 // testModernEnv is testEnv plus the structures the shadow decoder needs: an

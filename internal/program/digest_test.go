@@ -57,7 +57,7 @@ func digestImage(im *program.Image) [3]uint64 {
 	}
 
 	behav := digestWriter{h: fnv.New64a()}
-	for _, b := range im.Behav {
+	for _, b := range im.Branches() {
 		behav.u64(uint64(b.Word))
 		behav.u64(uint64(b.Model))
 		behav.u64(uint64(b.MeanTrip))

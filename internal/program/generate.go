@@ -160,8 +160,8 @@ type funcPlan struct {
 	pad    int
 }
 
-// Generate builds a synthetic program image from p. The result always passes
-// (*Image).Validate; generation fails only on nonsensical parameters.
+// Generate builds a synthetic program image from p through New, so the
+// result is validated; generation fails only on nonsensical parameters.
 func Generate(p Params) (*Image, error) {
 	p.setDefaults()
 	if p.CodeBase%isa.InstrBytes != 0 {
@@ -193,18 +193,11 @@ func Generate(p Params) (*Image, error) {
 			}
 			addr += uint64(n) * isa.InstrBytes
 		}
-		addr += uint64(plans[fi].pad) * isa.InstrBytes // padding stays isa.Nop, Code's zero value
+		addr += uint64(plans[fi].pad) * isa.InstrBytes // padding stays isa.Nop, code's zero value
 		funcs[fi] = Func{Name: fmt.Sprintf("f%04d", fi), Entry: entry, NumInstrs: int((addr - entry) / isa.InstrBytes)}
 	}
-	totalInstrs := int((addr - p.CodeBase) / isa.InstrBytes)
-
-	im := &Image{
-		Base:  p.CodeBase,
-		Code:  make([]isa.Instr, totalInstrs),
-		Behav: make([]Branch, 0, modelled),
-		Funcs: funcs,
-		Entry: funcs[0].Entry,
-	}
+	code := make([]isa.Instr, (addr-p.CodeBase)/isa.InstrBytes)
+	behav := make([]Branch, 0, modelled)
 
 	// Emission pass: resolve targets and write instructions.
 	regs := newRegAllocator(rng)
@@ -213,9 +206,9 @@ func Generate(p Params) (*Image, error) {
 		blockAddr := func(bi int) uint64 { return fp.blocks[bi].addr }
 		for bi := range fp.blocks {
 			b := &fp.blocks[bi]
-			w := isa.WordIndex(b.addr, im.Base)
+			w := isa.WordIndex(b.addr, p.CodeBase)
 			for k := 0; k < b.bodyLen; k++ {
-				im.Code[w] = regs.bodyInstr(rng)
+				code[w] = regs.bodyInstr(rng)
 				w++
 			}
 			if b.term == isa.Nop {
@@ -242,14 +235,15 @@ func Generate(p Params) (*Image, error) {
 			case isa.Ret:
 				// no static target
 			}
-			im.Code[w] = ins
+			code[w] = ins
 			if bh.Model != ModelNone {
-				im.Behav = append(im.Behav, Branch{Word: w, Behavior: bh})
+				behav = append(behav, Branch{Word: int32(w), Behavior: bh})
 			}
 		}
 	}
 
-	if err := im.Validate(); err != nil {
+	im, err := New(p.CodeBase, funcs[0].Entry, code, behav, funcs)
+	if err != nil {
 		return nil, fmt.Errorf("program: generator produced invalid image: %w", err)
 	}
 	return im, nil

@@ -13,7 +13,8 @@ package program
 
 import (
 	"fmt"
-	"sync/atomic"
+	"math"
+	"math/bits"
 
 	"fdip/internal/isa"
 )
@@ -60,9 +61,14 @@ func (m BranchModel) String() string {
 
 // Behavior describes the dynamic behaviour of one static control-transfer
 // instruction. It is consulted only by the oracle walker; the simulated
-// hardware never sees it.
+// hardware never sees it. The byte-sized fields lead so that they share one
+// word with Pattern: a Behavior is 80 bytes.
 type Behavior struct {
 	Model BranchModel
+	// Pattern and PatternLen define the repeating outcome bit string for
+	// ModelPattern (bit i = taken on the i-th instance mod PatternLen).
+	PatternLen uint8
+	Pattern    uint32
 	// TakenProb is the per-instance taken probability for ModelBiased.
 	TakenProb float64
 	// MeanTrip is the mean loop trip count for ModelLoop.
@@ -75,10 +81,6 @@ type Behavior struct {
 	// Sticky is the probability that an indirect instance repeats its
 	// previous dynamic target — the burstiness of real dispatch streams.
 	Sticky float64
-	// Pattern and PatternLen define the repeating outcome bit string for
-	// ModelPattern (bit i = taken on the i-th instance mod PatternLen).
-	Pattern    uint32
-	PatternLen uint8
 }
 
 // Func records one generated function.
@@ -92,180 +94,151 @@ type Func struct {
 }
 
 // Branch is one record of an image's behaviour table: the behaviour of the
-// modelled instruction at word index Word.
+// modelled instruction at word index Word. New assigns slot.
 type Branch struct {
-	Word int
+	Word int32
+	// slot is the record's oracle-walker state slot (see Record).
+	slot uint32
 	Behavior
 }
 
-// Image is a complete static program: a flat instruction array starting at
-// Base, plus a sparse behaviour table and a function directory.
+// Image is a complete static program: one encoded word per instruction from
+// Base, a sparse behaviour table with its rank index, and a function
+// directory. New builds and validates an image, and nothing changes it
+// afterwards, so every machine and worker simulating it shares one copy.
 type Image struct {
-	// Base is the byte address of Code[0]. Always instruction aligned.
+	// Base is the byte address of the first instruction. Always instruction
+	// aligned.
 	Base uint64
-	// Code holds the instructions in address order.
-	Code []isa.Instr
-	// Behav holds, in address order, one record per modelled instruction:
-	// each conditional branch and each indirect jump and call.
-	Behav []Branch
 	// Funcs lists generated functions in address order.
 	Funcs []Func
 	// Entry is the program entry point (first function's entry).
 	Entry uint64
 
-	// static holds the read-only tables derived from Code and Behav on
-	// first use (see SchedWords and BehaviorIndex). Images are shared
-	// across engine workers, so the tables are published atomically; Code
-	// and Behav must not change after first use.
-	static atomic.Pointer[staticTables]
-}
-
-// NoBehavior marks an unmodelled word in BehaviorIndex's ordinal table.
-const NoBehavior = ^uint32(0)
-
-// staticTables are per-image lookups that every simulation of the image
-// would otherwise rebuild per point.
-type staticTables struct {
-	sched  []uint32
-	ord    []uint32
-	slot   []uint32
+	// code holds one word per instruction, in address order: the kind in
+	// bits 0-7, Dst, Src1 and Src2 in bits 8-31, and a direct CTI's target
+	// as a word index from Base in bits 32-63.
+	code []uint64
+	// behav holds, in address order, one record per modelled instruction:
+	// each conditional branch and each indirect jump and call.
+	behav []Branch
+	// rank indexes behav by word: one block per 64 words.
+	rank []rankBlock
+	// nSlots counts the records that keep oracle-walker state.
 	nSlots int
 }
 
-// tables returns the static tables, deriving them on first use. The fast
-// path is one atomic load, small enough to inline: the fetch engine reads
-// the scheduler table on every cycle it delivers instructions.
-func (im *Image) tables() *staticTables {
-	if t := im.static.Load(); t != nil {
-		return t
-	}
-	return im.deriveTables()
+// rankBlock covers 64 words of an image: bit i of mask is set when word
+// 64k+i has a behaviour record, and base counts the records before the
+// block. A word's record is behav[base + popcount(mask below the word)].
+type rankBlock struct {
+	mask uint64
+	base uint32
 }
 
-// deriveTables builds and publishes the static tables. Concurrent first
-// uses may each build them; the tables are a pure function of the image,
-// so whichever publishes first is what every caller sees.
-func (im *Image) deriveTables() *staticTables {
-	t := &staticTables{
-		sched: make([]uint32, len(im.Code)),
-		ord:   make([]uint32, len(im.Code)),
-		slot:  make([]uint32, len(im.Behav)),
-	}
-	for i := range im.Code {
-		t.sched[i] = im.Code[i].SchedPack()
-		t.ord[i] = NoBehavior
-	}
-	for r := range im.Behav {
-		b := &im.Behav[r]
-		t.ord[b.Word] = uint32(r)
-		// Every model but ModelBiased keeps walker state: a loop's trip
-		// count, a pattern's position, an indirect's previous target.
-		if b.Model != ModelBiased {
-			t.slot[r] = uint32(t.nSlots)
-			t.nSlots++
-		}
-	}
-	if !im.static.CompareAndSwap(nil, t) {
-		return im.static.Load()
-	}
-	return t
-}
-
-// SchedWords returns each instruction's packed scheduler word
-// (isa.Instr.SchedPack), indexed by word index. The table is derived once
-// per image and shared; callers must not modify it.
-func (im *Image) SchedWords() []uint32 { return im.tables().sched }
-
-// BehaviorIndex returns the lookups into Behav: ord maps each word index to
-// its record's position in Behav, or NoBehavior; slot maps each record to a
-// dense ordinal over the n records that keep oracle-walker state (every
-// model but ModelBiased). The tables are derived once per image and shared;
-// callers must not modify them.
-func (im *Image) BehaviorIndex() (ord, slot []uint32, n int) {
-	t := im.tables()
-	return t.ord, t.slot, t.nSlots
-}
-
-// Size returns the code footprint in bytes.
-func (im *Image) Size() uint64 { return uint64(len(im.Code)) * isa.InstrBytes }
-
-// End returns the first byte address past the image.
-func (im *Image) End() uint64 { return im.Base + im.Size() }
-
-// Contains reports whether addr falls inside the image.
-func (im *Image) Contains(addr uint64) bool {
-	return addr >= im.Base && addr < im.End()
-}
-
-// InstrAt returns the instruction at the given byte address. ok is false if
-// the address is unaligned or outside the image — wrong-path fetch can run
-// off the end of the code, and callers must handle that.
-func (im *Image) InstrAt(addr uint64) (ins isa.Instr, ok bool) {
-	if addr%isa.InstrBytes != 0 || !im.Contains(addr) {
-		return isa.Instr{}, false
-	}
-	return im.Code[isa.WordIndex(addr, im.Base)], true
-}
-
-// BehaviorAt returns the behaviour of the instruction at addr. It returns a
-// zero Behavior for unmodelled instructions and addresses outside the image.
-func (im *Image) BehaviorAt(addr uint64) Behavior {
-	if _, ok := im.InstrAt(addr); ok {
-		if r := im.tables().ord[isa.WordIndex(addr, im.Base)]; r != NoBehavior {
-			return im.Behav[r].Behavior
-		}
-	}
-	return Behavior{}
-}
-
-// Validate checks structural invariants of the image. It is used by tests
-// and by the generator's own self-check:
+// New builds an image of code laid out from base, with the behaviour
+// records behav (one per conditional branch and indirect jump and call, in
+// ascending word order), the function directory funcs and the entry point,
+// and validates it:
 //
-//   - The image is non-empty.
+//   - The image is non-empty, aligned and addressable by non-negative
+//     32-bit word indices.
 //   - Entry and all function entries are in bounds and aligned.
-//   - Every direct CTI target is in bounds and aligned.
-//   - Behav is in strictly ascending word order, within the image, and has
+//   - Every instruction has a known kind, and every direct CTI target is in
+//     bounds and aligned; other kinds carry no target.
+//   - behav is in strictly ascending word order, within the image, and has
 //     a record exactly for each conditional and indirect jump and call.
 //   - Conditionals are ModelBiased, ModelLoop or ModelPattern with sane
 //     parameters; ModelLoop back-edges have positive mean trip counts.
 //   - Indirect jumps and calls are ModelIndirect with a non-empty, in-bounds
 //     target set and, when present, a matching non-negative weight vector.
-func (im *Image) Validate() error {
-	if len(im.Code) == 0 {
-		return fmt.Errorf("program: empty image")
+//
+// New encodes code into the image and keeps behav, numbering the records
+// that keep oracle-walker state (every model but ModelBiased) densely in
+// address order, and funcs: the caller must not modify either afterwards.
+func New(base, entry uint64, code []isa.Instr, behav []Branch, funcs []Func) (*Image, error) {
+	if len(code) == 0 {
+		return nil, fmt.Errorf("program: empty image")
 	}
-	if im.Base%isa.InstrBytes != 0 {
-		return fmt.Errorf("program: unaligned base %#x", im.Base)
+	if base%isa.InstrBytes != 0 {
+		return nil, fmt.Errorf("program: unaligned base %#x", base)
 	}
-	if _, ok := im.InstrAt(im.Entry); !ok {
+	if n := uint64(len(code)); n > math.MaxInt32 || base > math.MaxUint64-n*isa.InstrBytes {
+		return nil, fmt.Errorf("program: %d instructions from %#x exceed the image's address range", n, base)
+	}
+	im := &Image{Base: base, Funcs: funcs, Entry: entry, code: make([]uint64, len(code)), behav: behav}
+	if err := im.check(code); err != nil {
+		return nil, err
+	}
+	for i, ins := range code {
+		w := uint64(ins.Kind) | uint64(ins.Dst)<<8 | uint64(ins.Src1)<<16 | uint64(ins.Src2)<<24
+		if hasTarget(ins.Kind) {
+			w |= uint64(isa.WordIndex(ins.Target, base)) << 32
+		}
+		im.code[i] = w
+	}
+	im.rank = make([]rankBlock, (len(code)+63)/64)
+	for r := range behav {
+		b := &behav[r]
+		im.rank[b.Word/64].mask |= 1 << (b.Word % 64)
+		// Every model but ModelBiased keeps walker state: a loop's trip
+		// count, a pattern's position, an indirect's previous target.
+		b.slot = 0
+		if b.Model != ModelBiased {
+			b.slot = uint32(im.nSlots)
+			im.nSlots++
+		}
+	}
+	var records uint32
+	for k := range im.rank {
+		im.rank[k].base = records
+		records += uint32(bits.OnesCount64(im.rank[k].mask))
+	}
+	return im, nil
+}
+
+// hasTarget reports whether an instruction of kind k carries a static
+// target: the direct CTIs.
+func hasTarget(k isa.Kind) bool { return k == isa.CondBranch || k == isa.Jump || k == isa.Call }
+
+// check validates code and the image's other parts (see New). im.code must
+// already have its length, which bounds the image.
+func (im *Image) check(code []isa.Instr) error {
+	if !im.Contains(im.Entry) || im.Entry%isa.InstrBytes != 0 {
 		return fmt.Errorf("program: entry %#x outside image", im.Entry)
 	}
 	for _, f := range im.Funcs {
-		if _, ok := im.InstrAt(f.Entry); !ok {
+		if !im.Contains(f.Entry) || f.Entry%isa.InstrBytes != 0 {
 			return fmt.Errorf("program: function %s entry %#x outside image", f.Name, f.Entry)
 		}
 	}
-	next := 0 // the merge walk's position in Behav
-	for i, ins := range im.Code {
+	inImage := func(addr uint64) bool { return im.Contains(addr) && addr%isa.InstrBytes == 0 }
+	next := 0 // the merge walk's position in behav
+	for i, ins := range code {
 		pc := im.Base + uint64(i)*isa.InstrBytes
+		if int(ins.Kind) >= isa.NumKinds {
+			return fmt.Errorf("program: unknown kind %v at %#x", ins.Kind, pc)
+		}
 		var b *Behavior
-		if next < len(im.Behav) && im.Behav[next].Word <= i {
-			if im.Behav[next].Word < i {
-				return fmt.Errorf("program: behaviour record %d (word %d) out of order or outside the image", next, im.Behav[next].Word)
+		if next < len(im.behav) && int(im.behav[next].Word) <= i {
+			if int(im.behav[next].Word) < i {
+				return fmt.Errorf("program: behaviour record %d (word %d) out of order or outside the image", next, im.behav[next].Word)
 			}
-			b = &im.Behav[next].Behavior
+			b = &im.behav[next].Behavior
 			next++
 		}
 		if want := ins.Kind == isa.CondBranch || ins.Kind == isa.IndirectJump || ins.Kind == isa.IndirectCall; want != (b != nil) {
 			return fmt.Errorf("program: %v at %#x has a behaviour record: %t, want %t", ins.Kind, pc, b != nil, want)
 		}
-		if !ins.IsCTI() {
-			continue
-		}
-		if ins.Kind.IsIndirect() {
-			if ins.Kind == isa.Ret {
-				continue // returns take their target from the call stack
+		if !hasTarget(ins.Kind) {
+			if ins.Target != 0 {
+				return fmt.Errorf("program: %v at %#x carries target %#x", ins.Kind, pc, ins.Target)
 			}
+		} else if !inImage(ins.Target) {
+			return fmt.Errorf("program: CTI at %#x target %#x outside image", pc, ins.Target)
+		}
+		switch ins.Kind {
+		case isa.IndirectJump, isa.IndirectCall:
 			if b.Model != ModelIndirect || len(b.Targets) == 0 {
 				return fmt.Errorf("program: indirect CTI at %#x lacks target set", pc)
 			}
@@ -273,19 +246,13 @@ func (im *Image) Validate() error {
 				return fmt.Errorf("program: indirect CTI at %#x weight/target mismatch", pc)
 			}
 			for j, t := range b.Targets {
-				if _, ok := im.InstrAt(t); !ok {
+				if !inImage(t) {
 					return fmt.Errorf("program: indirect CTI at %#x target %#x outside image", pc, t)
 				}
 				if b.Weights != nil && b.Weights[j] < 0 {
 					return fmt.Errorf("program: indirect CTI at %#x negative weight", pc)
 				}
 			}
-			continue
-		}
-		if _, ok := im.InstrAt(ins.Target); !ok {
-			return fmt.Errorf("program: CTI at %#x target %#x outside image", pc, ins.Target)
-		}
-		switch ins.Kind {
 		case isa.CondBranch:
 			switch b.Model {
 			case ModelBiased:
@@ -305,17 +272,78 @@ func (im *Image) Validate() error {
 			}
 		}
 	}
-	if next < len(im.Behav) {
-		return fmt.Errorf("program: behaviour record %d (word %d) out of order or outside the image", next, im.Behav[next].Word)
+	if next < len(im.behav) {
+		return fmt.Errorf("program: behaviour record %d (word %d) out of order or outside the image", next, im.behav[next].Word)
 	}
 	return nil
+}
+
+// Size returns the code footprint in bytes.
+func (im *Image) Size() uint64 { return uint64(len(im.code)) * isa.InstrBytes }
+
+// End returns the first byte address past the image.
+func (im *Image) End() uint64 { return im.Base + im.Size() }
+
+// Contains reports whether addr falls inside the image.
+func (im *Image) Contains(addr uint64) bool {
+	return addr >= im.Base && addr < im.End()
+}
+
+// InstrAt returns the instruction at the given byte address, decoded from
+// its word. ok is false if the address is unaligned or outside the image —
+// wrong-path fetch can run off the end of the code, and callers must handle
+// that.
+func (im *Image) InstrAt(addr uint64) (ins isa.Instr, ok bool) {
+	if addr%isa.InstrBytes != 0 || !im.Contains(addr) {
+		return isa.Instr{}, false
+	}
+	w := im.code[isa.WordIndex(addr, im.Base)]
+	ins = isa.Instr{Kind: isa.Kind(w), Dst: uint8(w >> 8), Src1: uint8(w >> 16), Src2: uint8(w >> 24)}
+	if hasTarget(ins.Kind) {
+		ins.Target = im.Base + w>>32*isa.InstrBytes
+	}
+	return ins, true
+}
+
+// ordinal returns the position in behav of the record of word w, which
+// must have one.
+func (im *Image) ordinal(w int) int {
+	b := &im.rank[w/64]
+	return int(b.base) + bits.OnesCount64(b.mask&(1<<(w%64)-1))
+}
+
+// Record returns the behaviour record of the modelled instruction at addr,
+// read in place, and its walker-state slot (see StatefulBranches; it is
+// meaningless for ModelBiased). addr must hold a conditional branch or an
+// indirect jump or call, which New guarantees a record. Callers must not
+// modify the record.
+func (im *Image) Record(addr uint64) (*Branch, uint32) {
+	b := &im.behav[im.ordinal(isa.WordIndex(addr, im.Base))]
+	return b, b.slot
+}
+
+// StatefulBranches returns the number of records that keep oracle-walker
+// state, the bound on Record's slots.
+func (im *Image) StatefulBranches() int { return im.nSlots }
+
+// BehaviorAt returns the behaviour of the instruction at addr. It returns a
+// zero Behavior for unmodelled instructions and addresses outside the image.
+func (im *Image) BehaviorAt(addr uint64) Behavior {
+	if addr%isa.InstrBytes != 0 || !im.Contains(addr) {
+		return Behavior{}
+	}
+	w := isa.WordIndex(addr, im.Base)
+	if im.rank[w/64].mask>>(w%64)&1 == 0 {
+		return Behavior{}
+	}
+	return im.behav[im.ordinal(w)].Behavior
 }
 
 // KindCounts tallies static instructions by kind.
 func (im *Image) KindCounts() [isa.NumKinds]int {
 	var c [isa.NumKinds]int
-	for _, ins := range im.Code {
-		c[ins.Kind]++
+	for _, w := range im.code {
+		c[isa.Kind(w)]++
 	}
 	return c
 }
@@ -323,8 +351,8 @@ func (im *Image) KindCounts() [isa.NumKinds]int {
 // StaticBranchCount returns the number of static CTIs in the image.
 func (im *Image) StaticBranchCount() int {
 	n := 0
-	for _, ins := range im.Code {
-		if ins.IsCTI() {
+	for _, w := range im.code {
+		if isa.Kind(w).IsCTI() {
 			n++
 		}
 	}

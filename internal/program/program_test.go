@@ -20,13 +20,25 @@ func MustGenerate(p Params) *Image {
 	return im
 }
 
+// Branches returns the image's behaviour records in address order. Callers
+// must not modify them.
+func (im *Image) Branches() []Branch { return im.behav }
+
+// instrs decodes every instruction of im, in address order.
+func instrs(im *Image) []isa.Instr {
+	code := make([]isa.Instr, len(im.code))
+	for i := range code {
+		code[i], _ = im.InstrAt(im.Base + uint64(i)*isa.InstrBytes)
+	}
+	return code
+}
+
+// TestGenerateDefaultValidates generates the default program, which New
+// validates on the way out.
 func TestGenerateDefaultValidates(t *testing.T) {
 	im, err := Generate(DefaultParams())
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
-	}
-	if err := im.Validate(); err != nil {
-		t.Fatalf("Validate: %v", err)
 	}
 	if im.Entry != im.Funcs[0].Entry {
 		t.Errorf("entry %#x != first function entry %#x", im.Entry, im.Funcs[0].Entry)
@@ -38,12 +50,12 @@ func TestGenerateDeterministic(t *testing.T) {
 	p.Seed = 42
 	a := MustGenerate(p)
 	b := MustGenerate(p)
-	if !reflect.DeepEqual(a.Code, b.Code) {
+	if !reflect.DeepEqual(a.code, b.code) {
 		t.Fatal("same seed produced different code")
 	}
 	p.Seed = 43
 	c := MustGenerate(p)
-	if reflect.DeepEqual(a.Code, c.Code) {
+	if reflect.DeepEqual(a.code, c.code) {
 		t.Fatal("different seeds produced identical code")
 	}
 }
@@ -102,7 +114,7 @@ func TestFuncOf(t *testing.T) {
 func TestCTIsHaveBehaviour(t *testing.T) {
 	im := MustGenerate(DefaultParams())
 	conds, loops, indirects := 0, 0, 0
-	for i, ins := range im.Code {
+	for i, ins := range instrs(im) {
 		b := im.BehaviorAt(im.Base + uint64(i)*isa.InstrBytes)
 		switch ins.Kind {
 		case isa.CondBranch:
@@ -130,7 +142,7 @@ func TestCTIsHaveBehaviour(t *testing.T) {
 
 func TestBackwardBranchesAreLoops(t *testing.T) {
 	im := MustGenerate(DefaultParams())
-	for i, ins := range im.Code {
+	for i, ins := range instrs(im) {
 		if ins.Kind != isa.CondBranch {
 			continue
 		}
@@ -141,15 +153,15 @@ func TestBackwardBranchesAreLoops(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsCorruption corrupts the parts of a generated image one
+// way at a time and requires New to refuse each.
 func TestValidateRejectsCorruption(t *testing.T) {
-	fresh := func() *Image {
-		p := DefaultParams()
-		p.NumFuncs = 20
-		return MustGenerate(p)
-	}
+	p := DefaultParams()
+	p.NumFuncs = 20
+	im := MustGenerate(p)
 	// firstOf returns the word index of the first instruction of kind k.
-	firstOf := func(im *Image, k isa.Kind) int {
-		for i, ins := range im.Code {
+	firstOf := func(code []isa.Instr, k isa.Kind) int {
+		for i, ins := range code {
 			if ins.Kind == k {
 				return i
 			}
@@ -157,99 +169,138 @@ func TestValidateRejectsCorruption(t *testing.T) {
 		t.Fatalf("no %v in image", k)
 		return 0
 	}
-	// recordOf returns the position in Behav of word w's record.
-	recordOf := func(im *Image, w int) int {
-		for r, b := range im.Behav {
-			if b.Word == w {
+	// recordOf returns the position in behav of word w's record.
+	recordOf := func(behav []Branch, w int) int {
+		for r, b := range behav {
+			if int(b.Word) == w {
 				return r
 			}
 		}
 		t.Fatalf("word %d has no record", w)
 		return 0
 	}
-	// insert adds b to Behav at its address-ordered position.
-	insert := func(im *Image, b Branch) {
-		r := sort.Search(len(im.Behav), func(r int) bool { return im.Behav[r].Word > b.Word })
-		im.Behav = slices.Insert(im.Behav, r, b)
+	// insert adds b to behav at its address-ordered position.
+	insert := func(behav []Branch, b Branch) []Branch {
+		r := sort.Search(len(behav), func(r int) bool { return behav[r].Word > b.Word })
+		return slices.Insert(behav, r, b)
 	}
 	biased := Behavior{Model: ModelBiased, TakenProb: 0.5}
+	indirect := Behavior{Model: ModelIndirect, Targets: []uint64{im.Entry}}
 
 	cases := []struct {
 		name    string
-		corrupt func(im *Image)
+		corrupt func(code []isa.Instr, behav []Branch) []Branch
 	}{
-		{"out-of-image jump target", func(im *Image) {
-			im.Code[firstOf(im, isa.Jump)].Target = im.End() + 64
+		{"out-of-image jump target", func(code []isa.Instr, behav []Branch) []Branch {
+			code[firstOf(code, isa.Jump)].Target = im.End() + 64
+			return behav
 		}},
-		{"empty indirect target set", func(im *Image) {
-			im.Behav[recordOf(im, firstOf(im, isa.IndirectCall))].Targets = nil
+		{"unaligned call target", func(code []isa.Instr, behav []Branch) []Branch {
+			code[firstOf(code, isa.Call)].Target += 2
+			return behav
 		}},
-		{"unsorted records", func(im *Image) {
-			im.Behav[3], im.Behav[4] = im.Behav[4], im.Behav[3]
+		{"target on a non-CTI", func(code []isa.Instr, behav []Branch) []Branch {
+			code[firstOf(code, isa.ALU)].Target = im.Entry
+			return behav
 		}},
-		{"duplicate record", func(im *Image) {
-			im.Behav = slices.Insert(im.Behav, 5, im.Behav[5])
+		{"target on a return", func(code []isa.Instr, behav []Branch) []Branch {
+			code[firstOf(code, isa.Ret)].Target = im.Entry
+			return behav
 		}},
-		{"record past the image", func(im *Image) {
-			im.Behav = append(im.Behav, Branch{Word: len(im.Code), Behavior: biased})
+		{"unknown kind", func(code []isa.Instr, behav []Branch) []Branch {
+			code[firstOf(code, isa.ALU)].Kind = isa.Kind(isa.NumKinds)
+			return behav
 		}},
-		{"record before the image", func(im *Image) {
-			im.Behav = slices.Insert(im.Behav, 0, Branch{Word: -1, Behavior: biased})
+		{"empty indirect target set", func(code []isa.Instr, behav []Branch) []Branch {
+			behav[recordOf(behav, firstOf(code, isa.IndirectCall))].Targets = nil
+			return behav
 		}},
-		{"record on a non-CTI", func(im *Image) {
-			insert(im, Branch{Word: firstOf(im, isa.ALU), Behavior: biased})
+		{"unsorted records", func(code []isa.Instr, behav []Branch) []Branch {
+			behav[3], behav[4] = behav[4], behav[3]
+			return behav
 		}},
-		{"record on a jump", func(im *Image) {
-			insert(im, Branch{Word: firstOf(im, isa.Jump), Behavior: biased})
+		{"duplicate record", func(code []isa.Instr, behav []Branch) []Branch {
+			return slices.Insert(behav, 5, behav[5])
 		}},
-		{"record on a call", func(im *Image) {
-			insert(im, Branch{Word: firstOf(im, isa.Call), Behavior: Behavior{Model: ModelIndirect, Targets: []uint64{im.Entry}}})
+		{"record past the image", func(code []isa.Instr, behav []Branch) []Branch {
+			return append(behav, Branch{Word: int32(len(code)), Behavior: biased})
 		}},
-		{"record on a return", func(im *Image) {
-			insert(im, Branch{Word: firstOf(im, isa.Ret), Behavior: Behavior{Model: ModelIndirect, Targets: []uint64{im.Entry}}})
+		{"record before the image", func(code []isa.Instr, behav []Branch) []Branch {
+			return slices.Insert(behav, 0, Branch{Word: -1, Behavior: biased})
 		}},
-		{"missing record on a conditional", func(im *Image) {
-			r := recordOf(im, firstOf(im, isa.CondBranch))
-			im.Behav = slices.Delete(im.Behav, r, r+1)
+		{"record on a non-CTI", func(code []isa.Instr, behav []Branch) []Branch {
+			return insert(behav, Branch{Word: int32(firstOf(code, isa.ALU)), Behavior: biased})
 		}},
-		{"missing record on an indirect jump", func(im *Image) {
-			r := recordOf(im, firstOf(im, isa.IndirectJump))
-			im.Behav = slices.Delete(im.Behav, r, r+1)
+		{"record on a jump", func(code []isa.Instr, behav []Branch) []Branch {
+			return insert(behav, Branch{Word: int32(firstOf(code, isa.Jump)), Behavior: biased})
 		}},
-		{"conditional with no model", func(im *Image) {
-			im.Behav[recordOf(im, firstOf(im, isa.CondBranch))].Behavior = Behavior{}
+		{"record on a call", func(code []isa.Instr, behav []Branch) []Branch {
+			return insert(behav, Branch{Word: int32(firstOf(code, isa.Call)), Behavior: indirect})
+		}},
+		{"record on a return", func(code []isa.Instr, behav []Branch) []Branch {
+			return insert(behav, Branch{Word: int32(firstOf(code, isa.Ret)), Behavior: indirect})
+		}},
+		{"missing record on a conditional", func(code []isa.Instr, behav []Branch) []Branch {
+			r := recordOf(behav, firstOf(code, isa.CondBranch))
+			return slices.Delete(behav, r, r+1)
+		}},
+		{"missing record on an indirect jump", func(code []isa.Instr, behav []Branch) []Branch {
+			r := recordOf(behav, firstOf(code, isa.IndirectJump))
+			return slices.Delete(behav, r, r+1)
+		}},
+		{"conditional with no model", func(code []isa.Instr, behav []Branch) []Branch {
+			behav[recordOf(behav, firstOf(code, isa.CondBranch))].Behavior = Behavior{}
+			return behav
+		}},
+		{"conditional with an indirect model", func(code []isa.Instr, behav []Branch) []Branch {
+			behav[recordOf(behav, firstOf(code, isa.CondBranch))].Behavior = indirect
+			return behav
 		}},
 	}
 	for _, tc := range cases {
-		im := fresh()
-		tc.corrupt(im)
-		if err := im.Validate(); err == nil {
+		code, behav := instrs(im), slices.Clone(im.behav)
+		if _, err := New(im.Base, im.Entry, code, tc.corrupt(code, behav), im.Funcs); err == nil {
 			t.Errorf("%s: not rejected", tc.name)
 		}
 	}
-	if err := fresh().Validate(); err != nil {
+	for _, tc := range []struct {
+		name        string
+		base, entry uint64
+	}{
+		{"unaligned base", im.Base + 2, im.Entry + 2},
+		{"entry past the image", im.Base, im.End()},
+		{"unaligned entry", im.Base, im.Entry + 1},
+	} {
+		if _, err := New(tc.base, tc.entry, instrs(im), slices.Clone(im.behav), im.Funcs); err == nil {
+			t.Errorf("%s: not rejected", tc.name)
+		}
+	}
+	// The uncorrupted parts rebuild the identical image.
+	again, err := New(im.Base, im.Entry, instrs(im), slices.Clone(im.behav), im.Funcs)
+	if err != nil {
 		t.Fatalf("uncorrupted image rejected: %v", err)
+	}
+	if !reflect.DeepEqual(again, im) {
+		t.Error("rebuilding an image from its decoded parts changed it")
 	}
 	// Adjacent conditionals, where a duplicated record would otherwise
 	// slide onto the next word: only the order check catches it.
-	adjacent := &Image{
-		Base: 0x1000,
-		Code: []isa.Instr{
+	adjacent := func(second int32) error {
+		code := []isa.Instr{
 			{Kind: isa.CondBranch, Target: 0x1000},
 			{Kind: isa.CondBranch, Target: 0x1000},
 			{Kind: isa.Jump, Target: 0x1000},
-		},
-		Behav: []Branch{{Word: 0, Behavior: biased}, {Word: 1, Behavior: biased}},
-		Entry: 0x1000,
+		}
+		_, err := New(0x1000, 0x1000, code, []Branch{{Word: 0, Behavior: biased}, {Word: second, Behavior: biased}}, nil)
+		return err
 	}
-	if err := adjacent.Validate(); err != nil {
+	if err := adjacent(1); err != nil {
 		t.Fatalf("adjacent conditionals rejected: %v", err)
 	}
-	adjacent.Behav[1].Word = 0
-	if err := adjacent.Validate(); err == nil {
+	if err := adjacent(0); err == nil {
 		t.Error("duplicate record on adjacent conditionals not rejected")
 	}
-	if err := (&Image{}).Validate(); err == nil {
+	if _, err := New(0x1000, 0x1000, nil, nil, nil); err == nil {
 		t.Error("empty image not rejected")
 	}
 }
@@ -271,11 +322,8 @@ func TestQuickGeneratedImagesValid(t *testing.T) {
 		p.NumFuncs = 2 + int(nf)%64
 		p.MeanBlocksPerFunc = 2 + int(mb)%16
 		p.MeanBlockLen = 1 + int(ml)%10
-		im, err := Generate(p)
-		if err != nil {
-			return false
-		}
-		return im.Validate() == nil
+		_, err := Generate(p)
+		return err == nil
 	}
 	cfg := &quick.Config{MaxCount: 25, Rand: rand.New(rand.NewSource(7))}
 	if err := quick.Check(f, cfg); err != nil {
@@ -290,8 +338,8 @@ func TestKindCountsAndBranchCount(t *testing.T) {
 	for _, c := range counts {
 		total += c
 	}
-	if total != len(im.Code) {
-		t.Errorf("kind counts sum %d != code len %d", total, len(im.Code))
+	if total != len(im.code) {
+		t.Errorf("kind counts sum %d != code len %d", total, len(im.code))
 	}
 	br := im.StaticBranchCount()
 	want := counts[isa.CondBranch] + counts[isa.Jump] + counts[isa.Call] +
@@ -319,35 +367,5 @@ func TestBranchModelString(t *testing.T) {
 	}
 	if BranchModel(99).String() == "" {
 		t.Error("unknown model should format")
-	}
-}
-
-// TestStaticTablesConcurrentFirstUse derives an image's tables from many
-// goroutines at once, as engine workers sharing a cached image do; every
-// caller must see the same published tables. Run under -race.
-func TestStaticTablesConcurrentFirstUse(t *testing.T) {
-	p := DefaultParams()
-	p.NumFuncs = 40
-	im := MustGenerate(p)
-	const n = 8
-	got := make([]*uint32, n)
-	done := make(chan struct{})
-	for i := 0; i < n; i++ {
-		go func() {
-			defer func() { done <- struct{}{} }()
-			if i%2 == 0 {
-				ord, _, _ := im.BehaviorIndex()
-				_ = ord[len(ord)-1]
-			}
-			got[i] = &im.SchedWords()[0]
-		}()
-	}
-	for i := 0; i < n; i++ {
-		<-done
-	}
-	for i := 1; i < n; i++ {
-		if got[i] != got[0] {
-			t.Fatalf("goroutine %d saw a different scheduler table than goroutine 0", i)
-		}
 	}
 }

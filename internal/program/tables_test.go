@@ -9,82 +9,68 @@ import (
 	"fdip/internal/workloads"
 )
 
-// TestStaticTables checks the image-owned tables against their definitions
-// on every workload: the scheduler table is SchedPack per instruction; the
-// behaviour ordinal covers exactly the modelled words (conditionals and
-// indirect jumps and calls) and round-trips through BehaviorAt; and the
+// TestStaticTables checks the image's behaviour index against its
+// definition on every workload: exactly the modelled words (conditionals
+// and indirect jumps and calls) resolve, through the rank index, to their
+// own record, both in place (Record) and by value (BehaviorAt); and the
 // walker slots number the stateful records densely in address order.
 func TestStaticTables(t *testing.T) {
 	for _, wl := range workloads.All() {
 		t.Run(wl.Name, func(t *testing.T) {
 			im := program.MustGenerate(wl.Params)
-			if len(im.Behav) != cap(im.Behav) {
-				t.Errorf("behaviour table has %d records in %d capacity; want it sized exactly", len(im.Behav), cap(im.Behav))
-			}
-			sched := im.SchedWords()
-			ord, slot, n := im.BehaviorIndex()
-			if len(sched) != len(im.Code) || len(ord) != len(im.Code) || len(slot) != len(im.Behav) {
-				t.Fatalf("tables have %d/%d/%d entries; want %d/%d/%d",
-					len(sched), len(ord), len(slot), len(im.Code), len(im.Code), len(im.Behav))
+			behav := im.Branches()
+			if len(behav) != cap(behav) {
+				t.Errorf("behaviour table has %d records in %d capacity; want it sized exactly", len(behav), cap(behav))
 			}
 			records, stateful := 0, 0
-			for i := range im.Code {
-				ins := &im.Code[i]
-				pc := im.Base + uint64(i)*isa.InstrBytes
-				if sched[i] != ins.SchedPack() {
-					t.Fatalf("sched[%d] = %#x; want %#x", i, sched[i], ins.SchedPack())
-				}
+			for pc := im.Base; pc < im.End(); pc += isa.InstrBytes {
+				ins, _ := im.InstrAt(pc)
 				modelled := ins.Kind == isa.CondBranch || ins.Kind == isa.IndirectJump || ins.Kind == isa.IndirectCall
 				if !modelled {
-					if ord[i] != program.NoBehavior {
-						t.Fatalf("unmodelled %v at word %d has ordinal %d", ins.Kind, i, ord[i])
-					}
 					if b := im.BehaviorAt(pc); b.Model != program.ModelNone {
 						t.Fatalf("BehaviorAt(%#x) on a %v = %v; want none", pc, ins.Kind, b.Model)
 					}
 					continue
 				}
-				if ord[i] != uint32(records) {
-					t.Fatalf("ord[%d] = %d; want %d", i, ord[i], records)
+				rec, slot := im.Record(pc)
+				if rec != &behav[records] {
+					t.Fatalf("Record(%#x) is not record %d", pc, records)
 				}
-				rec := &im.Behav[records]
 				records++
-				if rec.Word != i {
-					t.Fatalf("record %d names word %d; want %d", ord[i], rec.Word, i)
+				if w := isa.WordIndex(pc, im.Base); int(rec.Word) != w {
+					t.Fatalf("record for word %d names word %d", w, rec.Word)
 				}
 				got := im.BehaviorAt(pc)
 				if got.Model != rec.Model || len(got.Targets) != len(rec.Targets) || got.TakenProb != rec.TakenProb {
 					t.Fatalf("BehaviorAt(%#x) = %+v; want record %+v", pc, got, rec.Behavior)
 				}
 				if rec.Model != program.ModelBiased {
-					if slot[ord[i]] != uint32(stateful) {
-						t.Fatalf("slot[%d] = %d; want %d", ord[i], slot[ord[i]], stateful)
+					if slot != uint32(stateful) {
+						t.Fatalf("slot of word %d = %d; want %d", rec.Word, slot, stateful)
 					}
 					stateful++
 				}
 			}
-			if records != len(im.Behav) || n != stateful {
-				t.Fatalf("ordinal covers %d of %d records, %d of %d stateful", records, len(im.Behav), n, stateful)
+			n := im.StatefulBranches()
+			if records != len(behav) || n != stateful {
+				t.Fatalf("index reaches %d of %d records, %d of %d stateful", records, len(behav), stateful, n)
 			}
 			// A few percent of instructions carry walker state; the compact
 			// walker's size advantage rests on that.
-			if n == 0 || n > len(im.Code)/10 {
-				t.Errorf("%d of %d instructions carry walker state; want a small nonzero share", n, len(im.Code))
-			}
-			if again := im.SchedWords(); &again[0] != &sched[0] {
-				t.Error("SchedWords rebuilt its table; want one derivation per image")
+			if words := int(im.Size() / isa.InstrBytes); n == 0 || n > words/10 {
+				t.Errorf("%d of %d instructions carry walker state; want a small nonzero share", n, words)
 			}
 		})
 	}
 }
 
 // TestImageFootprint bounds what a generated image keeps live per static
-// instruction, with its static tables derived: the code, the sparse
-// behaviour table with its target sets, and the scheduler and ordinal
-// tables. The bound fails any layout that keeps a Behavior (88 B) per
-// instruction.
+// instruction: the 8-byte code words, the sparse behaviour table with its
+// target sets, the rank index and walker slots, and the function
+// directory. At 16 B it fails any layout that keeps a 16-byte isa.Instr, or
+// a 4-byte table, per instruction.
 func TestImageFootprint(t *testing.T) {
-	const maxBytesPerInstr = 40
+	const maxBytesPerInstr = 16
 	live := func() uint64 {
 		runtime.GC()
 		var ms runtime.MemStats
@@ -98,10 +84,10 @@ func TestImageFootprint(t *testing.T) {
 		}
 		before := live()
 		im := program.MustGenerate(wl.Params)
-		im.SchedWords()
 		after := live()
-		per := float64(after-before) / float64(len(im.Code))
-		t.Logf("%s: %d instructions, %d records, %.1f B per instruction", name, len(im.Code), len(im.Behav), per)
+		words := im.Size() / isa.InstrBytes
+		per := float64(after-before) / float64(words)
+		t.Logf("%s: %d instructions, %d records, %.1f B per instruction", name, words, len(im.Branches()), per)
 		if per > maxBytesPerInstr {
 			t.Errorf("%s keeps %.1f B per static instruction live; want at most %d", name, per, maxBytesPerInstr)
 		}
