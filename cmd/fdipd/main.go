@@ -238,11 +238,12 @@ func demoRequest(label string, priority int, instrs uint64, chunk int) svc.Submi
 	}
 }
 
-// runSubmit submits the demo plan and streams it to completion, reconnecting
-// with the frame cursor through transport drops and through a restart of the
-// service (a drain ends the stream without a terminal frame; frame n is plan
-// index n in every incarnation), up to ten times 200 ms apart, then prints
-// the sorted deterministic rows (stdout) and the job accounting (stderr).
+// runSubmit submits the demo plan and streams it to completion, resuming
+// from the frame cursor through transport drops and through a drain and
+// restart of the service (a drain ends the stream without a terminal frame;
+// frame n is plan index n in every incarnation; see resumeStream), then
+// prints the sorted deterministic rows (stdout) and the job accounting
+// (stderr).
 func runSubmit(ctx context.Context, base, label string, priority int, instrs uint64, chunk int) error {
 	cl := &svc.Client{Base: base}
 	st, err := cl.Submit(ctx, demoRequest(label, priority, instrs, chunk))
@@ -252,21 +253,11 @@ func runSubmit(ctx context.Context, base, label string, priority int, instrs uin
 	log.Printf("submitted %s (%d points)", st.ID, st.Points)
 
 	rows := make([]row, 0, st.Points)
-	cursor := 0
-	for attempt := 0; ; attempt++ {
-		err := cl.Stream(ctx, st.ID, cursor, func(f svc.StreamFrame) error {
-			cursor = f.Seq + 1
-			rows = append(rows, rowOf(*f.Outcome))
-			return nil
-		})
-		if err == nil {
-			break // terminal done frame
-		}
-		if errors.Is(err, svc.ErrSweepFailed) || ctx.Err() != nil || attempt >= 10 {
-			return err
-		}
-		log.Printf("stream dropped at frame %d (%v); resuming", cursor, err)
-		time.Sleep(200 * time.Millisecond)
+	stream := func(from int, fn func(svc.StreamFrame) error) error { return cl.Stream(ctx, st.ID, from, fn) }
+	if err := resumeStream(ctx, stream, func(f svc.StreamFrame) {
+		rows = append(rows, rowOf(*f.Outcome))
+	}, time.Now, sleepCtx); err != nil {
+		return err
 	}
 	if err := printRows(rows); err != nil {
 		return err
@@ -277,6 +268,68 @@ func runSubmit(ctx context.Context, base, label string, priority int, instrs uin
 	}
 	log.Printf("%s done: %d points, %d served from cache", final.ID, final.Completed, final.Cached)
 	return nil
+}
+
+// The reconnect schedule of resumeStream: waits double from resumeMinWait
+// to resumeMaxWait, and the stream is given up once resumeBudget passes
+// with no frame delivered. A draining service ends every stream at once
+// while its in-flight ranges finish, and its restart takes as long as the
+// operator does, so the budget is a minute, not a retry count.
+const (
+	resumeMinWait = 100 * time.Millisecond
+	resumeMaxWait = 2 * time.Second
+	resumeBudget  = time.Minute
+)
+
+// resumeStream reads one sweep's stream to its terminal frame through
+// stream(from, fn), handing each frame to deliver. After any other end of
+// the stream it reconnects from the cursor past the last frame delivered,
+// backing off between attempts; a reconnect that delivered a frame
+// restarts both the wait and the budget. It gives up on a failed sweep,
+// when ctx ends, and once resumeBudget passes without a frame. now and
+// sleep are the clock (time.Now and sleepCtx outside tests).
+func resumeStream(ctx context.Context, stream func(from int, fn func(svc.StreamFrame) error) error,
+	deliver func(svc.StreamFrame), now func() time.Time, sleep func(context.Context, time.Duration) error) error {
+	cursor := 0
+	wait, deadline := resumeMinWait, now().Add(resumeBudget)
+	for {
+		progressed := false
+		err := stream(cursor, func(f svc.StreamFrame) error {
+			cursor = f.Seq + 1
+			progressed = true
+			deliver(f)
+			return nil
+		})
+		if err == nil {
+			return nil // terminal done frame
+		}
+		if errors.Is(err, svc.ErrSweepFailed) || ctx.Err() != nil {
+			return err
+		}
+		if progressed {
+			wait, deadline = resumeMinWait, now().Add(resumeBudget)
+		}
+		if now().Add(wait).After(deadline) {
+			return fmt.Errorf("stream dropped at frame %d and no frame arrived for %v: %w", cursor, resumeBudget, err)
+		}
+		log.Printf("stream dropped at frame %d (%v); resuming in %v", cursor, err, wait)
+		if err := sleep(ctx, wait); err != nil {
+			return err
+		}
+		wait = min(2*wait, resumeMaxWait)
+	}
+}
+
+// sleepCtx waits d, or until ctx ends.
+func sleepCtx(ctx context.Context, d time.Duration) error {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
 }
 
 // runWatch follows one sweep's stream frames from a cursor, printing them raw.

@@ -1,14 +1,19 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"fdip/internal/core"
+	"fdip/internal/svc"
 )
 
 // summaryRows is a fixed 9-point sweep in index order: two IPC ties (rows 1
@@ -103,5 +108,124 @@ func TestSummarizeMoments(t *testing.T) {
 		if got := summarize(rows, 0); !strings.HasPrefix(got, head) {
 			t.Errorf("n=%d: summary %q, want prefix %q", n, got, head)
 		}
+	}
+}
+
+// fakeClock is resumeStream's clock in tests: sleeping advances it at once.
+type fakeClock struct {
+	t      time.Time
+	sleeps int
+}
+
+func (c *fakeClock) now() time.Time { return c.t }
+
+func (c *fakeClock) sleep(_ context.Context, d time.Duration) error {
+	c.t = c.t.Add(d)
+	c.sleeps++
+	return nil
+}
+
+// fakeSweep serves a sweep of n frames. A connection made while drained
+// reports true ends at once with an error, as a draining service's stream
+// does; otherwise it delivers frames from the cursor, up to perConn of them
+// when perConn > 0, and ends without a terminal frame if any remain.
+type fakeSweep struct {
+	n, perConn int
+	drained    func() bool
+	connects   int
+}
+
+func (s *fakeSweep) stream(from int, fn func(svc.StreamFrame) error) error {
+	s.connects++
+	if s.drained() {
+		return errors.New("stream ended without a terminal frame")
+	}
+	for seq := from; seq < s.n; seq++ {
+		if s.perConn > 0 && seq-from == s.perConn {
+			return errors.New("stream ended without a terminal frame")
+		}
+		if err := fn(svc.StreamFrame{Type: "outcome", Seq: seq}); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// collect runs resumeStream over sw on clk and returns the delivered
+// sequence numbers.
+func collect(t *testing.T, sw *fakeSweep, clk *fakeClock) ([]int, error) {
+	t.Helper()
+	var got []int
+	err := resumeStream(context.Background(), sw.stream, func(f svc.StreamFrame) { got = append(got, f.Seq) }, clk.now, clk.sleep)
+	return got, err
+}
+
+// TestResumeOutlastsLongDrain: a stream that fails fast for more than 2 s
+// of fake time (the old ten tries 200 ms apart) and then serves the sweep
+// is read to its end, each frame once and in order, with backoff keeping
+// the reconnects few.
+func TestResumeOutlastsLongDrain(t *testing.T) {
+	clk := &fakeClock{t: time.Unix(0, 0)}
+	start := clk.t
+	sw := &fakeSweep{n: 6, drained: func() bool { return clk.t.Sub(start) < 5*time.Second }}
+	got, err := collect(t, sw, clk)
+	if err != nil {
+		t.Fatalf("resume failed after %v of fake time: %v", clk.t.Sub(start), err)
+	}
+	if want := []int{0, 1, 2, 3, 4, 5}; !slices.Equal(got, want) {
+		t.Errorf("delivered %v, want %v", got, want)
+	}
+	if sw.connects > 10 {
+		t.Errorf("%d connects over a 5 s drain; want backoff to keep them at most 10", sw.connects)
+	}
+}
+
+// TestResumeBudget: a stream that never delivers is given up once the
+// budget passes, and a frame restarts the budget, so a sweep whose frames
+// each arrive after most of a budget's drain still finishes.
+func TestResumeBudget(t *testing.T) {
+	clk := &fakeClock{t: time.Unix(0, 0)}
+	start := clk.t
+	if _, err := collect(t, &fakeSweep{n: 3, drained: func() bool { return true }}, clk); err == nil {
+		t.Fatal("a stream that never delivers was read to its end")
+	}
+	if waited := clk.t.Sub(start); waited < resumeBudget-resumeMaxWait || waited > resumeBudget {
+		t.Errorf("gave up after %v; want within %v of the %v budget", waited, resumeMaxWait, resumeBudget)
+	}
+
+	clk = &fakeClock{t: time.Unix(0, 0)}
+	start = clk.t
+	next := start
+	sw := &fakeSweep{n: 5, perConn: 1}
+	sw.drained = func() bool {
+		if clk.t.Before(next) {
+			return true
+		}
+		next = clk.t.Add(resumeBudget * 3 / 4) // each frame waits out most of a budget
+		return false
+	}
+	got, err := collect(t, sw, clk)
+	if err != nil {
+		t.Fatalf("resume failed after %v of fake time: %v", clk.t.Sub(start), err)
+	}
+	if want := []int{0, 1, 2, 3, 4}; !slices.Equal(got, want) {
+		t.Errorf("delivered %v, want %v", got, want)
+	}
+	if total := clk.t.Sub(start); total < 2*resumeBudget {
+		t.Errorf("the sweep took %v of fake time; want the test to span more than two budgets", total)
+	}
+}
+
+// TestResumeStopsOnFailedSweep: a failed sweep is final, not a drop.
+func TestResumeStopsOnFailedSweep(t *testing.T) {
+	clk := &fakeClock{t: time.Unix(0, 0)}
+	connects := 0
+	stream := func(int, func(svc.StreamFrame) error) error {
+		connects++
+		return fmt.Errorf("boom: %w", svc.ErrSweepFailed)
+	}
+	err := resumeStream(context.Background(), stream, func(svc.StreamFrame) {}, clk.now, clk.sleep)
+	if !errors.Is(err, svc.ErrSweepFailed) || connects != 1 || clk.sleeps != 0 {
+		t.Errorf("err %v after %d connects and %d sleeps; want ErrSweepFailed after one connect", err, connects, clk.sleeps)
 	}
 }

@@ -305,6 +305,32 @@ func (c *Config) Validate() error {
 	if f.FDP.CPF > prefetch.CPFOptimistic {
 		return fmt.Errorf("core: unknown cache-probe-filtering mode %d", f.FDP.CPF)
 	}
+	// The machine builds only its own prefetcher, and a bimodal or static
+	// predictor keeps no history (nor, when static, any table): the fields
+	// it never reads take their defaults, once bounded above, so that
+	// machines differing only there share one Config and one JobKey.
+	if f.Kind != PrefetchNextLine {
+		f.NextLinePending = d.Prefetch.NextLinePending
+	}
+	if f.Kind != PrefetchStream {
+		f.Streams, f.StreamDepth = d.Prefetch.Streams, d.Prefetch.StreamDepth
+	}
+	if f.Kind != PrefetchFDP {
+		f.FDP = d.Prefetch.FDP
+	}
+	if f.Kind != PrefetchMANA {
+		f.MANA = d.Prefetch.MANA
+	}
+	if f.Kind != PrefetchShadow {
+		f.Shadow = d.Prefetch.Shadow
+	}
+	switch c.PredictorName {
+	case "static-taken", "static-nottaken":
+		c.PredictorSize = d.PredictorSize
+		fallthrough
+	case "bimodal":
+		c.PredictorHistBits = d.PredictorHistBits
+	}
 	if c.MaxInstrs == 0 {
 		c.MaxInstrs = d.MaxInstrs
 	}

@@ -336,9 +336,12 @@ func TestValidateLatencyCeiling(t *testing.T) {
 }
 
 // TestValidateDefaultsApplied: a zero Config validates to DefaultConfig,
-// except where zero is itself a legal value (a latency or skip of 0, an
-// empty prefetch buffer, a false switch) and the derived cycle cap. The
-// components apply no defaults of their own, so this is the whole rule.
+// except where zero is itself a legal value (a latency of 0, an empty
+// prefetch buffer, a false switch) and the derived cycle cap. A zero Config
+// builds no prefetcher, so every prefetcher sub-config takes its defaults
+// whole; under its own kind, a sub-config keeps its legal zeros (FDP's skip
+// of 0, the shadow decoder's false switch). The components apply no
+// defaults of their own, so this is the whole rule.
 func TestValidateDefaultsApplied(t *testing.T) {
 	var got Config
 	if err := got.Validate(); err != nil {
@@ -348,17 +351,31 @@ func TestValidateDefaultsApplied(t *testing.T) {
 	want.PrefetchBufferEntries = 0
 	want.RedirectLatency = 0
 	want.Backend.DecodeLatency = 0
-	want.Prefetch.FDP.SkipHead = 0
 	want.FTB.BlockOriented = false
-	want.Prefetch.Shadow.PrefetchTargets = false
 	want.MaxCycles = int64(want.MaxInstrs) * 100
 	if got != want {
 		t.Errorf("zero config validated to\n%+v\nwant\n%+v", got, want)
+	}
+	for kind, zeros := range map[PrefetcherKind]func(*Config){
+		PrefetchFDP:    func(c *Config) { c.Prefetch.FDP.SkipHead = 0 },
+		PrefetchShadow: func(c *Config) { c.Prefetch.Shadow.PrefetchTargets = false },
+	} {
+		got := Config{Prefetch: PrefetchConfig{Kind: kind}}
+		if err := got.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		w := want
+		w.Prefetch.Kind = kind
+		zeros(&w)
+		if got != w {
+			t.Errorf("zero %s config validated to\n%+v\nwant\n%+v", kind, got, w)
+		}
 	}
 
 	// A negative value takes the default even where zero is legal, except
 	// the skip and the buffer, where it means none.
 	neg := DefaultConfig()
+	neg.Prefetch.Kind = PrefetchFDP
 	neg.RedirectLatency, neg.Backend.DecodeLatency = -1, -1
 	neg.Prefetch.FDP.SkipHead, neg.PrefetchBufferEntries = -1, -1
 	if err := neg.Validate(); err != nil {
@@ -402,6 +419,7 @@ func TestValidateRoundsAndClamps(t *testing.T) {
 		{"line-2", 2, 4, func(c *Config) *int { return &c.LineBytes }},
 	} {
 		cfg := DefaultConfig()
+		cfg.Prefetch.Kind = PrefetchMANA // the region is the machine's own
 		*tc.field(&cfg) = tc.in
 		if err := cfg.Validate(); err != nil {
 			t.Errorf("%s: %v", tc.name, err)
@@ -412,7 +430,7 @@ func TestValidateRoundsAndClamps(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		in, want uint
-	}{{"hybrid", 40, 32}, {"gshare", 32, 32}, {"local", 20, 16}, {"local", 0, 12}} {
+	}{{"hybrid", 40, 32}, {"gshare", 32, 32}, {"local", 20, 16}, {"local", 0, 12}, {"bimodal", 20, 12}, {"static-taken", 4, 12}} {
 		cfg := DefaultConfig()
 		cfg.PredictorName, cfg.PredictorHistBits = tc.name, tc.in
 		if err := cfg.Validate(); err != nil || cfg.PredictorHistBits != tc.want {

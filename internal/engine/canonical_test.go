@@ -100,6 +100,23 @@ var canonicalRows = []struct {
 	{"MANA.QueueSize=0", core.PrefetchMANA, func(c *core.Config) { c.Prefetch.MANA.QueueSize = 0 }, nil},
 	{"Shadow.DecodeQueue=0", core.PrefetchShadow, func(c *core.Config) { c.Prefetch.Shadow.DecodeQueue = 0 }, nil},
 	{"Shadow.TargetQueue=0", core.PrefetchShadow, func(c *core.Config) { c.Prefetch.Shadow.TargetQueue = 0 }, nil},
+	// Fields the machine never reads: another prefetcher's sub-config, the
+	// history of a predictor that keeps none, the table of a static one.
+	{"other kind: NextLinePending=9", "", func(c *core.Config) { c.Prefetch.NextLinePending = 9 }, nil},
+	{"other kind: Streams,StreamDepth=8", "", func(c *core.Config) { c.Prefetch.Streams, c.Prefetch.StreamDepth = 8, 8 }, nil},
+	{"other kind: FDP.PIQSize=4", core.PrefetchMANA, func(c *core.Config) { c.Prefetch.FDP.PIQSize = 4 }, nil},
+	{"other kind: FDP.CPF,RemoveCPF", core.PrefetchNone, func(c *core.Config) {
+		c.Prefetch.FDP.CPF, c.Prefetch.FDP.RemoveCPF = prefetch.CPFConservative, true
+	}, nil},
+	{"other kind: MANA.QueueSize=4", "", func(c *core.Config) { c.Prefetch.MANA.QueueSize = 4 }, nil},
+	{"other kind: Shadow.TargetQueue=2", "", func(c *core.Config) { c.Prefetch.Shadow.TargetQueue = 2 }, nil},
+	{"other kind: Shadow.TargetQueue=2 under MANA", core.PrefetchMANA, func(c *core.Config) { c.Prefetch.Shadow.TargetQueue = 2 }, nil},
+	{"bimodal,PredictorHistBits=4", "",
+		func(c *core.Config) { c.PredictorName, c.PredictorHistBits = "bimodal", 4 },
+		func(c *core.Config) { c.PredictorName = "bimodal" }},
+	{"static-taken,PredictorSize=256,PredictorHistBits=4", "",
+		func(c *core.Config) { c.PredictorName, c.PredictorSize, c.PredictorHistBits = "static-taken", 256, 4 },
+		func(c *core.Config) { c.PredictorName = "static-taken" }},
 	{"MaxInstrs=0", "",
 		func(c *core.Config) { c.MaxInstrs = 0 },
 		func(c *core.Config) { c.MaxInstrs = core.DefaultConfig().MaxInstrs }},

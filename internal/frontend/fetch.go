@@ -216,9 +216,11 @@ func (f *FetchEngine) Tick(now int64, accept int) (first uint32, n int) {
 			// cold cases (wrong path, image end) share one out-of-line
 			// call below.
 			u.Instr = rec.Instr
-			// The scheduler word packs the record's operands, already in
-			// cache: no table is read.
-			u.Sched = rec.Instr.SchedPack()
+			// Correct-path PCs are always in-image, and the image's code
+			// word carries the packed scheduler word in its spare upper
+			// half: the pack is a pure function of the static instruction,
+			// computed once per image rather than once per dynamic instance.
+			u.Sched = f.im.SchedWord(pc)
 			u.OnCorrectPath = true
 			u.ActualTaken = rec.Taken
 			u.ActualNextPC = rec.NextPC

@@ -116,8 +116,9 @@ type Image struct {
 	Entry uint64
 
 	// code holds one word per instruction, in address order: the kind in
-	// bits 0-7, Dst, Src1 and Src2 in bits 8-31, and a direct CTI's target
-	// as a word index from Base in bits 32-63.
+	// bits 0-7, Dst, Src1 and Src2 in bits 8-31, and in bits 32-63 a
+	// direct CTI's target as a word index from Base, or any other kind's
+	// packed scheduler word (isa.Instr.SchedPack).
 	code []uint64
 	// behav holds, in address order, one record per modelled instruction:
 	// each conditional branch and each indirect jump and call.
@@ -174,6 +175,8 @@ func New(base, entry uint64, code []isa.Instr, behav []Branch, funcs []Func) (*I
 		w := uint64(ins.Kind) | uint64(ins.Dst)<<8 | uint64(ins.Src1)<<16 | uint64(ins.Src2)<<24
 		if hasTarget(ins.Kind) {
 			w |= uint64(isa.WordIndex(ins.Target, base)) << 32
+		} else {
+			w |= uint64(ins.SchedPack()) << 32
 		}
 		im.code[i] = w
 	}
@@ -199,7 +202,9 @@ func New(base, entry uint64, code []isa.Instr, behav []Branch, funcs []Func) (*I
 
 // hasTarget reports whether an instruction of kind k carries a static
 // target: the direct CTIs.
-func hasTarget(k isa.Kind) bool { return k == isa.CondBranch || k == isa.Jump || k == isa.Call }
+func hasTarget(k isa.Kind) bool {
+	return (1<<isa.CondBranch|1<<isa.Jump|1<<isa.Call)>>k&1 != 0
+}
 
 // check validates code and the image's other parts (see New). im.code must
 // already have its length, which bounds the image.
@@ -294,15 +299,40 @@ func (im *Image) Contains(addr uint64) bool {
 // wrong-path fetch can run off the end of the code, and callers must handle
 // that.
 func (im *Image) InstrAt(addr uint64) (ins isa.Instr, ok bool) {
-	if addr%isa.InstrBytes != 0 || !im.Contains(addr) {
+	// Base is aligned, so one unsigned offset checks alignment and both
+	// bounds.
+	off := addr - im.Base
+	if off%isa.InstrBytes != 0 || off/isa.InstrBytes >= uint64(len(im.code)) {
 		return isa.Instr{}, false
 	}
-	w := im.code[isa.WordIndex(addr, im.Base)]
-	ins = isa.Instr{Kind: isa.Kind(w), Dst: uint8(w >> 8), Src1: uint8(w >> 16), Src2: uint8(w >> 24)}
+	w := im.code[off/isa.InstrBytes]
+	ins = operands(w)
 	if hasTarget(ins.Kind) {
 		ins.Target = im.Base + w>>32*isa.InstrBytes
 	}
 	return ins, true
+}
+
+// operands decodes a code word's kind and registers.
+func operands(w uint64) isa.Instr {
+	return isa.Instr{Kind: isa.Kind(w), Dst: uint8(w >> 8), Src1: uint8(w >> 16), Src2: uint8(w >> 24)}
+}
+
+// SchedWord returns the packed scheduler word (isa.Instr.SchedPack) of the
+// in-image instruction at addr: its code word's upper half, or, for a
+// direct CTI, whose upper half holds the target, the pack of its operands.
+func (im *Image) SchedWord(addr uint64) uint32 {
+	w := im.code[isa.WordIndex(addr, im.Base)]
+	if hasTarget(isa.Kind(w)) {
+		return directSched(w)
+	}
+	return uint32(w >> 32)
+}
+
+// directSched is SchedWord for a direct CTI's code word.
+func directSched(w uint64) uint32 {
+	ins := operands(w)
+	return ins.SchedPack()
 }
 
 // ordinal returns the position in behav of the record of word w, which
