@@ -268,9 +268,10 @@ func (s *Simulator) RunContext(ctx context.Context) (Result, error) { return s.p
 // Snapshot returns measurements at the current cycle without stopping.
 func (s *Simulator) Snapshot() Result { return s.p.Finalize() }
 
-// Version identifies the library release. 6.0.0 made Image compact and
-// immutable: its exported Code and Behav fields and Validate are gone.
-// Migration: Code[i] is InstrAt(Base + 4*i); a behaviour record is
-// BehaviorAt(addr), or Record(addr) in place; and every image is validated
-// when it is built, by GenerateProgram (internally, program.New).
+// Version identifies the library release. In 6.0.0 an Image is compact and
+// immutable, and its Code and Behav fields and its Validate, End and
+// Contains methods are gone. Migration: Code[i] is InstrAt(Base + 4*i);
+// End() is Base + Size(); Contains(addr) is InstrAt(addr)'s ok for an
+// aligned addr; a behaviour record is BehaviorAt(addr), or Record(addr) in
+// place; and GenerateProgram validates every image it returns.
 const Version = "6.0.0"

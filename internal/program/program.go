@@ -8,7 +8,18 @@
 // the substitution: a generator whose knobs control exactly the properties
 // instruction prefetching is sensitive to — code footprint, basic-block size
 // distribution, branch mix and bias, loop trip counts, and call-graph
-// temporal locality. See ARCHITECTURE.md for how the layers fit together.
+// temporal locality.
+//
+// An Image is built once, by New (which Generate calls), and never changes,
+// so every machine and worker simulating it shares one copy. It is compact:
+// one 8-byte word per static instruction (kind, registers, and a direct
+// target as a 32-bit word index from Base, the way FDIP-X's BTB stores
+// short offsets instead of full addresses; other kinds keep their packed
+// scheduler word there), a sparse behaviour table for the modelled
+// branches, and a rank index of 16 bytes per 64 words that finds a word's
+// record in O(1) — about 15 B per static instruction in all. InstrAt decodes
+// a word to the full isa.Instr. See ARCHITECTURE.md for how the layers fit
+// together.
 package program
 
 import (
@@ -200,24 +211,26 @@ func New(base, entry uint64, code []isa.Instr, behav []Branch, funcs []Func) (*I
 	return im, nil
 }
 
+// targetKinds has bit k set for each kind k that carries a static target:
+// the direct CTIs.
+const targetKinds = 1<<isa.CondBranch | 1<<isa.Jump | 1<<isa.Call
+
 // hasTarget reports whether an instruction of kind k carries a static
-// target: the direct CTIs.
-func hasTarget(k isa.Kind) bool {
-	return (1<<isa.CondBranch|1<<isa.Jump|1<<isa.Call)>>k&1 != 0
-}
+// target.
+func hasTarget(k isa.Kind) bool { return targetKinds>>k&1 != 0 }
 
 // check validates code and the image's other parts (see New). im.code must
-// already have its length, which bounds the image.
+// already have its length, which bounds the image, so InstrAt's ok says
+// whether an address is an aligned in-image one.
 func (im *Image) check(code []isa.Instr) error {
-	if !im.Contains(im.Entry) || im.Entry%isa.InstrBytes != 0 {
+	if _, ok := im.InstrAt(im.Entry); !ok {
 		return fmt.Errorf("program: entry %#x outside image", im.Entry)
 	}
 	for _, f := range im.Funcs {
-		if !im.Contains(f.Entry) || f.Entry%isa.InstrBytes != 0 {
+		if _, ok := im.InstrAt(f.Entry); !ok {
 			return fmt.Errorf("program: function %s entry %#x outside image", f.Name, f.Entry)
 		}
 	}
-	inImage := func(addr uint64) bool { return im.Contains(addr) && addr%isa.InstrBytes == 0 }
 	next := 0 // the merge walk's position in behav
 	for i, ins := range code {
 		pc := im.Base + uint64(i)*isa.InstrBytes
@@ -239,7 +252,7 @@ func (im *Image) check(code []isa.Instr) error {
 			if ins.Target != 0 {
 				return fmt.Errorf("program: %v at %#x carries target %#x", ins.Kind, pc, ins.Target)
 			}
-		} else if !inImage(ins.Target) {
+		} else if _, ok := im.InstrAt(ins.Target); !ok {
 			return fmt.Errorf("program: CTI at %#x target %#x outside image", pc, ins.Target)
 		}
 		switch ins.Kind {
@@ -251,7 +264,7 @@ func (im *Image) check(code []isa.Instr) error {
 				return fmt.Errorf("program: indirect CTI at %#x weight/target mismatch", pc)
 			}
 			for j, t := range b.Targets {
-				if !inImage(t) {
+				if _, ok := im.InstrAt(t); !ok {
 					return fmt.Errorf("program: indirect CTI at %#x target %#x outside image", pc, t)
 				}
 				if b.Weights != nil && b.Weights[j] < 0 {
@@ -286,14 +299,6 @@ func (im *Image) check(code []isa.Instr) error {
 // Size returns the code footprint in bytes.
 func (im *Image) Size() uint64 { return uint64(len(im.code)) * isa.InstrBytes }
 
-// End returns the first byte address past the image.
-func (im *Image) End() uint64 { return im.Base + im.Size() }
-
-// Contains reports whether addr falls inside the image.
-func (im *Image) Contains(addr uint64) bool {
-	return addr >= im.Base && addr < im.End()
-}
-
 // InstrAt returns the instruction at the given byte address, decoded from
 // its word. ok is false if the address is unaligned or outside the image —
 // wrong-path fetch can run off the end of the code, and callers must handle
@@ -305,17 +310,11 @@ func (im *Image) InstrAt(addr uint64) (ins isa.Instr, ok bool) {
 	if off%isa.InstrBytes != 0 || off/isa.InstrBytes >= uint64(len(im.code)) {
 		return isa.Instr{}, false
 	}
+	// Branch-free, so InstrAt stays small enough to inline into the walker:
+	// the mask keeps the target of the kinds that carry one.
 	w := im.code[off/isa.InstrBytes]
-	ins = operands(w)
-	if hasTarget(ins.Kind) {
-		ins.Target = im.Base + w>>32*isa.InstrBytes
-	}
-	return ins, true
-}
-
-// operands decodes a code word's kind and registers.
-func operands(w uint64) isa.Instr {
-	return isa.Instr{Kind: isa.Kind(w), Dst: uint8(w >> 8), Src1: uint8(w >> 16), Src2: uint8(w >> 24)}
+	return isa.Instr{Kind: isa.Kind(w), Dst: uint8(w >> 8), Src1: uint8(w >> 16), Src2: uint8(w >> 24),
+		Target: (im.Base + w>>32*isa.InstrBytes) & -(targetKinds >> (w & 0xff) & 1)}, true
 }
 
 // SchedWord returns the packed scheduler word (isa.Instr.SchedPack) of the
@@ -329,9 +328,10 @@ func (im *Image) SchedWord(addr uint64) uint32 {
 	return uint32(w >> 32)
 }
 
-// directSched is SchedWord for a direct CTI's code word.
+// directSched is SchedWord for a direct CTI's code word: the pack of its
+// operands.
 func directSched(w uint64) uint32 {
-	ins := operands(w)
+	ins := isa.Instr{Kind: isa.Kind(w), Dst: uint8(w >> 8), Src1: uint8(w >> 16), Src2: uint8(w >> 24)}
 	return ins.SchedPack()
 }
 
@@ -359,7 +359,7 @@ func (im *Image) StatefulBranches() int { return im.nSlots }
 // BehaviorAt returns the behaviour of the instruction at addr. It returns a
 // zero Behavior for unmodelled instructions and addresses outside the image.
 func (im *Image) BehaviorAt(addr uint64) Behavior {
-	if addr%isa.InstrBytes != 0 || !im.Contains(addr) {
+	if _, ok := im.InstrAt(addr); !ok {
 		return Behavior{}
 	}
 	w := isa.WordIndex(addr, im.Base)

@@ -24,6 +24,9 @@ func MustGenerate(p Params) *Image {
 // must not modify them.
 func (im *Image) Branches() []Branch { return im.behav }
 
+// End returns the first byte address past the image.
+func (im *Image) End() uint64 { return im.Base + im.Size() }
+
 // instrs decodes every instruction of im, in address order.
 func instrs(im *Image) []isa.Instr {
 	code := make([]isa.Instr, len(im.code))
@@ -367,5 +370,61 @@ func TestBranchModelString(t *testing.T) {
 	}
 	if BranchModel(99).String() == "" {
 		t.Error("unknown model should format")
+	}
+}
+
+// TestStaticTablesConcurrentFirstUse reads a freshly built image's code
+// words and rank index from many goroutines at once, as engine workers
+// sharing a cached image do. New builds every table before it returns, so
+// no reader writes (run under -race) and every reader sees one image.
+func TestStaticTablesConcurrentFirstUse(t *testing.T) {
+	p := DefaultParams()
+	p.NumFuncs = 40
+	im := MustGenerate(p)
+	const n = 8
+	sums := make([]uint64, n)
+	done := make(chan struct{})
+	for g := 0; g < n; g++ {
+		go func() {
+			defer func() { done <- struct{}{} }()
+			var sum uint64
+			for pc := im.Base; pc < im.End(); pc += isa.InstrBytes {
+				ins, _ := im.InstrAt(pc)
+				sum = sum*31 + ins.Target + uint64(im.SchedWord(pc))
+				if b := im.BehaviorAt(pc); b.Model != ModelNone {
+					rec, slot := im.Record(pc)
+					sum = sum*31 + uint64(rec.Word) + uint64(slot)
+				}
+			}
+			sums[g] = sum
+		}()
+	}
+	for g := 0; g < n; g++ {
+		<-done
+	}
+	for g := 1; g < n; g++ {
+		if sums[g] != sums[0] {
+			t.Fatalf("goroutine %d read a different image than goroutine 0", g)
+		}
+	}
+}
+
+// TestSchedWord: every instruction's scheduler word is its SchedPack,
+// whether its code word carries it or, for a direct CTI, its operands do.
+func TestSchedWord(t *testing.T) {
+	im := MustGenerate(DefaultParams())
+	for i, ins := range instrs(im) {
+		if got, want := im.SchedWord(im.Base+uint64(i)*isa.InstrBytes), ins.SchedPack(); got != want {
+			t.Fatalf("word %d (%v): SchedWord %#x, want %#x", i, ins, got, want)
+		}
+	}
+	// A direct CTI with operands, which generated images never have.
+	code := []isa.Instr{{Kind: isa.Jump, Dst: 3, Src1: 4, Src2: isa.NoReg, Target: 0x1000}}
+	hand, err := New(0x1000, 0x1000, code, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := hand.SchedWord(0x1000), code[0].SchedPack(); got != want {
+		t.Errorf("direct CTI with operands: SchedWord %#x, want %#x", got, want)
 	}
 }
