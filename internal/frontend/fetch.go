@@ -258,17 +258,13 @@ func (f *FetchEngine) tagSlow(pc uint64, u *pipe.Uop) {
 	u.ActualNextPC = 0
 	u.Mispredicted = false
 	u.MissKind = pipe.MissNone
-	var ins isa.Instr
-	if decoded, ok := f.im.InstrAt(pc); ok {
-		ins = decoded
-	} else {
+	if !f.im.InstrInto(pc, &u.Instr) {
 		// Wrong-path fetch ran past the code image; hardware would fetch
 		// garbage, we deliver phantom nops until the redirect arrives.
-		ins = isa.Instr{Kind: isa.Nop, Dst: isa.NoReg, Src1: isa.NoReg, Src2: isa.NoReg}
+		u.Instr = isa.Instr{Kind: isa.Nop, Dst: isa.NoReg, Src1: isa.NoReg, Src2: isa.NoReg}
 		f.OutOfImage++
 	}
-	u.Instr = ins
-	u.Sched = ins.SchedPack()
+	u.Sched = u.Instr.SchedPack()
 
 	if !f.diverged {
 		panic(fmt.Sprintf("frontend: correct-path fetch at %#x but oracle expects %#x", pc, f.cur.PC))

@@ -101,14 +101,13 @@ func (w *Walker) Reset(im *program.Image, seed int64) {
 // engine's per-instruction hot path copies nothing. The walker never runs
 // out: the program's outermost return restarts it at the entry point.
 func (w *Walker) NextInto(rec *Record) {
-	ins, ok := w.im.InstrAt(w.pc)
-	if !ok {
+	if !w.im.InstrInto(w.pc, &rec.Instr) {
 		// program.New makes this unreachable; crash loudly rather than
 		// emit garbage.
 		panic(fmt.Sprintf("oracle: correct path left the image at %#x", w.pc))
 	}
 	rec.PC = w.pc
-	rec.Instr = ins
+	ins := &rec.Instr
 	rec.Taken = false
 	rec.NextPC = isa.NextPC(w.pc)
 

@@ -304,17 +304,28 @@ func (im *Image) Size() uint64 { return uint64(len(im.code)) * isa.InstrBytes }
 // wrong-path fetch can run off the end of the code, and callers must handle
 // that.
 func (im *Image) InstrAt(addr uint64) (ins isa.Instr, ok bool) {
+	ok = im.InstrInto(addr, &ins)
+	return ins, ok
+}
+
+// InstrInto is InstrAt writing the instruction to *ins, which it leaves
+// alone when it returns false. The oracle walker decodes every instruction
+// it executes straight into its record this way: a decoded isa.Instr built
+// in a temporary by narrow stores and then copied out whole costs a
+// store-forwarding stall per instruction.
+func (im *Image) InstrInto(addr uint64, ins *isa.Instr) bool {
 	// Base is aligned, so one unsigned offset checks alignment and both
 	// bounds.
 	off := addr - im.Base
 	if off%isa.InstrBytes != 0 || off/isa.InstrBytes >= uint64(len(im.code)) {
-		return isa.Instr{}, false
+		return false
 	}
-	// Branch-free, so InstrAt stays small enough to inline into the walker:
-	// the mask keeps the target of the kinds that carry one.
+	// Branch-free, so InstrInto stays small enough to inline into the
+	// walker: the mask keeps the target of the kinds that carry one.
 	w := im.code[off/isa.InstrBytes]
-	return isa.Instr{Kind: isa.Kind(w), Dst: uint8(w >> 8), Src1: uint8(w >> 16), Src2: uint8(w >> 24),
-		Target: (im.Base + w>>32*isa.InstrBytes) & -(targetKinds >> (w & 0xff) & 1)}, true
+	ins.Kind, ins.Dst, ins.Src1, ins.Src2 = isa.Kind(w), uint8(w>>8), uint8(w>>16), uint8(w>>24)
+	ins.Target = (im.Base + w>>32*isa.InstrBytes) & -(targetKinds >> (w & 0xff) & 1)
+	return true
 }
 
 // SchedWord returns the packed scheduler word (isa.Instr.SchedPack) of the
