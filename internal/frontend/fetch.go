@@ -179,7 +179,7 @@ func (f *FetchEngine) Tick(now int64, accept int) (first uint32, n int) {
 	// so the values that steer the per-instruction control flow — the
 	// cursor, the terminator distance, the predicted-taken terminator
 	// test — are computed from the block once, here. The block-invariant
-	// pass-through fields (start, FTB provenance, checkpoints) are copied
+	// pass-through fields (start, checkpoints) are copied
 	// per slot straight from the block record instead of from hoisted
 	// locals: b is one live register across the loop's calls where the
 	// locals were five, and the spill/reload traffic around the oracle

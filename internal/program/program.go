@@ -334,16 +334,10 @@ func (im *Image) InstrInto(addr uint64, ins *isa.Instr) bool {
 func (im *Image) SchedWord(addr uint64) uint32 {
 	w := im.code[isa.WordIndex(addr, im.Base)]
 	if hasTarget(isa.Kind(w)) {
-		return directSched(w)
+		ins := isa.Instr{Kind: isa.Kind(w), Dst: uint8(w >> 8), Src1: uint8(w >> 16), Src2: uint8(w >> 24)}
+		return ins.SchedPack()
 	}
 	return uint32(w >> 32)
-}
-
-// directSched is SchedWord for a direct CTI's code word: the pack of its
-// operands.
-func directSched(w uint64) uint32 {
-	ins := isa.Instr{Kind: isa.Kind(w), Dst: uint8(w >> 8), Src1: uint8(w >> 16), Src2: uint8(w >> 24)}
-	return ins.SchedPack()
 }
 
 // ordinal returns the position in behav of the record of word w, which
